@@ -23,7 +23,6 @@ from .filters import (
     Innovation,
     MatchObservationModel,
     PositionNoiseModel,
-    batch_update,
     histogram_update,
     kalman_update,
     transition_prob,
@@ -54,7 +53,6 @@ from .sim import (
     rollout_low_level,
     rollout_random_actions,
     spawn_world,
-    spiral_command,
     tune_capture_radius,
     vision_detect,
 )

@@ -139,7 +139,6 @@ class EnvConfig:
 
     n_holes: int = 5
     n_types: int = 3
-    clearance: float = 0.001
     detector_error_bound: float = 0.02
     alpha: float = 0.34
     sigma_init: float = 1e-4
@@ -158,8 +157,6 @@ class EnvConfig:
             raise ConfigurationError("need at least two hole types")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
-        if self.clearance <= 0.0:
-            raise ConfigurationError("clearance must be positive")
         if self.detector_error_bound < 0.0:
             raise ConfigurationError("detector error bound must be >= 0")
         if self.sigma_init <= 0.0:

@@ -1,8 +1,7 @@
 """Command-line harness: calibrate, train, experiment, replay.
 
-All commands are deterministic given (config, seed, thread count); metric and
-step CSVs are written sorted and re-validated before exit.  The environment
-variable BELIEFFIT_THREADS caps trial parallelism.
+All commands are deterministic given (config, seed); metric and step CSVs are
+written sorted and re-validated before exit.
 """
 
 from __future__ import annotations
@@ -24,9 +23,7 @@ from .experiments import (
     STEP_COLUMNS,
     ExperimentSpec,
     run_experiment,
-    threads_from_env,
 )
-from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
 from .policy import PolicyVariant
 from .seeding import STREAM_CALIBRATE, STREAM_DATASET, derive_rng
 from .sim import tune_capture_radius
@@ -212,18 +209,7 @@ def cmd_train(args) -> int:
 def cmd_experiment(args) -> int:
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
-    if args.params:
-        path = Path(args.params)
-        if not path.exists():
-            print(f"error: params file not found: {path}", file=sys.stderr)
-            return 2
-        lp = json.loads(path.read_text())
-        learned = FilterModels(
-            position=PositionNoiseModel(np.array(lp["position_cov"], dtype=float)),
-            match=MatchObservationModel(tpr=float(lp["tpr"]), fpr=float(lp["fpr"])),
-        )
-    else:
-        learned = cfg.learned_from(doc)
+    learned = cfg.load_params(args.params) if args.params else cfg.learned_from(doc)
 
     seed = args.seed if args.seed is not None else env.rng_seed
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS[args.kind]
@@ -239,7 +225,6 @@ def cmd_experiment(args) -> int:
         steps=args.steps,
         step_cap=args.step_cap,
         seed_groups=args.seed_groups,
-        threads=threads_from_env(args.threads),
     )
     metric_rows, step_rows = run_experiment(spec)
 
@@ -353,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-peg attempt cap for assembly")
     p.add_argument("--seed-groups", type=int, default=5,
                    help="noise seed groups for matching_insertion")
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_experiment)
 

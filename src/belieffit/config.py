@@ -2,11 +2,12 @@
 ground truth, and (optionally) the filters' learned parameters.
 
 `default_config()` reproduces the documented desk-scale defaults; files only
-need the keys they want to override.
+need the keys they want to override, and a key the defaults lack is an error.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -24,7 +25,6 @@ def default_config() -> dict:
         "env": {
             "n_holes": 5,
             "n_types": 3,
-            "clearance": 0.001,
             "detector_error_bound": 0.02,
             "alpha": 0.34,
             "sigma_init": 1e-4,
@@ -56,46 +56,86 @@ def default_config() -> dict:
             "tpr": 0.85,
             "fpr": 0.15,
         },
+        # written by `calibrate --out` as a record of the run; never read
+        "calibration": None,
     }
 
 
-def _merge(base: dict, override: dict) -> dict:
+def _merge(base: dict, override: dict, where: str = "") -> dict:
     out = dict(base)
     for key, value in override.items():
-        if isinstance(value, dict) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
+        if key not in base:
+            import difflib  # only a bad key pays for this import
+
+            close = difflib.get_close_matches(key, list(base), n=1)
+            hint = f"; did you mean '{where}{close[0]}'?" if close else ""
+            raise ConfigurationError(f"unknown config key '{where}{key}'{hint}")
+        if isinstance(value, dict) and isinstance(base[key], dict):
+            out[key] = _merge(base[key], value, f"{where}{key}.")
         else:
             out[key] = value
     return out
+
+
+def _read_json(path: str | Path, what: str) -> dict:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigurationError(f"{what} file not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigurationError(f"{what} file {path} must hold a JSON object")
+    return doc
 
 
 def load_config(path: str | Path | None) -> dict:
     """Defaults overlaid with the JSON document at `path` (if given)."""
     doc = default_config()
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigurationError(f"config file not found: {path}")
-        try:
-            user = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigurationError(f"invalid JSON in {path}: {exc}") from exc
-        if not isinstance(user, dict):
-            raise ConfigurationError("config document must be a JSON object")
-        doc = _merge(doc, user)
+        doc = _merge(doc, _read_json(path, "config"))
     return doc
+
+
+def load_params(path: str | Path) -> FilterModels:
+    """Learned filter parameters from a JSON file like `train` writes."""
+    doc = _read_json(path, "params")
+    try:
+        return learned_from({"learned": doc})
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"params file {path}: {exc}") from None
+
+
+def _block(name: str):
+    """Report a missing key, a wrong-typed value or a value out of range in
+    block `name` as one ConfigurationError that names the block."""
+
+    def decorate(read):
+        @functools.wraps(read)
+        def checked(doc: dict):
+            try:
+                return read(doc)
+            except KeyError as exc:
+                raise ConfigurationError(f"{name}: missing key {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigurationError(f"{name}: {exc}") from None
+
+        return checked
+
+    return decorate
 
 
 def save_config(doc: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+@_block("env")
 def env_from(doc: dict) -> EnvConfig:
     env = doc["env"]
     return EnvConfig(
         n_holes=int(env["n_holes"]),
         n_types=int(env["n_types"]),
-        clearance=float(env["clearance"]),
         detector_error_bound=float(env["detector_error_bound"]),
         alpha=float(env["alpha"]),
         sigma_init=float(env["sigma_init"]),
@@ -109,6 +149,7 @@ def env_from(doc: dict) -> EnvConfig:
     )
 
 
+@_block("spiral")
 def spiral_from(doc: dict) -> SpiralParams:
     sp = doc["spiral"]
     return SpiralParams(
@@ -119,6 +160,7 @@ def spiral_from(doc: dict) -> SpiralParams:
     )
 
 
+@_block("sensors")
 def sensors_from(doc: dict) -> SensorModel:
     sens = doc["sensors"]
     pos = sens["position"]
@@ -135,6 +177,7 @@ def sensors_from(doc: dict) -> SensorModel:
     )
 
 
+@_block("learned")
 def learned_from(doc: dict) -> FilterModels:
     if "learned" not in doc or doc["learned"] is None:
         raise ConfigurationError("no learned parameters in config")

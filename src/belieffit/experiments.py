@@ -2,14 +2,12 @@
 
 Worlds, detections and peg orders are derived from (master seed, trial) only,
 so every variant faces the identical sequence of environments; episode noise
-additionally keys on the variant.  Trial results are collected into fixed
-slots, which makes outputs byte-identical for any thread count.
+additionally keys on the variant.  Each trial draws only from its own
+streams, so its rows do not depend on how many trials a run has.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -96,7 +94,6 @@ class ExperimentSpec:
     steps: int = 5
     step_cap: int = 30
     seed_groups: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         if self.kind not in KIND_IDS:
@@ -111,21 +108,6 @@ class ExperimentSpec:
         return PolicyModels(
             spiral=self.spiral, sensor=self.sensors, filters=self.learned
         )
-
-
-def threads_from_env(default: int = 1) -> int:
-    raw = os.environ.get("BELIEFFIT_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else max(1, default)
-    except ValueError:
-        return max(1, default)
-
-
-def _map_trials(worker, n_trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [worker(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, range(n_trials)))
 
 
 def _variant_key(variant: PolicyVariant) -> int:
@@ -197,7 +179,8 @@ def run_position_estimation(spec: ExperimentSpec):
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
     for variant in spec.variants:
-        def worker(trial, variant=variant):
+        errors = []
+        for trial in range(spec.trials):
             world, peg, beliefs = _single_hole_setup(spec, trial, matched=False)
             rng = derive_rng(
                 spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
@@ -208,13 +191,9 @@ def run_position_estimation(spec: ExperimentSpec):
             episode = run_episode(
                 world, peg, variant, spec.models, spec.steps, rng, beliefs=beliefs
             )
-            errors = [initial_error] + [r.pos_error for r in episode.records]
-            return errors, _episode_step_rows(spec, variant, trial, episode)
-
-        results = _map_trials(worker, spec.trials, spec.threads)
-        errors = np.array([r[0] for r in results])
-        for rows in results:
-            step_rows.extend(rows[1])
+            errors.append([initial_error] + [r.pos_error for r in episode.records])
+            step_rows.extend(_episode_step_rows(spec, variant, trial, episode))
+        errors = np.array(errors)
         for t in range(spec.steps + 1):
             metric_rows.append(
                 ResultRow(spec.kind, variant.value, -1, t, "pos_error_mean",
@@ -234,7 +213,8 @@ def run_matching_insertion(spec: ExperimentSpec):
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
     for variant in spec.variants:
-        def worker(trial, variant=variant):
+        steps_to_success = []
+        for trial in range(spec.trials):
             world, peg, beliefs = _single_hole_setup(spec, trial, matched=True)
             group = trial % max(1, spec.seed_groups)
             rng = derive_rng(
@@ -243,17 +223,10 @@ def run_matching_insertion(spec: ExperimentSpec):
             episode = run_episode(
                 world, peg, variant, spec.models, horizon, rng, beliefs=beliefs
             )
-            success_step = (
-                episode.attempts
-                if episode.status is TerminalStatus.SUCCESS
-                else None
+            steps_to_success.append(
+                episode.attempts if episode.status is TerminalStatus.SUCCESS else None
             )
-            return success_step, _episode_step_rows(spec, variant, trial, episode)
-
-        results = _map_trials(worker, spec.trials, spec.threads)
-        steps_to_success = [r[0] for r in results]
-        for rows in results:
-            step_rows.extend(rows[1])
+            step_rows.extend(_episode_step_rows(spec, variant, trial, episode))
         for t in range(1, horizon + 1):
             rate = sum(1 for s in steps_to_success if s is not None and s <= t)
             metric_rows.append(
@@ -270,7 +243,8 @@ def run_assembly(spec: ExperimentSpec):
     step_rows: list[dict] = []
     n_pegs = spec.env.n_holes
     for variant in spec.variants:
-        def worker(trial, variant=variant):
+        assemblies: list[AssemblyResult] = []
+        for trial in range(spec.trials):
             world = spawn_world(
                 spec.env, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial),
                 spec.spiral,
@@ -284,17 +258,11 @@ def run_assembly(spec: ExperimentSpec):
             result = run_assembly_task(
                 world, pegs, variant, spec.models, rng, step_cap=spec.step_cap
             )
-            rows = []
+            assemblies.append(result)
             for peg_index, episode in enumerate(result.episodes):
-                rows.extend(
+                step_rows.extend(
                     _episode_step_rows(spec, variant, trial, episode, peg_index)
                 )
-            return result, rows
-
-        results = _map_trials(worker, spec.trials, spec.threads)
-        assemblies: list[AssemblyResult] = [r[0] for r in results]
-        for rows in results:
-            step_rows.extend(rows[1])
 
         interventions = sum(a.interventions for a in assemblies)
         metric_rows.append(

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import GaussianBelief2, HoleBelief, PegType, TypeBelief, normalize_probs
+from .beliefs import GaussianBelief2, PegType, TypeBelief
 from .errors import DegenerateEvidenceError, InvalidInputError
 
 MATCH_PROB_EPS = 1e-6
@@ -137,33 +137,3 @@ def histogram_update(
         raise DegenerateEvidenceError("evidence annihilated the type belief")
     return TypeBelief(weights / eta)
 
-
-def batch_update(
-    beliefs: list[HoleBelief],
-    chosen: int,
-    innovation: Innovation,
-    o_match: bool,
-    beta_next: bool,
-    peg: PegType,
-    alpha: float,
-    models: FilterModels,
-) -> list[HoleBelief]:
-    """Apply both filters to the interacted hole; all others pass through.
-
-    Mismatched holes yield no information, so only index `chosen` changes.
-    The stored type posterior is floored (see `normalize_probs`) to keep
-    future updates non-degenerate.
-    """
-    if not 0 <= chosen < len(beliefs):
-        raise InvalidInputError(f"chosen index {chosen} out of range")
-    target = beliefs[chosen]
-    position = kalman_update(target.position, innovation, models.position)
-    type_posterior = histogram_update(
-        target.type_belief, o_match, beta_next, peg, alpha, models.match
-    )
-    updated = HoleBelief(
-        position=position,
-        type_belief=TypeBelief(normalize_probs(type_posterior.probs)),
-        fitted=target.fitted or beta_next,
-    )
-    return [updated if i == chosen else b for i, b in enumerate(beliefs)]

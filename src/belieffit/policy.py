@@ -3,15 +3,19 @@
 Each high-level step picks the hole with the best predicted fit probability,
 moves to a start estimate chosen by the active variant, runs one low-level
 rollout, and updates the chosen hole's belief from the outcome.  Variants
-differ only in which information they feed back:
+differ only in their `FEEDBACK` row:
 
-  FULL_APPROACH         position innovation + match verdict + outcome
-  FAILURE_PLUS_POSITION position innovation + outcome (no match verdict)
-  FAILURE_ONLY          outcome only (beliefs about position never move)
-  FRAME_BY_FRAME        replaces the position mean with the fresh sensor
-                        estimate each step; covariance and types untouched
-  FIXED_INITIAL         no feedback; always starts at the initial estimate
-  SAMPLED_INITIAL       no feedback; starts at a draw from the initial belief
+  variant                start    position update  type evidence
+  FULL_APPROACH          mean     Kalman           sensed match + outcome
+  FAILURE_PLUS_POSITION  mean     Kalman           outcome
+  FAILURE_ONLY           mean     none             outcome
+  FRAME_BY_FRAME         mean     replace mean     none
+  FIXED_INITIAL          mean     none             none
+  SAMPLED_INITIAL        sample   none             none
+
+A Kalman update reads the position sensor after a failure and the final tip
+position after an insertion; "replace mean" sets the mean to that same
+observation and keeps the covariance.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from .beliefs import (
     EnvConfig,
     GaussianBelief2,
     HoleBelief,
+    HoleGroundTruth,
     PegType,
     TypeBelief,
     fit_probability,
@@ -43,7 +48,7 @@ from .filters import (
     kalman_update,
 )
 from .sensors import SensorModel, sense_match, sense_position
-from .sim import SpiralParams, World, rollout_low_level, vision_detect
+from .sim import RolloutOutcome, SpiralParams, World, rollout_low_level, vision_detect
 
 logger = logging.getLogger(__name__)
 
@@ -60,21 +65,40 @@ class PolicyVariant(enum.Enum):
     FIXED_INITIAL = "fixed_initial"
     SAMPLED_INITIAL = "sampled_initial"
 
-    @property
-    def updates_position(self) -> bool:
-        return self in (
-            PolicyVariant.FULL_APPROACH,
-            PolicyVariant.FAILURE_PLUS_POSITION,
-            PolicyVariant.FRAME_BY_FRAME,
-        )
 
-    @property
-    def updates_types(self) -> bool:
-        return self in (
-            PolicyVariant.FULL_APPROACH,
-            PolicyVariant.FAILURE_PLUS_POSITION,
-            PolicyVariant.FAILURE_ONLY,
-        )
+class PositionUpdate(enum.Enum):
+    NONE = "none"
+    KALMAN = "kalman"
+    REPLACE = "replace"
+
+
+class TypeEvidence(enum.Enum):
+    NONE = "none"
+    OUTCOME = "outcome"
+    MATCH_AND_OUTCOME = "match_and_outcome"
+
+
+@dataclass(frozen=True)
+class Feedback:
+    """What a variant feeds back after each attempt, and where it starts."""
+
+    sample_start: bool
+    position: PositionUpdate
+    types: TypeEvidence
+
+
+FEEDBACK = {
+    PolicyVariant.FULL_APPROACH: Feedback(
+        False, PositionUpdate.KALMAN, TypeEvidence.MATCH_AND_OUTCOME
+    ),
+    PolicyVariant.FAILURE_PLUS_POSITION: Feedback(
+        False, PositionUpdate.KALMAN, TypeEvidence.OUTCOME
+    ),
+    PolicyVariant.FAILURE_ONLY: Feedback(False, PositionUpdate.NONE, TypeEvidence.OUTCOME),
+    PolicyVariant.FRAME_BY_FRAME: Feedback(False, PositionUpdate.REPLACE, TypeEvidence.NONE),
+    PolicyVariant.FIXED_INITIAL: Feedback(False, PositionUpdate.NONE, TypeEvidence.NONE),
+    PolicyVariant.SAMPLED_INITIAL: Feedback(True, PositionUpdate.NONE, TypeEvidence.NONE),
+}
 
 
 @dataclass(frozen=True)
@@ -164,17 +188,50 @@ def select_hole(beliefs: list[HoleBelief], peg: PegType, alpha: float) -> int:
     return best
 
 
+def _updated_position(
+    prior: GaussianBelief2,
+    rule: PositionUpdate,
+    outcome: RolloutOutcome,
+    hole: HoleGroundTruth,
+    models: PolicyModels,
+    rng: np.random.Generator,
+) -> GaussianBelief2:
+    """Position posterior: an insertion observes the final tip position, a
+    failure reads the position sensor."""
+    if outcome.success:
+        if rule is PositionUpdate.REPLACE:
+            return GaussianBelief2(outcome.final_ee[:2], prior.cov)
+        innovation = Innovation(outcome.final_ee[:2] - prior.mean)
+        return kalman_update(prior, innovation, INSERTION_NOISE)
+    innovation = sense_position(
+        outcome.trace, hole.position, prior.mean, models.sensor, rng
+    )
+    if rule is PositionUpdate.REPLACE:
+        return GaussianBelief2(prior.mean + innovation.value, prior.cov)
+    return kalman_update(prior, innovation, models.filters.position)
+
+
 def _updated_type(
     prior: TypeBelief,
-    o_match: bool,
+    evidence: TypeEvidence,
     beta: bool,
     peg: PegType,
+    hole: HoleGroundTruth,
     alpha: float,
-    model,
+    models: PolicyModels,
+    rng: np.random.Generator,
 ) -> tuple[TypeBelief, bool]:
-    """Type posterior with the degenerate-evidence fallback (reset + log)."""
+    """Type posterior from the outcome, plus a fresh match verdict when the
+    evidence includes it; degenerate evidence resets to uniform (and logs)."""
+    if evidence is TypeEvidence.MATCH_AND_OUTCOME:
+        o_match = sense_match(hole.hole_type, peg, models.sensor, rng)
+        match_model = models.filters.match
+    else:
+        # Outcome evidence only: a uniform confusion factor cancels in the
+        # normalizer, leaving the transition term.
+        o_match, match_model = False, UNINFORMATIVE_MATCH_MODEL
     try:
-        posterior = histogram_update(prior, o_match, beta, peg, alpha, model)
+        posterior = histogram_update(prior, o_match, beta, peg, alpha, match_model)
         return TypeBelief(normalize_probs(posterior.probs)), False
     except DegenerateEvidenceError:
         logger.warning("degenerate type evidence; resetting belief to uniform")
@@ -189,17 +246,20 @@ def high_level_step(
     models: PolicyModels,
     rng: np.random.Generator,
 ) -> tuple[list[HoleBelief], StepRecord]:
-    """One choose-hole / rollout / belief-update iteration."""
+    """One choose-hole / rollout / belief-update iteration.
+
+    The only belief update in the package: the chosen hole's position and
+    type beliefs change as the variant's `FEEDBACK` row says, and every other
+    hole's belief passes through.  Random draws come in a fixed order: start
+    sample, rollout, position sensor (after a failure), match sensor.
+    """
     config: EnvConfig = world.config
+    feedback = FEEDBACK[variant]
     chosen = select_hole(beliefs, peg, config.alpha)
     target = beliefs[chosen]
     hole = world.holes[chosen]
 
-    if variant is PolicyVariant.SAMPLED_INITIAL:
-        start = target.position.sample(rng)
-    else:
-        start = target.position.mean
-
+    start = target.position.sample(rng) if feedback.sample_start else target.position.mean
     outcome = rollout_low_level(
         start, peg, hole, models.spiral, config.horizon_low, rng,
         capture_radius=config.capture_radius,
@@ -209,39 +269,13 @@ def high_level_step(
     beta = outcome.success
 
     position = target.position
-    type_belief = target.type_belief
-    evidence_reset = False
-
-    if variant.updates_position:
-        if beta:
-            if variant is PolicyVariant.FRAME_BY_FRAME:
-                position = GaussianBelief2(outcome.final_ee[:2], position.cov)
-            else:
-                innovation = Innovation(outcome.final_ee[:2] - position.mean)
-                position = kalman_update(position, innovation, INSERTION_NOISE)
-        else:
-            innovation = sense_position(
-                outcome.trace, hole.position, position.mean, models.sensor, rng
-            )
-            if variant is PolicyVariant.FRAME_BY_FRAME:
-                position = GaussianBelief2(
-                    position.mean + innovation.value, position.cov
-                )
-            else:
-                position = kalman_update(position, innovation, models.filters.position)
-
-    if variant.updates_types:
-        if variant is PolicyVariant.FULL_APPROACH:
-            o_match = sense_match(hole.hole_type, peg, models.sensor, rng)
-            type_belief, evidence_reset = _updated_type(
-                type_belief, o_match, beta, peg, config.alpha, models.filters.match
-            )
-        else:
-            # Outcome evidence only: a uniform confusion factor cancels in the
-            # normalizer, leaving the transition term.
-            type_belief, evidence_reset = _updated_type(
-                type_belief, False, beta, peg, config.alpha, UNINFORMATIVE_MATCH_MODEL
-            )
+    if feedback.position is not PositionUpdate.NONE:
+        position = _updated_position(position, feedback.position, outcome, hole, models, rng)
+    type_belief, evidence_reset = target.type_belief, False
+    if feedback.types is not TypeEvidence.NONE:
+        type_belief, evidence_reset = _updated_type(
+            type_belief, feedback.types, beta, peg, hole, config.alpha, models, rng
+        )
 
     updated = HoleBelief(
         position=position, type_belief=type_belief, fitted=target.fitted or beta

@@ -101,14 +101,6 @@ class World:
     config: EnvConfig
 
     @property
-    def clearance(self) -> float:
-        return self.config.clearance
-
-    @property
-    def capture_radius(self) -> float:
-        return self.config.capture_radius
-
-    @property
     def n_holes(self) -> int:
         return len(self.holes)
 
@@ -174,54 +166,44 @@ def _spiral_offset(j: int, horizon: int, params: SpiralParams) -> np.ndarray:
     )
 
 
-def _command(ee, target_estimate, j, horizon, params, wiggle) -> np.ndarray:
-    """Spiral-search command: spiral offset + wiggle + pull back to estimate."""
-    wiggle = np.array(wiggle, dtype=float)
-    wiggle[2] = abs(wiggle[2])
-    target = np.array([target_estimate[0], target_estimate[1], 0.0])
-    return _spiral_offset(j, horizon, params) + wiggle + (target - np.asarray(ee))
-
-
-def spiral_command(
-    ee,
-    target_estimate,
-    j: int,
-    horizon: int,
-    params: SpiralParams,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One command of the spiral search policy at step j."""
-    if not 0 <= j <= horizon:
-        raise InvalidInputError(f"step index {j} outside 0..{horizon}")
-    wiggle = rng.normal(0.0, params.sigma_wiggle, 3)
-    return _command(ee, target_estimate, j, horizon, params, wiggle)
-
-
 def _integrate(
     start_estimate,
     peg: PegType,
     hole: HoleGroundTruth,
+    params: SpiralParams,
     horizon: int,
     rng: np.random.Generator,
-    command_fn,
+    offset,
     *,
     capture_radius: float,
     alignment_rate: float,
     workspace: tuple | None,
 ) -> RolloutOutcome:
+    """The control loop shared by both rollouts.
+
+    `offset` is the open-loop motion of each step, a (horizon, 3) array or
+    one 3-vector for every step.  Each command is that offset plus a wiggle
+    whose vertical part is rectified upward, plus the pull back from the tip
+    to the estimate.
+    """
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not np.all(np.isfinite(start_estimate)):
         raise InvalidInputError("start estimate must be a finite 2-vector")
+    if horizon < 1:
+        raise InvalidInputError("rollout horizon must be >= 1")
     aligned = bool(rng.random() < alignment_rate)
-    wiggles = rng.normal(0.0, 1.0, (horizon, 3))
+    wiggles = params.sigma_wiggle * rng.normal(0.0, 1.0, (horizon, 3))
+    wiggles[:, 2] = np.abs(wiggles[:, 2])
     force_noise = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    drive = offset + wiggles
 
-    ee = np.array([start_estimate[0], start_estimate[1], 0.0])
+    target = np.array([start_estimate[0], start_estimate[1], 0.0])
+    ee = target.copy()
     can_insert = aligned and peg.value == hole.hole_type
     steps: list[TraceStep] = []
     insertion_step = None
     for j in range(horizon):
-        u = command_fn(j, ee, wiggles[j])
+        u = drive[j] + (target - ee)
         raw_z = ee[2] + u[2]
         ee = ee + u
         if workspace is not None:
@@ -233,7 +215,7 @@ def _integrate(
         steps.append(
             TraceStep(
                 ee_position=ee.copy(),
-                command=np.asarray(u, dtype=float),
+                command=u,
                 contact=contact,
                 force=force,
                 index=j,
@@ -263,12 +245,9 @@ def rollout_low_level(
     workspace: tuple | None = None,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-
-    def command_fn(j, ee, unit_wiggle):
-        return _command(ee, start_estimate, j, horizon, params, params.sigma_wiggle * unit_wiggle)
-
+    offsets = np.array([_spiral_offset(j, horizon, params) for j in range(horizon)])
     return _integrate(
-        start_estimate, peg, hole, horizon, rng, command_fn,
+        start_estimate, peg, hole, params, horizon, rng, offsets,
         capture_radius=capture_radius,
         alignment_rate=alignment_rate,
         workspace=workspace,
@@ -289,15 +268,9 @@ def rollout_random_actions(
 ) -> RolloutOutcome:
     """Exploration rollout for data collection: random wiggles while pressing,
     anchored at the position estimate (no spiral sweep)."""
-
-    def command_fn(j, ee, unit_wiggle):
-        wiggle = params.sigma_wiggle * unit_wiggle
-        wiggle[2] = abs(wiggle[2])
-        target = np.array([start_estimate[0], start_estimate[1], 0.0])
-        return np.array([0.0, 0.0, -params.delta_z]) + wiggle + (target - ee)
-
+    press = np.array([0.0, 0.0, -params.delta_z])
     return _integrate(
-        start_estimate, peg, hole, horizon, rng, command_fn,
+        start_estimate, peg, hole, params, horizon, rng, press,
         capture_radius=capture_radius,
         alignment_rate=alignment_rate,
         workspace=workspace,

@@ -220,23 +220,32 @@ def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
     xi0 = np.full(config.n_types, 1.0 / config.n_types)
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != DATASET_COLUMNS:
-            raise InvalidInputError(f"unexpected dataset columns: {header}")
-        for row in reader:
-            records.append(
-                InteractionRecord(
-                    peg_type=int(row[0]),
-                    hole_type=int(row[1]),
-                    position=np.array([float(row[2]), float(row[3])]),
-                    mu0=np.array([float(row[4]), float(row[5])]),
-                    sigma0=sigma0,
-                    xi0=xi0,
-                    obs=np.array([float(row[6]), float(row[7])]),
-                    o_match=bool(int(row[8])),
-                    beta=bool(int(row[9])),
+        try:
+            header = next(reader, [])
+            if tuple(header) != DATASET_COLUMNS:
+                raise InvalidInputError(f"unexpected dataset columns: {header}")
+            for row in reader:
+                if len(row) != len(DATASET_COLUMNS):
+                    raise InvalidInputError(
+                        f"expected {len(DATASET_COLUMNS)} cells, got {len(row)}"
+                    )
+                records.append(
+                    InteractionRecord(
+                        peg_type=int(row[0]),
+                        hole_type=int(row[1]),
+                        position=np.array([float(row[2]), float(row[3])]),
+                        mu0=np.array([float(row[4]), float(row[5])]),
+                        sigma0=sigma0,
+                        xi0=xi0,
+                        obs=np.array([float(row[6]), float(row[7])]),
+                        o_match=bool(int(row[8])),
+                        beta=bool(int(row[9])),
+                    )
                 )
-            )
+        except UnicodeDecodeError as exc:  # read ahead in blocks: no line to name
+            raise InvalidInputError(f"cannot decode {path}: {exc}") from None
+        except (ValueError, csv.Error) as exc:
+            raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -133,8 +133,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EnvConfig(alpha=0.0)
         with pytest.raises(ConfigurationError):
-            EnvConfig(clearance=0.0)
-        with pytest.raises(ConfigurationError):
             EnvConfig(detector_error_bound=-0.01)
         with pytest.raises(ConfigurationError):
             EnvConfig(horizon_high=0)

@@ -12,6 +12,12 @@ def run_cli(*argv):
     return main([str(a) for a in argv])
 
 
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    return err
+
+
 @pytest.fixture()
 def small_config(tmp_path):
     doc = default_config()
@@ -36,6 +42,33 @@ class TestConfig:
         assert doc["env"]["n_holes"] == 2
         assert doc["env"]["n_types"] == 3  # untouched default
 
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"env": {"n_hole": 3}}, "'env.n_hole'; did you mean 'env.n_holes'"),
+            ({"env": {"clearance": 0.001}}, "'env.clearance'"),
+            ({"spirals": {}}, "'spirals'; did you mean 'spiral'"),
+        ],
+    )
+    def test_unknown_key_is_exit_2(self, tmp_path, capsys, doc, named):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigurationError, match="unknown config key"):
+            load_config(path)
+        code = run_cli(
+            "experiment", "assembly", "--config", path, "--trials", 1,
+            "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert named in assert_one_line_error(capsys)
+
+    def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"n_holes": "five"}}))
+        code = run_cli("experiment", "assembly", "--config", path, "--out", tmp_path / "r")
+        assert code == 2
+        assert "env" in assert_one_line_error(capsys)
+
 
 class TestCalibrate:
     def test_writes_deterministic_config(self, small_config, tmp_path, capsys):
@@ -54,6 +87,9 @@ class TestCalibrate:
         doc = json.loads(out1.read_text())
         assert "calibration" in doc
         assert doc["env"]["capture_radius"] == doc["calibration"]["capture_radius"]
+        reloaded = load_config(out1)
+        assert reloaded["env"]["alpha"] == doc["env"]["alpha"]
+        assert reloaded["calibration"] == doc["calibration"]
 
     def test_unreachable_target_warns_but_succeeds(self, small_config, tmp_path, capsys):
         code = run_cli(
@@ -91,6 +127,27 @@ class TestTrain:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("cell, problem", [("abc", "abc"), ("", "could not convert")])
+    def test_bad_dataset_cell_is_exit_2(self, small_config, tmp_path, capsys, cell, problem):
+        out = tmp_path / "train"
+        assert run_cli(
+            "train", "--config", small_config, "--generate", 6, "--epochs", 2,
+            "--seed", 3, "--out", out,
+        ) == 0
+        lines = (out / "dataset.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[4] = cell
+        lines[3] = ",".join(cells)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli(
+            "train", "--config", small_config, "--dataset", bad, "--out", tmp_path / "t",
+        )
+        assert code == 2
+        err = assert_one_line_error(capsys)
+        assert "line 4" in err and problem in err
+
 
 class TestExperiment:
     def test_position_estimation_outputs(self, small_config, tmp_path):
@@ -121,6 +178,30 @@ class TestExperiment:
             "--params", tmp_path / "missing.json", "--out", tmp_path / "r",
         )
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": 0.85}', "'fpr'"),
+            ("not json", "cannot read params file"),
+            ('{"position_cov": "wide", "tpr": 0.85, "fpr": 0.15}', "params file"),
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": [1], "fpr": 0.15}',
+             "params file"),
+            ("[1, 2]", "JSON object"),
+        ],
+        ids=["missing_key", "not_json", "bad_cov", "bad_rate", "not_object"],
+    )
+    def test_malformed_params_file_is_exit_2(
+        self, small_config, tmp_path, capsys, content, problem
+    ):
+        params = tmp_path / "params.json"
+        params.write_text(content)
+        code = run_cli(
+            "experiment", "assembly", "--config", small_config, "--trials", 1,
+            "--params", params, "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert problem in assert_one_line_error(capsys)
 
     def test_unknown_variant_is_exit_2(self, small_config, tmp_path):
         code = run_cli(

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -17,7 +15,6 @@ from belieffit.experiments import (
     ExperimentSpec,
     ResultRow,
     run_experiment,
-    threads_from_env,
 )
 
 
@@ -105,10 +102,15 @@ class TestDeterminism:
         assert a_metrics == b_metrics
         assert a_steps == b_steps
 
-    def test_thread_count_does_not_change_results(self):
-        base = make_spec("matching_insertion", trials=8)
-        threaded = dataclasses.replace(base, threads=4)
-        assert run_experiment(base)[0] == run_experiment(threaded)[0]
+    def test_trial_prefix_does_not_change_results(self):
+        # each trial draws from its own streams, so trials 0..k-1 give the
+        # same step rows in a run of k trials as in a longer run
+        k, n = 2, 5
+        for kind in ("position_estimation", "matching_insertion", "assembly"):
+            short = run_experiment(make_spec(kind, trials=k, step_cap=8))[1]
+            long = run_experiment(make_spec(kind, trials=n, step_cap=8))[1]
+            assert short
+            assert short == [row for row in long if row["trial"] < k]
 
 
 class TestValidation:
@@ -123,11 +125,3 @@ class TestValidation:
     def test_result_row_finite(self):
         with pytest.raises(InvalidInputError):
             ResultRow("assembly", "full_approach", 0, 0, "x", float("nan"), 0)
-
-    def test_threads_from_env(self, monkeypatch):
-        monkeypatch.setenv("BELIEFFIT_THREADS", "3")
-        assert threads_from_env(1) == 3
-        monkeypatch.setenv("BELIEFFIT_THREADS", "bogus")
-        assert threads_from_env(2) == 2
-        monkeypatch.delenv("BELIEFFIT_THREADS")
-        assert threads_from_env(4) == 4

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from belieffit import (
-    FilterModels,
     GaussianBelief2,
-    HoleBelief,
     Innovation,
     MatchObservationModel,
     PegType,
     PositionNoiseModel,
     TypeBelief,
-    batch_update,
     histogram_update,
-    init_position_belief,
     init_type_belief_uniform,
     kalman_update,
     normalize_probs,
@@ -171,52 +167,3 @@ class TestHistogramUpdate:
         second = histogram_update(prior, *args)
         assert np.array_equal(first.probs, second.probs)
 
-
-class TestBatchUpdate:
-    def _beliefs(self, n=5):
-        return [
-            HoleBelief(
-                position=init_position_belief((0.01 * i, 0.0), 1e-4),
-                type_belief=init_type_belief_uniform(3),
-            )
-            for i in range(n)
-        ]
-
-    def _models(self):
-        return FilterModels(
-            position=PositionNoiseModel(6.4e-5 * np.eye(2)),
-            match=MatchObservationModel(0.85, 0.15),
-        )
-
-    def test_only_chosen_hole_changes(self):
-        beliefs = self._beliefs()
-        out = batch_update(
-            beliefs, 2, Innovation((0.001, 0.001)), True, False, PegType(1), 0.34,
-            self._models(),
-        )
-        for i in (0, 1, 3, 4):
-            assert out[i] is beliefs[i]
-        assert out[2] is not beliefs[2]
-
-    def test_success_sets_fitted_and_collapses_types(self):
-        beliefs = self._beliefs()
-        out = batch_update(
-            beliefs, 0, Innovation((0.0, 0.0)), True, True, PegType(2), 0.34,
-            self._models(),
-        )
-        assert out[0].fitted
-        assert out[0].type_belief.prob_of(2) == pytest.approx(1.0, abs=1e-9)
-
-    def test_failure_keeps_fitted_false(self):
-        out = batch_update(
-            self._beliefs(), 1, Innovation((0.0, 0.0)), False, False, PegType(1),
-            0.34, self._models(),
-        )
-        assert not out[1].fitted
-
-    def test_out_of_range_index(self):
-        with pytest.raises(InvalidInputError):
-            batch_update(
-                self._beliefs(), 9, Innovation((0.0, 0.0)), True, False, PegType(1),
-                0.34, self._models(),
-            )

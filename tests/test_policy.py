@@ -22,12 +22,14 @@ from belieffit import (
     high_level_step,
     init_beliefs,
     init_position_belief,
+    init_type_belief_uniform,
     run_assembly_task,
     run_episode,
     select_hole,
     spawn_world,
 )
 from belieffit.errors import InvalidInputError, NoActionError
+from belieffit.policy import FEEDBACK, TypeEvidence
 from belieffit.seeding import derive_rng
 
 CFG = EnvConfig()
@@ -181,6 +183,80 @@ class TestHighLevelStep:
         assert new_beliefs[0].type_belief.prob_of(1) == pytest.approx(1.0, abs=1e-9)
         # insertion pins the position estimate to the final tip position
         assert rec.pos_error <= CFG.capture_radius + 1e-9
+
+
+class TestBeliefUpdate:
+    """`high_level_step` is the package's one belief update; these pin down
+    what it does to the chosen hole for every variant."""
+
+    # parts of the chosen hole's belief that move, after a failure and after
+    # an insertion alike
+    MOVED = {
+        PolicyVariant.FULL_APPROACH: {"mean", "cov", "types"},
+        PolicyVariant.FAILURE_PLUS_POSITION: {"mean", "cov", "types"},
+        PolicyVariant.FAILURE_ONLY: {"types"},
+        PolicyVariant.FRAME_BY_FRAME: {"mean"},
+        PolicyVariant.FIXED_INITIAL: set(),
+        PolicyVariant.SAMPLED_INITIAL: set(),
+    }
+
+    def _step(self, variant, success):
+        """Peg 1 on hole 0: a matching hole inserts (aligned, no wiggle,
+        start 4 mm off so the spiral reaches it), a mismatched one fails."""
+        cfg = dataclasses.replace(CFG, n_holes=2, alignment_rate=1.0)
+        holes = (
+            HoleGroundTruth(1 if success else 2, (0.0, 0.0)),
+            HoleGroundTruth(2, (0.1, 0.1)),
+        )
+        beliefs = [
+            HoleBelief(
+                position=init_position_belief((0.004, 0.0), 1e-10),
+                type_belief=init_type_belief_uniform(3),
+            ),
+            belief_with_masses([1, 2, 2], mean=(0.1, 0.1)),
+        ]
+        models = dataclasses.replace(
+            default_models(), spiral=SpiralParams(sigma_wiggle=0.0)
+        )
+        new_beliefs, rec = high_level_step(
+            beliefs, PegType(1), World(holes=holes, config=cfg), variant, models,
+            derive_rng(11, 3),
+        )
+        assert rec.chosen == 0 and rec.beta is success
+        return beliefs, new_beliefs
+
+    def test_only_chosen_hole_changes(self):
+        for variant in PolicyVariant:
+            for success in (False, True):
+                beliefs, new_beliefs = self._step(variant, success)
+                assert new_beliefs[1] is beliefs[1]
+                assert new_beliefs[0] is not beliefs[0]
+
+    def test_success_sets_fitted_and_collapses_types(self):
+        for variant in PolicyVariant:
+            _, new_beliefs = self._step(variant, success=True)
+            assert new_beliefs[0].fitted
+        _, new_beliefs = self._step(PolicyVariant.FULL_APPROACH, success=True)
+        assert FEEDBACK[PolicyVariant.FULL_APPROACH].types is TypeEvidence.MATCH_AND_OUTCOME
+        assert new_beliefs[0].type_belief.prob_of(1) == pytest.approx(1.0, abs=1e-9)
+
+    def test_failure_keeps_fitted_false(self):
+        for variant in PolicyVariant:
+            _, new_beliefs = self._step(variant, success=False)
+            assert not new_beliefs[0].fitted
+
+    @pytest.mark.parametrize("variant", list(PolicyVariant), ids=lambda v: v.value)
+    def test_feedback_table(self, variant):
+        for success in (False, True):
+            beliefs, new_beliefs = self._step(variant, success)
+            old, new = beliefs[0], new_beliefs[0]
+            parts = {
+                "mean": (old.position.mean, new.position.mean),
+                "cov": (old.position.cov, new.position.cov),
+                "types": (old.type_belief.probs, new.type_belief.probs),
+            }
+            moved = {k for k, (a, b) in parts.items() if not np.array_equal(a, b)}
+            assert moved == self.MOVED[variant], f"success={success}"
 
 
 class TestRunEpisode:

@@ -12,13 +12,18 @@ from belieffit import (
     SpiralParams,
     calibrate_alpha,
     rollout_low_level,
+    rollout_random_actions,
     spawn_world,
-    spiral_command,
     tune_capture_radius,
     vision_detect,
 )
 from belieffit.seeding import derive_rng
-from belieffit.sim import capture_radius_bound, min_hole_separation
+from belieffit.sim import (
+    FORCE_NOISE_SD,
+    _spiral_offset,
+    capture_radius_bound,
+    min_hole_separation,
+)
 from belieffit.errors import ConfigurationError, InvalidInputError
 
 
@@ -96,24 +101,36 @@ class TestVisionDetect:
 class TestSpiralCommand:
     def test_start_of_spiral(self):
         params = SpiralParams(sigma_wiggle=0.0)
-        u = spiral_command((0.0, 0.0, 0.0), (0.0, 0.0), 0, 100, params, derive_rng(0, 3))
-        assert np.allclose(u, [0.0, 0.0, -params.delta_z], atol=1e-15)
+        assert np.allclose(
+            _spiral_offset(0, 100, params), [0.0, 0.0, -params.delta_z], atol=1e-15
+        )
+        # without wiggle the first command is the bare offset: the tip starts
+        # at the estimate, so there is nothing to pull back
+        out = rollout_low_level(
+            (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, 100,
+            derive_rng(0, 3), capture_radius=CFG.capture_radius,
+        )
+        first = out.trace.steps[0]
+        assert np.allclose(first.command, [0.0, 0.0, -params.delta_z], atol=1e-15)
+        assert np.allclose(first.ee_position, [0.01, 0.02, 0.0], atol=1e-15)
 
     def test_end_of_spiral_two_rotations(self):
         params = SpiralParams(sigma_wiggle=0.0)
-        u = spiral_command((0.0, 0.0, 0.0), (0.0, 0.0), 100, 100, params, derive_rng(0, 3))
-        assert np.allclose(u[:2], [params.r_max, 0.0], atol=1e-12)
+        assert np.allclose(_spiral_offset(100, 100, params)[:2], [params.r_max, 0.0], atol=1e-12)
 
     def test_vertical_wiggle_rectified_upward(self):
-        params = SpiralParams()
-        rng = derive_rng(1, 3)
-        for j in range(100):
-            u = spiral_command((0.0, 0.0, 0.0), (0.0, 0.0), j, 100, params, rng)
-            assert u[2] >= -params.delta_z - 1e-15
-
-    def test_step_index_bounds(self):
-        with pytest.raises(InvalidInputError):
-            spiral_command((0, 0, 0), (0, 0), 101, 100, SpiralParams(), derive_rng(0, 3))
+        # command z = -delta_z + |wiggle z| - tip z before the step
+        out = rollout_low_level(
+            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), SPIRAL, 100,
+            derive_rng(1, 3), capture_radius=CFG.capture_radius,
+        )
+        tip_z = 0.0
+        pushes = []
+        for step in out.trace.steps:
+            pushes.append(step.command[2] + tip_z)
+            tip_z = step.ee_position[2]
+        assert min(pushes) >= -SPIRAL.delta_z - 1e-15
+        assert max(pushes) > -SPIRAL.delta_z
 
 
 def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, cr=None, seed=0):
@@ -125,8 +142,51 @@ def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, cr=None, seed=0):
     )
 
 
+def _reference_tip_path(start, hole, params, horizon, rng, *, spiral, cr, align, matched):
+    """Step-by-step rollout: each step builds its offset and scales its own
+    wiggle, as the command was computed before the loop was shared."""
+    aligned = rng.random() < align
+    unit = rng.normal(0.0, 1.0, (horizon, 3))
+    rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    target = np.array([start[0], start[1], 0.0])
+    ee = target.copy()
+    path = []
+    for j in range(horizon):
+        wiggle = params.sigma_wiggle * unit[j]
+        wiggle[2] = abs(wiggle[2])
+        if spiral:
+            offset = _spiral_offset(j, horizon, params)
+        else:
+            offset = np.array([0.0, 0.0, -params.delta_z])
+        u = offset + wiggle + (target - ee)
+        raw_z = ee[2] + u[2]
+        ee = ee + u
+        ee[2] = max(0.0, raw_z)
+        path.append(ee.copy())
+        if aligned and matched and np.linalg.norm(ee[:2] - hole.position) <= cr:
+            break
+    return np.array(path)
+
+
 class TestRollout:
     HOLE = HoleGroundTruth(hole_type=1, position=(0.0, 0.0))
+
+    @pytest.mark.parametrize("spiral", [True, False])
+    def test_matches_step_by_step_reference(self, spiral):
+        rollout = rollout_low_level if spiral else rollout_random_actions
+        successes = 0
+        for seed in range(12):
+            start = (0.004, -0.002) if seed % 2 else (0.0005, 0.001)
+            args = (start, PegType(1), self.HOLE, SPIRAL, CFG.horizon_low)
+            out = rollout(*args, derive_rng(seed, 6), capture_radius=CFG.capture_radius,
+                          alignment_rate=0.5)
+            ref = _reference_tip_path(
+                start, self.HOLE, SPIRAL, CFG.horizon_low, derive_rng(seed, 6),
+                spiral=spiral, cr=CFG.capture_radius, align=0.5, matched=True,
+            )
+            assert np.array_equal(np.array([s.ee_position for s in out.trace.steps]), ref)
+            successes += out.success
+        assert 0 < successes < 12
 
     def test_zero_error_inserts_immediately(self):
         out = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0)

@@ -297,3 +297,21 @@ class TestDataset:
             assert back.o_match == orig.o_match and back.beta == orig.beta
             # initial type prior is not serialized; the loader substitutes uniform
             assert np.allclose(back.xi0, 1.0 / self.CFG.n_types)
+
+    @pytest.mark.parametrize(
+        "body, problem",
+        [
+            (b"", "line 0: unexpected dataset columns"),
+            (b"peg_type,hole_type\n", "line 1: unexpected dataset columns"),
+            (b"peg_type,hole_type,p_x,p_y,mu0_x,mu0_y,obs_x,obs_y,o_match,beta\n"
+             b"1,1,0,0,0,0,0,0,1\n", "line 2: expected 10 cells, got 9"),
+            (b"peg_type,hole_type,p_x,p_y,mu0_x,mu0_y,obs_x,obs_y,o_match,beta\n"
+             b"1,1,0,\xff,0,0,0,0,1,1\n", "cannot decode"),
+        ],
+        ids=["empty", "header", "short_row", "not_text"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, body, problem):
+        path = tmp_path / "data.csv"
+        path.write_bytes(body)
+        with pytest.raises(InvalidInputError, match=problem):
+            load_dataset(path, self.CFG)
