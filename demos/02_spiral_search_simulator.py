@@ -44,8 +44,8 @@ print()
 print(f"rollout on hole 0: success={outcome.success}, steps={len(outcome.trace)}")
 closest = outcome.trace.closest_approach(hole.position)
 print(f"closest approach to the hole: {closest*100:.2f} cm")
-contact_frac = np.mean([s.contact for s in outcome.trace.steps])
-print(f"fraction of steps in contact: {contact_frac:.2f}")
+surface_frac = np.mean(outcome.trace.positions[:, 2] == 0.0)
+print(f"fraction of steps on the surface: {surface_frac:.2f}")
 
 # --- success rate vs capture radius ----------------------------------------
 print()

@@ -47,7 +47,6 @@ from .sim import (
     RolloutOutcome,
     SensorimotorTrace,
     SpiralParams,
-    TraceStep,
     World,
     calibrate_alpha,
     rollout_low_level,

@@ -157,19 +157,20 @@ class EnvConfig:
             raise ConfigurationError("need at least two hole types")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
-        if self.detector_error_bound < 0.0:
-            raise ConfigurationError("detector error bound must be >= 0")
-        if self.sigma_init <= 0.0:
-            raise ConfigurationError("sigma_init must be positive")
+        # every range check is written so that NaN fails it
+        if not 0.0 <= self.detector_error_bound < np.inf:
+            raise ConfigurationError("detector error bound must be finite and >= 0")
+        if not 0.0 < self.sigma_init < np.inf:
+            raise ConfigurationError("sigma_init must be finite and positive")
         if self.horizon_high < 1 or self.horizon_low < 1:
             raise ConfigurationError("horizons must be >= 1")
         if not 0.0 < self.alignment_rate <= 1.0:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
-        if self.capture_radius <= 0.0:
-            raise ConfigurationError("capture radius must be positive")
+        if not 0.0 < self.capture_radius < np.inf:
+            raise ConfigurationError("capture radius must be finite and positive")
         lo, hi = np.asarray(self.workspace_min), np.asarray(self.workspace_max)
-        if not np.all(hi > lo):
-            raise ConfigurationError("workspace bounds must have positive extent")
+        if not np.all((hi > lo) & np.isfinite(lo) & np.isfinite(hi)):
+            raise ConfigurationError("workspace bounds must be finite with positive extent")
 
 
 def normalize_probs(raw, floor: float = PROB_FLOOR) -> np.ndarray:

@@ -33,6 +33,7 @@ from .training import (
     load_dataset,
     mle_confusion_oracle,
     mle_covariance_oracle,
+    read_table,
     save_dataset,
 )
 
@@ -55,37 +56,23 @@ def write_csv(path: Path, header, rows) -> None:
 
 def validate_metrics_csv(path: Path) -> None:
     """Schema gate run before exit: header, ordering, finite values."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != METRIC_COLUMNS:
-            raise ConfigurationError(f"bad metrics header in {path}")
-        last_key = None
-        for row in reader:
-            if len(row) != len(METRIC_COLUMNS):
-                raise ConfigurationError(f"ragged row in {path}")
-            if not np.isfinite(float(row[5])):
-                raise ConfigurationError(f"non-finite metric value in {path}")
-            key = (row[0], row[1], int(row[2]), int(row[3]), row[4])
-            if last_key is not None and key < last_key:
-                raise ConfigurationError(f"rows out of order in {path}")
-            last_key = key
+
+    def key(row):
+        if not np.isfinite(float(row[5])):
+            raise ValueError("non-finite metric value")
+        return (row[0], row[1], int(row[2]), int(row[3]), row[4])
+
+    keys = read_table(path, METRIC_COLUMNS, "metrics", key)
+    if keys != sorted(keys):
+        raise ConfigurationError(f"rows out of order in {path}")
 
 
 def validate_steps_csv(path: Path) -> None:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != STEP_COLUMNS:
-            raise ConfigurationError(f"bad steps header in {path}")
-        last_key = None
-        for row in reader:
-            if len(row) != len(STEP_COLUMNS):
-                raise ConfigurationError(f"ragged row in {path}")
-            key = (row[0], row[1], int(row[2]), int(row[3]), int(row[5]))
-            if last_key is not None and key < last_key:
-                raise ConfigurationError(f"rows out of order in {path}")
-            last_key = key
+    keys = read_table(
+        path, STEP_COLUMNS, "steps", lambda r: (r[0], r[1], int(r[2]), int(r[3]), int(r[5]))
+    )
+    if keys != sorted(keys):
+        raise ConfigurationError(f"rows out of order in {path}")
 
 
 def _parse_variants(raw: str | None, kind: str) -> tuple[PolicyVariant, ...]:
@@ -272,29 +259,36 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+def _replay_row(cells) -> tuple:
+    """Trial, episode key, episode heading and step line of one steps.csv row."""
+    row = dict(zip(STEP_COLUMNS, cells))
+    trial = int(row["trial"])
+    xi = ", ".join(f"{float(x):.3f}" for x in row["xi"].split("|"))
+    heading = (f"[{row['experiment']}] trial {trial} variant {row['variant']} "
+               f"peg#{row['peg_index']} (type {row['peg_type']}) -> {row['status']}")
+    line = (f"  t={row['step']:>3} hole={row['chosen_hole']} "
+            f"start=({float(row['start_x']):+.4f},{float(row['start_y']):+.4f}) "
+            f"beta={row['beta']} mu=({float(row['mu_x']):+.4f},{float(row['mu_y']):+.4f}) "
+            f"err={float(row['pos_error']):.4f} xi=[{xi}] fitted={row['fitted']}")
+    return trial, (row["variant"], row["peg_index"]), heading, line
+
+
 def cmd_replay(args) -> int:
     steps_path = Path(args.results) / "steps.csv"
     if not steps_path.exists():
         print(f"error: no steps.csv under {args.results}", file=sys.stderr)
         return 2
-    with open(steps_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = [r for r in reader if int(r["trial"]) == args.trial]
+    rows = read_table(steps_path, STEP_COLUMNS, "steps", _replay_row)
+    rows = [r for r in rows if r[0] == args.trial]
     if not rows:
         print(f"error: no records for trial {args.trial}", file=sys.stderr)
         return 2
     current = None
-    for row in rows:
-        key = (row["variant"], row["peg_index"])
+    for _, key, heading, line in rows:
         if key != current:
             current = key
-            print(f"[{row['experiment']}] trial {args.trial} variant {row['variant']} "
-                  f"peg#{row['peg_index']} (type {row['peg_type']}) -> {row['status']}")
-        xi = ", ".join(f"{float(x):.3f}" for x in row["xi"].split("|"))
-        print(f"  t={row['step']:>3} hole={row['chosen_hole']} "
-              f"start=({float(row['start_x']):+.4f},{float(row['start_y']):+.4f}) "
-              f"beta={row['beta']} mu=({float(row['mu_x']):+.4f},{float(row['mu_y']):+.4f}) "
-              f"err={float(row['pos_error']):.4f} xi=[{xi}] fitted={row['fitted']}")
+            print(heading)
+        print(line)
     return 0
 
 

@@ -118,7 +118,7 @@ def _block(name: str):
                 return read(doc)
             except KeyError as exc:
                 raise ConfigurationError(f"{name}: missing key {exc}") from None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigurationError(f"{name}: {exc}") from None
 
         return checked

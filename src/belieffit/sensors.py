@@ -33,16 +33,18 @@ class PositionSensorSpec:
     def __post_init__(self):
         cov = np.array(self.cov, dtype=float)
         bias = np.array(self.bias, dtype=float)
-        if cov.shape != (2, 2) or np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise InvalidInputError("sensor covariance must be symmetric 2x2")
+        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
+            raise InvalidInputError("sensor covariance must be a finite 2x2 matrix")
+        if np.max(np.abs(cov - cov.T)) > 1e-12:
+            raise InvalidInputError("sensor covariance must be symmetric")
         if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
             raise InvalidInputError("sensor covariance must be positive definite")
         if bias.shape != (2,) or not np.all(np.isfinite(bias)):
             raise InvalidInputError("sensor bias must be a finite 2-vector")
-        if self.uninformative_scale < 1.0:
-            raise InvalidInputError("uninformative scale must be >= 1")
-        if self.informative_radius <= 0.0:
-            raise InvalidInputError("informative radius must be positive")
+        if not 1.0 <= self.uninformative_scale < np.inf:
+            raise InvalidInputError("uninformative scale must be finite and >= 1")
+        if not 0.0 < self.informative_radius < np.inf:
+            raise InvalidInputError("informative radius must be finite and positive")
         cov.setflags(write=False)
         bias.setflags(write=False)
         object.__setattr__(self, "cov", cov)

@@ -10,7 +10,8 @@ the capture disk the position-dependent one.
 
 Every rollout consumes its RNG in a fixed order (alignment draw, wiggle
 block, force-noise block), so identical seeds give identical traces no matter
-how the rollout terminates.
+how the rollout terminates.  No step depends on the tip before it, so a
+rollout computes all its steps at once as arrays.
 """
 
 from __future__ import annotations
@@ -39,39 +40,30 @@ class SpiralParams:
     sigma_wiggle: float = 0.00125
 
     def __post_init__(self):
-        if min(self.r_max, self.delta_z) <= 0.0 or self.n_rot < 1:
-            raise ConfigurationError("spiral parameters must be positive")
-        if self.sigma_wiggle < 0.0:
-            raise ConfigurationError("wiggle scale must be >= 0")
-
-
-@dataclass(frozen=True)
-class TraceStep:
-    """One recorded control step: state after the move, command, contact, force."""
-
-    ee_position: np.ndarray
-    command: np.ndarray
-    contact: bool
-    force: np.ndarray
-    index: int
+        # written so that NaN fails each range check
+        if not (0.0 < self.r_max < np.inf and 0.0 < self.delta_z < np.inf) or self.n_rot < 1:
+            raise ConfigurationError("spiral parameters must be finite and positive")
+        if not 0.0 <= self.sigma_wiggle < np.inf:
+            raise ConfigurationError("wiggle scale must be finite and >= 0")
 
 
 @dataclass(frozen=True)
 class SensorimotorTrace:
-    steps: tuple[TraceStep, ...]
+    """Tip positions and force readings, (n, 3) arrays with a row per step."""
+
+    positions: np.ndarray
+    forces: np.ndarray
 
     def __post_init__(self):
-        if not self.steps:
-            raise InvalidInputError("trace must contain at least one step")
-        indices = [s.index for s in self.steps]
-        if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise InvalidInputError("trace indices must be strictly increasing")
+        shape = np.shape(self.positions)
+        if len(shape) != 2 or shape[1] != 3 or not shape[0] or np.shape(self.forces) != shape:
+            raise InvalidInputError("trace needs (n, 3) positions and forces, n >= 1")
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.positions)
 
     def positions_xy(self) -> np.ndarray:
-        return np.array([s.ee_position[:2] for s in self.steps])
+        return self.positions[:, :2]
 
     def closest_approach(self, point) -> float:
         """Smallest tip distance to a 2D point over the whole trace."""
@@ -84,13 +76,16 @@ class RolloutOutcome:
     success: bool
     trace: SensorimotorTrace
     insertion_step: int | None
-    final_ee: np.ndarray
 
     def __post_init__(self):
         if self.success != (self.insertion_step is not None):
             raise InvalidInputError("success iff insertion_step present")
         if self.insertion_step is not None and self.insertion_step >= len(self.trace):
             raise InvalidInputError("insertion step beyond trace length")
+
+    @property
+    def final_ee(self) -> np.ndarray:
+        return self.trace.positions[-1]
 
 
 @dataclass(frozen=True)
@@ -158,12 +153,13 @@ def vision_detect(world: World, rng: np.random.Generator) -> list[np.ndarray]:
     return [hole.position + rng.uniform(-b, b, 2) for hole in world.holes]
 
 
-def _spiral_offset(j: int, horizon: int, params: SpiralParams) -> np.ndarray:
+def _spiral_offset(j, horizon: int, params: SpiralParams) -> np.ndarray:
+    """Open-loop spiral motion at step j, or one row per step for an array j."""
+    j = np.asarray(j, dtype=float)
     radius = j * params.r_max / horizon
     angle = 2.0 * math.pi * j * params.n_rot / horizon
-    return np.array(
-        [radius * math.cos(angle), radius * math.sin(angle), -params.delta_z]
-    )
+    z = np.full_like(j, -params.delta_z)
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle), z], axis=-1)
 
 
 def _integrate(
@@ -179,12 +175,14 @@ def _integrate(
     alignment_rate: float,
     workspace: tuple | None,
 ) -> RolloutOutcome:
-    """The control loop shared by both rollouts.
+    """The rollout kernel shared by both rollouts.
 
-    `offset` is the open-loop motion of each step, a (horizon, 3) array or
-    one 3-vector for every step.  Each command is that offset plus a wiggle
-    whose vertical part is rectified upward, plus the pull back from the tip
-    to the estimate.
+    `offset` is each step's open-loop motion, a (horizon, 3) array or one
+    3-vector for all.  A command adds a wiggle, rectified upward in z, and
+    the pull back to the estimate, which cancels the previous tip: step j
+    lands at the estimate plus its drive, clipped to the workspace, and a
+    drive below the surface reads as spring force.  If aligned and matched,
+    the trace ends at the first tip in the capture disk.
     """
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not np.all(np.isfinite(start_estimate)):
@@ -194,42 +192,19 @@ def _integrate(
     aligned = bool(rng.random() < alignment_rate)
     wiggles = params.sigma_wiggle * rng.normal(0.0, 1.0, (horizon, 3))
     wiggles[:, 2] = np.abs(wiggles[:, 2])
-    force_noise = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    forces = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
     drive = offset + wiggles
 
-    target = np.array([start_estimate[0], start_estimate[1], 0.0])
-    ee = target.copy()
-    can_insert = aligned and peg.value == hole.hole_type
-    steps: list[TraceStep] = []
-    insertion_step = None
-    for j in range(horizon):
-        u = drive[j] + (target - ee)
-        raw_z = ee[2] + u[2]
-        ee = ee + u
-        if workspace is not None:
-            ee[:2] = np.clip(ee[:2], workspace[0], workspace[1])
-        penetration = max(0.0, -raw_z)
-        ee[2] = max(0.0, raw_z)
-        contact = u[2] < 0.0
-        force = force_noise[j] + np.array([0.0, 0.0, FORCE_SPRING_K * penetration])
-        steps.append(
-            TraceStep(
-                ee_position=ee.copy(),
-                command=u,
-                contact=contact,
-                force=force,
-                index=j,
-            )
-        )
-        if can_insert and np.linalg.norm(ee[:2] - hole.position) <= capture_radius:
-            insertion_step = j
-            break
-    return RolloutOutcome(
-        success=insertion_step is not None,
-        trace=SensorimotorTrace(tuple(steps)),
-        insertion_step=insertion_step,
-        final_ee=steps[-1].ee_position,
-    )
+    tips = np.column_stack([start_estimate + drive[:, :2], np.maximum(drive[:, 2], 0.0)])
+    if workspace is not None:
+        tips[:, :2] = np.clip(tips[:, :2], workspace[0], workspace[1])
+    forces[:, 2] += FORCE_SPRING_K * np.maximum(-drive[:, 2], 0.0)
+    step = None
+    if aligned and peg.value == hole.hole_type:
+        inside = np.linalg.norm(tips[:, :2] - hole.position, axis=1) <= capture_radius
+        step = int(inside.argmax()) if inside.any() else None
+    n = horizon if step is None else step + 1
+    return RolloutOutcome(step is not None, SensorimotorTrace(tips[:n], forces[:n]), step)
 
 
 def rollout_low_level(
@@ -245,9 +220,9 @@ def rollout_low_level(
     workspace: tuple | None = None,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-    offsets = np.array([_spiral_offset(j, horizon, params) for j in range(horizon)])
     return _integrate(
-        start_estimate, peg, hole, params, horizon, rng, offsets,
+        start_estimate, peg, hole, params, horizon, rng,
+        _spiral_offset(np.arange(horizon), horizon, params),
         capture_radius=capture_radius,
         alignment_rate=alignment_rate,
         workspace=workspace,

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import EnvConfig, HoleGroundTruth, PegType, init_type_belief_random
+from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, HoleGroundTruth, PegType
+from .beliefs import init_type_belief_random
 from .errors import (
+    DegenerateEvidenceError,
     DegenerateOracleError,
     DegenerateOracleWarning,
     InvalidInputError,
@@ -70,6 +72,14 @@ class InteractionRecord:
             raise InvalidInputError("bad initial belief shapes")
         if self.peg_type < 1 or self.hole_type < 1 or self.hole_type > xi0.size:
             raise InvalidInputError("types out of range")
+        # float arithmetic, cheap for large datasets; NaN and inf fail each test.
+        # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue.
+        (a, b), (c, d) = sigma0.tolist()
+        if not (abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0):
+            raise InvalidInputError("sigma0 must be symmetric positive definite")
+        probs = xi0.tolist()
+        if not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= SUM_TOL):
+            raise InvalidInputError("xi0 must lie on the probability simplex")
         object.__setattr__(self, "sigma0", sigma0)
         object.__setattr__(self, "xi0", xi0)
 
@@ -212,41 +222,50 @@ def save_dataset(records: list[InteractionRecord], path) -> None:
             )
 
 
-def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
-    """Load records; initial beliefs not stored in the CSV are reconstructed
-    as the configured isotropic position prior and a uniform type prior."""
-    records = []
-    sigma0 = config.sigma_init * np.eye(2)
-    xi0 = np.full(config.n_types, 1.0 / config.n_types)
+def read_table(path, columns: tuple, what: str, parse) -> list:
+    """`parse(cells)` of each row of a CSV file whose header must be `columns`.
+
+    A wrong header, a row of the wrong length, or a cell that `parse` rejects
+    with ValueError raises InvalidInputError naming the file and line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
-            if tuple(header) != DATASET_COLUMNS:
-                raise InvalidInputError(f"unexpected dataset columns: {header}")
+            if tuple(header) != columns:
+                raise InvalidInputError(f"unexpected {what} columns: {header}")
+            out = []
             for row in reader:
-                if len(row) != len(DATASET_COLUMNS):
-                    raise InvalidInputError(
-                        f"expected {len(DATASET_COLUMNS)} cells, got {len(row)}"
-                    )
-                records.append(
-                    InteractionRecord(
-                        peg_type=int(row[0]),
-                        hole_type=int(row[1]),
-                        position=np.array([float(row[2]), float(row[3])]),
-                        mu0=np.array([float(row[4]), float(row[5])]),
-                        sigma0=sigma0,
-                        xi0=xi0,
-                        obs=np.array([float(row[6]), float(row[7])]),
-                        o_match=bool(int(row[8])),
-                        beta=bool(int(row[9])),
-                    )
-                )
+                if len(row) != len(columns):
+                    raise InvalidInputError(f"expected {len(columns)} cells, got {len(row)}")
+                out.append(parse(row))
+            return out
         except UnicodeDecodeError as exc:  # read ahead in blocks: no line to name
             raise InvalidInputError(f"cannot decode {path}: {exc}") from None
         except (ValueError, csv.Error) as exc:
             raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
-    return records
+
+
+def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
+    """Load records; initial beliefs not stored in the CSV are reconstructed
+    as the configured isotropic position prior and a uniform type prior."""
+    sigma0 = config.sigma_init * np.eye(2)
+    xi0 = np.full(config.n_types, 1.0 / config.n_types)
+
+    def record(row):
+        return InteractionRecord(
+            peg_type=int(row[0]),
+            hole_type=int(row[1]),
+            position=np.array([float(row[2]), float(row[3])]),
+            mu0=np.array([float(row[4]), float(row[5])]),
+            sigma0=sigma0,
+            xi0=xi0,
+            obs=np.array([float(row[6]), float(row[7])]),
+            o_match=bool(int(row[8])),
+            beta=bool(int(row[9])),
+        )
+
+    return read_table(path, DATASET_COLUMNS, "dataset", record)
 
 
 # --------------------------------------------------------------------------
@@ -318,7 +337,8 @@ def posterior_nll(
         sigma1 = np.asarray(sigma1, dtype=float)
         d = np.asarray(p, dtype=float) - np.asarray(mu1, dtype=float)
         det = float(np.linalg.det(sigma1))
-        assert det > 0.0, "posterior covariance must stay positive definite"
+        if not det > 0.0:
+            raise DegenerateEvidenceError("posterior covariance is not positive definite")
         total += 0.5 * math.log(det) + 0.5 * float(d @ np.linalg.solve(sigma1, d))
     if include_type:
         total += -math.log(max(float(np.asarray(xi1)[hole_type - 1]), LOG_FLOOR))
@@ -338,8 +358,10 @@ def _forward_position(batch: _Batch, cov: np.ndarray):
     sa = np.einsum("nij,njk->nik", batch.sigma0, a)
     mu1 = batch.mu0 + np.einsum("nij,nj->ni", sa, h)
     sigma1 = batch.sigma0 - np.einsum("nij,njk->nik", sa, batch.sigma0)
-    m, det1 = _inv2(sigma1)
-    assert np.all(det1 > 0.0), "posterior covariance must stay positive definite"
+    with np.errstate(divide="ignore", invalid="ignore"):  # reported below
+        m, det1 = _inv2(sigma1)
+    if not np.all(det1 > 0.0):
+        raise DegenerateEvidenceError("posterior covariance not positive definite: sigma0 too small")
     d = batch.p - mu1
     loss = 0.5 * np.log(det1) + 0.5 * np.einsum("ni,nij,nj->n", d, m, d)
     return loss, h, a, m, d

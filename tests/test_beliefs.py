@@ -139,6 +139,17 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EnvConfig(n_types=1)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "field",
+        ["detector_error_bound", "alpha", "sigma_init", "capture_radius",
+         "alignment_rate", "workspace_min", "workspace_max"],
+    )
+    def test_env_config_rejects_non_finite(self, field, bad):
+        value = (bad, 0.0) if field.startswith("workspace") else bad
+        with pytest.raises(ConfigurationError):
+            EnvConfig(**{field: value})
+
     def test_beliefs_are_immutable(self):
         b = init_position_belief((0.0, 0.0), 1e-4)
         with pytest.raises(ValueError):

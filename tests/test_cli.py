@@ -3,9 +3,9 @@ import json
 
 import pytest
 
-from belieffit.cli import main, validate_metrics_csv
+from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
 from belieffit.config import default_config, load_config, save_config
-from belieffit.errors import ConfigurationError
+from belieffit.errors import ConfigurationError, InvalidInputError
 
 
 def run_cli(*argv):
@@ -61,6 +61,30 @@ class TestConfig:
         )
         assert code == 2
         assert named in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
+    @pytest.mark.parametrize(
+        "block, template",
+        [
+            ("env", '{"env": {"capture_radius": %s}}'),
+            ("env", '{"env": {"n_holes": %s}}'),
+            ("env", '{"env": {"workspace_max": [%s, 0.25]}}'),
+            ("spiral", '{"spiral": {"r_max": %s}}'),
+            ("sensors", '{"sensors": {"position": {"informative_radius": %s}}}'),
+            ("sensors", '{"sensors": {"position": {"cov": [[%s, 0], [0, 6.4e-5]]}}}'),
+        ],
+    )
+    def test_non_finite_value_is_exit_2(self, tmp_path, capsys, block, template, value):
+        # json reads NaN and Infinity as floats, and 1e999 overflows to inf
+        path = tmp_path / "c.json"
+        path.write_text(template % value)
+        code = run_cli(
+            "experiment", "matching_insertion", "--config", path, "--trials", 1,
+            "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert block in assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
 
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -120,6 +144,16 @@ class TestTrain:
         assert rows[0] == ["epoch", "mean_nll"]
         assert len(rows) == 41
 
+    def test_underflowing_prior_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"sigma_init": 1e-200}}))
+        code = run_cli(
+            "train", "--config", path, "--generate", 20, "--epochs", 2,
+            "--seed", 3, "--out", tmp_path / "t",
+        )
+        assert code == 2
+        assert "not positive definite" in assert_one_line_error(capsys)
+
     def test_missing_dataset_is_exit_2(self, small_config, tmp_path, capsys):
         code = run_cli(
             "train", "--config", small_config, "--dataset", tmp_path / "nope.csv",
@@ -161,6 +195,31 @@ class TestExperiment:
         with open(out / "steps.csv", newline="") as fh:
             steps = list(csv.DictReader(fh))
         assert steps and {"mu_x", "xi", "pos_error"} <= set(steps[0])
+
+    @pytest.mark.parametrize(
+        "name, validate", [("metrics.csv", validate_metrics_csv), ("steps.csv", validate_steps_csv)]
+    )
+    def test_validators_reject_tampered_outputs(self, small_config, tmp_path, name, validate):
+        out = tmp_path / "res"
+        run_cli(
+            "experiment", "position_estimation", "--config", small_config,
+            "--trials", 2, "--seed", 9, "--out", out,
+        )
+        lines = (out / name).read_text().splitlines()
+        validate(out / name)
+        path = tmp_path / name
+        path.write_text("\n".join([lines[0], lines[-1], *lines[1:-1]]) + "\n")
+        with pytest.raises(ConfigurationError, match="out of order"):
+            validate(path)
+        path.write_text("\n".join([*lines, lines[-1].rsplit(",", 1)[0]]) + "\n")
+        with pytest.raises(InvalidInputError, match=f"line {len(lines) + 1}: expected"):
+            validate(path)
+        if name == "metrics.csv":
+            cells = lines[1].split(",")
+            cells[5] = "nan"
+            path.write_text("\n".join([lines[0], ",".join(cells), *lines[2:]]) + "\n")
+            with pytest.raises(InvalidInputError, match="line 2: non-finite"):
+                validate(path)
 
     def test_byte_identical_reruns(self, small_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -246,6 +305,34 @@ class TestReplay:
         )
         capsys.readouterr()
         assert run_cli("replay", "--results", out, "--trial", 99) == 2
+
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [("trial", "abc", "abc"), ("mu_x", "", "could not convert"), (None, None, "cells")],
+    )
+    def test_malformed_steps_csv_is_exit_2(
+        self, small_config, tmp_path, capsys, column, cell, problem
+    ):
+        out = tmp_path / "res"
+        run_cli(
+            "experiment", "position_estimation", "--config", small_config,
+            "--trials", 2, "--seed", 11, "--out", out,
+        )
+        path = out / "steps.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        if column is None:
+            del cells[-1]  # a short row: the last cell is missing
+        else:
+            cells[lines[0].split(",").index(column)] = cell
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        code = run_cli("replay", "--results", out, "--trial", 0)
+        assert code == 2
+        err = assert_one_line_error(capsys)
+        assert "line 3" in err and problem in err
+        assert capsys.readouterr().out == ""
 
     def test_fitted_holes_never_rechosen_in_logs(self, small_config, tmp_path):
         out = tmp_path / "res"

@@ -127,6 +127,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidInputError):
             PositionSensorSpec(uninformative_scale=0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            lambda x: {"uninformative_scale": x},
+            lambda x: {"informative_radius": x},
+            lambda x: {"cov": [[x, 0.0], [0.0, 1e-4]]},
+            lambda x: {"cov": [[1e-4, x], [x, 1e-4]]},
+        ],
+    )
+    def test_non_finite_rejected(self, kwargs, bad):
+        with pytest.raises(InvalidInputError):
+            PositionSensorSpec(**kwargs(bad))
+
     def test_covariance_must_be_pd(self):
         with pytest.raises(InvalidInputError):
             PositionSensorSpec(cov=np.zeros((2, 2)))

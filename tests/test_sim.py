@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belieffit import (
     EnvConfig,
@@ -20,6 +21,7 @@ from belieffit import (
 from belieffit.seeding import derive_rng
 from belieffit.sim import (
     FORCE_NOISE_SD,
+    FORCE_SPRING_K,
     _spiral_offset,
     capture_radius_bound,
     min_hole_separation,
@@ -29,6 +31,15 @@ from belieffit.errors import ConfigurationError, InvalidInputError
 
 CFG = EnvConfig()
 SPIRAL = SpiralParams()
+WORKSPACE = (CFG.workspace_min, CFG.workspace_max)
+
+
+def _force_noise(rng, horizon):
+    """The force-noise block a rollout on `rng` draws, after the alignment
+    draw and the wiggle block."""
+    rng.random()
+    rng.normal(0.0, 1.0, (horizon, 3))
+    return rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
 
 
 class TestSpawnWorld:
@@ -71,6 +82,13 @@ class TestSpawnWorld:
             spawn_world(cfg, derive_rng(0, 1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["r_max", "delta_z", "sigma_wiggle"])
+def test_spiral_params_reject_non_finite(field, bad):
+    with pytest.raises(ConfigurationError):
+        SpiralParams(**{field: bad})
+
+
 class TestVisionDetect:
     def test_noiseless_detector(self):
         cfg = dataclasses.replace(CFG, detector_error_bound=0.0)
@@ -104,33 +122,32 @@ class TestSpiralCommand:
         assert np.allclose(
             _spiral_offset(0, 100, params), [0.0, 0.0, -params.delta_z], atol=1e-15
         )
-        # without wiggle the first command is the bare offset: the tip starts
-        # at the estimate, so there is nothing to pull back
+        # without wiggle the first command is the bare offset: the tip stays
+        # at the estimate on the surface and the press reads as spring force
         out = rollout_low_level(
             (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, 100,
             derive_rng(0, 3), capture_radius=CFG.capture_radius,
         )
-        first = out.trace.steps[0]
-        assert np.allclose(first.command, [0.0, 0.0, -params.delta_z], atol=1e-15)
-        assert np.allclose(first.ee_position, [0.01, 0.02, 0.0], atol=1e-15)
+        spring = out.trace.forces[0] - _force_noise(derive_rng(0, 3), 100)[0]
+        assert np.allclose(spring, [0.0, 0.0, FORCE_SPRING_K * params.delta_z], atol=1e-12)
+        assert np.allclose(out.trace.positions[0], [0.01, 0.02, 0.0], atol=1e-15)
 
     def test_end_of_spiral_two_rotations(self):
         params = SpiralParams(sigma_wiggle=0.0)
         assert np.allclose(_spiral_offset(100, 100, params)[:2], [params.r_max, 0.0], atol=1e-12)
 
     def test_vertical_wiggle_rectified_upward(self):
-        # command z = -delta_z + |wiggle z| - tip z before the step
+        # vertical drive = -delta_z + |wiggle z|: above the surface it is the
+        # tip height, below it the spring force reads the penetration
         out = rollout_low_level(
             (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), SPIRAL, 100,
             derive_rng(1, 3), capture_radius=CFG.capture_radius,
         )
-        tip_z = 0.0
-        pushes = []
-        for step in out.trace.steps:
-            pushes.append(step.command[2] + tip_z)
-            tip_z = step.ee_position[2]
-        assert min(pushes) >= -SPIRAL.delta_z - 1e-15
-        assert max(pushes) > -SPIRAL.delta_z
+        spring = out.trace.forces[:, 2] - _force_noise(derive_rng(1, 3), 100)[:, 2]
+        assert np.all((out.trace.positions[:, 2] == 0.0) | (np.abs(spring) < 1e-12))
+        drive_z = out.trace.positions[:, 2] - spring / FORCE_SPRING_K
+        assert drive_z.min() >= -SPIRAL.delta_z - 1e-15
+        assert drive_z.max() > -SPIRAL.delta_z
 
 
 def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, cr=None, seed=0):
@@ -142,15 +159,17 @@ def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, cr=None, seed=0):
     )
 
 
-def _reference_tip_path(start, hole, params, horizon, rng, *, spiral, cr, align, matched):
-    """Step-by-step rollout: each step builds its offset and scales its own
-    wiggle, as the command was computed before the loop was shared."""
+def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, matched,
+                       workspace=None):
+    """Step-by-step rollout: each step builds its offset, scales its own
+    wiggle and commands the pull back from the current tip to the estimate.
+    Returns the tips, the force readings and the insertion step (or None)."""
     aligned = rng.random() < align
     unit = rng.normal(0.0, 1.0, (horizon, 3))
-    rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    noise = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
     target = np.array([start[0], start[1], 0.0])
     ee = target.copy()
-    path = []
+    path, forces = [], []
     for j in range(horizon):
         wiggle = params.sigma_wiggle * unit[j]
         wiggle[2] = abs(wiggle[2])
@@ -161,11 +180,25 @@ def _reference_tip_path(start, hole, params, horizon, rng, *, spiral, cr, align,
         u = offset + wiggle + (target - ee)
         raw_z = ee[2] + u[2]
         ee = ee + u
+        if workspace is not None:
+            ee[:2] = np.clip(ee[:2], workspace[0], workspace[1])
         ee[2] = max(0.0, raw_z)
         path.append(ee.copy())
+        forces.append(noise[j] + [0.0, 0.0, FORCE_SPRING_K * max(0.0, -raw_z)])
         if aligned and matched and np.linalg.norm(ee[:2] - hole.position) <= cr:
-            break
-    return np.array(path)
+            return np.array(path), np.array(forces), j
+    return np.array(path), np.array(forces), None
+
+
+def _assert_matches_reference(out, ref):
+    """Outcome, insertion step and trace length exact; tips within 1e-16 m,
+    the roundoff the step loop adds by re-anchoring on the previous tip."""
+    path, forces, insertion_step = ref
+    assert out.insertion_step == insertion_step
+    assert out.success == (insertion_step is not None)
+    assert len(out.trace) == len(path)
+    assert np.allclose(out.trace.positions, path, rtol=0.0, atol=1e-16)
+    assert np.allclose(out.trace.forces, forces, rtol=0.0, atol=1e-12)
 
 
 class TestRollout:
@@ -179,12 +212,13 @@ class TestRollout:
             start = (0.004, -0.002) if seed % 2 else (0.0005, 0.001)
             args = (start, PegType(1), self.HOLE, SPIRAL, CFG.horizon_low)
             out = rollout(*args, derive_rng(seed, 6), capture_radius=CFG.capture_radius,
-                          alignment_rate=0.5)
-            ref = _reference_tip_path(
+                          alignment_rate=0.5, workspace=WORKSPACE)
+            ref = _reference_rollout(
                 start, self.HOLE, SPIRAL, CFG.horizon_low, derive_rng(seed, 6),
                 spiral=spiral, cr=CFG.capture_radius, align=0.5, matched=True,
+                workspace=WORKSPACE,
             )
-            assert np.array_equal(np.array([s.ee_position for s in out.trace.steps]), ref)
+            _assert_matches_reference(out, ref)
             successes += out.success
         assert 0 < successes < 12
 
@@ -221,28 +255,76 @@ class TestRollout:
 
     def test_pressing_keeps_contact_and_surface(self):
         out = _rollout((0.02, 0.02), 2, self.HOLE, sigma=0.0)
-        for step in out.trace.steps:
-            assert step.contact
-            assert step.ee_position[2] == 0.0
+        noise = _force_noise(derive_rng(0, 4), CFG.horizon_low)
+        assert np.all(out.trace.positions[:, 2] == 0.0)
+        assert np.array_equal(out.trace.forces[:, :2], noise[:, :2])
+        spring = out.trace.forces[:, 2] - noise[:, 2]
+        assert np.allclose(spring, FORCE_SPRING_K * SPIRAL.delta_z, rtol=0.0, atol=1e-12)
 
     def test_determinism(self):
         a = _rollout((0.01, -0.01), 1, self.HOLE, align=0.5, seed=9)
         b = _rollout((0.01, -0.01), 1, self.HOLE, align=0.5, seed=9)
         assert a.success == b.success
         assert len(a.trace) == len(b.trace)
-        for sa, sb in zip(a.trace.steps, b.trace.steps):
-            assert np.array_equal(sa.ee_position, sb.ee_position)
-            assert np.array_equal(sa.force, sb.force)
+        assert np.array_equal(a.trace.positions, b.trace.positions)
+        assert np.array_equal(a.trace.forces, b.trace.forces)
 
     def test_trace_index_validation(self):
-        step = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0).trace.steps[0]
         with pytest.raises(InvalidInputError):
-            SensorimotorTrace((step, step))
+            SensorimotorTrace(np.empty((0, 3)), np.empty((0, 3)))
+        with pytest.raises(InvalidInputError):
+            SensorimotorTrace(np.zeros((2, 3)), np.zeros((3, 3)))
+        with pytest.raises(InvalidInputError):
+            SensorimotorTrace(np.zeros((2, 2)), np.zeros((2, 2)))
 
     def test_outcome_consistency_validation(self):
         trace = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0).trace
         with pytest.raises(InvalidInputError):
-            RolloutOutcome(True, trace, None, trace.steps[-1].ee_position)
+            RolloutOutcome(True, trace, None)
+        with pytest.raises(InvalidInputError):
+            RolloutOutcome(True, trace, len(trace))
+
+    def test_final_ee_is_last_tip(self):
+        out = _rollout((0.004, 0.003), 1, self.HOLE, seed=3)
+        assert np.array_equal(out.final_ee, out.trace.positions[-1])
+
+
+# Start coordinates anywhere, or within 1.5 cm of an edge up to 2 cm past it,
+# exercise the clipping; holes within reach of the spiral vary the insertion.
+_EDGE = CFG.workspace_max[0]
+_COORD = st.one_of(
+    st.floats(-_EDGE - 0.02, _EDGE + 0.02),
+    st.floats(_EDGE - 0.015, _EDGE + 0.02),
+    st.floats(-_EDGE - 0.02, -_EDGE + 0.015),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    spiral=st.booleans(),
+    start=st.tuples(_COORD, _COORD),
+    hole_offset=st.tuples(*[st.floats(-0.006, 0.006)] * 2),
+    matched=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    sigma_wiggle=st.sampled_from([0.0, 1e-4, SPIRAL.sigma_wiggle, 0.005]),
+    horizon=st.integers(1, 150),
+    align=st.floats(0.05, 1.0),
+)
+def test_closed_form_matches_step_loop(
+    spiral, start, hole_offset, matched, seed, sigma_wiggle, horizon, align
+):
+    params = dataclasses.replace(SPIRAL, sigma_wiggle=sigma_wiggle)
+    hole = HoleGroundTruth(1, np.clip(start, *WORKSPACE) + hole_offset)
+    rollout = rollout_low_level if spiral else rollout_random_actions
+    out = rollout(
+        start, PegType(1 if matched else 2), hole, params, horizon, derive_rng(seed, 6),
+        capture_radius=CFG.capture_radius, alignment_rate=align, workspace=WORKSPACE,
+    )
+    ref = _reference_rollout(
+        start, hole, params, horizon, derive_rng(seed, 6), spiral=spiral,
+        cr=CFG.capture_radius, align=align, matched=matched, workspace=WORKSPACE,
+    )
+    _assert_matches_reference(out, ref)
 
 
 class TestCalibration:

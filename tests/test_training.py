@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,7 @@ from belieffit import (
     save_dataset,
 )
 from belieffit.errors import (
+    DegenerateEvidenceError,
     DegenerateOracleError,
     DegenerateOracleWarning,
     InvalidInputError,
@@ -213,6 +216,54 @@ class TestFitParameters:
         records = [make_record(rng, matched=bool(i % 2)) for i in range(6)]
         with pytest.raises(OptimizationFailureError), np.errstate(all="ignore"):
             fit_parameters(records, init=None, lr=200.0, epochs=400, alpha=ALPHA)
+
+    def test_underflowing_prior_is_degenerate_evidence(self):
+        # 1e-200 I is positive definite, but the posterior determinant
+        # underflows to 0: an error about the evidence, not a divergence
+        rng = derive_rng(8, 20)
+        records = [make_record(rng, matched=bool(i % 2), sigma0_scale=1e-200)
+                   for i in range(6)]
+        with pytest.raises(DegenerateEvidenceError, match="not positive definite"):
+            fit_parameters(records, init=None, epochs=2, alpha=ALPHA)
+        with pytest.raises(DegenerateEvidenceError):
+            posterior_nll((0.0, 0.0), (0.0, 0.0), np.zeros((2, 2)), (0.5, 0.5),
+                          1, 1, True, 0.85, 0.15)
+
+
+class TestRecordValidation:
+    @pytest.mark.parametrize(
+        "sigma0",
+        [
+            [[1e-4, 1e-5], [0.0, 1e-4]],     # not symmetric
+            [[1e-4, 0.0], [0.0, -1e-6]],     # negative eigenvalue
+            [[1e-4, 1e-4], [1e-4, 1e-4]],    # singular
+            np.zeros((2, 2)),
+            [[np.nan, 0.0], [0.0, 1e-4]],
+            [[np.inf, 0.0], [0.0, 1e-4]],
+        ],
+    )
+    def test_sigma0_must_be_spd(self, sigma0):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(InvalidInputError, match="symmetric positive definite"):
+            dataclasses.replace(record, sigma0=sigma0)
+
+    @pytest.mark.parametrize(
+        "xi0",
+        [
+            [0.5, 0.5, 0.5],     # sums to 1.5
+            [0.2, 0.2, 0.2],     # sums to 0.6
+            [1.2, -0.1, -0.1],   # sums to 1, leaves the simplex
+            [np.nan, 0.5, 0.5],
+        ],
+    )
+    def test_xi0_must_lie_on_simplex(self, xi0):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(InvalidInputError, match="simplex"):
+            dataclasses.replace(record, xi0=xi0)
+
+    def test_tiny_spd_prior_accepted(self):
+        record = make_record(derive_rng(9, 20), sigma0_scale=1e-200)
+        assert record.sigma0[0, 0] == 1e-200
 
 
 class TestOracles:
