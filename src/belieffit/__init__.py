@@ -66,7 +66,6 @@ from .training import (
     mle_confusion_oracle,
     mle_covariance_oracle,
     nll_loss,
-    posterior_nll,
     save_dataset,
 )
 

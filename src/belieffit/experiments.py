@@ -100,6 +100,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
+        if self.seed_groups < 1:
+            raise ConfigurationError("need at least one seed group")
         if not self.variants:
             object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
 
@@ -216,7 +218,7 @@ def run_matching_insertion(spec: ExperimentSpec):
         steps_to_success = []
         for trial in range(spec.trials):
             world, peg, beliefs = _single_hole_setup(spec, trial, matched=True)
-            group = trial % max(1, spec.seed_groups)
+            group = trial % spec.seed_groups
             rng = derive_rng(
                 spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant), group
             )

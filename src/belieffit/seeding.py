@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInputError
+
 # Fixed stream tags; keeping them in one place avoids accidental collisions.
 STREAM_WORLD = 0
 STREAM_DETECT = 1
@@ -21,5 +23,7 @@ STREAM_PEGS = 5
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
     """Generator for the stream identified by `key` under `master_seed`."""
+    if master_seed < 0:
+        raise InvalidInputError(f"seed must be non-negative, got {master_seed}")
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
     return np.random.default_rng(ss)

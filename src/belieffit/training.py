@@ -22,6 +22,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -273,142 +274,150 @@ def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
 # --------------------------------------------------------------------------
 
 
-@dataclass
-class _Batch:
-    mu0: np.ndarray
-    sigma0: np.ndarray
-    xi0: np.ndarray
-    obs: np.ndarray
+class _Precomputed(NamedTuple):
+    """The theta-free part of the loss over a batch, built once per call.
+
+    2x2 matrices are tuples of their entries (m00, m01, m10, m11) and vectors
+    tuples of (x, y), each entry an (n,) array.  With t(k) = P(beta | class k)
+    the transition table, `tx_*` hold t(k) * xi0[k] on the peg's class, summed
+    over the other classes, and on the true class c.
+    """
+
+    sigma0: tuple
+    h: tuple  # innovation obs - mu0
+    e: tuple  # prior error p - mu0
+    tx_peg: np.ndarray
+    tx_other: np.ndarray
+    tx_true: np.ndarray
+    on_peg: np.ndarray  # c equals the peg's class
     o_match: np.ndarray
-    beta: np.ndarray
-    peg: np.ndarray
-    c: np.ndarray
-    p: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.mu0.shape[0]
-
-    @property
-    def n_types(self) -> int:
-        return self.xi0.shape[1]
+    sign: np.ndarray  # derivative of P(o_match | .) in its rate: +1 or -1
 
 
-def _pack(records: list[InteractionRecord]) -> _Batch:
+def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     if not records:
         raise InvalidInputError("batch must be non-empty")
-    sizes = {r.xi0.size for r in records}
-    if len(sizes) != 1:
+    if len({r.xi0.size for r in records}) != 1:
         raise InvalidInputError("records must share the same number of types")
-    return _Batch(
-        mu0=np.array([r.mu0 for r in records]),
-        sigma0=np.array([r.sigma0 for r in records]),
-        xi0=np.array([r.xi0 for r in records]),
-        obs=np.array([r.obs for r in records]),
-        o_match=np.array([r.o_match for r in records], dtype=bool),
-        beta=np.array([r.beta for r in records], dtype=bool),
-        peg=np.array([r.peg_type for r in records], dtype=int),
-        c=np.array([r.hole_type for r in records], dtype=int),
-        p=np.array([r.position for r in records]),
+    mu0 = np.array([r.mu0 for r in records])
+    obs = np.array([r.obs for r in records])
+    p = np.array([r.position for r in records])
+    xi0 = np.array([r.xi0 for r in records])
+    peg = np.array([r.peg_type for r in records]) - 1
+    true = np.array([r.hole_type for r in records]) - 1
+    beta = np.array([r.beta for r in records], dtype=bool)
+    o_match = np.array([r.o_match for r in records], dtype=bool)
+    idx = np.arange(len(records))
+    is_peg = peg[:, None] == np.arange(xi0.shape[1])
+    t_peg = np.where(beta, alpha, 1.0 - alpha)
+    t_other = np.where(beta, 0.0, 1.0)
+    on_peg = peg == true
+    tx_peg = t_peg * xi0[idx, peg]
+    tx_other = t_other * np.where(is_peg, 0.0, xi0).sum(axis=1)
+    if not np.all(tx_peg + tx_other > 0.0):
+        raise DegenerateEvidenceError(
+            "a record's outcome has zero probability under its type prior"
+        )
+    return _Precomputed(
+        sigma0=tuple(np.array([r.sigma0 for r in records]).reshape(-1, 4).T.copy()),
+        h=tuple((obs - mu0).T.copy()),
+        e=tuple((p - mu0).T.copy()),
+        tx_peg=tx_peg,
+        tx_other=tx_other,
+        tx_true=np.where(on_peg, t_peg, t_other) * xi0[idx, true],
+        on_peg=on_peg,
+        o_match=o_match,
+        sign=np.where(o_match, 1.0, -1.0),
     )
 
 
-def _inv2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Batched 2x2 inverse and determinant."""
-    det = m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
-    inv = np.empty_like(m)
-    inv[..., 0, 0] = m[..., 1, 1]
-    inv[..., 1, 1] = m[..., 0, 0]
-    inv[..., 0, 1] = -m[..., 0, 1]
-    inv[..., 1, 0] = -m[..., 1, 0]
-    return inv / det[..., None, None], det
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices given as entry tuples."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
 
 
-def posterior_nll(
-    p, mu1, sigma1, xi1, hole_type: int, peg_type: int, o_match: bool,
-    tpr: float, fpr: float,
-    include_position: bool = True,
-    include_type: bool = True,
-    include_match: bool = True,
-) -> float:
-    """Loss terms evaluated directly on a one-step posterior."""
-    total = 0.0
-    if include_position:
-        sigma1 = np.asarray(sigma1, dtype=float)
-        d = np.asarray(p, dtype=float) - np.asarray(mu1, dtype=float)
-        det = float(np.linalg.det(sigma1))
-        if not det > 0.0:
-            raise DegenerateEvidenceError("posterior covariance is not positive definite")
-        total += 0.5 * math.log(det) + 0.5 * float(d @ np.linalg.solve(sigma1, d))
-    if include_type:
-        total += -math.log(max(float(np.asarray(xi1)[hole_type - 1]), LOG_FLOOR))
-    if include_match:
-        if hole_type == peg_type:
-            pm = tpr if o_match else 1.0 - tpr
-        else:
-            pm = fpr if o_match else 1.0 - fpr
-        total += -math.log(max(pm, LOG_FLOOR))
-    return total
+def _apply(x: tuple, v: tuple) -> tuple:
+    """Product of a 2x2 matrix and a 2-vector given as entry tuples."""
+    x00, x01, x10, x11 = x
+    return x00 * v[0] + x01 * v[1], x10 * v[0] + x11 * v[1]
 
 
-def _forward_position(batch: _Batch, cov: np.ndarray):
-    h = batch.obs - batch.mu0
-    s = batch.sigma0 + cov[None, :, :]
-    a, _ = _inv2(s)
-    sa = np.einsum("nij,njk->nik", batch.sigma0, a)
-    mu1 = batch.mu0 + np.einsum("nij,nj->ni", sa, h)
-    sigma1 = batch.sigma0 - np.einsum("nij,njk->nik", sa, batch.sigma0)
+def _inv(x: tuple) -> tuple:
+    """Inverse and determinant of a 2x2 matrix given as an entry tuple."""
+    x00, x01, x10, x11 = x
+    det = x00 * x11 - x01 * x10
+    return (x11 / det, -x01 / det, -x10 / det, x00 / det), det
+
+
+def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, np.ndarray]:
+    """Per-record loss terms at theta, rows (position, type, match), and the
+    gradient of each term's batch mean, one 5-vector per row."""
+    params = LearnedParams(theta)
+    grads = np.zeros((3, 5))
+
+    # position: one Kalman correction with gain K = S0 A, A = (R + S0)^-1
+    s0 = pre.sigma0
+    a, _ = _inv(tuple(s + r for s, r in zip(s0, params.position_cov.ravel())))
+    gain = _mul(s0, a)
+    sigma1 = tuple(s - x for s, x in zip(s0, _mul(gain, s0)))
     with np.errstate(divide="ignore", invalid="ignore"):  # reported below
-        m, det1 = _inv2(sigma1)
+        m, det1 = _inv(sigma1)
     if not np.all(det1 > 0.0):
         raise DegenerateEvidenceError("posterior covariance not positive definite: sigma0 too small")
-    d = batch.p - mu1
-    loss = 0.5 * np.log(det1) + 0.5 * np.einsum("ni,nij,nj->n", d, m, d)
-    return loss, h, a, m, d
+    kh = _apply(gain, pre.h)
+    d = (pre.e[0] - kh[0], pre.e[1] - kh[1])  # p - mu1
+    md = _apply(m, d)
+    loss_pos = 0.5 * np.log(det1) + 0.5 * (d[0] * md[0] + d[1] * md[1])
+    # dLp = tr(G dR) with G = 1/2 P M P^T + u v^T - 1/2 u u^T,
+    # P = A S0, u = P M d, v = A h; dR is symmetric, so only G00, G01 + G10
+    # and G11 matter
+    p = _mul(a, s0)
+    q00, q01, q10, q11 = _mul(p, m)
+    u = _apply(p, md)
+    v = _apply(a, pre.h)
+    g00 = (0.5 * (q00 * p[0] + q01 * p[1]) + u[0] * v[0] - 0.5 * u[0] * u[0]).mean()
+    g11 = (0.5 * (q10 * p[2] + q11 * p[3]) + u[1] * v[1] - 0.5 * u[1] * u[1]).mean()
+    gx = (0.5 * (q00 * p[2] + q01 * p[3] + q10 * p[0] + q11 * p[1])
+          + u[0] * v[1] + u[1] * v[0] - u[0] * u[1]).mean()
+    (ea, _), (b, ec) = params.chol.tolist()
+    grads[0, :3] = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11,
+                    2.0 * ec * ec * g11)
+
+    # type and match: the observation likelihood is h_peg on the peg's class
+    # and h_other elsewhere, each moving with its rate by `sign`
+    tpr, fpr = params.tpr, params.fpr
+    h_peg = np.where(pre.o_match, tpr, 1.0 - tpr)
+    h_other = np.where(pre.o_match, fpr, 1.0 - fpr)
+    h_true = np.where(pre.on_peg, h_peg, h_other)
+    eta = h_peg * pre.tx_peg + h_other * pre.tx_other
+    xi1_true = h_true * pre.tx_true / eta
+    loss_type = -np.log(np.maximum(xi1_true, LOG_FLOOR))
+    loss_match = -np.log(np.maximum(h_true, LOG_FLOOR))
+    # dLc/dh_k = tx_k / eta - [k = c] / h_c; floored records contribute none.
+    # dlog_h is d ln h_c / d(its rate)
+    active = xi1_true >= LOG_FLOOR
+    dlog_h = pre.sign / h_true
+    on_peg = pre.on_peg
+    d_peg = np.where(active, pre.sign * pre.tx_peg / eta - np.where(on_peg, dlog_h, 0.0), 0.0)
+    d_other = np.where(active, pre.sign * pre.tx_other / eta - np.where(on_peg, 0.0, dlog_h), 0.0)
+    scale = 1.0 - 2.0 * MATCH_PROB_EPS
+    st, sf = _sigmoid(theta[3]), _sigmoid(theta[4])
+    chain = np.array([scale * st * (1.0 - st), scale * sf * (1.0 - sf)])
+    grads[1, 3:] = chain * (d_peg.mean(), d_other.mean())
+    grads[2, 3:] = -chain * (np.where(on_peg, dlog_h, 0.0).mean(),
+                             np.where(on_peg, 0.0, dlog_h).mean())
+    return np.array([loss_pos, loss_type, loss_match]), grads
 
 
-def _type_tables(batch: _Batch, alpha: float, tpr: float, fpr: float):
-    k = np.arange(1, batch.n_types + 1)
-    is_peg = batch.peg[:, None] == k[None, :]
-    t = np.where(
-        batch.beta[:, None],
-        np.where(is_peg, alpha, 0.0),
-        np.where(is_peg, 1.0 - alpha, 1.0),
-    )
-    h = np.where(
-        batch.o_match[:, None],
-        np.where(is_peg, tpr, fpr),
-        np.where(is_peg, 1.0 - tpr, 1.0 - fpr),
-    )
-    return is_peg, t, h
-
-
-def _loss_arrays(
-    theta: np.ndarray, batch: _Batch, alpha: float,
-    include_position: bool, include_type: bool, include_match: bool,
-):
-    params = LearnedParams(theta)
-    n = batch.n
-    loss = np.zeros(n)
-    if include_position:
-        loss += _forward_position(batch, params.position_cov)[0]
-    if include_type or include_match:
-        tpr, fpr = params.tpr, params.fpr
-        is_peg, t, h = _type_tables(batch, alpha, tpr, fpr)
-        if include_type:
-            w = h * t * batch.xi0
-            eta = w.sum(axis=1)
-            xi1_c = w[np.arange(n), batch.c - 1] / eta
-            loss += -np.log(np.maximum(xi1_c, LOG_FLOOR))
-        if include_match:
-            types_match = batch.c == batch.peg
-            pm = np.where(
-                types_match,
-                np.where(batch.o_match, tpr, 1.0 - tpr),
-                np.where(batch.o_match, fpr, 1.0 - fpr),
-            )
-            loss += -np.log(np.maximum(pm, LOG_FLOOR))
-    return loss
+def _mean_loss_and_grad(theta, pre: _Precomputed, include: tuple) -> tuple[float, np.ndarray]:
+    """Batch-mean loss and its gradient over the terms `include` selects
+    from (position, type, match)."""
+    losses, grads = _value_and_grad(theta, pre)
+    keep = np.array(include, dtype=bool)
+    return float(losses[keep].sum(axis=0).mean()), grads[keep].sum(axis=0)
 
 
 def nll_loss(
@@ -420,12 +429,8 @@ def nll_loss(
     include_match: bool = True,
 ) -> float:
     """One-step filtering NLL of a single record under `params`."""
-    return float(
-        _loss_arrays(
-            params.theta, _pack([record]), alpha,
-            include_position, include_type, include_match,
-        )[0]
-    )
+    include = (include_position, include_type, include_match)
+    return _mean_loss_and_grad(params.theta, _precompute([record], alpha), include)[0]
 
 
 def batch_nll(
@@ -436,87 +441,8 @@ def batch_nll(
     include_type: bool = True,
     include_match: bool = True,
 ) -> float:
-    batch = _pack(records)
-    return float(
-        _loss_arrays(
-            params.theta, batch, alpha,
-            include_position, include_type, include_match,
-        ).mean()
-    )
-
-
-def _grad_arrays(
-    theta: np.ndarray, batch: _Batch, alpha: float,
-    include_position: bool, include_type: bool, include_match: bool,
-) -> np.ndarray:
-    params = LearnedParams(theta)
-    n = batch.n
-    grad = np.zeros(5)
-
-    if include_position:
-        cov = params.position_cov
-        _, h, a, m, d = _forward_position(batch, cov)
-        # dLp = tr(G dR) with G = 1/2 W + u v^T - 1/2 u u^T,
-        # W = A S0 M S0 A, u = A S0 M d, v = A h  (A = (R+S0)^-1, M = S1^-1)
-        asig = np.einsum("nij,njk->nik", a, batch.sigma0)
-        w_mat = np.einsum("nij,njk,nlk->nil", asig, m, asig)
-        u = np.einsum("nij,njk,nk->ni", asig, m, d)
-        v = np.einsum("nij,nj->ni", a, h)
-        g = (
-            0.5 * w_mat
-            + np.einsum("ni,nj->nij", u, v)
-            - 0.5 * np.einsum("ni,nj->nij", u, u)
-        ).mean(axis=0)
-        chol = params.chol
-        ea, b_, ec = chol[0, 0], chol[1, 0], chol[1, 1]
-        dl = {
-            0: np.array([[ea, 0.0], [0.0, 0.0]]),
-            1: np.array([[0.0, 0.0], [1.0, 0.0]]),
-            2: np.array([[0.0, 0.0], [0.0, ec]]),
-        }
-        for k, dmat in dl.items():
-            dr = dmat @ chol.T + chol @ dmat.T
-            grad[k] = float(np.sum(g * dr))
-
-    if include_type or include_match:
-        tpr, fpr = params.tpr, params.fpr
-        is_peg, t, h = _type_tables(batch, alpha, tpr, fpr)
-        sign = np.where(batch.o_match, 1.0, -1.0)
-        d_tpr = np.zeros(n)
-        d_fpr = np.zeros(n)
-        if include_type:
-            w = h * t * batch.xi0
-            eta = w.sum(axis=1)
-            idx = np.arange(n)
-            w_c = w[idx, batch.c - 1]
-            xi1_c = w_c / eta
-            active = xi1_c >= LOG_FLOOR  # floored records contribute no gradient
-            onehot_c = np.zeros((n, batch.n_types))
-            onehot_c[idx, batch.c - 1] = 1.0
-            # dLc/dw_k = 1/eta - delta_{k,c}/w_c
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dldw = 1.0 / eta[:, None] - onehot_c / np.where(
-                    w_c[:, None] > 0.0, w_c[:, None], np.inf
-                )
-            common = t * batch.xi0 * dldw * sign[:, None]
-            d_tpr += np.where(active, (common * is_peg).sum(axis=1), 0.0)
-            d_fpr += np.where(active, (common * ~is_peg).sum(axis=1), 0.0)
-        if include_match:
-            types_match = batch.c == batch.peg
-            pm = np.where(
-                types_match,
-                np.where(batch.o_match, tpr, 1.0 - tpr),
-                np.where(batch.o_match, fpr, 1.0 - fpr),
-            )
-            d_head = -sign / pm
-            d_tpr += np.where(types_match, d_head, 0.0)
-            d_fpr += np.where(~types_match, d_head, 0.0)
-        scale = 1.0 - 2.0 * MATCH_PROB_EPS
-        st, sf = _sigmoid(theta[3]), _sigmoid(theta[4])
-        grad[3] = d_tpr.mean() * scale * st * (1.0 - st)
-        grad[4] = d_fpr.mean() * scale * sf * (1.0 - sf)
-
-    return grad
+    include = (include_position, include_type, include_match)
+    return _mean_loss_and_grad(params.theta, _precompute(records, alpha), include)[0]
 
 
 def grad_nll(
@@ -528,10 +454,8 @@ def grad_nll(
     include_match: bool = True,
 ) -> np.ndarray:
     """Analytic gradient of the mean NLL w.r.t. theta."""
-    batch = _pack(records)
-    return _grad_arrays(
-        params.theta, batch, alpha, include_position, include_type, include_match
-    )
+    include = (include_position, include_type, include_match)
+    return _mean_loss_and_grad(params.theta, _precompute(records, alpha), include)[1]
 
 
 def fit_parameters(
@@ -549,21 +473,25 @@ def fit_parameters(
     log-diagonal coordinates, so a constant step keeps it oscillating instead
     of settling.  `init=None` starts from a neutral guess (isotropic 1 cm^2
     covariance, mildly informative confusion rates).  Divergence past 10x the
-    initial loss aborts with an error.
+    initial loss aborts with an error.  Each epoch makes one pass over the
+    batch: the loss at the new parameters, recorded in `history_out`, comes
+    with the gradient for the next step.
     """
     if epochs < 1:
         raise InvalidInputError("need at least one epoch")
-    batch = _pack(records)
+    if not 0.0 < lr < math.inf:
+        raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
+    pre = _precompute(records, alpha)
     if init is None:
         init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)
     theta = init.theta.copy()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros(5)
     v = np.zeros(5)
-    initial_loss = float(_loss_arrays(theta, batch, alpha, True, True, True).mean())
+    every_term = (True, True, True)
+    initial_loss, g = _mean_loss_and_grad(theta, pre, every_term)
     bound = 10.0 * max(abs(initial_loss), 1.0)
     for epoch in range(1, epochs + 1):
-        g = _grad_arrays(theta, batch, alpha, True, True, True)
         m = beta1 * m + (1 - beta1) * g
         v = beta2 * v + (1 - beta2) * g * g
         m_hat = m / (1 - beta1 ** epoch)
@@ -574,7 +502,7 @@ def fit_parameters(
             raise OptimizationFailureError(
                 f"parameters diverged at epoch {epoch} (|theta| too large)"
             )
-        loss = float(_loss_arrays(theta, batch, alpha, True, True, True).mean())
+        loss, g = _mean_loss_and_grad(theta, pre, every_term)
         if history_out is not None:
             history_out.append(loss)
         if not np.isfinite(loss) or loss > bound:

@@ -94,6 +94,22 @@ class TestConfig:
         assert "env" in assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("experiment", "assembly", "--trials", 1),
+        ("train", "--generate", 6, "--epochs", 2),
+        ("calibrate", "--trials", 4),
+    ],
+    ids=["experiment", "train", "calibrate"],
+)
+def test_negative_seed_is_exit_2(small_config, tmp_path, capsys, argv):
+    out = ("--out", tmp_path / "o") if argv[0] != "calibrate" else ()
+    code = run_cli(*argv, "--config", small_config, "--seed", -1, *out)
+    assert code == 2
+    assert "seed must be non-negative" in assert_one_line_error(capsys)
+
+
 class TestCalibrate:
     def test_writes_deterministic_config(self, small_config, tmp_path, capsys):
         out1 = tmp_path / "cal1.json"
@@ -153,6 +169,15 @@ class TestTrain:
         )
         assert code == 2
         assert "not positive definite" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
+    def test_bad_learning_rate_is_exit_2(self, small_config, tmp_path, capsys, lr):
+        code = run_cli(
+            "train", "--config", small_config, "--generate", 6, "--epochs", 2,
+            "--lr", lr, "--seed", 3, "--out", tmp_path / "t",
+        )
+        assert code == 2
+        assert "learning rate" in assert_one_line_error(capsys)
 
     def test_missing_dataset_is_exit_2(self, small_config, tmp_path, capsys):
         code = run_cli(
@@ -261,6 +286,14 @@ class TestExperiment:
         )
         assert code == 2
         assert problem in assert_one_line_error(capsys)
+
+    def test_zero_seed_groups_is_exit_2(self, small_config, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "matching_insertion", "--config", small_config, "--trials", 1,
+            "--seed-groups", 0, "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert "seed group" in assert_one_line_error(capsys)
 
     def test_unknown_variant_is_exit_2(self, small_config, tmp_path):
         code = run_cli(

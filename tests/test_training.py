@@ -1,7 +1,10 @@
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belieffit import (
     EnvConfig,
@@ -24,7 +27,6 @@ from belieffit import (
     mle_confusion_oracle,
     mle_covariance_oracle,
     nll_loss,
-    posterior_nll,
     save_dataset,
 )
 from belieffit.errors import (
@@ -35,6 +37,7 @@ from belieffit.errors import (
     OptimizationFailureError,
 )
 from belieffit.seeding import derive_rng
+from belieffit.training import LOG_FLOOR, _precompute, _value_and_grad
 
 ALPHA = 0.34
 
@@ -73,7 +76,7 @@ def make_record(
     )
 
 
-def finite_difference_grad(params, records, alpha, step=1e-6):
+def finite_difference_grad(params, records, alpha, step=1e-6, **include):
     grad = np.zeros(5)
     for k in range(5):
         up = params.theta.copy()
@@ -81,10 +84,57 @@ def finite_difference_grad(params, records, alpha, step=1e-6):
         up[k] += step
         dn[k] -= step
         grad[k] = (
-            batch_nll(LearnedParams(up), records, alpha)
-            - batch_nll(LearnedParams(dn), records, alpha)
+            batch_nll(LearnedParams(up), records, alpha, **include)
+            - batch_nll(LearnedParams(dn), records, alpha, **include)
         ) / (2 * step)
     return grad
+
+
+def posterior_nll(
+    p, mu1, sigma1, xi1, hole_type: int, peg_type: int, o_match: bool,
+    tpr: float, fpr: float,
+    include_position: bool = True,
+    include_type: bool = True,
+    include_match: bool = True,
+) -> float:
+    """Loss terms evaluated directly on a one-step posterior, one record at a
+    time: the oracle for the batched loss."""
+    total = 0.0
+    if include_position:
+        sigma1 = np.asarray(sigma1, dtype=float)
+        d = np.asarray(p, dtype=float) - np.asarray(mu1, dtype=float)
+        det = float(np.linalg.det(sigma1))
+        if not det > 0.0:
+            raise DegenerateEvidenceError("posterior covariance is not positive definite")
+        total += 0.5 * math.log(det) + 0.5 * float(d @ np.linalg.solve(sigma1, d))
+    if include_type:
+        total += -math.log(max(float(np.asarray(xi1)[hole_type - 1]), LOG_FLOOR))
+    if include_match:
+        if hole_type == peg_type:
+            pm = tpr if o_match else 1.0 - tpr
+        else:
+            pm = fpr if o_match else 1.0 - fpr
+        total += -math.log(max(pm, LOG_FLOOR))
+    return total
+
+
+def filter_run_nll(params, record, alpha, **include):
+    """posterior_nll after one kalman_update and one histogram_update."""
+    posterior_pos = kalman_update(
+        GaussianBelief2(record.mu0, record.sigma0),
+        Innovation(record.obs - record.mu0),
+        PositionNoiseModel(params.position_cov),
+    )
+    posterior_type = histogram_update(
+        TypeBelief(record.xi0), record.o_match, record.beta,
+        PegType(record.peg_type), alpha,
+        MatchObservationModel(params.tpr, params.fpr),
+    )
+    return posterior_nll(
+        record.position, posterior_pos.mean, posterior_pos.cov,
+        posterior_type.probs, record.hole_type, record.peg_type,
+        record.o_match, params.tpr, params.fpr, **include,
+    )
 
 
 class TestPosteriorNll:
@@ -117,21 +167,7 @@ class TestPosteriorNll:
         rng = derive_rng(0, 20)
         record = make_record(rng)
         params = LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2)
-        posterior_pos = kalman_update(
-            GaussianBelief2(record.mu0, record.sigma0),
-            Innovation(record.obs - record.mu0),
-            PositionNoiseModel(params.position_cov),
-        )
-        posterior_type = histogram_update(
-            TypeBelief(record.xi0), record.o_match, record.beta,
-            PegType(record.peg_type), ALPHA,
-            MatchObservationModel(params.tpr, params.fpr),
-        )
-        expected = posterior_nll(
-            record.position, posterior_pos.mean, posterior_pos.cov,
-            posterior_type.probs, record.hole_type, record.peg_type,
-            record.o_match, params.tpr, params.fpr,
-        )
+        expected = filter_run_nll(params, record, ALPHA)
         assert nll_loss(params, record, ALPHA) == pytest.approx(expected, abs=1e-10)
 
 
@@ -217,6 +253,21 @@ class TestFitParameters:
         with pytest.raises(OptimizationFailureError), np.errstate(all="ignore"):
             fit_parameters(records, init=None, lr=200.0, epochs=400, alpha=ALPHA)
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_bad_learning_rate_rejected(self, lr):
+        records = [make_record(derive_rng(7, 20), matched=bool(i % 2)) for i in range(4)]
+        with pytest.raises(InvalidInputError, match="learning rate"):
+            fit_parameters(records, init=None, lr=lr, epochs=2, alpha=ALPHA)
+
+    def test_impossible_outcome_is_degenerate_evidence(self):
+        # a success on a peg whose type has no prior mass annihilates the
+        # type belief, as in histogram_update
+        record = dataclasses.replace(
+            make_record(derive_rng(8, 20)), peg_type=1, xi0=[0.0, 0.5, 0.5], beta=True
+        )
+        with pytest.raises(DegenerateEvidenceError, match="zero probability"):
+            fit_parameters([record], init=None, epochs=2, alpha=ALPHA)
+
     def test_underflowing_prior_is_degenerate_evidence(self):
         # 1e-200 I is positive definite, but the posterior determinant
         # underflows to 0: an error about the evidence, not a divergence
@@ -228,6 +279,72 @@ class TestFitParameters:
         with pytest.raises(DegenerateEvidenceError):
             posterior_nll((0.0, 0.0), (0.0, 0.0), np.zeros((2, 2)), (0.5, 0.5),
                           1, 1, True, 0.85, 0.15)
+
+
+@st.composite
+def fused_cases(draw):
+    """Random theta, alpha and a small batch: non-isotropic SPD priors, type
+    priors on the simplex, both verdicts and outcomes, and records whose true
+    class ends below LOG_FLOOR (a success on another class, or a prior mass
+    of 1e-12 on the true class)."""
+    n_types = draw(st.integers(2, 4))
+    records = []
+    for _ in range(draw(st.integers(1, 6))):
+        chol = np.array([[draw(st.floats(1e-3, 3e-2)), 0.0],
+                         [draw(st.floats(-2e-2, 2e-2)), draw(st.floats(1e-3, 3e-2))]])
+        peg = draw(st.integers(1, n_types))
+        hole = draw(st.integers(1, n_types))
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0),
+                                         min_size=n_types, max_size=n_types)))
+        if draw(st.booleans()):
+            weights[hole - 1] = 1e-12
+        p = np.array(draw(st.tuples(*[st.floats(-0.1, 0.1)] * 2)))
+        offsets = np.array(draw(st.tuples(*[st.floats(-0.02, 0.02)] * 4)))
+        records.append(InteractionRecord(
+            peg_type=peg, hole_type=hole, position=p, mu0=p + offsets[:2],
+            sigma0=chol @ chol.T, xi0=weights / weights.sum(), obs=p + offsets[2:],
+            o_match=draw(st.booleans()), beta=draw(st.booleans()),
+        ))
+    theta = [draw(st.floats(-6.0, -3.0)), draw(st.floats(-0.01, 0.01)),
+             draw(st.floats(-6.0, -3.0)), draw(st.floats(-2.0, 2.0)),
+             draw(st.floats(-2.0, 2.0))]
+    return LearnedParams(theta), draw(st.floats(0.05, 1.0)), records
+
+
+TERMS = ("include_position", "include_type", "include_match")
+
+
+class TestFusedPass:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=fused_cases())
+    def test_per_record_terms_match_filter_run(self, case):
+        params, alpha, records = case
+        losses, _ = _value_and_grad(params.theta, _precompute(records, alpha))
+        for i, record in enumerate(records):
+            for row, term in enumerate(TERMS):
+                only = {t: t == term for t in TERMS}
+                expected = filter_run_nll(params, record, alpha, **only)
+                assert losses[row, i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=fused_cases())
+    def test_every_term_selection_matches_central_differences(self, case):
+        params, alpha, records = case
+        for flags in itertools.product((False, True), repeat=3):
+            include = dict(zip(TERMS, flags))
+            analytic = grad_nll(params, records, alpha, **include)
+            numeric = finite_difference_grad(params, records, alpha, **include)
+            rel = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
+            assert np.max(rel) <= 1e-5, (flags, analytic, numeric)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=fused_cases())
+    def test_history_is_loss_of_returned_parameters(self, case):
+        params, alpha, records = case
+        history: list = []
+        result = fit_parameters(records, init=params, lr=0.01, epochs=1,
+                                alpha=alpha, history_out=history)
+        assert history == [batch_nll(result, records, alpha)]
 
 
 class TestRecordValidation:
