@@ -7,6 +7,8 @@ trace, and the empirical success rate as a function of the capture radius
 Run: python demos/02_spiral_search_simulator.py
 """
 
+import dataclasses
+
 import numpy as np
 
 from belieffit import (
@@ -36,9 +38,7 @@ for i, (hole, det) in enumerate(zip(world.holes, detections)):
 # --- one rollout, started from the noisy detection -------------------------
 hole = world.holes[0]
 outcome = rollout_low_level(
-    detections[0], PegType(hole.hole_type), hole, spiral, config.horizon_low,
-    derive_rng(7, 2), capture_radius=config.capture_radius,
-    alignment_rate=config.alignment_rate,
+    detections[0], PegType(hole.hole_type), hole, spiral, config, derive_rng(7, 2)
 )
 print()
 print(f"rollout on hole 0: success={outcome.success}, steps={len(outcome.trace)}")
@@ -52,9 +52,8 @@ print()
 print("matched-pair success rate vs capture radius (500 rollouts each):")
 print("radius[mm]   success rate")
 for cr_mm in (1.0, 2.5, 5.0, 10.0, 20.0):
-    rate = calibrate_alpha(
-        config, spiral, 500, derive_rng(7, 3), capture_radius=cr_mm / 1000
-    )
+    radius_config = dataclasses.replace(config, capture_radius=cr_mm / 1000)
+    rate = calibrate_alpha(radius_config, spiral, 500, derive_rng(7, 3))
     print(f"{cr_mm:10.1f}   {rate:.3f}")
 
 print()

@@ -65,7 +65,6 @@ from .training import (
     load_dataset,
     mle_confusion_oracle,
     mle_covariance_oracle,
-    nll_loss,
     save_dataset,
 )
 

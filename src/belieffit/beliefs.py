@@ -173,7 +173,7 @@ class EnvConfig:
             raise ConfigurationError("workspace bounds must be finite with positive extent")
 
 
-def normalize_probs(raw, floor: float = PROB_FLOOR) -> np.ndarray:
+def normalize_probs(raw) -> np.ndarray:
     """Normalize nonnegative weights to a distribution with a small floor.
 
     The floor keeps every class reachable by later Bayes updates; it is far
@@ -183,7 +183,7 @@ def normalize_probs(raw, floor: float = PROB_FLOOR) -> np.ndarray:
     total = float(arr.sum())
     if not np.isfinite(total) or total <= 0.0:
         raise InvalidInputError("weights must have a positive finite sum")
-    arr = np.maximum(arr / total, floor)
+    arr = np.maximum(arr / total, PROB_FLOOR)
     return arr / arr.sum()
 
 

@@ -211,7 +211,6 @@ def cmd_experiment(args) -> int:
         variants=_parse_variants(args.variants, args.kind),
         steps=args.steps,
         step_cap=args.step_cap,
-        seed_groups=args.seed_groups,
     )
     metric_rows, step_rows = run_experiment(spec)
 
@@ -330,8 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="interaction steps for position_estimation")
     p.add_argument("--step-cap", type=int, default=30,
                    help="per-peg attempt cap for assembly")
-    p.add_argument("--seed-groups", type=int, default=5,
-                   help="noise seed groups for matching_insertion")
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_experiment)
 

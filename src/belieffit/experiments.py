@@ -93,15 +93,12 @@ class ExperimentSpec:
     variants: tuple[PolicyVariant, ...] = ()
     steps: int = 5
     step_cap: int = 30
-    seed_groups: int = 5
 
     def __post_init__(self):
         if self.kind not in KIND_IDS:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
-        if self.seed_groups < 1:
-            raise ConfigurationError("need at least one seed group")
         if not self.variants:
             object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
 
@@ -218,9 +215,8 @@ def run_matching_insertion(spec: ExperimentSpec):
         steps_to_success = []
         for trial in range(spec.trials):
             world, peg, beliefs = _single_hole_setup(spec, trial, matched=True)
-            group = trial % spec.seed_groups
             rng = derive_rng(
-                spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant), group
+                spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
             )
             episode = run_episode(
                 world, peg, variant, spec.models, horizon, rng, beliefs=beliefs

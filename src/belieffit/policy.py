@@ -121,10 +121,6 @@ class StepRecord:
     pos_error: float
     evidence_reset: bool = False
 
-    @property
-    def reward(self) -> float:
-        return 1.0 if self.beta else 0.0
-
 
 class TerminalStatus(str, enum.Enum):
     SUCCESS = "success"
@@ -137,7 +133,6 @@ class EpisodeLog:
     peg: PegType
     records: list[StepRecord]
     status: TerminalStatus
-    initial_beliefs: list[HoleBelief]
     final_beliefs: list[HoleBelief]
 
     @property
@@ -147,7 +142,6 @@ class EpisodeLog:
 
 @dataclass
 class AssemblyResult:
-    peg_order: list[PegType]
     attempts_per_peg: list[int]
     interventions: int
     episodes: list[EpisodeLog]
@@ -260,12 +254,7 @@ def high_level_step(
     hole = world.holes[chosen]
 
     start = target.position.sample(rng) if feedback.sample_start else target.position.mean
-    outcome = rollout_low_level(
-        start, peg, hole, models.spiral, config.horizon_low, rng,
-        capture_radius=config.capture_radius,
-        alignment_rate=config.alignment_rate,
-        workspace=(config.workspace_min, config.workspace_max),
-    )
+    outcome = rollout_low_level(start, peg, hole, models.spiral, config, rng)
     beta = outcome.success
 
     position = target.position
@@ -307,7 +296,6 @@ def run_episode(
         raise InvalidInputError("episode horizon must be >= 1")
     if beliefs is None:
         beliefs = init_beliefs(world, rng)
-    initial = list(beliefs)
     records: list[StepRecord] = []
     for t in range(1, horizon + 1):
         beliefs, record = high_level_step(beliefs, peg, world, variant, models, rng)
@@ -317,13 +305,7 @@ def run_episode(
     status = (
         TerminalStatus.SUCCESS if records and records[-1].beta else TerminalStatus.STEP_CAP
     )
-    return EpisodeLog(
-        peg=peg,
-        records=records,
-        status=status,
-        initial_beliefs=initial,
-        final_beliefs=beliefs,
-    )
+    return EpisodeLog(peg=peg, records=records, status=status, final_beliefs=beliefs)
 
 
 def run_assembly_task(
@@ -361,10 +343,7 @@ def run_assembly_task(
         episodes.append(episode)
         attempts.append(episode.attempts)
     return AssemblyResult(
-        peg_order=list(pegs),
-        attempts_per_peg=attempts,
-        interventions=interventions,
-        episodes=episodes,
+        attempts_per_peg=attempts, interventions=interventions, episodes=episodes
     )
 
 

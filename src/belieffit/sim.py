@@ -17,7 +17,7 @@ rollout computes all its steps at once as arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,29 +100,34 @@ class World:
         return len(self.holes)
 
 
-def min_hole_separation(config: EnvConfig, params: SpiralParams | None = None) -> float:
+def min_hole_separation(config: EnvConfig, spiral: SpiralParams) -> float:
     """Pairwise hole distance below which spirals could reach a neighbor."""
-    r_max = (params or SpiralParams()).r_max
-    return 2.0 * (r_max + config.capture_radius)
+    return 2.0 * (spiral.r_max + config.capture_radius)
 
 
-def spawn_world(
-    config: EnvConfig,
-    rng: np.random.Generator,
-    params: SpiralParams | None = None,
-) -> World:
+def placement_box(config: EnvConfig, spiral: SpiralParams) -> tuple[np.ndarray, np.ndarray]:
+    """Corners of the region where holes may be placed: the workspace shrunk
+    on each side by the detector error bound plus the spiral radius, so every
+    detection and every spiral around it stays inside the workspace."""
+    margin = config.detector_error_bound + spiral.r_max
+    lo = np.asarray(config.workspace_min) + margin
+    hi = np.asarray(config.workspace_max) - margin
+    if np.any(hi <= lo):
+        raise ConfigurationError(
+            f"workspace too small for placement margin {margin:g} m "
+            "(detector error bound + spiral r_max on each side)"
+        )
+    return lo, hi
+
+
+def spawn_world(config: EnvConfig, rng: np.random.Generator, spiral: SpiralParams) -> World:
     """Sample a hole layout satisfying the separation invariant.
 
     Types cover min(n_holes, n_types) distinct values so that any peg drawn
     from the present types has a matching hole; extra holes get uniform types.
     """
-    params = params or SpiralParams()
-    sep = min_hole_separation(config, params)
-    margin = config.detector_error_bound + params.r_max
-    lo = np.asarray(config.workspace_min) + margin
-    hi = np.asarray(config.workspace_max) - margin
-    if np.any(hi <= lo):
-        raise ConfigurationError("workspace too small for placement margin")
+    sep = min_hole_separation(config, spiral)
+    lo, hi = placement_box(config, spiral)
 
     positions: list[np.ndarray] = []
     attempts = 0
@@ -153,12 +158,12 @@ def vision_detect(world: World, rng: np.random.Generator) -> list[np.ndarray]:
     return [hole.position + rng.uniform(-b, b, 2) for hole in world.holes]
 
 
-def _spiral_offset(j, horizon: int, params: SpiralParams) -> np.ndarray:
+def _spiral_offset(j, horizon: int, spiral: SpiralParams) -> np.ndarray:
     """Open-loop spiral motion at step j, or one row per step for an array j."""
     j = np.asarray(j, dtype=float)
-    radius = j * params.r_max / horizon
-    angle = 2.0 * math.pi * j * params.n_rot / horizon
-    z = np.full_like(j, -params.delta_z)
+    radius = j * spiral.r_max / horizon
+    angle = 2.0 * math.pi * j * spiral.n_rot / horizon
+    z = np.full_like(j, -spiral.delta_z)
     return np.stack([radius * np.cos(angle), radius * np.sin(angle), z], axis=-1)
 
 
@@ -166,20 +171,16 @@ def _integrate(
     start_estimate,
     peg: PegType,
     hole: HoleGroundTruth,
-    params: SpiralParams,
-    horizon: int,
+    spiral: SpiralParams,
+    env: EnvConfig,
     rng: np.random.Generator,
     offset,
-    *,
-    capture_radius: float,
-    alignment_rate: float,
-    workspace: tuple | None,
 ) -> RolloutOutcome:
     """The rollout kernel shared by both rollouts.
 
-    `offset` is each step's open-loop motion, a (horizon, 3) array or one
-    3-vector for all.  A command adds a wiggle, rectified upward in z, and
-    the pull back to the estimate, which cancels the previous tip: step j
+    `offset` is each step's open-loop motion, an (env.horizon_low, 3) array
+    or one 3-vector for all.  A command adds a wiggle, rectified upward in z,
+    and the pull back to the estimate, which cancels the previous tip: step j
     lands at the estimate plus its drive, clipped to the workspace, and a
     drive below the surface reads as spring force.  If aligned and matched,
     the trace ends at the first tip in the capture disk.
@@ -187,21 +188,21 @@ def _integrate(
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not np.all(np.isfinite(start_estimate)):
         raise InvalidInputError("start estimate must be a finite 2-vector")
-    if horizon < 1:
-        raise InvalidInputError("rollout horizon must be >= 1")
-    aligned = bool(rng.random() < alignment_rate)
-    wiggles = params.sigma_wiggle * rng.normal(0.0, 1.0, (horizon, 3))
+    horizon = env.horizon_low
+    aligned = bool(rng.random() < env.alignment_rate)
+    wiggles = spiral.sigma_wiggle * rng.normal(0.0, 1.0, (horizon, 3))
     wiggles[:, 2] = np.abs(wiggles[:, 2])
     forces = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
     drive = offset + wiggles
 
-    tips = np.column_stack([start_estimate + drive[:, :2], np.maximum(drive[:, 2], 0.0)])
-    if workspace is not None:
-        tips[:, :2] = np.clip(tips[:, :2], workspace[0], workspace[1])
+    tips = np.column_stack([
+        np.clip(start_estimate + drive[:, :2], env.workspace_min, env.workspace_max),
+        np.maximum(drive[:, 2], 0.0),
+    ])
     forces[:, 2] += FORCE_SPRING_K * np.maximum(-drive[:, 2], 0.0)
     step = None
     if aligned and peg.value == hole.hole_type:
-        inside = np.linalg.norm(tips[:, :2] - hole.position, axis=1) <= capture_radius
+        inside = np.linalg.norm(tips[:, :2] - hole.position, axis=1) <= env.capture_radius
         step = int(inside.argmax()) if inside.any() else None
     n = horizon if step is None else step + 1
     return RolloutOutcome(step is not None, SensorimotorTrace(tips[:n], forces[:n]), step)
@@ -211,50 +212,31 @@ def rollout_low_level(
     start_estimate,
     peg: PegType,
     hole: HoleGroundTruth,
-    params: SpiralParams,
-    horizon: int,
+    spiral: SpiralParams,
+    env: EnvConfig,
     rng: np.random.Generator,
-    *,
-    capture_radius: float,
-    alignment_rate: float = 1.0,
-    workspace: tuple | None = None,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-    return _integrate(
-        start_estimate, peg, hole, params, horizon, rng,
-        _spiral_offset(np.arange(horizon), horizon, params),
-        capture_radius=capture_radius,
-        alignment_rate=alignment_rate,
-        workspace=workspace,
-    )
+    offsets = _spiral_offset(np.arange(env.horizon_low), env.horizon_low, spiral)
+    return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
 
 
 def rollout_random_actions(
     start_estimate,
     peg: PegType,
     hole: HoleGroundTruth,
-    params: SpiralParams,
-    horizon: int,
+    spiral: SpiralParams,
+    env: EnvConfig,
     rng: np.random.Generator,
-    *,
-    capture_radius: float,
-    alignment_rate: float = 1.0,
-    workspace: tuple | None = None,
 ) -> RolloutOutcome:
     """Exploration rollout for data collection: random wiggles while pressing,
     anchored at the position estimate (no spiral sweep)."""
-    press = np.array([0.0, 0.0, -params.delta_z])
-    return _integrate(
-        start_estimate, peg, hole, params, horizon, rng, press,
-        capture_radius=capture_radius,
-        alignment_rate=alignment_rate,
-        workspace=workspace,
-    )
+    press = np.array([0.0, 0.0, -spiral.delta_z])
+    return _integrate(start_estimate, peg, hole, spiral, env, rng, press)
 
 
 def _matched_pair_rollout(
-    config: EnvConfig, params: SpiralParams, rng: np.random.Generator,
-    capture_radius: float,
+    config: EnvConfig, spiral: SpiralParams, rng: np.random.Generator
 ) -> bool:
     """One matched peg/hole attempt started from a detector sample.
 
@@ -268,29 +250,16 @@ def _matched_pair_rollout(
     detection = hole.position + rng.uniform(
         -config.detector_error_bound, config.detector_error_bound, 2
     )
-    outcome = rollout_low_level(
-        detection, PegType(1), hole, params, config.horizon_low, rng,
-        capture_radius=capture_radius,
-        alignment_rate=config.alignment_rate,
-        workspace=(config.workspace_min, config.workspace_max),
-    )
-    return outcome.success
+    return rollout_low_level(detection, PegType(1), hole, spiral, config, rng).success
 
 
 def calibrate_alpha(
-    config: EnvConfig,
-    params: SpiralParams,
-    trials: int,
-    rng: np.random.Generator,
-    capture_radius: float | None = None,
+    config: EnvConfig, spiral: SpiralParams, trials: int, rng: np.random.Generator
 ) -> float:
     """Empirical matched-pair success rate under detector-noise starts."""
     if trials < 1:
         raise InvalidInputError("need at least one trial")
-    cr = config.capture_radius if capture_radius is None else capture_radius
-    wins = sum(
-        _matched_pair_rollout(config, params, rng, cr) for _ in range(trials)
-    )
+    wins = sum(_matched_pair_rollout(config, spiral, rng) for _ in range(trials))
     return wins / trials
 
 
@@ -303,14 +272,14 @@ class CalibrationResult:
     trials: int
 
 
-def capture_radius_bound(config: EnvConfig, params: SpiralParams) -> float:
+def capture_radius_bound(config: EnvConfig, spiral: SpiralParams) -> float:
     """Radius beyond which every in-bound detection is reachable by the spiral."""
-    return config.detector_error_bound * math.sqrt(2.0) + params.r_max
+    return config.detector_error_bound * math.sqrt(2.0) + spiral.r_max
 
 
 def tune_capture_radius(
     config: EnvConfig,
-    params: SpiralParams,
+    spiral: SpiralParams,
     target_alpha: float,
     trials: int,
     rng: np.random.Generator,
@@ -323,23 +292,21 @@ def tune_capture_radius(
     """
     if not 0.0 < target_alpha <= 1.0:
         raise InvalidInputError("target alpha must lie in (0, 1]")
+
+    def rate_at(radius: float, rng: np.random.Generator) -> float:
+        return calibrate_alpha(replace(config, capture_radius=radius), spiral, trials, rng)
+
     seeds = rng.integers(0, 2**63 - 1, iterations + 1)
-    lo, hi = 0.0005, capture_radius_bound(config, params)
-    hi_rate = calibrate_alpha(
-        config, params, trials, np.random.default_rng(seeds[0]), capture_radius=hi
-    )
+    lo, hi = 0.0005, capture_radius_bound(config, spiral)
+    hi_rate = rate_at(hi, np.random.default_rng(seeds[0]))
     if target_alpha >= hi_rate:
         return CalibrationResult(hi, hi_rate, target_alpha, feasible=False, trials=trials)
     for k in range(iterations):
         mid = 0.5 * (lo + hi)
-        rate = calibrate_alpha(
-            config, params, trials, np.random.default_rng(seeds[k + 1]),
-            capture_radius=mid,
-        )
-        if rate < target_alpha:
+        if rate_at(mid, np.random.default_rng(seeds[k + 1])) < target_alpha:
             lo = mid
         else:
             hi = mid
     tuned = 0.5 * (lo + hi)
-    final = calibrate_alpha(config, params, trials, rng, capture_radius=tuned)
+    final = rate_at(tuned, rng)
     return CalibrationResult(tuned, final, target_alpha, feasible=True, trials=trials)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .filters import MATCH_PROB_EPS, FilterModels, MatchObservationModel, PositionNoiseModel
 from .sensors import SensorModel, sense_match, sense_position
-from .sim import SpiralParams, rollout_random_actions
+from .sim import SpiralParams, placement_box, rollout_random_actions
 
 LOG_FLOOR = 1e-6
 
@@ -157,7 +157,7 @@ def generate_dataset(
     sensor_model: SensorModel,
     n_interactions: int,
     rng: np.random.Generator,
-    spiral: SpiralParams | None = None,
+    spiral: SpiralParams,
 ) -> list[InteractionRecord]:
     """Balanced interaction dataset from exploration rollouts.
 
@@ -166,11 +166,8 @@ def generate_dataset(
     """
     if n_interactions < 2:
         raise InvalidInputError("need at least two interactions for class balance")
-    spiral = spiral or SpiralParams()
     n_matched = (n_interactions + 1) // 2
-    margin = config.detector_error_bound + spiral.r_max
-    lo = np.asarray(config.workspace_min) + margin
-    hi = np.asarray(config.workspace_max) - margin
+    lo, hi = placement_box(config, spiral)
     records = []
     for i in range(n_interactions):
         hole_type = int(rng.integers(1, config.n_types + 1))
@@ -185,12 +182,7 @@ def generate_dataset(
             -config.detector_error_bound, config.detector_error_bound, 2
         )
         xi0 = init_type_belief_random(config.n_types, rng).probs
-        outcome = rollout_random_actions(
-            mu0, PegType(peg_type), hole, spiral, config.horizon_low, rng,
-            capture_radius=config.capture_radius,
-            alignment_rate=config.alignment_rate,
-            workspace=(config.workspace_min, config.workspace_max),
-        )
+        outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
         innovation = sense_position(outcome.trace, p, mu0, sensor_model, rng)
         o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)
         records.append(
@@ -412,50 +404,20 @@ def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, n
     return np.array([loss_pos, loss_type, loss_match]), grads
 
 
-def _mean_loss_and_grad(theta, pre: _Precomputed, include: tuple) -> tuple[float, np.ndarray]:
-    """Batch-mean loss and its gradient over the terms `include` selects
-    from (position, type, match)."""
+def _mean_loss_and_grad(theta, pre: _Precomputed) -> tuple[float, np.ndarray]:
+    """Batch-mean loss, every term summed, and its gradient."""
     losses, grads = _value_and_grad(theta, pre)
-    keep = np.array(include, dtype=bool)
-    return float(losses[keep].sum(axis=0).mean()), grads[keep].sum(axis=0)
+    return float(losses.sum(axis=0).mean()), grads.sum(axis=0)
 
 
-def nll_loss(
-    params: LearnedParams,
-    record: InteractionRecord,
-    alpha: float,
-    include_position: bool = True,
-    include_type: bool = True,
-    include_match: bool = True,
-) -> float:
-    """One-step filtering NLL of a single record under `params`."""
-    include = (include_position, include_type, include_match)
-    return _mean_loss_and_grad(params.theta, _precompute([record], alpha), include)[0]
+def batch_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> float:
+    """Mean one-step filtering NLL of the records under `params`."""
+    return _mean_loss_and_grad(params.theta, _precompute(records, alpha))[0]
 
 
-def batch_nll(
-    params: LearnedParams,
-    records: list[InteractionRecord],
-    alpha: float,
-    include_position: bool = True,
-    include_type: bool = True,
-    include_match: bool = True,
-) -> float:
-    include = (include_position, include_type, include_match)
-    return _mean_loss_and_grad(params.theta, _precompute(records, alpha), include)[0]
-
-
-def grad_nll(
-    params: LearnedParams,
-    records: list[InteractionRecord],
-    alpha: float,
-    include_position: bool = True,
-    include_type: bool = True,
-    include_match: bool = True,
-) -> np.ndarray:
+def grad_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> np.ndarray:
     """Analytic gradient of the mean NLL w.r.t. theta."""
-    include = (include_position, include_type, include_match)
-    return _mean_loss_and_grad(params.theta, _precompute(records, alpha), include)[1]
+    return _mean_loss_and_grad(params.theta, _precompute(records, alpha))[1]
 
 
 def fit_parameters(
@@ -488,8 +450,7 @@ def fit_parameters(
     beta1, beta2, eps = 0.9, 0.999, 1e-8
     m = np.zeros(5)
     v = np.zeros(5)
-    every_term = (True, True, True)
-    initial_loss, g = _mean_loss_and_grad(theta, pre, every_term)
+    initial_loss, g = _mean_loss_and_grad(theta, pre)
     bound = 10.0 * max(abs(initial_loss), 1.0)
     for epoch in range(1, epochs + 1):
         m = beta1 * m + (1 - beta1) * g
@@ -502,7 +463,7 @@ def fit_parameters(
             raise OptimizationFailureError(
                 f"parameters diverged at epoch {epoch} (|theta| too large)"
             )
-        loss, g = _mean_loss_and_grad(theta, pre, every_term)
+        loss, g = _mean_loss_and_grad(theta, pre)
         if history_out is not None:
             history_out.append(loss)
         if not np.isfinite(loss) or loss > bound:

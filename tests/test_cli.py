@@ -170,6 +170,18 @@ class TestTrain:
         assert code == 2
         assert "not positive definite" in assert_one_line_error(capsys)
 
+    def test_workspace_too_small_for_placement_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(
+            {"env": {"workspace_min": [-0.03, -0.03], "workspace_max": [0.03, 0.03]}}
+        ))
+        code = run_cli(
+            "train", "--config", path, "--generate", 6, "--epochs", 2,
+            "--seed", 3, "--out", tmp_path / "t",
+        )
+        assert code == 2
+        assert "placement margin" in assert_one_line_error(capsys)
+
     @pytest.mark.parametrize("lr", ["nan", "inf", "0", "-1"])
     def test_bad_learning_rate_is_exit_2(self, small_config, tmp_path, capsys, lr):
         code = run_cli(
@@ -286,14 +298,6 @@ class TestExperiment:
         )
         assert code == 2
         assert problem in assert_one_line_error(capsys)
-
-    def test_zero_seed_groups_is_exit_2(self, small_config, tmp_path, capsys):
-        code = run_cli(
-            "experiment", "matching_insertion", "--config", small_config, "--trials", 1,
-            "--seed-groups", 0, "--out", tmp_path / "r",
-        )
-        assert code == 2
-        assert "seed group" in assert_one_line_error(capsys)
 
     def test_unknown_variant_is_exit_2(self, small_config, tmp_path):
         code = run_cli(

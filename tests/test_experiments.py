@@ -124,10 +124,6 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             make_spec("assembly", trials=0)
 
-    def test_zero_seed_groups(self):
-        with pytest.raises(ConfigurationError, match="seed group"):
-            make_spec("matching_insertion", seed_groups=0)
-
     def test_negative_seed(self):
         spec = dataclasses.replace(make_spec("position_estimation"), seed=-1)
         with pytest.raises(InvalidInputError, match="seed must be non-negative"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,9 +24,9 @@ HOLE = HoleGroundTruth(hole_type=1, position=(0.0, 0.0))
 
 
 def make_trace(start, seed=0):
+    env = dataclasses.replace(CFG, alignment_rate=1.0)
     return rollout_low_level(
-        start, PegType(2), HOLE, SpiralParams(), CFG.horizon_low,
-        derive_rng(seed, 10), capture_radius=CFG.capture_radius,
+        start, PegType(2), HOLE, SpiralParams(), env, derive_rng(seed, 10)
     ).trace
 
 

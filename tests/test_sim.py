@@ -25,6 +25,7 @@ from belieffit.sim import (
     _spiral_offset,
     capture_radius_bound,
     min_hole_separation,
+    placement_box,
 )
 from belieffit.errors import ConfigurationError, InvalidInputError
 
@@ -44,14 +45,14 @@ def _force_noise(rng, horizon):
 
 class TestSpawnWorld:
     def test_counts_and_type_coverage(self):
-        world = spawn_world(CFG, derive_rng(0, 1))
+        world = spawn_world(CFG, derive_rng(0, 1), SPIRAL)
         assert world.n_holes == 5
         types = {h.hole_type for h in world.holes}
         assert types == {1, 2, 3}
 
     def test_single_hole_world(self):
         cfg = dataclasses.replace(CFG, n_holes=1, n_types=2)
-        world = spawn_world(cfg, derive_rng(0, 2))
+        world = spawn_world(cfg, derive_rng(0, 2), SPIRAL)
         assert world.n_holes == 1
         lo = np.asarray(cfg.workspace_min)
         hi = np.asarray(cfg.workspace_max)
@@ -59,8 +60,8 @@ class TestSpawnWorld:
         assert np.all(world.holes[0].position < hi)
 
     def test_determinism(self):
-        w1 = spawn_world(CFG, derive_rng(123, 1))
-        w2 = spawn_world(CFG, derive_rng(123, 1))
+        w1 = spawn_world(CFG, derive_rng(123, 1), SPIRAL)
+        w2 = spawn_world(CFG, derive_rng(123, 1), SPIRAL)
         for a, b in zip(w1.holes, w2.holes):
             assert a.hole_type == b.hole_type
             assert np.array_equal(a.position, b.position)
@@ -68,7 +69,7 @@ class TestSpawnWorld:
     def test_separation_invariant(self):
         sep = min_hole_separation(CFG, SPIRAL)
         for seed in range(10):
-            world = spawn_world(CFG, derive_rng(seed, 1))
+            world = spawn_world(CFG, derive_rng(seed, 1), SPIRAL)
             pos = [h.position for h in world.holes]
             for i in range(len(pos)):
                 for j in range(i + 1, len(pos)):
@@ -79,7 +80,21 @@ class TestSpawnWorld:
             CFG, n_holes=40, workspace_min=(-0.09, -0.09), workspace_max=(0.09, 0.09)
         )
         with pytest.raises(ConfigurationError):
-            spawn_world(cfg, derive_rng(0, 1))
+            spawn_world(cfg, derive_rng(0, 1), SPIRAL)
+
+
+    def test_placement_box_keeps_spirals_inside(self):
+        lo, hi = placement_box(CFG, SPIRAL)
+        margin = CFG.detector_error_bound + SPIRAL.r_max
+        assert np.allclose(lo, np.asarray(CFG.workspace_min) + margin)
+        assert np.allclose(hi, np.asarray(CFG.workspace_max) - margin)
+
+    def test_workspace_too_small_for_placement(self):
+        cfg = dataclasses.replace(
+            CFG, workspace_min=(-0.03, -0.03), workspace_max=(0.03, 0.03)
+        )
+        with pytest.raises(ConfigurationError, match="placement margin"):
+            spawn_world(cfg, derive_rng(0, 1), SPIRAL)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -92,13 +107,13 @@ def test_spiral_params_reject_non_finite(field, bad):
 class TestVisionDetect:
     def test_noiseless_detector(self):
         cfg = dataclasses.replace(CFG, detector_error_bound=0.0)
-        world = spawn_world(cfg, derive_rng(5, 1))
+        world = spawn_world(cfg, derive_rng(5, 1), SPIRAL)
         detections = vision_detect(world, derive_rng(5, 2))
         for det, hole in zip(detections, world.holes):
             assert np.array_equal(det, hole.position)
 
     def test_error_bound_respected(self):
-        world = spawn_world(CFG, derive_rng(6, 1))
+        world = spawn_world(CFG, derive_rng(6, 1), SPIRAL)
         rng = derive_rng(6, 2)
         for _ in range(200):
             for det, hole in zip(vision_detect(world, rng), world.holes):
@@ -106,7 +121,7 @@ class TestVisionDetect:
 
     def test_detection_error_is_centered(self):
         cfg = dataclasses.replace(CFG, n_holes=1)
-        world = spawn_world(cfg, derive_rng(7, 1))
+        world = spawn_world(cfg, derive_rng(7, 1), SPIRAL)
         rng = derive_rng(7, 2)
         n = 10_000
         errs = np.array(
@@ -125,10 +140,10 @@ class TestSpiralCommand:
         # without wiggle the first command is the bare offset: the tip stays
         # at the estimate on the surface and the press reads as spring force
         out = rollout_low_level(
-            (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, 100,
-            derive_rng(0, 3), capture_radius=CFG.capture_radius,
+            (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
+            derive_rng(0, 3),
         )
-        spring = out.trace.forces[0] - _force_noise(derive_rng(0, 3), 100)[0]
+        spring = out.trace.forces[0] - _force_noise(derive_rng(0, 3), CFG.horizon_low)[0]
         assert np.allclose(spring, [0.0, 0.0, FORCE_SPRING_K * params.delta_z], atol=1e-12)
         assert np.allclose(out.trace.positions[0], [0.01, 0.02, 0.0], atol=1e-15)
 
@@ -140,30 +155,27 @@ class TestSpiralCommand:
         # vertical drive = -delta_z + |wiggle z|: above the surface it is the
         # tip height, below it the spring force reads the penetration
         out = rollout_low_level(
-            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), SPIRAL, 100,
-            derive_rng(1, 3), capture_radius=CFG.capture_radius,
+            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), SPIRAL, CFG,
+            derive_rng(1, 3),
         )
-        spring = out.trace.forces[:, 2] - _force_noise(derive_rng(1, 3), 100)[:, 2]
+        spring = out.trace.forces[:, 2] - _force_noise(derive_rng(1, 3), CFG.horizon_low)[:, 2]
         assert np.all((out.trace.positions[:, 2] == 0.0) | (np.abs(spring) < 1e-12))
         drive_z = out.trace.positions[:, 2] - spring / FORCE_SPRING_K
         assert drive_z.min() >= -SPIRAL.delta_z - 1e-15
         assert drive_z.max() > -SPIRAL.delta_z
 
 
-def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, cr=None, seed=0):
+def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
     params = SPIRAL if sigma is None else dataclasses.replace(SPIRAL, sigma_wiggle=sigma)
-    return rollout_low_level(
-        start, PegType(peg_type), hole, params, CFG.horizon_low, derive_rng(seed, 4),
-        capture_radius=CFG.capture_radius if cr is None else cr,
-        alignment_rate=align,
-    )
+    env = dataclasses.replace(CFG, alignment_rate=align)
+    return rollout_low_level(start, PegType(peg_type), hole, params, env, derive_rng(seed, 4))
 
 
-def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, matched,
-                       workspace=None):
+def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, matched):
     """Step-by-step rollout: each step builds its offset, scales its own
-    wiggle and commands the pull back from the current tip to the estimate.
-    Returns the tips, the force readings and the insertion step (or None)."""
+    wiggle and commands the pull back from the current tip to the estimate,
+    and the tip is clipped to the workspace.  Returns the tips, the force
+    readings and the insertion step (or None)."""
     aligned = rng.random() < align
     unit = rng.normal(0.0, 1.0, (horizon, 3))
     noise = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
@@ -180,8 +192,7 @@ def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, 
         u = offset + wiggle + (target - ee)
         raw_z = ee[2] + u[2]
         ee = ee + u
-        if workspace is not None:
-            ee[:2] = np.clip(ee[:2], workspace[0], workspace[1])
+        ee[:2] = np.clip(ee[:2], *WORKSPACE)
         ee[2] = max(0.0, raw_z)
         path.append(ee.copy())
         forces.append(noise[j] + [0.0, 0.0, FORCE_SPRING_K * max(0.0, -raw_z)])
@@ -207,16 +218,14 @@ class TestRollout:
     @pytest.mark.parametrize("spiral", [True, False])
     def test_matches_step_by_step_reference(self, spiral):
         rollout = rollout_low_level if spiral else rollout_random_actions
+        env = dataclasses.replace(CFG, alignment_rate=0.5)
         successes = 0
         for seed in range(12):
             start = (0.004, -0.002) if seed % 2 else (0.0005, 0.001)
-            args = (start, PegType(1), self.HOLE, SPIRAL, CFG.horizon_low)
-            out = rollout(*args, derive_rng(seed, 6), capture_radius=CFG.capture_radius,
-                          alignment_rate=0.5, workspace=WORKSPACE)
+            out = rollout(start, PegType(1), self.HOLE, SPIRAL, env, derive_rng(seed, 6))
             ref = _reference_rollout(
                 start, self.HOLE, SPIRAL, CFG.horizon_low, derive_rng(seed, 6),
                 spiral=spiral, cr=CFG.capture_radius, align=0.5, matched=True,
-                workspace=WORKSPACE,
             )
             _assert_matches_reference(out, ref)
             successes += out.success
@@ -314,15 +323,15 @@ def test_closed_form_matches_step_loop(
     spiral, start, hole_offset, matched, seed, sigma_wiggle, horizon, align
 ):
     params = dataclasses.replace(SPIRAL, sigma_wiggle=sigma_wiggle)
+    env = dataclasses.replace(CFG, horizon_low=horizon, alignment_rate=align)
     hole = HoleGroundTruth(1, np.clip(start, *WORKSPACE) + hole_offset)
     rollout = rollout_low_level if spiral else rollout_random_actions
     out = rollout(
-        start, PegType(1 if matched else 2), hole, params, horizon, derive_rng(seed, 6),
-        capture_radius=CFG.capture_radius, alignment_rate=align, workspace=WORKSPACE,
+        start, PegType(1 if matched else 2), hole, params, env, derive_rng(seed, 6)
     )
     ref = _reference_rollout(
         start, hole, params, horizon, derive_rng(seed, 6), spiral=spiral,
-        cr=CFG.capture_radius, align=align, matched=matched, workspace=WORKSPACE,
+        cr=CFG.capture_radius, align=align, matched=matched,
     )
     _assert_matches_reference(out, ref)
 
@@ -342,7 +351,7 @@ class TestCalibration:
     def test_rate_monotone_in_capture_radius(self):
         rng = derive_rng(3, 5)
         rates = [
-            calibrate_alpha(CFG, SPIRAL, 400, rng, capture_radius=cr)
+            calibrate_alpha(dataclasses.replace(CFG, capture_radius=cr), SPIRAL, 400, rng)
             for cr in (0.0005, 0.004, 0.02)
         ]
         assert rates[0] <= rates[1] <= rates[2]

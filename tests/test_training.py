@@ -16,6 +16,7 @@ from belieffit import (
     PegType,
     PositionNoiseModel,
     SensorModel,
+    SpiralParams,
     TypeBelief,
     batch_nll,
     fit_parameters,
@@ -26,10 +27,10 @@ from belieffit import (
     load_dataset,
     mle_confusion_oracle,
     mle_covariance_oracle,
-    nll_loss,
     save_dataset,
 )
 from belieffit.errors import (
+    ConfigurationError,
     DegenerateEvidenceError,
     DegenerateOracleError,
     DegenerateOracleWarning,
@@ -40,6 +41,7 @@ from belieffit.seeding import derive_rng
 from belieffit.training import LOG_FLOOR, _precompute, _value_and_grad
 
 ALPHA = 0.34
+SPIRAL = SpiralParams()
 
 
 def make_record(
@@ -76,7 +78,18 @@ def make_record(
     )
 
 
-def finite_difference_grad(params, records, alpha, step=1e-6, **include):
+EVERY_TERM = (True, True, True)
+
+
+def selected_nll(theta, records, alpha, keep=EVERY_TERM):
+    """Batch-mean loss and its gradient over the terms `keep` selects from
+    (position, type, match), read from the rows of the fused pass."""
+    losses, grads = _value_and_grad(np.asarray(theta, dtype=float), _precompute(records, alpha))
+    keep = np.array(keep, dtype=bool)
+    return float(losses[keep].sum(axis=0).mean()), grads[keep].sum(axis=0)
+
+
+def finite_difference_grad(params, records, alpha, step=1e-6, keep=EVERY_TERM):
     grad = np.zeros(5)
     for k in range(5):
         up = params.theta.copy()
@@ -84,8 +97,8 @@ def finite_difference_grad(params, records, alpha, step=1e-6, **include):
         up[k] += step
         dn[k] -= step
         grad[k] = (
-            batch_nll(LearnedParams(up), records, alpha, **include)
-            - batch_nll(LearnedParams(dn), records, alpha, **include)
+            selected_nll(up, records, alpha, keep)[0]
+            - selected_nll(dn, records, alpha, keep)[0]
         ) / (2 * step)
     return grad
 
@@ -168,7 +181,7 @@ class TestPosteriorNll:
         record = make_record(rng)
         params = LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2)
         expected = filter_run_nll(params, record, ALPHA)
-        assert nll_loss(params, record, ALPHA) == pytest.approx(expected, abs=1e-10)
+        assert selected_nll(params.theta, [record], ALPHA)[0] == pytest.approx(expected, abs=1e-10)
 
 
 class TestGradient:
@@ -212,9 +225,9 @@ class TestGradient:
         rng = derive_rng(3, 20)
         records = [make_record(rng) for _ in range(10)]
         params = LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2)
-        g = grad_nll(params, records, ALPHA, include_type=False, include_match=False)
+        g = selected_nll(params.theta, records, ALPHA, keep=(True, False, False))[1]
         assert g[3] == 0.0 and g[4] == 0.0
-        g = grad_nll(params, records, ALPHA, include_position=False)
+        g = selected_nll(params.theta, records, ALPHA, keep=(False, True, True))[1]
         assert np.all(g[:3] == 0.0)
 
     def test_batch_order_invariance(self):
@@ -331,9 +344,8 @@ class TestFusedPass:
     def test_every_term_selection_matches_central_differences(self, case):
         params, alpha, records = case
         for flags in itertools.product((False, True), repeat=3):
-            include = dict(zip(TERMS, flags))
-            analytic = grad_nll(params, records, alpha, **include)
-            numeric = finite_difference_grad(params, records, alpha, **include)
+            analytic = selected_nll(params.theta, records, alpha, flags)[1]
+            numeric = finite_difference_grad(params, records, alpha, keep=flags)
             rel = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
             assert np.max(rel) <= 1e-5, (flags, analytic, numeric)
 
@@ -433,26 +445,33 @@ class TestDataset:
     def test_class_balance(self):
         rng = derive_rng(9, 20)
         for n, expected in ((2, 1), (3, 2), (60, 30)):
-            records = generate_dataset(self.CFG, SensorModel(), n, rng)
+            records = generate_dataset(self.CFG, SensorModel(), n, rng, SPIRAL)
             matched = sum(1 for r in records if r.peg_type == r.hole_type)
             assert matched == expected
             assert len(records) == n
 
     def test_determinism(self):
-        a = generate_dataset(self.CFG, SensorModel(), 10, derive_rng(10, 20))
-        b = generate_dataset(self.CFG, SensorModel(), 10, derive_rng(10, 20))
+        a = generate_dataset(self.CFG, SensorModel(), 10, derive_rng(10, 20), SPIRAL)
+        b = generate_dataset(self.CFG, SensorModel(), 10, derive_rng(10, 20), SPIRAL)
         for ra, rb in zip(a, b):
             assert ra.peg_type == rb.peg_type and ra.beta == rb.beta
             assert np.array_equal(ra.obs, rb.obs)
             assert np.array_equal(ra.xi0, rb.xi0)
 
+    def test_workspace_too_small_for_placement(self):
+        cfg = dataclasses.replace(
+            self.CFG, workspace_min=(-0.03, -0.03), workspace_max=(0.03, 0.03)
+        )
+        with pytest.raises(ConfigurationError, match="placement margin"):
+            generate_dataset(cfg, SensorModel(), 4, derive_rng(0, 20), SPIRAL)
+
     def test_requires_two_interactions(self):
         with pytest.raises(InvalidInputError):
-            generate_dataset(self.CFG, SensorModel(), 1, derive_rng(0, 20))
+            generate_dataset(self.CFG, SensorModel(), 1, derive_rng(0, 20), SPIRAL)
 
     def test_csv_round_trip(self, tmp_path):
         rng = derive_rng(11, 20)
-        records = generate_dataset(self.CFG, SensorModel(), 6, rng)
+        records = generate_dataset(self.CFG, SensorModel(), 6, rng, SPIRAL)
         path = tmp_path / "data.csv"
         save_dataset(records, path)
         loaded = load_dataset(path, self.CFG)
