@@ -2,12 +2,15 @@
 
 A hole's position is tracked by a 2D Gaussian, its type by a discrete
 distribution over the C possible types, and a boolean records whether a peg
-has already been fitted into it.  All types here are immutable values;
-updates produce new objects.
+has already been fitted into it.  The belief types here are immutable values
+whose constructors check their invariants; a trial in progress holds its
+beliefs as `BeliefArrays` instead, and the policy checks each posterior it
+writes there with the same `check_position` and `check_types`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +34,61 @@ def _frozen_array(value, shape) -> np.ndarray:
     return arr
 
 
+def check_position(mean: np.ndarray, cov: np.ndarray) -> None:
+    """Raise InvalidInputError unless (mean, cov) is a valid 2D Gaussian:
+    finite, symmetric within SYMMETRY_TOL, smallest eigenvalue >= PSD_TOL.
+
+    Works on the six entries; the eigenvalue is the closed form for a
+    symmetric 2x2 matrix read from its lower triangle, as `eigvalsh` does.
+    """
+    m0, m1 = mean.tolist()
+    (a, b), (c, d) = cov.tolist()
+    if not (math.isfinite(m0) and math.isfinite(m1)):
+        raise InvalidInputError("belief mean must be finite")
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
+        raise InvalidInputError("belief covariance must be finite")
+    if abs(b - c) > SYMMETRY_TOL:
+        raise InvalidInputError("belief covariance must be symmetric")
+    if 0.5 * (a + d) - math.hypot(0.5 * (a - d), c) < PSD_TOL:
+        raise InvalidInputError("belief covariance must be PSD")
+
+
+def check_types(probs: list[float]) -> None:
+    """Raise InvalidInputError unless `probs` lies on the simplex: finite
+    entries in [0, 1] summing to 1 within SUM_TOL."""
+    if not all(map(math.isfinite, probs)):
+        raise InvalidInputError("type probabilities must be finite")
+    if not all(0.0 <= p <= 1.0 for p in probs):
+        raise InvalidInputError("type probabilities must lie in [0, 1]")
+    if abs(ordered_sum(probs) - 1.0) > SUM_TOL:
+        raise InvalidInputError("type probabilities must sum to 1")
+
+
+def ordered_sum(values: list[float]) -> float:
+    """Sum of floats in the order numpy sums a 1-D float array: left to right
+    below 8 terms, numpy's own pairwise sum from 8 on."""
+    return sum(values) if len(values) < 8 else float(np.add.reduce(values))
+
+
+def _checked(cls, **arrays):
+    """An instance of a frozen belief type built from copies of arrays that
+    already passed its check, without checking them a second time."""
+    obj = object.__new__(cls)
+    for name, value in arrays.items():
+        value = value.copy()
+        value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
+
+
+def sample_gaussian(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One draw from N(mean, cov) (used by the sampling baseline)."""
+    # eigh instead of cholesky: the covariance may be singular.
+    vals, vecs = np.linalg.eigh(cov)
+    root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
+    return mean + root @ rng.standard_normal(2)
+
+
 @dataclass(frozen=True)
 class GaussianBelief2:
     """Gaussian over a 2D position: mean [m] and covariance [m^2]."""
@@ -41,23 +99,13 @@ class GaussianBelief2:
     def __post_init__(self):
         mean = _frozen_array(self.mean, (2,))
         cov = _frozen_array(self.cov, (2, 2))
-        if not np.all(np.isfinite(mean)):
-            raise InvalidInputError("belief mean must be finite")
-        if not np.all(np.isfinite(cov)):
-            raise InvalidInputError("belief covariance must be finite")
-        if np.max(np.abs(cov - cov.T)) > SYMMETRY_TOL:
-            raise InvalidInputError("belief covariance must be symmetric")
-        if np.min(np.linalg.eigvalsh(cov)) < PSD_TOL:
-            raise InvalidInputError("belief covariance must be PSD")
+        check_position(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         """One draw from the distribution (used by the sampling baseline)."""
-        # eigh instead of cholesky: the covariance may be singular.
-        vals, vecs = np.linalg.eigh(self.cov)
-        root = vecs @ np.diag(np.sqrt(np.maximum(vals, 0.0)))
-        return self.mean + root @ rng.standard_normal(2)
+        return sample_gaussian(self.mean, self.cov, rng)
 
 
 @dataclass(frozen=True)
@@ -70,12 +118,7 @@ class TypeBelief:
         probs = np.array(self.probs, dtype=float)
         if probs.ndim != 1 or probs.size < 2:
             raise InvalidInputError("type belief needs at least two classes")
-        if not np.all(np.isfinite(probs)):
-            raise InvalidInputError("type probabilities must be finite")
-        if np.any(probs < 0.0) or np.any(probs > 1.0):
-            raise InvalidInputError("type probabilities must lie in [0, 1]")
-        if abs(float(probs.sum()) - 1.0) > SUM_TOL:
-            raise InvalidInputError("type probabilities must sum to 1")
+        check_types(probs.tolist())
         probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
@@ -109,6 +152,69 @@ class HoleBelief:
     position: GaussianBelief2
     type_belief: TypeBelief
     fitted: bool = False
+
+
+@dataclass(eq=False)
+class BeliefArrays:
+    """One trial's beliefs as arrays, row h for hole h: means (H, 2),
+    covariances (H, 2, 2), type distributions (H, C) and fitted flags (H,).
+
+    The policy's step updates the chosen row in place after checking the
+    posterior; `to_beliefs` copies the rows back out as belief objects.
+    """
+
+    means: np.ndarray
+    covs: np.ndarray
+    xi: np.ndarray
+    fitted: np.ndarray
+
+    @classmethod
+    def of(cls, beliefs: list[HoleBelief]) -> BeliefArrays:
+        """The arrays of belief objects (their constructors checked them)."""
+        if not beliefs:
+            raise InvalidInputError("need at least one hole belief")
+        if len({b.type_belief.n_types for b in beliefs}) != 1:
+            raise InvalidInputError("every hole belief needs the same number of types")
+        return cls(
+            means=np.array([b.position.mean for b in beliefs]),
+            covs=np.array([b.position.cov for b in beliefs]),
+            xi=np.array([b.type_belief.probs for b in beliefs]),
+            fitted=np.array([b.fitted for b in beliefs], dtype=bool),
+        )
+
+    @classmethod
+    def detected(cls, detections, sigma_init: float, n_types: int) -> BeliefArrays:
+        """Initial beliefs: an isotropic Gaussian of variance `sigma_init` on
+        each detection, a uniform type distribution, nothing fitted."""
+        means = np.array(detections, dtype=float)
+        n = len(means)
+        if not n or means.shape != (n, 2) or not np.isfinite(means).all():
+            raise InvalidInputError("detections must be finite 2-vectors")
+        if not 0.0 < sigma_init < np.inf:
+            raise InvalidInputError("sigma_init must be positive")
+        if n_types < 2:
+            raise InvalidInputError("need at least two hole types")
+        return cls(
+            means=means,
+            covs=np.tile(sigma_init * np.eye(2), (n, 1, 1)),
+            xi=np.full((n, n_types), 1.0 / n_types),
+            fitted=np.zeros(n, dtype=bool),
+        )
+
+    def copy(self) -> BeliefArrays:
+        return BeliefArrays(
+            self.means.copy(), self.covs.copy(), self.xi.copy(), self.fitted.copy()
+        )
+
+    def to_beliefs(self) -> list[HoleBelief]:
+        return [
+            HoleBelief(
+                position=_checked(GaussianBelief2, mean=mean, cov=cov),
+                type_belief=_checked(TypeBelief, probs=xi),
+                fitted=bool(fitted),
+            )
+            for mean, cov, xi, fitted in zip(self.means, self.covs, self.xi, self.fitted)
+        ]
 
 
 @dataclass(frozen=True)
@@ -173,18 +279,23 @@ class EnvConfig:
             raise ConfigurationError("workspace bounds must be finite with positive extent")
 
 
-def normalize_probs(raw) -> np.ndarray:
-    """Normalize nonnegative weights to a distribution with a small floor.
+def normalized(weights: list[float]) -> list[float]:
+    """Nonnegative weights scaled to a distribution with a small floor.
 
     The floor keeps every class reachable by later Bayes updates; it is far
     below anything observable in the experiments.
     """
-    arr = np.asarray(raw, dtype=float)
-    total = float(arr.sum())
-    if not np.isfinite(total) or total <= 0.0:
+    total = ordered_sum(weights)
+    if not 0.0 < total < math.inf:
         raise InvalidInputError("weights must have a positive finite sum")
-    arr = np.maximum(arr / total, PROB_FLOOR)
-    return arr / arr.sum()
+    floored = [max(w / total, PROB_FLOOR) for w in weights]
+    total = ordered_sum(floored)
+    return [p / total for p in floored]
+
+
+def normalize_probs(raw) -> np.ndarray:
+    """`normalized` for any 1-D array-like of weights."""
+    return np.array(normalized(np.asarray(raw, dtype=float).tolist()))
 
 
 def init_position_belief(detection, sigma_init: float) -> GaussianBelief2:

@@ -7,8 +7,8 @@ written sorted and re-validated before exit.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -35,23 +35,10 @@ from .training import (
     mle_covariance_oracle,
     read_table,
     save_dataset,
+    write_csv,
 )
 
 DEFAULT_TRIALS = {"position_estimation": 100, "matching_insertion": 150, "assembly": 100}
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
 
 
 def validate_metrics_csv(path: Path) -> None:
@@ -98,6 +85,13 @@ def cmd_calibrate(args) -> int:
     target = args.target_alpha if args.target_alpha is not None else env.alpha
     rng = derive_rng(seed, STREAM_CALIBRATE)
     result = tune_capture_radius(env, spiral, target, args.trials, rng)
+    if result.alpha_hat <= 0.0:  # no config may hold it: alpha must lie in (0, 1]
+        print(
+            f"error: measured alpha is 0 over {result.trials} trials "
+            f"at capture radius {result.capture_radius}; rerun with more --trials",
+            file=sys.stderr,
+        )
+        return 2
     print(f"target alpha      : {result.target}")
     print(f"measured alpha    : {result.alpha_hat}")
     print(f"capture radius [m]: {result.capture_radius}")
@@ -223,10 +217,7 @@ def cmd_experiment(args) -> int:
          for r in metric_rows],
     )
     steps_path = out_dir / "steps.csv"
-    write_csv(
-        steps_path, STEP_COLUMNS,
-        [tuple(row[c] for c in STEP_COLUMNS) for row in step_rows],
-    )
+    write_csv(steps_path, STEP_COLUMNS, map(operator.itemgetter(*STEP_COLUMNS), step_rows))
     validate_metrics_csv(metrics_path)
     validate_steps_csv(steps_path)
 

@@ -1,14 +1,15 @@
 """Monte-Carlo experiment harness for the three benchmark studies.
 
-Worlds, detections and peg orders are derived from (master seed, trial) only,
-so every variant faces the identical sequence of environments; episode noise
-additionally keys on the variant.  Each trial draws only from its own
+Worlds, detections and peg orders are derived from (master seed, trial) only
+and built once per trial, so every variant faces the identical sequence of
+environments; episode noise additionally keys on the variant.  Each trial draws only from its own
 streams, so its rows do not depend on how many trials a run has.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
@@ -122,7 +123,9 @@ def _episode_step_rows(
 ) -> list[dict]:
     rows = []
     for rec in episode.records:
-        pos = rec.belief.position
+        start_x, start_y = rec.start_estimate.tolist()
+        mu_x, mu_y = rec.mean.tolist()
+        (cov_xx, cov_xy), (_, cov_yy) = rec.cov.tolist()
         rows.append(
             {
                 "experiment": spec.kind,
@@ -132,16 +135,16 @@ def _episode_step_rows(
                 "peg_type": episode.peg.value,
                 "step": rec.t,
                 "chosen_hole": rec.chosen,
-                "start_x": float(rec.start_estimate[0]),
-                "start_y": float(rec.start_estimate[1]),
+                "start_x": start_x,
+                "start_y": start_y,
                 "beta": int(rec.beta),
-                "mu_x": float(pos.mean[0]),
-                "mu_y": float(pos.mean[1]),
-                "cov_xx": float(pos.cov[0, 0]),
-                "cov_xy": float(pos.cov[0, 1]),
-                "cov_yy": float(pos.cov[1, 1]),
-                "xi": "|".join(repr(float(x)) for x in rec.belief.type_belief.probs),
-                "fitted": int(rec.belief.fitted),
+                "mu_x": mu_x,
+                "mu_y": mu_y,
+                "cov_xx": cov_xx,
+                "cov_xy": cov_xy,
+                "cov_yy": cov_yy,
+                "xi": "|".join(map(repr, rec.xi)),
+                "fitted": int(rec.fitted),
                 "pos_error": rec.pos_error,
                 "status": episode.status.value,
                 "seed": spec.seed,
@@ -177,10 +180,10 @@ def run_position_estimation(spec: ExperimentSpec):
     kind_id = KIND_IDS[spec.kind]
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
+    setups = [_single_hole_setup(spec, trial, matched=False) for trial in range(spec.trials)]
     for variant in spec.variants:
         errors = []
-        for trial in range(spec.trials):
-            world, peg, beliefs = _single_hole_setup(spec, trial, matched=False)
+        for trial, (world, peg, beliefs) in enumerate(setups):
             rng = derive_rng(
                 spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
             )
@@ -211,10 +214,10 @@ def run_matching_insertion(spec: ExperimentSpec):
     horizon = spec.env.horizon_high
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
+    setups = [_single_hole_setup(spec, trial, matched=True) for trial in range(spec.trials)]
     for variant in spec.variants:
         steps_to_success = []
-        for trial in range(spec.trials):
-            world, peg, beliefs = _single_hole_setup(spec, trial, matched=True)
+        for trial, (world, peg, beliefs) in enumerate(setups):
             rng = derive_rng(
                 spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
             )
@@ -240,16 +243,17 @@ def run_assembly(spec: ExperimentSpec):
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
     n_pegs = spec.env.n_holes
+    setups = []
+    for trial in range(spec.trials):
+        world = spawn_world(
+            spec.env, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial), spec.spiral
+        )
+        peg_rng = derive_rng(spec.seed, kind_id, STREAM_PEGS, trial)
+        types = [h.hole_type for h in world.holes]
+        setups.append((world, [PegType(types[i]) for i in peg_rng.permutation(len(types))]))
     for variant in spec.variants:
         assemblies: list[AssemblyResult] = []
-        for trial in range(spec.trials):
-            world = spawn_world(
-                spec.env, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial),
-                spec.spiral,
-            )
-            peg_rng = derive_rng(spec.seed, kind_id, STREAM_PEGS, trial)
-            types = [h.hole_type for h in world.holes]
-            pegs = [PegType(types[i]) for i in peg_rng.permutation(len(types))]
+        for trial, (world, pegs) in enumerate(setups):
             rng = derive_rng(
                 spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
             )
@@ -298,8 +302,6 @@ RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec):
     metric_rows, step_rows = RUNNERS[spec.kind](spec)
-    metric_rows.sort(key=lambda r: (r.experiment, r.variant, r.trial, r.step, r.metric))
-    step_rows.sort(
-        key=lambda r: (r["experiment"], r["variant"], r["trial"], r["peg_index"], r["step"])
-    )
+    metric_rows.sort(key=attrgetter("experiment", "variant", "trial", "step", "metric"))
+    step_rows.sort(key=itemgetter("experiment", "variant", "trial", "peg_index", "step"))
     return metric_rows, step_rows

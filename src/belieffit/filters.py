@@ -11,6 +11,10 @@ The type filter is an exact discrete Bayes step whose evidence combines the
 binary match observation (via the learned confusion model) with the attempt
 outcome (via the task transition model: a matched attempt succeeds with rate
 alpha, a mismatched one never does).
+
+`kalman_posterior` and `type_posterior` compute on plain arrays and are what
+the policy's step calls; `kalman_update` and `histogram_update` wrap them for
+belief objects, whose constructors check the result.
 """
 
 from __future__ import annotations
@@ -20,12 +24,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import GaussianBelief2, PegType, TypeBelief
+from .beliefs import GaussianBelief2, PegType, TypeBelief, ordered_sum
 from .errors import DegenerateEvidenceError, InvalidInputError
 
 MATCH_PROB_EPS = 1e-6
 DEGENERATE_ETA = 1e-300
 REGULARIZER = 1e-12
+
+_EYE2 = np.eye(2)
+_EYE2.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -93,18 +100,27 @@ class Innovation:
         object.__setattr__(self, "value", value)
 
 
+def kalman_posterior(
+    mean: np.ndarray, cov: np.ndarray, innovation: np.ndarray, noise_cov: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measurement correction of a position belief given as (mean, cov)."""
+    s = noise_cov + cov
+    (s00, s01), (s10, s11) = s.tolist()
+    if abs(s00 * s11 - s01 * s10) < DEGENERATE_ETA:
+        s = s + REGULARIZER * _EYE2
+    # Sigma S^-1 without forming S^-1; a closed-form 2x2 inverse loses digits
+    # in I - K when the noise is tiny (an insertion observes the hole exactly)
+    gain = np.linalg.solve(s.T, cov.T).T
+    mean = mean + gain @ innovation
+    cov = (_EYE2 - gain) @ cov
+    return mean, 0.5 * (cov + cov.T)  # symmetrize against floating-point drift
+
+
 def kalman_update(
     prior: GaussianBelief2, innovation: Innovation, noise: PositionNoiseModel
 ) -> GaussianBelief2:
     """Measurement correction of a position belief."""
-    sigma = prior.cov
-    s = noise.cov + sigma
-    if abs(float(np.linalg.det(s))) < DEGENERATE_ETA:
-        s = s + REGULARIZER * np.eye(2)
-    gain = np.linalg.solve(s.T, sigma.T).T  # Sigma S^-1 without forming S^-1
-    mean = prior.mean + gain @ innovation.value
-    cov = (np.eye(2) - gain) @ sigma
-    cov = 0.5 * (cov + cov.T)  # symmetrize against floating-point drift
+    mean, cov = kalman_posterior(prior.mean, prior.cov, innovation.value, noise.cov)
     return GaussianBelief2(mean=mean, cov=cov)
 
 
@@ -112,6 +128,32 @@ def transition_prob(beta_next: bool, types_match: bool, alpha: float) -> float:
     """Task dynamics for one attempt on an unfitted hole."""
     p_success = alpha if types_match else 0.0
     return p_success if beta_next else 1.0 - p_success
+
+
+def type_posterior(
+    probs: list[float],
+    o_match: bool,
+    beta_next: bool,
+    peg: PegType,
+    alpha: float,
+    model: MatchObservationModel,
+) -> list[float]:
+    """Exact Bayes posterior over hole types after one attempt.
+
+    Class k's weight is P(o_match | k) * P(beta | k) * probs[k]; only the
+    peg's class matches, so there are two likelihood factors in all.
+    """
+    if not 0.0 < alpha <= 1.0:
+        raise InvalidInputError("alpha must lie in (0, 1]")
+    match = model.prob_observation(o_match, True) * transition_prob(beta_next, True, alpha)
+    other = model.prob_observation(o_match, False) * transition_prob(beta_next, False, alpha)
+    weights = [
+        (match if k == peg.value else other) * p for k, p in enumerate(probs, start=1)
+    ]
+    eta = ordered_sum(weights)
+    if eta <= DEGENERATE_ETA:
+        raise DegenerateEvidenceError("evidence annihilated the type belief")
+    return [w / eta for w in weights]
 
 
 def histogram_update(
@@ -123,17 +165,6 @@ def histogram_update(
     model: MatchObservationModel,
 ) -> TypeBelief:
     """Exact Bayes posterior over hole types after one attempt."""
-    if not 0.0 < alpha <= 1.0:
-        raise InvalidInputError("alpha must lie in (0, 1]")
-    probs = prior.probs
-    weights = np.empty_like(probs)
-    for idx in range(probs.size):
-        types_match = (idx + 1) == peg.value
-        h = model.prob_observation(o_match, types_match)
-        t = transition_prob(beta_next, types_match, alpha)
-        weights[idx] = h * t * probs[idx]
-    eta = float(weights.sum())
-    if eta <= DEGENERATE_ETA:
-        raise DegenerateEvidenceError("evidence annihilated the type belief")
-    return TypeBelief(weights / eta)
-
+    return TypeBelief(
+        type_posterior(prior.probs.tolist(), o_match, beta_next, peg, alpha, model)
+    )

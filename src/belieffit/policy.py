@@ -16,38 +16,44 @@ differ only in their `FEEDBACK` row:
 A Kalman update reads the position sensor after a failure and the final tip
 position after an insertion; "replace mean" sets the mean to that same
 observation and keeps the covariance.
+
+`run_episode` and `run_assembly_task` hold a trial's beliefs as one
+`BeliefArrays` and step it in place; `high_level_step` and `select_hole` are
+the same step and choice for a list of belief objects.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beliefs import (
+    BeliefArrays,
     EnvConfig,
     GaussianBelief2,
     HoleBelief,
     HoleGroundTruth,
     PegType,
     TypeBelief,
-    fit_probability,
-    init_position_belief,
+    check_position,
+    check_types,
     init_type_belief_uniform,
-    normalize_probs,
+    normalized,
+    sample_gaussian,
 )
 from .errors import DegenerateEvidenceError, InvalidInputError, NoActionError
 from .filters import (
     FilterModels,
-    Innovation,
     PositionNoiseModel,
     UNINFORMATIVE_MATCH_MODEL,
-    histogram_update,
-    kalman_update,
+    kalman_posterior,
+    type_posterior,
 )
-from .sensors import SensorModel, sense_match, sense_position
+from .sensors import SensorModel, observe_position, sense_match
 from .sim import RolloutOutcome, SpiralParams, World, rollout_low_level, vision_detect
 
 logger = logging.getLogger(__name__)
@@ -113,13 +119,25 @@ class PolicyModels:
 
 @dataclass(frozen=True)
 class StepRecord:
+    """One step: the chosen hole, the rollout's start and outcome, and the
+    chosen hole's belief after the update as mean, cov, xi and fitted."""
+
     t: int
     chosen: int
     start_estimate: np.ndarray
     beta: bool
-    belief: HoleBelief
+    mean: np.ndarray
+    cov: np.ndarray
+    xi: tuple[float, ...]
+    fitted: bool
     pos_error: float
     evidence_reset: bool = False
+
+    @property
+    def belief(self) -> HoleBelief:
+        return HoleBelief(
+            GaussianBelief2(self.mean, self.cov), TypeBelief(self.xi), self.fitted
+        )
 
 
 class TerminalStatus(str, enum.Enum):
@@ -128,12 +146,16 @@ class TerminalStatus(str, enum.Enum):
     INTERVENTION = "intervention"
 
 
-@dataclass
+@dataclass(frozen=True)
 class EpisodeLog:
     peg: PegType
     records: list[StepRecord]
     status: TerminalStatus
-    final_beliefs: list[HoleBelief]
+    final_state: BeliefArrays  # every hole's belief when the episode ended
+
+    @property
+    def final_beliefs(self) -> list[HoleBelief]:
+        return self.final_state.to_beliefs()
 
     @property
     def attempts(self) -> int:
@@ -155,58 +177,65 @@ class AssemblyResult:
         return out
 
 
+def _initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
+    """Initial beliefs from one pass of the vision detector."""
+    config = world.config
+    return BeliefArrays.detected(vision_detect(world, rng), config.sigma_init, config.n_types)
+
+
 def init_beliefs(world: World, rng: np.random.Generator) -> list[HoleBelief]:
     """Initial beliefs from one pass of the vision detector."""
-    detections = vision_detect(world, rng)
-    return [
-        HoleBelief(
-            position=init_position_belief(det, world.config.sigma_init),
-            type_belief=init_type_belief_uniform(world.config.n_types),
-            fitted=False,
-        )
-        for det in detections
-    ]
+    return _initial_state(world, rng).to_beliefs()
+
+
+def _select(xi: np.ndarray, fitted: np.ndarray, peg: PegType, alpha: float) -> int:
+    """Greedy argmax of alpha * xi[:, peg] over unfitted holes; ties go to
+    the lowest index, and with every unfitted score zero, to the first
+    unfitted hole."""
+    flags = fitted.tolist()
+    if all(flags):
+        raise NoActionError("every hole is already fitted")
+    if not 1 <= peg.value <= xi.shape[1]:
+        raise InvalidInputError(f"type {peg.value} out of range 1..{xi.shape[1]}")
+    # a fitted hole pays no reward
+    scores = [0.0 if f else alpha * p for f, p in zip(flags, xi[:, peg.value - 1].tolist())]
+    best = scores.index(max(scores))
+    if flags[best]:  # all-zero scores with fitted holes in front
+        best = flags.index(False)
+    return best
 
 
 def select_hole(beliefs: list[HoleBelief], peg: PegType, alpha: float) -> int:
     """Greedy argmax of predicted fit probability; ties go to the lowest index."""
-    if all(b.fitted for b in beliefs):
-        raise NoActionError("every hole is already fitted")
-    scores = [fit_probability(b, peg, alpha) for b in beliefs]
-    best = 0
-    for i, s in enumerate(scores):
-        if s > scores[best]:
-            best = i
-    if beliefs[best].fitted:  # all-zero scores with fitted holes in front
-        best = next(i for i, b in enumerate(beliefs) if not b.fitted)
-    return best
+    state = BeliefArrays.of(beliefs)
+    return _select(state.xi, state.fitted, peg, alpha)
 
 
 def _updated_position(
-    prior: GaussianBelief2,
+    mean: np.ndarray,
+    cov: np.ndarray,
     rule: PositionUpdate,
     outcome: RolloutOutcome,
     hole: HoleGroundTruth,
     models: PolicyModels,
     rng: np.random.Generator,
-) -> GaussianBelief2:
+) -> tuple[np.ndarray, np.ndarray]:
     """Position posterior: an insertion observes the final tip position, a
     failure reads the position sensor."""
     if outcome.success:
+        observed = outcome.final_ee[:2]
         if rule is PositionUpdate.REPLACE:
-            return GaussianBelief2(outcome.final_ee[:2], prior.cov)
-        innovation = Innovation(outcome.final_ee[:2] - prior.mean)
-        return kalman_update(prior, innovation, INSERTION_NOISE)
-    innovation = sense_position(
-        outcome.trace, hole.position, prior.mean, models.sensor, rng
-    )
+            return observed, cov
+        return kalman_posterior(mean, cov, observed - mean, INSERTION_NOISE.cov)
+    observed = observe_position(outcome.closest_approach, hole.position, models.sensor, rng)
+    innovation = observed - mean
     if rule is PositionUpdate.REPLACE:
-        return GaussianBelief2(prior.mean + innovation.value, prior.cov)
-    return kalman_update(prior, innovation, models.filters.position)
+        return mean + innovation, cov
+    return kalman_posterior(mean, cov, innovation, models.filters.position.cov)
 
 
 def _updated_type(
-    prior: TypeBelief,
+    prior: list[float],
     evidence: TypeEvidence,
     beta: bool,
     peg: PegType,
@@ -214,7 +243,7 @@ def _updated_type(
     alpha: float,
     models: PolicyModels,
     rng: np.random.Generator,
-) -> tuple[TypeBelief, bool]:
+) -> tuple[list[float], bool]:
     """Type posterior from the outcome, plus a fresh match verdict when the
     evidence includes it; degenerate evidence resets to uniform (and logs)."""
     if evidence is TypeEvidence.MATCH_AND_OUTCOME:
@@ -225,11 +254,72 @@ def _updated_type(
         # normalizer, leaving the transition term.
         o_match, match_model = False, UNINFORMATIVE_MATCH_MODEL
     try:
-        posterior = histogram_update(prior, o_match, beta, peg, alpha, match_model)
-        return TypeBelief(normalize_probs(posterior.probs)), False
+        posterior = type_posterior(prior, o_match, beta, peg, alpha, match_model)
+        return normalized(posterior), False
     except DegenerateEvidenceError:
         logger.warning("degenerate type evidence; resetting belief to uniform")
-        return init_type_belief_uniform(prior.n_types), True
+        return init_type_belief_uniform(len(prior)).probs.tolist(), True
+
+
+def _distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Euclidean distance, computed as `np.linalg.norm(a - b)` computes it."""
+    d = a - b
+    return math.sqrt(d.dot(d))
+
+
+def _step(
+    state: BeliefArrays,
+    t: int,
+    peg: PegType,
+    world: World,
+    variant: PolicyVariant,
+    models: PolicyModels,
+    rng: np.random.Generator,
+) -> StepRecord:
+    """One choose-hole / rollout / belief-update iteration on `state`.
+
+    The package's one belief update: the chosen hole's row changes as the
+    variant's `FEEDBACK` row says, each posterior is checked once before it
+    is written, and every other row is left alone.  Random draws come in a
+    fixed order: start sample, rollout, position sensor (after a failure),
+    match sensor.
+    """
+    config: EnvConfig = world.config
+    feedback = FEEDBACK[variant]
+    chosen = _select(state.xi, state.fitted, peg, config.alpha)
+    hole = world.holes[chosen]
+    mean, cov = state.means[chosen], state.covs[chosen]
+
+    start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()
+    outcome = rollout_low_level(start, peg, hole, models.spiral, config, rng)
+    beta = outcome.success
+
+    if feedback.position is not PositionUpdate.NONE:
+        mean, cov = _updated_position(mean, cov, feedback.position, outcome, hole, models, rng)
+        check_position(mean, cov)
+        state.means[chosen], state.covs[chosen] = mean, cov
+    xi, evidence_reset = state.xi[chosen].tolist(), False
+    if feedback.types is not TypeEvidence.NONE:
+        xi, evidence_reset = _updated_type(
+            xi, feedback.types, beta, peg, hole, config.alpha, models, rng
+        )
+        check_types(xi)
+        state.xi[chosen] = xi
+    if beta:  # the chosen hole is unfitted, so beta is its new flag
+        state.fitted[chosen] = True
+    mean = state.means[chosen].copy()
+    return StepRecord(
+        t=t,
+        chosen=chosen,
+        start_estimate=start,
+        beta=beta,
+        mean=mean,
+        cov=state.covs[chosen].copy(),
+        xi=tuple(xi),
+        fitted=beta,
+        pos_error=_distance(mean, hole.position),
+        evidence_reset=evidence_reset,
+    )
 
 
 def high_level_step(
@@ -240,46 +330,32 @@ def high_level_step(
     models: PolicyModels,
     rng: np.random.Generator,
 ) -> tuple[list[HoleBelief], StepRecord]:
-    """One choose-hole / rollout / belief-update iteration.
+    """`_step` on a list of beliefs: the chosen hole's belief is replaced and
+    every other belief object passes through.  The record's `t` is 0; the
+    episode loop numbers its steps from 1."""
+    record = _step(BeliefArrays.of(beliefs), 0, peg, world, variant, models, rng)
+    return [record.belief if i == record.chosen else b for i, b in enumerate(beliefs)], record
 
-    The only belief update in the package: the chosen hole's position and
-    type beliefs change as the variant's `FEEDBACK` row says, and every other
-    hole's belief passes through.  Random draws come in a fixed order: start
-    sample, rollout, position sensor (after a failure), match sensor.
-    """
-    config: EnvConfig = world.config
-    feedback = FEEDBACK[variant]
-    chosen = select_hole(beliefs, peg, config.alpha)
-    target = beliefs[chosen]
-    hole = world.holes[chosen]
 
-    start = target.position.sample(rng) if feedback.sample_start else target.position.mean
-    outcome = rollout_low_level(start, peg, hole, models.spiral, config, rng)
-    beta = outcome.success
-
-    position = target.position
-    if feedback.position is not PositionUpdate.NONE:
-        position = _updated_position(position, feedback.position, outcome, hole, models, rng)
-    type_belief, evidence_reset = target.type_belief, False
-    if feedback.types is not TypeEvidence.NONE:
-        type_belief, evidence_reset = _updated_type(
-            type_belief, feedback.types, beta, peg, hole, config.alpha, models, rng
-        )
-
-    updated = HoleBelief(
-        position=position, type_belief=type_belief, fitted=target.fitted or beta
-    )
-    new_beliefs = [updated if i == chosen else b for i, b in enumerate(beliefs)]
-    record = StepRecord(
-        t=0,  # episode loop stamps the step number
-        chosen=chosen,
-        start_estimate=np.asarray(start, dtype=float),
-        beta=beta,
-        belief=updated,
-        pos_error=float(np.linalg.norm(position.mean - hole.position)),
-        evidence_reset=evidence_reset,
-    )
-    return new_beliefs, record
+def _episode(
+    state: BeliefArrays,
+    world: World,
+    peg: PegType,
+    variant: PolicyVariant,
+    models: PolicyModels,
+    horizon: int,
+    rng: np.random.Generator,
+) -> tuple[list[StepRecord], TerminalStatus]:
+    """Steps `state` for one peg until a fit or the horizon."""
+    if horizon < 1:
+        raise InvalidInputError("episode horizon must be >= 1")
+    records: list[StepRecord] = []
+    for t in range(1, horizon + 1):
+        record = _step(state, t, peg, world, variant, models, rng)
+        records.append(record)
+        if record.beta:
+            return records, TerminalStatus.SUCCESS
+    return records, TerminalStatus.STEP_CAP
 
 
 def run_episode(
@@ -292,20 +368,9 @@ def run_episode(
     beliefs: list[HoleBelief] | None = None,
 ) -> EpisodeLog:
     """Attempt loop for one peg: steps until a fit or the horizon."""
-    if horizon < 1:
-        raise InvalidInputError("episode horizon must be >= 1")
-    if beliefs is None:
-        beliefs = init_beliefs(world, rng)
-    records: list[StepRecord] = []
-    for t in range(1, horizon + 1):
-        beliefs, record = high_level_step(beliefs, peg, world, variant, models, rng)
-        records.append(replace(record, t=t))
-        if record.beta:
-            break
-    status = (
-        TerminalStatus.SUCCESS if records and records[-1].beta else TerminalStatus.STEP_CAP
-    )
-    return EpisodeLog(peg=peg, records=records, status=status, final_beliefs=beliefs)
+    state = _initial_state(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
+    records, status = _episode(state, world, peg, variant, models, horizon, rng)
+    return EpisodeLog(peg, records, status, state)
 
 
 def run_assembly_task(
@@ -326,34 +391,26 @@ def run_assembly_task(
     if sorted(p.value for p in pegs) != world_types:
         raise InvalidInputError("pegs must be a permutation of the world's hole types")
 
-    beliefs = init_beliefs(world, rng)
+    state = _initial_state(world, rng)
     episodes: list[EpisodeLog] = []
-    attempts: list[int] = []
     interventions = 0
     for peg in pegs:
-        episode = run_episode(
-            world, peg, variant, models, step_cap, rng, beliefs=beliefs
-        )
-        beliefs = episode.final_beliefs
-        if episode.status is TerminalStatus.STEP_CAP:
-            episode.status = TerminalStatus.INTERVENTION
+        records, status = _episode(state, world, peg, variant, models, step_cap, rng)
+        if status is TerminalStatus.STEP_CAP:
+            status = TerminalStatus.INTERVENTION
             interventions += 1
-            beliefs = _intervene(beliefs, world, peg)
-            episode.final_beliefs = beliefs
-        episodes.append(episode)
-        attempts.append(episode.attempts)
+            _intervene(state, world, peg)
+        episodes.append(EpisodeLog(peg, records, status, state.copy()))
     return AssemblyResult(
-        attempts_per_peg=attempts, interventions=interventions, episodes=episodes
+        attempts_per_peg=[e.attempts for e in episodes],
+        interventions=interventions,
+        episodes=episodes,
     )
 
 
-def _intervene(
-    beliefs: list[HoleBelief], world: World, peg: PegType
-) -> list[HoleBelief]:
-    for i, (belief, hole) in enumerate(zip(beliefs, world.holes)):
-        if not belief.fitted and hole.hole_type == peg.value:
-            fixed = HoleBelief(
-                position=belief.position, type_belief=belief.type_belief, fitted=True
-            )
-            return [fixed if k == i else b for k, b in enumerate(beliefs)]
+def _intervene(state: BeliefArrays, world: World, peg: PegType) -> None:
+    for i, hole in enumerate(world.holes):
+        if not state.fitted[i] and hole.hole_type == peg.value:
+            state.fitted[i] = True
+            return
     raise NoActionError("intervention found no matching unfitted hole")

@@ -49,6 +49,16 @@ class PositionSensorSpec:
         bias.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "bias", bias)
+        # Cholesky factors of the informative and uninformative noise laws
+        object.__setattr__(self, "_factors", (
+            np.linalg.cholesky(cov),
+            np.linalg.cholesky((self.uninformative_scale ** 2) * cov),
+        ))
+
+    def noise_factor(self, closest_approach: float) -> np.ndarray:
+        """Cholesky factor of the noise covariance for a trace whose closest
+        tip came `closest_approach` [m] from the hole."""
+        return self._factors[closest_approach > self.informative_radius]
 
 
 @dataclass(frozen=True)
@@ -77,6 +87,18 @@ def effective_position_cov(
     return (spec.uninformative_scale ** 2) * spec.cov
 
 
+def observe_position(
+    closest_approach: float,
+    true_position: np.ndarray,
+    model: SensorModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Noisy observed hole position after a trace whose closest tip came
+    `closest_approach` from the hole (the rollout kernel reports it)."""
+    noise = model.position.noise_factor(closest_approach) @ rng.standard_normal(2)
+    return true_position + model.position.bias + noise
+
+
 def sense_position(
     trace: SensorimotorTrace,
     true_position,
@@ -87,9 +109,9 @@ def sense_position(
     """Noisy innovation (observed position minus current estimate mean)."""
     true_position = np.asarray(true_position, dtype=float)
     current_mean = np.asarray(current_mean, dtype=float)
-    cov = effective_position_cov(trace, true_position, model)
-    noise = np.linalg.cholesky(cov) @ rng.standard_normal(2)
-    observed = true_position + model.position.bias + noise
+    observed = observe_position(
+        trace.closest_approach(true_position), true_position, model, rng
+    )
     return Innovation(observed - current_mean)
 
 

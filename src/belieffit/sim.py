@@ -16,6 +16,7 @@ rollout computes all its steps at once as arrays.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -73,15 +74,21 @@ class SensorimotorTrace:
 
 @dataclass(frozen=True)
 class RolloutOutcome:
+    """A rollout's result; `closest_approach` is the smallest tip distance to
+    the hole over the trace [m], which the position sensor reads."""
+
     success: bool
     trace: SensorimotorTrace
     insertion_step: int | None
+    closest_approach: float
 
     def __post_init__(self):
         if self.success != (self.insertion_step is not None):
             raise InvalidInputError("success iff insertion_step present")
         if self.insertion_step is not None and self.insertion_step >= len(self.trace):
             raise InvalidInputError("insertion step beyond trace length")
+        if not 0.0 <= self.closest_approach < np.inf:
+            raise InvalidInputError("closest approach must be finite and >= 0")
 
     @property
     def final_ee(self) -> np.ndarray:
@@ -167,6 +174,27 @@ def _spiral_offset(j, horizon: int, spiral: SpiralParams) -> np.ndarray:
     return np.stack([radius * np.cos(angle), radius * np.sin(angle), z], axis=-1)
 
 
+@functools.lru_cache(maxsize=32)
+def _drive_offsets(horizon: int, spiral: SpiralParams, sweep: bool) -> np.ndarray:
+    """Every step's open-loop motion as rows x, y, z of a (3, horizon) array:
+    the spiral sweep, or pressing in place.  Computed once per argument set."""
+    if sweep:
+        offsets = _spiral_offset(np.arange(horizon), horizon, spiral).T.copy()
+    else:
+        offsets = np.zeros((3, horizon))
+        offsets[2] = -spiral.delta_z
+    offsets.setflags(write=False)
+    return offsets
+
+
+@functools.lru_cache(maxsize=32)
+def _column(values: tuple[float, ...]) -> np.ndarray:
+    """`values` as a read-only column, to broadcast along a row per step."""
+    column = np.array(values, dtype=float)[:, None]
+    column.setflags(write=False)
+    return column
+
+
 def _integrate(
     start_estimate,
     peg: PegType,
@@ -174,38 +202,50 @@ def _integrate(
     spiral: SpiralParams,
     env: EnvConfig,
     rng: np.random.Generator,
-    offset,
+    offsets: np.ndarray,
 ) -> RolloutOutcome:
     """The rollout kernel shared by both rollouts.
 
-    `offset` is each step's open-loop motion, an (env.horizon_low, 3) array
-    or one 3-vector for all.  A command adds a wiggle, rectified upward in z,
-    and the pull back to the estimate, which cancels the previous tip: step j
-    lands at the estimate plus its drive, clipped to the workspace, and a
-    drive below the surface reads as spring force.  If aligned and matched,
-    the trace ends at the first tip in the capture disk.
+    `offsets` is each step's open-loop motion as a (3, env.horizon_low)
+    array.  A command adds a wiggle, rectified upward in z, and the pull back
+    to the estimate, which cancels the previous tip: step j lands at the
+    estimate plus its drive, clipped to the workspace, and a drive below the
+    surface reads as spring force.  If aligned and matched, the trace ends at
+    the first tip in the capture disk.  The kernel works on rows x, y, z, one
+    entry per step, and returns the trace as (n, 3) views of them.
     """
     start_estimate = np.asarray(start_estimate, dtype=float)
-    if start_estimate.shape != (2,) or not np.all(np.isfinite(start_estimate)):
+    if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
-    aligned = bool(rng.random() < env.alignment_rate)
-    wiggles = spiral.sigma_wiggle * rng.normal(0.0, 1.0, (horizon, 3))
-    wiggles[:, 2] = np.abs(wiggles[:, 2])
-    forces = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
-    drive = offset + wiggles
+    aligned = rng.random() < env.alignment_rate
+    # one draw holds the wiggle block, then the force-noise block: the same
+    # stream as drawing them one after the other
+    wiggles, forces = rng.standard_normal((2, horizon, 3)).transpose(0, 2, 1).copy()
+    wiggles *= spiral.sigma_wiggle
+    np.abs(wiggles[2], out=wiggles[2])
+    drive = np.add(offsets, wiggles, out=wiggles)
+    forces *= FORCE_NOISE_SD
 
-    tips = np.column_stack([
-        np.clip(start_estimate + drive[:, :2], env.workspace_min, env.workspace_max),
-        np.maximum(drive[:, 2], 0.0),
-    ])
-    forces[:, 2] += FORCE_SPRING_K * np.maximum(-drive[:, 2], 0.0)
+    tips = np.empty((3, horizon))
+    xy = np.add(drive[:2], start_estimate[:, None], out=tips[:2])
+    np.maximum(xy, _column(env.workspace_min), out=xy)
+    np.minimum(xy, _column(env.workspace_max), out=xy)
+    np.maximum(drive[2], 0.0, out=tips[2])
+    forces[2] += FORCE_SPRING_K * (tips[2] - drive[2])  # depth of the drive below the surface
+    delta = xy - hole.position[:, None]
+    delta *= delta
+    distance = np.sqrt(np.add(delta[0], delta[1], out=delta[0]), out=delta[0])
     step = None
     if aligned and peg.value == hole.hole_type:
-        inside = np.linalg.norm(tips[:, :2] - hole.position, axis=1) <= env.capture_radius
-        step = int(inside.argmax()) if inside.any() else None
+        first = int((distance <= env.capture_radius).argmax())
+        if distance[first] <= env.capture_radius:
+            step = first
     n = horizon if step is None else step + 1
-    return RolloutOutcome(step is not None, SensorimotorTrace(tips[:n], forces[:n]), step)
+    return RolloutOutcome(
+        step is not None, SensorimotorTrace(tips.T[:n], forces.T[:n]), step,
+        float(distance[:n].min()),
+    )
 
 
 def rollout_low_level(
@@ -217,7 +257,7 @@ def rollout_low_level(
     rng: np.random.Generator,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-    offsets = _spiral_offset(np.arange(env.horizon_low), env.horizon_low, spiral)
+    offsets = _drive_offsets(env.horizon_low, spiral, True)
     return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
 
 
@@ -231,8 +271,8 @@ def rollout_random_actions(
 ) -> RolloutOutcome:
     """Exploration rollout for data collection: random wiggles while pressing,
     anchored at the position estimate (no spiral sweep)."""
-    press = np.array([0.0, 0.0, -spiral.delta_z])
-    return _integrate(start_estimate, peg, hole, spiral, env, rng, press)
+    offsets = _drive_offsets(env.horizon_low, spiral, False)
+    return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
 
 
 def _matched_pair_rollout(

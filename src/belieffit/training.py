@@ -202,17 +202,20 @@ def generate_dataset(
 
 
 def save_dataset(records: list[InteractionRecord], path) -> None:
+    write_csv(
+        path, DATASET_COLUMNS,
+        ([r.peg_type, r.hole_type, *r.position.tolist(), *r.mu0.tolist(),
+          *r.obs.tolist(), int(r.o_match), int(r.beta)] for r in records),
+    )
+
+
+def write_csv(path, header, rows) -> None:
+    """The package's CSV writer: `read_table` reads what it writes.  A float
+    cell is written as its shortest round-trip repr."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DATASET_COLUMNS)
-        for r in records:
-            writer.writerow(
-                [r.peg_type, r.hole_type,
-                 repr(float(r.position[0])), repr(float(r.position[1])),
-                 repr(float(r.mu0[0])), repr(float(r.mu0[1])),
-                 repr(float(r.obs[0])), repr(float(r.obs[1])),
-                 int(r.o_match), int(r.beta)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def read_table(path, columns: tuple, what: str, parse) -> list:

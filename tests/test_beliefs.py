@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belieffit import (
     EnvConfig,
@@ -13,6 +14,7 @@ from belieffit import (
     init_type_belief_uniform,
     normalize_probs,
 )
+from belieffit.beliefs import PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types
 from belieffit.errors import ConfigurationError, InvalidInputError
 
 
@@ -154,3 +156,81 @@ class TestValidation:
         b = init_position_belief((0.0, 0.0), 1e-4)
         with pytest.raises(ValueError):
             b.mean[0] = 1.0
+
+
+_ENTRY = st.floats(-1e-3, 1e-3)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(a=_ENTRY, b=_ENTRY, d=_ENTRY, near=st.booleans())
+def test_closed_form_psd_check_matches_eigvalsh(a, b, d, near):
+    """check_position's closed-form eigenvalue accepts exactly what
+    `eigvalsh` accepts, away from rounding at the tolerance itself."""
+    if near:  # put the smallest eigenvalue close to the tolerance
+        d = (b * b) / a + PSD_TOL if a > 1e-6 else d
+    cov = np.array([[a, b], [b, d]])
+    smallest = np.linalg.eigvalsh(cov).min()
+    if abs(smallest - PSD_TOL) <= 1e-18:
+        return
+    if smallest < PSD_TOL:
+        with pytest.raises(InvalidInputError, match="PSD"):
+            check_position(np.zeros(2), cov)
+    else:
+        check_position(np.zeros(2), cov)
+
+
+@pytest.mark.parametrize(
+    "probs, message",
+    [([0.5, float("nan")], "finite"), ([1.5, -0.5], r"\[0, 1\]"),
+     ([0.5, 0.5 + 2 * SUM_TOL], "sum to 1")],
+)
+def test_check_types_names_the_broken_invariant(probs, message):
+    with pytest.raises(InvalidInputError, match=message):
+        check_types(probs)
+
+
+class TestBeliefArrays:
+    def test_round_trip_keeps_every_value(self):
+        beliefs = [
+            HoleBelief(init_position_belief((0.01, -0.02), 2e-4), TypeBelief([0.2, 0.8])),
+            HoleBelief(init_position_belief((0.1, 0.0), 1e-4), TypeBelief([0.6, 0.4]), True),
+        ]
+        back = BeliefArrays.of(beliefs).to_beliefs()
+        for old, new in zip(beliefs, back):
+            assert np.array_equal(old.position.mean, new.position.mean)
+            assert np.array_equal(old.position.cov, new.position.cov)
+            assert np.array_equal(old.type_belief.probs, new.type_belief.probs)
+            assert old.fitted == new.fitted
+            with pytest.raises(ValueError):
+                new.position.mean[0] = 1.0  # copies out are read-only
+
+    def test_copies_out_do_not_follow_the_arrays(self):
+        state = BeliefArrays.detected([(0.0, 0.0)], 1e-4, 3)
+        belief = state.to_beliefs()[0]
+        state.means[0] = (0.5, 0.5)
+        assert np.array_equal(belief.position.mean, [0.0, 0.0])
+
+    def test_detected_matches_the_object_constructors(self):
+        state = BeliefArrays.detected([(0.01, 0.02), (-0.1, 0.05)], 1e-4, 3)
+        for i, det in enumerate([(0.01, 0.02), (-0.1, 0.05)]):
+            expected = init_position_belief(det, 1e-4)
+            assert np.array_equal(state.means[i], expected.mean)
+            assert np.array_equal(state.covs[i], expected.cov)
+            assert np.array_equal(state.xi[i], init_type_belief_uniform(3).probs)
+        assert not state.fitted.any()
+
+    @pytest.mark.parametrize(
+        "detections, sigma, n_types",
+        [([(np.nan, 0.0)], 1e-4, 3), ([], 1e-4, 3), ([(0.0, 0.0)], 0.0, 3),
+         ([(0.0, 0.0)], 1e-4, 1)],
+    )
+    def test_detected_rejects_bad_input(self, detections, sigma, n_types):
+        with pytest.raises(InvalidInputError):
+            BeliefArrays.detected(detections, sigma, n_types)
+
+    def test_of_rejects_mixed_type_counts(self):
+        with pytest.raises(InvalidInputError):
+            BeliefArrays.of([
+                HoleBelief(init_position_belief((0, 0), 1e-4), TypeBelief([0.5, 0.5])),
+                HoleBelief(init_position_belief((0, 0), 1e-4), init_type_belief_uniform(3)),
+            ])

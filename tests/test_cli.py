@@ -1,9 +1,11 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
+from belieffit.training import read_table, write_csv
 from belieffit.config import default_config, load_config, save_config
 from belieffit.errors import ConfigurationError, InvalidInputError
 
@@ -131,6 +133,18 @@ class TestCalibrate:
         assert reloaded["env"]["alpha"] == doc["env"]["alpha"]
         assert reloaded["calibration"] == doc["calibration"]
 
+    def test_zero_measured_rate_is_exit_2_and_writes_nothing(
+        self, small_config, tmp_path, capsys
+    ):
+        # one trial whose alignment draw fails: no config may hold alpha = 0
+        out = tmp_path / "cal.json"
+        code = run_cli(
+            "calibrate", "--config", small_config, "--trials", 1, "--seed", 1, "--out", out
+        )
+        assert code == 2
+        assert "measured alpha is 0" in assert_one_line_error(capsys)
+        assert not out.exists()
+
     def test_unreachable_target_warns_but_succeeds(self, small_config, tmp_path, capsys):
         code = run_cli(
             "calibrate", "--config", small_config, "--trials", 40,
@@ -139,6 +153,14 @@ class TestCalibrate:
         captured = capsys.readouterr()
         assert code == 0
         assert "feasibility bound" in captured.err
+
+
+def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(path, ("a", "b", "c", "d"), [(np.float64(0.1), 0.1, np.int64(3), "x|y")])
+    assert path.read_text() == "a,b,c,d\n0.1,0.1,3,x|y\n"
+    parsed = read_table(path, ("a", "b", "c", "d"), "cells", lambda r: (float(r[0]), int(r[2])))
+    assert parsed == [(0.1, 3)]
 
 
 class TestTrain:

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from belieffit import (
     GaussianBelief2,
@@ -13,7 +16,10 @@ from belieffit import (
     kalman_update,
     normalize_probs,
 )
+from belieffit.beliefs import PSD_TOL, SUM_TOL
 from belieffit.errors import DegenerateEvidenceError, InvalidInputError
+from belieffit.filters import kalman_posterior, type_posterior
+from belieffit.policy import INSERTION_NOISE
 
 
 def brute_force_type_posterior(prior, o_match, beta, peg, alpha, tpr, fpr):
@@ -167,3 +173,126 @@ class TestHistogramUpdate:
         second = histogram_update(prior, *args)
         assert np.array_equal(first.probs, second.probs)
 
+
+
+# --------------------------------------------------------------------------
+# property tests of the kernels the policy's step calls
+# --------------------------------------------------------------------------
+
+@st.composite
+def covariances(draw, min_log=-12.0):
+    """Symmetric PSD 2x2 matrices: eigenvalues 10^[min_log, -2] in a random frame."""
+    lo, hi = 10.0 ** draw(st.floats(min_log, -2.0)), 10.0 ** draw(st.floats(min_log, -2.0))
+    theta = draw(st.floats(0.0, np.pi))
+    c, s = np.cos(theta), np.sin(theta)
+    rot = np.array([[c, -s], [s, c]])
+    cov = rot @ np.diag([lo, hi]) @ rot.T
+    return 0.5 * (cov + cov.T)
+
+
+_INNOVATION = st.tuples(st.floats(-0.05, 0.05), st.floats(-0.05, 0.05))
+_NOISE = st.one_of(st.just(INSERTION_NOISE.cov), covariances(min_log=-11.0))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(prior=covariances(), noise=_NOISE, innovation=_INNOVATION)
+def test_kalman_posterior_stays_symmetric_psd(prior, noise, innovation):
+    post = kalman_update(
+        GaussianBelief2(np.zeros(2), prior), Innovation(innovation), PositionNoiseModel(noise)
+    )
+    assert np.array_equal(post.cov, post.cov.T)
+    assert np.linalg.eigvalsh(post.cov).min() >= PSD_TOL
+    assert np.trace(post.cov) <= np.trace(prior) * (1 + 1e-12)
+
+
+def _exact_posterior(prior, noise) -> np.ndarray:
+    """P - P (P + R)^-1 P in rational arithmetic, rounded to floats once."""
+    p = [[Fraction(x) for x in row] for row in prior.tolist()]
+    s = [[p[i][j] + Fraction(noise[i, j]) for j in range(2)] for i in range(2)]
+    det = s[0][0] * s[1][1] - s[0][1] * s[1][0]
+    inv = [[s[1][1] / det, -s[0][1] / det], [-s[1][0] / det, s[0][0] / det]]
+    gain = [[sum(p[i][m] * inv[m][j] for m in range(2)) for j in range(2)] for i in range(2)]
+    return np.array([
+        [float(p[i][j] - sum(gain[i][m] * p[m][j] for m in range(2))) for j in range(2)]
+        for i in range(2)
+    ])
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(prior=covariances())
+def test_kalman_matches_joseph_form_at_insertion_noise(prior):
+    """With R = 1e-12 I the gain is 1 - O(1e-8) and I - K cancels.  The
+    standard form must stay PSD and agree with the Joseph form, and both
+    with the exact posterior, far inside PSD_TOL."""
+    r = INSERTION_NOISE.cov
+    _, cov = kalman_posterior(np.zeros(2), prior, np.zeros(2), r)
+    gain = np.linalg.solve((prior + r).T, prior.T).T
+    rest = np.eye(2) - gain
+    joseph = rest @ prior @ rest.T + gain @ r @ gain.T
+    exact = _exact_posterior(prior, r)
+    assert np.linalg.eigvalsh(cov).min() >= PSD_TOL
+    assert np.abs(cov - exact).max() <= 1e-17
+    assert np.abs(joseph - exact).max() <= 1e-17
+
+
+_TYPE_COUNT = st.integers(2, 9)
+
+
+@st.composite
+def type_updates(draw, n_types):
+    """Evidence of one attempt: (o_match, beta, peg, alpha, match model)."""
+    return (
+        draw(st.booleans()),
+        draw(st.booleans()),
+        PegType(draw(st.integers(1, n_types))),
+        draw(st.floats(0.01, 1.0)),
+        MatchObservationModel(draw(st.floats(0.01, 0.99)), draw(st.floats(0.01, 0.99))),
+    )
+
+
+@st.composite
+def type_priors(draw):
+    n_types = draw(_TYPE_COUNT)
+    weights = draw(st.lists(st.floats(0.0, 1.0), min_size=n_types, max_size=n_types))
+    weights = [w if w >= 1e-3 else 0.0 for w in weights]
+    if not any(weights):
+        weights[0] = 1.0
+    return TypeBelief(normalize_probs(weights)), n_types
+
+
+def _posterior_or_none(prior, update):
+    try:
+        return histogram_update(prior, *update)
+    except DegenerateEvidenceError:
+        return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_type_posterior_stays_on_simplex(data):
+    prior, n_types = data.draw(type_priors())
+    post = _posterior_or_none(prior, data.draw(type_updates(n_types)))
+    if post is not None:
+        assert np.all((post.probs >= 0.0) & (post.probs <= 1.0))
+        assert abs(post.probs.sum() - 1.0) <= SUM_TOL
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_independent_type_updates_commute(data):
+    prior, n_types = data.draw(type_priors())
+    first, second = data.draw(type_updates(n_types)), data.draw(type_updates(n_types))
+    a = _posterior_or_none(prior, first)
+    a = a and _posterior_or_none(a, second)
+    b = _posterior_or_none(prior, second)
+    b = b and _posterior_or_none(b, first)
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert np.allclose(a.probs, b.probs, rtol=0.0, atol=1e-12)
+
+
+def test_type_posterior_wrapper_is_the_kernel():
+    prior = TypeBelief(np.array([0.2, 0.3, 0.5]))
+    args = (True, False, PegType(2), 0.34, MatchObservationModel(0.85, 0.15))
+    kernel = type_posterior(prior.probs.tolist(), *args)
+    assert histogram_update(prior, *args).probs.tolist() == kernel

@@ -289,9 +289,12 @@ class TestRollout:
     def test_outcome_consistency_validation(self):
         trace = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0).trace
         with pytest.raises(InvalidInputError):
-            RolloutOutcome(True, trace, None)
+            RolloutOutcome(True, trace, None, 0.0)
         with pytest.raises(InvalidInputError):
-            RolloutOutcome(True, trace, len(trace))
+            RolloutOutcome(True, trace, len(trace), 0.0)
+        for bad in (-1e-3, np.nan, np.inf):
+            with pytest.raises(InvalidInputError):
+                RolloutOutcome(True, trace, 0, bad)
 
     def test_final_ee_is_last_tip(self):
         out = _rollout((0.004, 0.003), 1, self.HOLE, seed=3)
@@ -334,6 +337,8 @@ def test_closed_form_matches_step_loop(
         cr=CFG.capture_radius, align=align, matched=matched,
     )
     _assert_matches_reference(out, ref)
+    # the position sensor reads the kernel's closest approach, not the trace
+    assert out.closest_approach == out.trace.closest_approach(hole.position)
 
 
 class TestCalibration:
