@@ -70,17 +70,6 @@ def ordered_sum(values: list[float]) -> float:
     return sum(values) if len(values) < 8 else float(np.add.reduce(values))
 
 
-def _checked(cls, **arrays):
-    """An instance of a frozen belief type built from copies of arrays that
-    already passed its check, without checking them a second time."""
-    obj = object.__new__(cls)
-    for name, value in arrays.items():
-        value = value.copy()
-        value.setflags(write=False)
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def sample_gaussian(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """One draw from N(mean, cov) (used by the sampling baseline)."""
     # eigh instead of cholesky: the covariance may be singular.
@@ -102,10 +91,6 @@ class GaussianBelief2:
         check_position(mean, cov)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
-
-    def sample(self, rng: np.random.Generator) -> np.ndarray:
-        """One draw from the distribution (used by the sampling baseline)."""
-        return sample_gaussian(self.mean, self.cov, rng)
 
 
 @dataclass(frozen=True)
@@ -160,7 +145,7 @@ class BeliefArrays:
     covariances (H, 2, 2), type distributions (H, C) and fitted flags (H,).
 
     The policy's step updates the chosen row in place after checking the
-    posterior; `to_beliefs` copies the rows back out as belief objects.
+    posterior; `to_beliefs` builds belief objects from copies of the rows.
     """
 
     means: np.ndarray
@@ -208,11 +193,7 @@ class BeliefArrays:
 
     def to_beliefs(self) -> list[HoleBelief]:
         return [
-            HoleBelief(
-                position=_checked(GaussianBelief2, mean=mean, cov=cov),
-                type_belief=_checked(TypeBelief, probs=xi),
-                fitted=bool(fitted),
-            )
+            HoleBelief(GaussianBelief2(mean, cov), TypeBelief(xi), bool(fitted))
             for mean, cov, xi, fitted in zip(self.means, self.covs, self.xi, self.fitted)
         ]
 

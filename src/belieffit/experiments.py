@@ -2,8 +2,9 @@
 
 Worlds, detections and peg orders are derived from (master seed, trial) only
 and built once per trial, so every variant faces the identical sequence of
-environments; episode noise additionally keys on the variant.  Each trial draws only from its own
-streams, so its rows do not depend on how many trials a run has.
+environments; episode noise additionally keys on the variant.  Each trial
+draws only from its own streams, so its rows do not depend on how many trials
+a run has.
 """
 
 from __future__ import annotations

@@ -77,16 +77,6 @@ class SensorModel:
     match: MatchSensorSpec = field(default_factory=MatchSensorSpec)
 
 
-def effective_position_cov(
-    trace: SensorimotorTrace, true_position, model: SensorModel
-) -> np.ndarray:
-    """Noise covariance for this trace: base, or scaled up if uninformative."""
-    spec = model.position
-    if trace.closest_approach(true_position) <= spec.informative_radius:
-        return spec.cov
-    return (spec.uninformative_scale ** 2) * spec.cov
-
-
 def observe_position(
     closest_approach: float,
     true_position: np.ndarray,

@@ -16,7 +16,6 @@ from belieffit import (
     sense_position,
 )
 from belieffit.seeding import derive_rng
-from belieffit.sensors import effective_position_cov
 from belieffit.errors import InvalidInputError
 
 CFG = EnvConfig()
@@ -65,10 +64,9 @@ class TestSensePosition:
     def test_uninformative_trace_scales_covariance(self):
         spec = PositionSensorSpec(uninformative_scale=4.0)
         model = SensorModel(position=spec)
-        assert np.allclose(effective_position_cov(CLOSE_TRACE, (0.0, 0.0), model), spec.cov)
-        assert np.allclose(
-            effective_position_cov(FAR_TRACE, (0.0, 0.0), model), 16.0 * spec.cov
-        )
+        for trace, scale in ((CLOSE_TRACE, 1.0), (FAR_TRACE, 16.0)):
+            factor = spec.noise_factor(trace.closest_approach((0.0, 0.0)))
+            assert np.allclose(factor @ factor.T, scale * spec.cov)
         rng = derive_rng(3, 11)
         n = 10_000
         samples = np.array(
