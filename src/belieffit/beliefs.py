@@ -255,9 +255,17 @@ class EnvConfig:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
         if not 0.0 < self.capture_radius < np.inf:
             raise ConfigurationError("capture radius must be finite and positive")
-        lo, hi = np.asarray(self.workspace_min), np.asarray(self.workspace_max)
-        if not np.all((hi > lo) & np.isfinite(lo) & np.isfinite(hi)):
-            raise ConfigurationError("workspace bounds must be finite with positive extent")
+        lo = np.asarray(self.workspace_min, dtype=float)
+        hi = np.asarray(self.workspace_max, dtype=float)
+        if lo.shape != (2,) or hi.shape != (2,) or not np.all(
+            (hi > lo) & np.isfinite(lo) & np.isfinite(hi)
+        ):
+            raise ConfigurationError(
+                "workspace bounds must be finite 2-vectors with positive extent"
+            )
+        # tuples keep the config hashable, which the rollout's caches need
+        object.__setattr__(self, "workspace_min", tuple(lo.tolist()))
+        object.__setattr__(self, "workspace_max", tuple(hi.tolist()))
 
 
 def normalized(weights: list[float]) -> list[float]:

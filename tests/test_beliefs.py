@@ -140,6 +140,8 @@ class TestValidation:
             EnvConfig(horizon_high=0)
         with pytest.raises(ConfigurationError):
             EnvConfig(n_types=1)
+        with pytest.raises(ConfigurationError):
+            EnvConfig(workspace_min=(-0.25, -0.25, -0.25))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize(

@@ -296,6 +296,18 @@ class TestRollout:
             with pytest.raises(InvalidInputError):
                 RolloutOutcome(True, trace, 0, bad)
 
+    def test_workspace_bounds_given_as_lists(self):
+        env = dataclasses.replace(
+            CFG, workspace_min=[-0.02, -0.02], workspace_max=[0.02, 0.02]
+        )
+        assert env.workspace_min == (-0.02, -0.02) and hash(env) == hash(
+            dataclasses.replace(env, workspace_min=(-0.02, -0.02))
+        )
+        out = rollout_low_level(
+            (0.015, 0.0), PegType(2), self.HOLE, SPIRAL, env, derive_rng(2, 4)
+        )
+        assert out.trace.positions[:, 0].max() == 0.02  # the spiral reaches the clip
+
     def test_final_ee_is_last_tip(self):
         out = _rollout((0.004, 0.003), 1, self.HOLE, seed=3)
         assert np.array_equal(out.final_ee, out.trace.positions[-1])
