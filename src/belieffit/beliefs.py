@@ -209,8 +209,11 @@ class HoleGroundTruth:
     def __post_init__(self):
         if int(self.hole_type) < 1:
             raise InvalidInputError("hole type must be a positive integer")
+        position = _frozen_array(self.position, (2,))
+        if not all(map(math.isfinite, position.tolist())):
+            raise InvalidInputError("hole position must be finite")
         object.__setattr__(self, "hole_type", int(self.hole_type))
-        object.__setattr__(self, "position", _frozen_array(self.position, (2,)))
+        object.__setattr__(self, "position", position)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,17 @@ the negative log-likelihood of the true hole state under it:
     - ln xi1[c]                                            type term
     - ln P_learned(o_match | true class)                   sensor-head terms
 
+The position terms cost O(groups), not O(records): records are grouped by
+prior covariance S0.  With A = (R + S0)^-1 and gain K = S0 A, I - K = R A,
+so a record's posterior error is d = p - mu1 = R A e + S0 A f, where
+e = p - mu0 and f = p - obs, and a group's terms and gradient follow from
+its count and its second moments of e, f and h = obs - mu0.  Unlike
+d = e - K h, this form does not cancel when S0 >> R.  The group algebra runs
+on Python floats, which suits batches that share a few priors, as every
+dataset built here does.  The type term stays per record, since its floor
+applies per record; the sensor-head terms follow from the record counts of
+the four (on the peg's class, o_match) cells.
+
 The learned parameters live in an unconstrained vector theta: the position
 covariance through a lower-triangular square root with log diagonal (always
 positive definite), the confusion rates through a scaled logistic (always
@@ -62,9 +73,11 @@ class InteractionRecord:
     beta: bool
 
     def __post_init__(self):
+        # checks on Python floats, cheap for large datasets; NaN and inf fail
+        # each test
         for name in ("position", "mu0", "obs"):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (2,) or not np.all(np.isfinite(arr)):
+            if arr.shape != (2,) or not all(map(math.isfinite, arr.tolist())):
                 raise InvalidInputError(f"{name} must be a finite 2-vector")
             object.__setattr__(self, name, arr)
         sigma0 = np.asarray(self.sigma0, dtype=float)
@@ -73,8 +86,7 @@ class InteractionRecord:
             raise InvalidInputError("bad initial belief shapes")
         if self.peg_type < 1 or self.hole_type < 1 or self.hole_type > xi0.size:
             raise InvalidInputError("types out of range")
-        # float arithmetic, cheap for large datasets; NaN and inf fail each test.
-        # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue.
+        # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue
         (a, b), (c, d) = sigma0.tolist()
         if not (abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0):
             raise InvalidInputError("sigma0 must be symmetric positive definite")
@@ -168,14 +180,17 @@ def generate_dataset(
         raise InvalidInputError("need at least two interactions for class balance")
     n_matched = (n_interactions + 1) // 2
     lo, hi = placement_box(config, spiral)
+    types = range(1, config.n_types + 1)
+    others = {h: [t for t in types if t != h] for h in types}
+    sigma0 = config.sigma_init * np.eye(2)
     records = []
     for i in range(n_interactions):
         hole_type = int(rng.integers(1, config.n_types + 1))
         if i < n_matched:
             peg_type = hole_type
         else:
-            others = [t for t in range(1, config.n_types + 1) if t != hole_type]
-            peg_type = int(others[rng.integers(0, len(others))])
+            choices = others[hole_type]
+            peg_type = int(choices[rng.integers(0, len(choices))])
         p = rng.uniform(lo, hi)
         hole = HoleGroundTruth(hole_type=hole_type, position=p)
         mu0 = p + rng.uniform(
@@ -191,7 +206,7 @@ def generate_dataset(
                 hole_type=hole_type,
                 position=p,
                 mu0=mu0,
-                sigma0=config.sigma_init * np.eye(2),
+                sigma0=sigma0,
                 xi0=xi0,
                 obs=innovation.value + mu0,
                 o_match=o_match,
@@ -272,21 +287,28 @@ def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
 class _Precomputed(NamedTuple):
     """The theta-free part of the loss over a batch, built once per call.
 
-    2x2 matrices are tuples of their entries (m00, m01, m10, m11) and vectors
-    tuples of (x, y), each entry an (n,) array.  With t(k) = P(beta | class k)
-    the transition table, `tx_*` hold t(k) * xi0[k] on the peg's class, summed
-    over the other classes, and on the true class c.
+    Each `groups` entry is (S0, count, See, Sef, Sff, Seh, Sfh) for one
+    prior covariance S0, with Sxy the sum of x y^T over the group's records
+    and every 2x2 matrix a sequence of Python floats (m00, m01, m10, m11).
+    The type arrays have one row per (on the peg's class, o_match) cell, in
+    the order of the likelihoods h = (1 - tpr, tpr, 1 - fpr, fpr) of
+    `_value_and_grad`.  With t(k) = P(beta | class k) the transition table,
+    `tx` holds t(k) xi0[k] on the peg's class and summed over the other
+    classes, each in the row of the likelihood it meets, so `h @ tx` is
+    every record's evidence; `tx_true` holds t(c) xi0[c] on the true class
+    c in the row of the record's cell.
     """
 
-    sigma0: tuple
-    h: tuple  # innovation obs - mu0
-    e: tuple  # prior error p - mu0
-    tx_peg: np.ndarray
-    tx_other: np.ndarray
-    tx_true: np.ndarray
-    on_peg: np.ndarray  # c equals the peg's class
-    o_match: np.ndarray
-    sign: np.ndarray  # derivative of P(o_match | .) in its rate: +1 or -1
+    n: int
+    groups: tuple
+    tx: np.ndarray  # (4, n)
+    tx_true: np.ndarray  # (4, n)
+    cells: np.ndarray  # (4, n): 1.0 where the record lies in the cell
+    count: np.ndarray  # (4,): records per cell
+
+
+# the derivative of each cell's likelihood in its rate
+_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
 def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
@@ -294,6 +316,7 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
         raise InvalidInputError("batch must be non-empty")
     if len({r.xi0.size for r in records}) != 1:
         raise InvalidInputError("records must share the same number of types")
+    n = len(records)
     mu0 = np.array([r.mu0 for r in records])
     obs = np.array([r.obs for r in records])
     p = np.array([r.position for r in records])
@@ -301,8 +324,8 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     peg = np.array([r.peg_type for r in records]) - 1
     true = np.array([r.hole_type for r in records]) - 1
     beta = np.array([r.beta for r in records], dtype=bool)
-    o_match = np.array([r.o_match for r in records], dtype=bool)
-    idx = np.arange(len(records))
+    o_match = np.array([r.o_match for r in records], dtype=int)
+    idx = np.arange(n)
     is_peg = peg[:, None] == np.arange(xi0.shape[1])
     t_peg = np.where(beta, alpha, 1.0 - alpha)
     t_other = np.where(beta, 0.0, 1.0)
@@ -313,17 +336,28 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
         raise DegenerateEvidenceError(
             "a record's outcome has zero probability under its type prior"
         )
-    return _Precomputed(
-        sigma0=tuple(np.array([r.sigma0 for r in records]).reshape(-1, 4).T.copy()),
-        h=tuple((obs - mu0).T.copy()),
-        e=tuple((p - mu0).T.copy()),
-        tx_peg=tx_peg,
-        tx_other=tx_other,
-        tx_true=np.where(on_peg, t_peg, t_other) * xi0[idx, true],
-        on_peg=on_peg,
-        o_match=o_match,
-        sign=np.where(o_match, 1.0, -1.0),
-    )
+    cell = np.where(on_peg, 0, 2) + o_match
+    tx = np.zeros((4, n))
+    tx[o_match, idx] = tx_peg
+    tx[2 + o_match, idx] = tx_other
+    tx_true = np.zeros((4, n))
+    tx_true[cell, idx] = np.where(on_peg, t_peg, t_other) * xi0[idx, true]
+    cells = (cell == np.arange(4)[:, None]).astype(float)
+
+    # position: sort the S0 rows so that equal ones are adjacent; m[i][j]
+    # holds the entries of a run's sum of x_i x_j^T, x = (e, f, h)
+    s0 = np.array([r.sigma0 for r in records]).reshape(n, 4)
+    order = np.lexsort(s0.T)
+    s0 = s0[order]
+    z = np.hstack([p - mu0, p - obs, obs - mu0])[order]
+    cuts = [0, *(np.flatnonzero(np.any(s0[1:] != s0[:-1], axis=1)) + 1).tolist(), n]
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        q = z[lo:hi].T @ z[lo:hi]
+        m = q.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3).reshape(3, 3, 4).tolist()
+        groups.append((s0[lo].tolist(), hi - lo, m[0][0], m[0][1], m[1][1], m[0][2], m[1][2]))
+    return _Precomputed(n=n, groups=tuple(groups), tx=tx, tx_true=tx_true,
+                        cells=cells, count=cells.sum(axis=1))
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -334,83 +368,92 @@ def _mul(x: tuple, y: tuple) -> tuple:
             x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
 
 
-def _apply(x: tuple, v: tuple) -> tuple:
-    """Product of a 2x2 matrix and a 2-vector given as entry tuples."""
-    x00, x01, x10, x11 = x
-    return x00 * v[0] + x01 * v[1], x10 * v[0] + x11 * v[1]
+def _t(x: tuple) -> tuple:
+    """Transpose of a 2x2 matrix given as an entry tuple."""
+    return x[0], x[2], x[1], x[3]
+
+
+def _add(*xs: tuple) -> tuple:
+    """Sum of 2x2 matrices given as entry tuples."""
+    return tuple(map(sum, zip(*xs)))
 
 
 def _inv(x: tuple) -> tuple:
-    """Inverse and determinant of a 2x2 matrix given as an entry tuple."""
+    """Inverse and determinant of a 2x2 matrix given as an entry tuple; a
+    determinant that is not positive (say, underflowed to 0) raises before
+    anything is divided by it."""
     x00, x01, x10, x11 = x
     det = x00 * x11 - x01 * x10
+    if not det > 0.0:
+        raise DegenerateEvidenceError(
+            "posterior covariance not positive definite: sigma0 too small")
     return (x11 / det, -x01 / det, -x10 / det, x00 / det), det
 
 
 def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, np.ndarray]:
-    """Per-record loss terms at theta, rows (position, type, match), and the
-    gradient of each term's batch mean, one 5-vector per row."""
+    """Batch-mean loss terms at theta, (position, type, match), and the
+    gradient of each, one 5-vector per row."""
     params = LearnedParams(theta)
     grads = np.zeros((3, 5))
 
-    # position: one Kalman correction with gain K = S0 A, A = (R + S0)^-1
-    s0 = pre.sigma0
-    a, _ = _inv(tuple(s + r for s, r in zip(s0, params.position_cov.ravel())))
-    gain = _mul(s0, a)
-    sigma1 = tuple(s - x for s, x in zip(s0, _mul(gain, s0)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # reported below
-        m, det1 = _inv(sigma1)
-    if not np.all(det1 > 0.0):
-        raise DegenerateEvidenceError("posterior covariance not positive definite: sigma0 too small")
-    kh = _apply(gain, pre.h)
-    d = (pre.e[0] - kh[0], pre.e[1] - kh[1])  # p - mu1
-    md = _apply(m, d)
-    loss_pos = 0.5 * np.log(det1) + 0.5 * (d[0] * md[0] + d[1] * md[1])
-    # dLp = tr(G dR) with G = 1/2 P M P^T + u v^T - 1/2 u u^T,
-    # P = A S0, u = P M d, v = A h; dR is symmetric, so only G00, G01 + G10
+    # position, per group: one Kalman correction with A = (R + S0)^-1,
+    # K = S0 A, Sigma1 = S0 - K S0 = M^-1 and d = (I - K) e + K f.  Summed
+    # over the group, Lp = count/2 ln|Sigma1| + 1/2 tr(M D) with
+    # D = sum d d^T, and
+    # dLp = tr(G dR) with G = count/2 P M P^T + P M C A^T - 1/2 P M D M P^T,
+    # P = A S0 and C = sum d h^T; dR is symmetric, so only G00, G01 + G10
     # and G11 matter
-    p = _mul(a, s0)
-    q00, q01, q10, q11 = _mul(p, m)
-    u = _apply(p, md)
-    v = _apply(a, pre.h)
-    g00 = (0.5 * (q00 * p[0] + q01 * p[1]) + u[0] * v[0] - 0.5 * u[0] * u[0]).mean()
-    g11 = (0.5 * (q10 * p[2] + q11 * p[3]) + u[1] * v[1] - 0.5 * u[1] * u[1]).mean()
-    gx = (0.5 * (q00 * p[2] + q01 * p[3] + q10 * p[0] + q11 * p[1])
-          + u[0] * v[1] + u[1] * v[0] - u[0] * u[1]).mean()
+    r = tuple(params.position_cov.ravel().tolist())
+    loss_pos = g00 = g11 = gx = 0.0
+    for s0, count, see, sef, sff, seh, sfh in pre.groups:
+        a, _ = _inv(_add(s0, r))
+        k = _mul(s0, a)
+        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        u = _mul(r, a)  # R A = I - K
+        cross = _mul(_mul(u, sef), _t(k))
+        dd = _add(_mul(_mul(u, see), _t(u)), cross, _t(cross), _mul(_mul(k, sff), _t(k)))
+        dh = _add(_mul(u, seh), _mul(k, sfh))
+        p = _mul(a, s0)
+        pm = _mul(p, m)
+        g = [0.5 * count * x + y - 0.5 * w for x, y, w in zip(
+            _mul(pm, _t(p)), _mul(_mul(pm, dh), _t(a)), _mul(_mul(pm, dd), _t(pm)))]
+        loss_pos += 0.5 * count * math.log(det1) + 0.5 * (
+            m[0] * dd[0] + m[1] * dd[2] + m[2] * dd[1] + m[3] * dd[3])
+        g00 += g[0]
+        g11 += g[3]
+        gx += g[1] + g[2]
     (ea, _), (b, ec) = params.chol.tolist()
     grads[0, :3] = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11,
                     2.0 * ec * ec * g11)
 
-    # type and match: the observation likelihood is h_peg on the peg's class
-    # and h_other elsewhere, each moving with its rate by `sign`
+    # type, per record, and match, per cell.  A record's dLc/dh_k is
+    # tx_k / eta - [k = c] / h_c above the floor and 0 below it: summed, the
+    # first part is tx @ (active / eta), the second follows from each cell's
+    # count of active records.  dlog_h is d ln h / d(its rate); the rows
+    # (0, 1) of a per-cell sum belong to tpr and (2, 3) to fpr
     tpr, fpr = params.tpr, params.fpr
-    h_peg = np.where(pre.o_match, tpr, 1.0 - tpr)
-    h_other = np.where(pre.o_match, fpr, 1.0 - fpr)
-    h_true = np.where(pre.on_peg, h_peg, h_other)
-    eta = h_peg * pre.tx_peg + h_other * pre.tx_other
-    xi1_true = h_true * pre.tx_true / eta
-    loss_type = -np.log(np.maximum(xi1_true, LOG_FLOOR))
-    loss_match = -np.log(np.maximum(h_true, LOG_FLOOR))
-    # dLc/dh_k = tx_k / eta - [k = c] / h_c; floored records contribute none.
-    # dlog_h is d ln h_c / d(its rate)
+    h = np.array([1.0 - tpr, tpr, 1.0 - fpr, fpr])
+    eta = h @ pre.tx
+    xi1_true = h @ pre.tx_true
+    xi1_true /= eta
     active = xi1_true >= LOG_FLOOR
-    dlog_h = pre.sign / h_true
-    on_peg = pre.on_peg
-    d_peg = np.where(active, pre.sign * pre.tx_peg / eta - np.where(on_peg, dlog_h, 0.0), 0.0)
-    d_other = np.where(active, pre.sign * pre.tx_other / eta - np.where(on_peg, 0.0, dlog_h), 0.0)
+    loss_type = -np.log(np.maximum(xi1_true, LOG_FLOOR)).sum()
+    loss_match = -(pre.count * np.log(np.maximum(h, LOG_FLOOR))).sum()
+    dlog_h = _SIGN / h
+    d_type = _SIGN * (pre.tx @ (active / eta)) - (pre.cells @ active) * dlog_h
+    d_match = -pre.count * dlog_h
     scale = 1.0 - 2.0 * MATCH_PROB_EPS
     st, sf = _sigmoid(theta[3]), _sigmoid(theta[4])
     chain = np.array([scale * st * (1.0 - st), scale * sf * (1.0 - sf)])
-    grads[1, 3:] = chain * (d_peg.mean(), d_other.mean())
-    grads[2, 3:] = -chain * (np.where(on_peg, dlog_h, 0.0).mean(),
-                             np.where(on_peg, 0.0, dlog_h).mean())
-    return np.array([loss_pos, loss_type, loss_match]), grads
+    grads[1, 3:] = chain * d_type.reshape(2, 2).sum(axis=1)
+    grads[2, 3:] = chain * d_match.reshape(2, 2).sum(axis=1)
+    return np.array([loss_pos, loss_type, loss_match]) / pre.n, grads / pre.n
 
 
 def _mean_loss_and_grad(theta, pre: _Precomputed) -> tuple[float, np.ndarray]:
     """Batch-mean loss, every term summed, and its gradient."""
     losses, grads = _value_and_grad(theta, pre)
-    return float(losses.sum(axis=0).mean()), grads.sum(axis=0)
+    return float(losses.sum()), grads.sum(axis=0)
 
 
 def batch_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> float:

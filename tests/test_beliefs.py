@@ -6,6 +6,7 @@ from belieffit import (
     EnvConfig,
     GaussianBelief2,
     HoleBelief,
+    HoleGroundTruth,
     PegType,
     TypeBelief,
     fit_probability,
@@ -153,6 +154,12 @@ class TestValidation:
         value = (bad, 0.0) if field.startswith("workspace") else bad
         with pytest.raises(ConfigurationError):
             EnvConfig(**{field: value})
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_hole_ground_truth_rejects_non_finite_position(self, bad):
+        for position in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(InvalidInputError, match="hole position must be finite"):
+                HoleGroundTruth(1, position)
 
     def test_beliefs_are_immutable(self):
         b = init_position_belief((0.0, 0.0), 1e-4)

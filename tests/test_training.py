@@ -38,7 +38,7 @@ from belieffit.errors import (
     OptimizationFailureError,
 )
 from belieffit.seeding import derive_rng
-from belieffit.training import LOG_FLOOR, _precompute, _value_and_grad
+from belieffit.training import LOG_FLOOR, _add, _inv, _mul, _precompute, _value_and_grad
 
 ALPHA = 0.34
 SPIRAL = SpiralParams()
@@ -86,7 +86,7 @@ def selected_nll(theta, records, alpha, keep=EVERY_TERM):
     (position, type, match), read from the rows of the fused pass."""
     losses, grads = _value_and_grad(np.asarray(theta, dtype=float), _precompute(records, alpha))
     keep = np.array(keep, dtype=bool)
-    return float(losses[keep].sum(axis=0).mean()), grads[keep].sum(axis=0)
+    return float(losses[keep].sum()), grads[keep].sum(axis=0)
 
 
 def finite_difference_grad(params, records, alpha, step=1e-6, keep=EVERY_TERM):
@@ -101,6 +101,26 @@ def finite_difference_grad(params, records, alpha, step=1e-6, keep=EVERY_TERM):
             - selected_nll(dn, records, alpha, keep)[0]
         ) / (2 * step)
     return grad
+
+
+def loop_position_nll(theta, records):
+    """Mean position term record by record, with the pass's own 2x2 helpers
+    and d = R A e + K f: the reference for the grouped moment sums."""
+    r = LearnedParams(theta).position_cov.ravel().tolist()
+    terms = []
+    for record in records:
+        s0 = record.sigma0.ravel().tolist()
+        a, _ = _inv(_add(s0, r))
+        k = _mul(s0, a)
+        u = _mul(r, a)
+        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        e0, e1 = (record.position - record.mu0).tolist()
+        f0, f1 = (record.position - record.obs).tolist()
+        d0 = u[0] * e0 + u[1] * e1 + k[0] * f0 + k[1] * f1
+        d1 = u[2] * e0 + u[3] * e1 + k[2] * f0 + k[3] * f1
+        quad = d0 * (m[0] * d0 + m[1] * d1) + d1 * (m[2] * d0 + m[3] * d1)
+        terms.append(0.5 * math.log(det1) + 0.5 * quad)
+    return math.fsum(terms) / len(terms)
 
 
 def posterior_nll(
@@ -281,6 +301,15 @@ class TestFitParameters:
         with pytest.raises(DegenerateEvidenceError, match="zero probability"):
             fit_parameters([record], init=None, epochs=2, alpha=ALPHA)
 
+    def test_one_underflowing_group_is_degenerate_evidence(self):
+        rng = derive_rng(8, 20)
+        records = [make_record(rng, matched=bool(i % 2), sigma0_scale=scale)
+                   for i, scale in enumerate([1e-4, 1e-2, 1e-200, 1e-4, 1e-6, 1e-2])]
+        with pytest.raises(DegenerateEvidenceError, match="not positive definite"):
+            batch_nll(LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2), records, ALPHA)
+        batch_nll(LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2),
+                  records[:2] + records[3:], ALPHA)
+
     def test_underflowing_prior_is_degenerate_evidence(self):
         # 1e-200 I is positive definite, but the posterior determinant
         # underflows to 0: an error about the evidence, not a divergence
@@ -294,17 +323,27 @@ class TestFitParameters:
                           1, 1, True, 0.85, 0.15)
 
 
+def draw_sigma0(draw):
+    """A non-isotropic SPD prior covariance."""
+    chol = np.array([[draw(st.floats(1e-3, 3e-2)), 0.0],
+                     [draw(st.floats(-2e-2, 2e-2)), draw(st.floats(1e-3, 3e-2))]])
+    return chol @ chol.T
+
+
 @st.composite
-def fused_cases(draw):
+def fused_cases(draw, max_records=6, n_priors=None):
     """Random theta, alpha and a small batch: non-isotropic SPD priors, type
     priors on the simplex, both verdicts and outcomes, and records whose true
     class ends below LOG_FLOOR (a success on another class, or a prior mass
-    of 1e-12 on the true class)."""
+    of 1e-12 on the true class).  With `n_priors`, the records share at most
+    that many position priors, so that the loss groups several records."""
     n_types = draw(st.integers(2, 4))
+    priors = None
+    if n_priors is not None:
+        priors = [draw_sigma0(draw) for _ in range(draw(st.integers(1, n_priors)))]
     records = []
-    for _ in range(draw(st.integers(1, 6))):
-        chol = np.array([[draw(st.floats(1e-3, 3e-2)), 0.0],
-                         [draw(st.floats(-2e-2, 2e-2)), draw(st.floats(1e-3, 3e-2))]])
+    for _ in range(draw(st.integers(1, max_records))):
+        sigma0 = draw_sigma0(draw) if priors is None else draw(st.sampled_from(priors))
         peg = draw(st.integers(1, n_types))
         hole = draw(st.integers(1, n_types))
         weights = np.array(draw(st.lists(st.floats(0.01, 1.0),
@@ -315,7 +354,7 @@ def fused_cases(draw):
         offsets = np.array(draw(st.tuples(*[st.floats(-0.02, 0.02)] * 4)))
         records.append(InteractionRecord(
             peg_type=peg, hole_type=hole, position=p, mu0=p + offsets[:2],
-            sigma0=chol @ chol.T, xi0=weights / weights.sum(), obs=p + offsets[2:],
+            sigma0=sigma0, xi0=weights / weights.sum(), obs=p + offsets[2:],
             o_match=draw(st.booleans()), beta=draw(st.booleans()),
         ))
     theta = [draw(st.floats(-6.0, -3.0)), draw(st.floats(-0.01, 0.01)),
@@ -332,12 +371,53 @@ class TestFusedPass:
     @given(case=fused_cases())
     def test_per_record_terms_match_filter_run(self, case):
         params, alpha, records = case
-        losses, _ = _value_and_grad(params.theta, _precompute(records, alpha))
-        for i, record in enumerate(records):
+        for record in records:
+            losses, _ = _value_and_grad(params.theta, _precompute([record], alpha))
             for row, term in enumerate(TERMS):
                 only = {t: t == term for t in TERMS}
                 expected = filter_run_nll(params, record, alpha, **only)
-                assert losses[row, i] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+                assert losses[row] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(case=fused_cases(max_records=12, n_priors=3))
+    def test_grouped_batch_terms_match_filter_run_mean(self, case):
+        params, alpha, records = case
+        losses, _ = _value_and_grad(params.theta, _precompute(records, alpha))
+        for row, term in enumerate(TERMS):
+            only = {t: t == term for t in TERMS}
+            expected = np.mean([filter_run_nll(params, r, alpha, **only) for r in records])
+            assert losses[row] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(case=fused_cases(max_records=12, n_priors=3))
+    def test_grouped_batch_gradient_matches_central_differences(self, case):
+        params, alpha, records = case
+        for flags in itertools.product((False, True), repeat=3):
+            analytic = selected_nll(params.theta, records, alpha, flags)[1]
+            numeric = finite_difference_grad(params, records, alpha, keep=flags)
+            rel = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
+            assert np.max(rel) <= 1e-5, (flags, analytic, numeric)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e2])
+    def test_position_term_precise_at_extreme_priors(self, scale):
+        # one group of 40 records, with the prior far tighter (K ~ 0) or far
+        # looser (K ~ I) than the noise.  Sigma1 = S0 - K S0 itself cancels
+        # when K ~ I, in the filter as in the pass, so the filter oracle
+        # bounds the pass only loosely there; the loop reference shares the
+        # pass's Sigma1 and bounds the moment sums alone.
+        rng = derive_rng(30, 20)
+        records = [make_record(rng, matched=bool(i % 2), sigma0_scale=scale)
+                   for i in range(40)]
+        params = LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2)
+        got = selected_nll(params.theta, records, ALPHA, (True, False, False))[0]
+        expected = np.mean([filter_run_nll(params, r, ALPHA, include_type=False,
+                                           include_match=False) for r in records])
+        assert got == pytest.approx(expected, rel=1e-10, abs=0.0)
+        for _ in range(10):
+            theta = np.concatenate([rng.uniform(-7.0, -4.0, 1), rng.uniform(-1e-3, 1e-3, 1),
+                                    rng.uniform(-7.0, -4.0, 1), np.zeros(2)])
+            got = selected_nll(theta, records, ALPHA, (True, False, False))[0]
+            assert got == pytest.approx(loop_position_nll(theta, records), rel=1e-12, abs=0.0)
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=fused_cases())
@@ -389,6 +469,20 @@ class TestRecordValidation:
         record = make_record(derive_rng(9, 20))
         with pytest.raises(InvalidInputError, match="simplex"):
             dataclasses.replace(record, xi0=xi0)
+
+    @pytest.mark.parametrize("field", ["position", "mu0", "obs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_vectors_must_be_finite(self, field, bad):
+        record = make_record(derive_rng(9, 20))
+        for value in ([bad, 0.0], [0.0, bad]):
+            with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
+                dataclasses.replace(record, **{field: value})
+
+    @pytest.mark.parametrize("field", ["position", "mu0", "obs"])
+    def test_vectors_must_be_2_vectors(self, field):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
+            dataclasses.replace(record, **{field: [0.0, 0.0, 0.0]})
 
     def test_tiny_spd_prior_accepted(self):
         record = make_record(derive_rng(9, 20), sigma0_scale=1e-200)
