@@ -16,9 +16,12 @@ e = p - mu0 and f = p - obs, and a group's terms and gradient follow from
 its count and its second moments of e, f and h = obs - mu0.  Unlike
 d = e - K h, this form does not cancel when S0 >> R.  The group algebra runs
 on Python floats, which suits batches that share a few priors, as every
-dataset built here does.  The type term stays per record, since its floor
-applies per record; the sensor-head terms follow from the record counts of
-the four (on the peg's class, o_match) cells.
+dataset built here does.  The type term costs O(distinct type columns):
+a record's type and match terms depend only on its (on the peg's class,
+o_match) cell and its prior products, so records with equal ones fold into
+one column weighted by their count.  The floor still applies per record,
+since equal columns give equal posteriors.  The sensor-head terms follow
+from the record counts of the four cells.
 
 The learned parameters live in an unconstrained vector theta: the position
 covariance through a lower-triangular square root with log diagonal (always
@@ -32,7 +35,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -58,9 +61,32 @@ DATASET_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
+class _Row:
+    """Column slices of a packed `InteractionRecord` row."""
+
+    p = slice(0, 2)
+    mu0 = slice(2, 4)
+    obs = slice(4, 6)
+    sigma0 = slice(6, 10)  # entries 00, 01, 10, 11
+    peg = 10
+    hole = 11
+    beta = 12
+    o_match = 13
+    xi0 = slice(14, None)
+
+
+@dataclass(frozen=True, slots=True, init=False)
 class InteractionRecord:
-    """One data point: initial beliefs, sensor readings, and outcome."""
+    """One data point: initial beliefs, sensor readings, and outcome.
+
+    The constructor checks every value and packs it into one read-only float
+    row, laid out as `_Row`; `position`, `mu0`, `obs` and `xi0` are
+    read-only views of that row, so a batch packs with one array call and
+    the row cannot drift from the fields.  `sigma0` stays the caller's
+    array, so records can share a prior.  Each field is set once, here:
+    `dataclasses.replace` calls this constructor, so it checks and packs
+    again.
+    """
 
     peg_type: int
     hole_type: int
@@ -71,20 +97,23 @@ class InteractionRecord:
     obs: np.ndarray
     o_match: bool
     beta: bool
+    _row: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __init__(self, peg_type: int, hole_type: int, position, mu0, sigma0, xi0, obs,
+                 o_match: bool, beta: bool):
         # checks on Python floats, cheap for large datasets; NaN and inf fail
         # each test
-        for name in ("position", "mu0", "obs"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != (2,) or not all(map(math.isfinite, arr.tolist())):
+        values = []
+        for name, vector in (("position", position), ("mu0", mu0), ("obs", obs)):
+            arr = np.asarray(vector, dtype=float)
+            if arr.shape != (2,) or not all(map(math.isfinite, pair := arr.tolist())):
                 raise InvalidInputError(f"{name} must be a finite 2-vector")
-            object.__setattr__(self, name, arr)
-        sigma0 = np.asarray(self.sigma0, dtype=float)
-        xi0 = np.asarray(self.xi0, dtype=float)
+            values += pair
+        sigma0 = np.asarray(sigma0, dtype=float)
+        xi0 = np.asarray(xi0, dtype=float)
         if sigma0.shape != (2, 2) or xi0.ndim != 1:
             raise InvalidInputError("bad initial belief shapes")
-        if self.peg_type < 1 or self.hole_type < 1 or self.hole_type > xi0.size:
+        if not (1 <= peg_type <= xi0.size and 1 <= hole_type <= xi0.size):
             raise InvalidInputError("types out of range")
         # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue
         (a, b), (c, d) = sigma0.tolist()
@@ -93,8 +122,19 @@ class InteractionRecord:
         probs = xi0.tolist()
         if not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= SUM_TOL):
             raise InvalidInputError("xi0 must lie on the probability simplex")
+        row = np.array([*values, a, b, c, d, peg_type, hole_type, bool(beta), bool(o_match),
+                        *probs])
+        row.setflags(write=False)
+        object.__setattr__(self, "peg_type", peg_type)
+        object.__setattr__(self, "hole_type", hole_type)
+        object.__setattr__(self, "position", row[_Row.p])
+        object.__setattr__(self, "mu0", row[_Row.mu0])
         object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "xi0", xi0)
+        object.__setattr__(self, "xi0", row[_Row.xi0])
+        object.__setattr__(self, "obs", row[_Row.obs])
+        object.__setattr__(self, "o_match", o_match)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "_row", row)
 
 
 def _sigmoid(x):
@@ -272,11 +312,18 @@ def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
             sigma0=sigma0,
             xi0=xi0,
             obs=np.array([float(row[6]), float(row[7])]),
-            o_match=bool(int(row[8])),
-            beta=bool(int(row[9])),
+            o_match=_flag(row[8]),
+            beta=_flag(row[9]),
         )
 
     return read_table(path, DATASET_COLUMNS, "dataset", record)
+
+
+def _flag(cell: str) -> bool:
+    """A dataset cell that holds a flag: 0 or 1."""
+    if cell not in ("0", "1"):
+        raise ValueError(f"a flag must be 0 or 1, got {cell!r}")
+    return cell == "1"
 
 
 # --------------------------------------------------------------------------
@@ -292,18 +339,20 @@ class _Precomputed(NamedTuple):
     and every 2x2 matrix a sequence of Python floats (m00, m01, m10, m11).
     The type arrays have one row per (on the peg's class, o_match) cell, in
     the order of the likelihoods h = (1 - tpr, tpr, 1 - fpr, fpr) of
-    `_value_and_grad`.  With t(k) = P(beta | class k) the transition table,
-    `tx` holds t(k) xi0[k] on the peg's class and summed over the other
-    classes, each in the row of the likelihood it meets, so `h @ tx` is
-    every record's evidence; `tx_true` holds t(c) xi0[c] on the true class
-    c in the row of the record's cell.
+    `_value_and_grad`, and one column per distinct type column of the
+    batch, weighted by its count of records.  With t(k) = P(beta | class k)
+    the transition table, `tx` holds t(k) xi0[k] on the peg's class and
+    summed over the other classes, each in the row of the likelihood it
+    meets, so `h @ tx` is every column's evidence; `tx_true` holds
+    t(c) xi0[c] on the true class c in the row of the column's cell.
     """
 
     n: int
     groups: tuple
-    tx: np.ndarray  # (4, n)
-    tx_true: np.ndarray  # (4, n)
-    cells: np.ndarray  # (4, n): 1.0 where the record lies in the cell
+    tx: np.ndarray  # (4, g)
+    tx_true: np.ndarray  # (4, g)
+    cells: np.ndarray  # (4, g): 1.0 in the column's cell
+    weight: np.ndarray  # (g,): records per column
     count: np.ndarray  # (4,): records per cell
 
 
@@ -311,53 +360,78 @@ class _Precomputed(NamedTuple):
 _SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
+def _runs(keys: np.ndarray) -> tuple:
+    """Runs of exactly equal columns of `keys`, one row per key: an index
+    that makes equal columns adjacent, and the bounds [0, ..., n] of the
+    runs in that order.  When every column is equal, the index is a slice,
+    so applying it sorts and copies nothing."""
+    n = keys.shape[1]
+    if (keys == keys[:, :1]).all():
+        return slice(None), [0, n]
+    order = np.lexsort(keys)
+    ks = keys[:, order]
+    return order, [0, *(np.flatnonzero((ks[:, 1:] != ks[:, :-1]).any(axis=0)) + 1).tolist(), n]
+
+
 def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     if not records:
         raise InvalidInputError("batch must be non-empty")
-    if len({r.xi0.size for r in records}) != 1:
-        raise InvalidInputError("records must share the same number of types")
-    n = len(records)
-    mu0 = np.array([r.mu0 for r in records])
-    obs = np.array([r.obs for r in records])
-    p = np.array([r.position for r in records])
-    xi0 = np.array([r.xi0 for r in records])
-    peg = np.array([r.peg_type for r in records]) - 1
-    true = np.array([r.hole_type for r in records]) - 1
-    beta = np.array([r.beta for r in records], dtype=bool)
-    o_match = np.array([r.o_match for r in records], dtype=int)
-    idx = np.arange(n)
-    is_peg = peg[:, None] == np.arange(xi0.shape[1])
-    t_peg = np.where(beta, alpha, 1.0 - alpha)
-    t_other = np.where(beta, 0.0, 1.0)
-    on_peg = peg == true
-    tx_peg = t_peg * xi0[idx, peg]
-    tx_other = t_other * np.where(is_peg, 0.0, xi0).sum(axis=1)
-    if not np.all(tx_peg + tx_other > 0.0):
-        raise DegenerateEvidenceError(
-            "a record's outcome has zero probability under its type prior"
-        )
-    cell = np.where(on_peg, 0, 2) + o_match
-    tx = np.zeros((4, n))
-    tx[o_match, idx] = tx_peg
-    tx[2 + o_match, idx] = tx_other
-    tx_true = np.zeros((4, n))
-    tx_true[cell, idx] = np.where(on_peg, t_peg, t_other) * xi0[idx, true]
-    cells = (cell == np.arange(4)[:, None]).astype(float)
+    try:
+        rows = np.array([r._row for r in records])
+    except ValueError:  # rows of different lengths
+        raise InvalidInputError("records must share the same number of types") from None
+    n = len(rows)
 
-    # position: sort the S0 rows so that equal ones are adjacent; m[i][j]
-    # holds the entries of a run's sum of x_i x_j^T, x = (e, f, h)
-    s0 = np.array([r.sigma0 for r in records]).reshape(n, 4)
-    order = np.lexsort(s0.T)
-    s0 = s0[order]
-    z = np.hstack([p - mu0, p - obs, obs - mu0])[order]
-    cuts = [0, *(np.flatnonzero(np.any(s0[1:] != s0[:-1], axis=1)) + 1).tolist(), n]
+    # position: group the records by S0; m[i][j] holds the entries of a
+    # group's sum of x_i x_j^T, x = (e, f, h)
+    z = np.empty((n, 6))
+    np.subtract(rows[:, _Row.p], rows[:, _Row.mu0], out=z[:, 0:2])
+    np.subtract(rows[:, _Row.p], rows[:, _Row.obs], out=z[:, 2:4])
+    np.subtract(rows[:, _Row.obs], rows[:, _Row.mu0], out=z[:, 4:6])
+    order, cuts = _runs(rows[:, _Row.sigma0].T)
+    s0, z = rows[:, _Row.sigma0][order], z[order]
     groups = []
     for lo, hi in zip(cuts, cuts[1:]):
         q = z[lo:hi].T @ z[lo:hi]
         m = q.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3).reshape(3, 3, 4).tolist()
         groups.append((s0[lo].tolist(), hi - lo, m[0][0], m[0][1], m[1][1], m[0][2], m[1][2]))
+    del z, s0
+
+    # type and match: a record's terms depend only on its key (tx_true,
+    # tx_other, tx_peg, cell), and the cell fixes o_match, so the pass runs
+    # on one column per run of equal keys
+    xi0 = rows[:, _Row.xi0]
+    idx = np.arange(n)
+    peg = rows[:, _Row.peg].astype(int) - 1
+    true = rows[:, _Row.hole].astype(int) - 1
+    beta = rows[:, _Row.beta] == 1.0
+    on_peg = peg == true
+    t_peg = np.where(beta, alpha, 1.0 - alpha)
+    t_other = np.where(beta, 0.0, 1.0)
+    keys = np.empty((4, n))
+    keys[0] = np.where(on_peg, t_peg, t_other) * xi0[idx, true]
+    keys[1] = t_other * np.where(peg[:, None] == np.arange(xi0.shape[1]), 0.0, xi0).sum(axis=1)
+    keys[2] = t_peg * xi0[idx, peg]
+    keys[3] = np.where(on_peg, 0, 2) + rows[:, _Row.o_match]
+    del rows, xi0  # the packed rows are split: free them before sorting
+    order, cuts = _runs(keys)
+    true_x, tx_other, tx_peg, cell = keys[:, order][:, cuts[:-1]]
+    if not np.all(tx_peg + tx_other > 0.0):
+        raise DegenerateEvidenceError(
+            "a record's outcome has zero probability under its type prior"
+        )
+    cell = cell.astype(int)
+    o_match = cell % 2
+    col = np.arange(cell.size)
+    tx = np.zeros((4, cell.size))
+    tx[o_match, col] = tx_peg
+    tx[2 + o_match, col] = tx_other
+    tx_true = np.zeros((4, cell.size))
+    tx_true[cell, col] = true_x
+    cells = (cell == np.arange(4)[:, None]).astype(float)
+    weight = np.diff(cuts).astype(float)
     return _Precomputed(n=n, groups=tuple(groups), tx=tx, tx_true=tx_true,
-                        cells=cells, count=cells.sum(axis=1))
+                        cells=cells, weight=weight, count=cells @ weight)
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -426,18 +500,19 @@ def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, n
     grads[0, :3] = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11,
                     2.0 * ec * ec * g11)
 
-    # type, per record, and match, per cell.  A record's dLc/dh_k is
-    # tx_k / eta - [k = c] / h_c above the floor and 0 below it: summed, the
-    # first part is tx @ (active / eta), the second follows from each cell's
-    # count of active records.  dlog_h is d ln h / d(its rate); the rows
-    # (0, 1) of a per-cell sum belong to tpr and (2, 3) to fpr
+    # type, per type column, and match, per cell.  A record's dLc/dh_k is
+    # tx_k / eta - [k = c] / h_c above the floor and 0 below it, and equal
+    # columns give equal terms: summed, the first part is
+    # tx @ (weight active / eta), the second follows from each cell's count
+    # of active records.  dlog_h is d ln h / d(its rate); the rows (0, 1) of
+    # a per-cell sum belong to tpr and (2, 3) to fpr
     tpr, fpr = params.tpr, params.fpr
     h = np.array([1.0 - tpr, tpr, 1.0 - fpr, fpr])
     eta = h @ pre.tx
     xi1_true = h @ pre.tx_true
     xi1_true /= eta
-    active = xi1_true >= LOG_FLOOR
-    loss_type = -np.log(np.maximum(xi1_true, LOG_FLOOR)).sum()
+    active = (xi1_true >= LOG_FLOOR) * pre.weight
+    loss_type = -(pre.weight @ np.log(np.maximum(xi1_true, LOG_FLOOR)))
     loss_match = -(pre.count * np.log(np.maximum(h, LOG_FLOOR))).sum()
     dlog_h = _SIGN / h
     d_type = _SIGN * (pre.tx @ (active / eta)) - (pre.cells @ active) * dlog_h

@@ -220,8 +220,10 @@ class TestTrain:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("cell, problem", [("abc", "abc"), ("", "could not convert")])
-    def test_bad_dataset_cell_is_exit_2(self, small_config, tmp_path, capsys, cell, problem):
+    @staticmethod
+    def train_on_edited_dataset(small_config, tmp_path, capsys, column, cell):
+        """Exit code and one-line error of `train` on a generated dataset
+        whose line 4 has `cell` in `column`."""
         out = tmp_path / "train"
         assert run_cli(
             "train", "--config", small_config, "--generate", 6, "--epochs", 2,
@@ -229,7 +231,7 @@ class TestTrain:
         ) == 0
         lines = (out / "dataset.csv").read_text().splitlines()
         cells = lines[3].split(",")
-        cells[4] = cell
+        cells[column] = cell
         lines[3] = ",".join(cells)
         bad = tmp_path / "bad.csv"
         bad.write_text("\n".join(lines) + "\n")
@@ -237,9 +239,26 @@ class TestTrain:
         code = run_cli(
             "train", "--config", small_config, "--dataset", bad, "--out", tmp_path / "t",
         )
+        return code, assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("cell, problem", [("abc", "abc"), ("", "could not convert")])
+    def test_bad_dataset_cell_is_exit_2(self, small_config, tmp_path, capsys, cell, problem):
+        code, err = self.train_on_edited_dataset(small_config, tmp_path, capsys, 4, cell)
         assert code == 2
-        err = assert_one_line_error(capsys)
         assert "line 4" in err and problem in err
+
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [(0, "9", "types out of range"), (1, "0", "types out of range"),
+         (8, "7", "a flag must be 0 or 1"), (9, "-3", "a flag must be 0 or 1")],
+        ids=["peg_type_9", "hole_type_0", "o_match_7", "beta_-3"],
+    )
+    def test_bad_dataset_type_or_flag_is_exit_2(
+        self, small_config, tmp_path, capsys, column, cell, problem
+    ):
+        code, err = self.train_on_edited_dataset(small_config, tmp_path, capsys, column, cell)
+        assert code == 2
+        assert "bad.csv line 4" in err and problem in err
 
 
 class TestExperiment:

@@ -330,31 +330,47 @@ def draw_sigma0(draw):
     return chol @ chol.T
 
 
+def draw_xi0(draw, n_types, low_class=None):
+    """A type prior on the simplex; half the time with a mass of 1e-12 on
+    `low_class` (1-based; drawn when None)."""
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n_types, max_size=n_types)))
+    if draw(st.booleans()):
+        low_class = draw(st.integers(1, n_types)) if low_class is None else low_class
+        weights[low_class - 1] = 1e-12
+    return weights / weights.sum()
+
+
 @st.composite
-def fused_cases(draw, max_records=6, n_priors=None):
+def fused_cases(draw, max_records=6, n_priors=None, n_type_priors=None):
     """Random theta, alpha and a small batch: non-isotropic SPD priors, type
     priors on the simplex, both verdicts and outcomes, and records whose true
     class ends below LOG_FLOOR (a success on another class, or a prior mass
     of 1e-12 on the true class).  With `n_priors`, the records share at most
-    that many position priors, so that the loss groups several records."""
+    that many position priors, so that the loss groups several records;
+    with `n_type_priors`, at most that many type priors, so that records
+    repeat type columns."""
     n_types = draw(st.integers(2, 4))
     priors = None
     if n_priors is not None:
         priors = [draw_sigma0(draw) for _ in range(draw(st.integers(1, n_priors)))]
+    type_priors = None
+    if n_type_priors is not None:
+        type_priors = [draw_xi0(draw, n_types)
+                       for _ in range(draw(st.integers(1, n_type_priors)))]
     records = []
     for _ in range(draw(st.integers(1, max_records))):
         sigma0 = draw_sigma0(draw) if priors is None else draw(st.sampled_from(priors))
         peg = draw(st.integers(1, n_types))
         hole = draw(st.integers(1, n_types))
-        weights = np.array(draw(st.lists(st.floats(0.01, 1.0),
-                                         min_size=n_types, max_size=n_types)))
-        if draw(st.booleans()):
-            weights[hole - 1] = 1e-12
+        if type_priors is None:
+            xi0 = draw_xi0(draw, n_types, low_class=hole)
+        else:
+            xi0 = type_priors[draw(st.integers(0, len(type_priors) - 1))]
         p = np.array(draw(st.tuples(*[st.floats(-0.1, 0.1)] * 2)))
         offsets = np.array(draw(st.tuples(*[st.floats(-0.02, 0.02)] * 4)))
         records.append(InteractionRecord(
             peg_type=peg, hole_type=hole, position=p, mu0=p + offsets[:2],
-            sigma0=sigma0, xi0=weights / weights.sum(), obs=p + offsets[2:],
+            sigma0=sigma0, xi0=xi0, obs=p + offsets[2:],
             o_match=draw(st.booleans()), beta=draw(st.booleans()),
         ))
     theta = [draw(st.floats(-6.0, -3.0)), draw(st.floats(-0.01, 0.01)),
@@ -429,6 +445,29 @@ class TestFusedPass:
             rel = np.abs(analytic - numeric) / (1.0 + np.abs(numeric))
             assert np.max(rel) <= 1e-5, (flags, analytic, numeric)
 
+    @pytest.mark.parametrize(
+        "cases",
+        [fused_cases(max_records=24, n_type_priors=2),
+         fused_cases(max_records=12),
+         fused_cases(max_records=24, n_priors=3, n_type_priors=2)],
+        ids=["repeated_type_columns", "distinct_type_columns", "prior_groups"],
+    )
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_batch_is_sum_of_single_records_in_any_order(self, cases, data):
+        # the batch folds equal type columns and groups equal priors; record
+        # by record nothing is folded or grouped.  Relative to the sum of the
+        # records' magnitudes, each at least 1: a record's type gradient can
+        # cancel to ~1e-13 from two parts of order 1
+        params, alpha, records = data.draw(cases)
+        singles = [_value_and_grad(params.theta, _precompute([r], alpha)) for r in records]
+        for batch in (records, data.draw(st.permutations(records))):
+            for got, parts in zip(_value_and_grad(params.theta, _precompute(batch, alpha)),
+                                  map(np.array, zip(*singles))):
+                err = np.abs(len(batch) * got - parts.sum(axis=0))
+                scale = np.maximum(np.abs(parts), 1.0).sum(axis=0)
+                assert np.all(err <= 1e-12 * scale), (err, parts.sum(axis=0))
+
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(case=fused_cases())
     def test_history_is_loss_of_returned_parameters(self, case):
@@ -483,6 +522,21 @@ class TestRecordValidation:
         record = make_record(derive_rng(9, 20))
         with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
             dataclasses.replace(record, **{field: [0.0, 0.0, 0.0]})
+
+    @pytest.mark.parametrize("types", [{"peg_type": 4}, {"peg_type": 0},
+                                       {"hole_type": 4}, {"hole_type": 0}])
+    def test_types_must_be_in_range(self, types):
+        record = make_record(derive_rng(9, 20), n_types=3)
+        with pytest.raises(InvalidInputError, match="types out of range"):
+            dataclasses.replace(record, **types)
+
+    @pytest.mark.parametrize("field", ["position", "mu0", "obs", "xi0"])
+    def test_vectors_are_read_only(self, field):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(record, field)[0] = 0.5
+        moved = dataclasses.replace(record, **{field: getattr(record, field)[::-1]})
+        assert np.array_equal(getattr(moved, field), getattr(record, field)[::-1])
 
     def test_tiny_spd_prior_accepted(self):
         record = make_record(derive_rng(9, 20), sigma0_scale=1e-200)
@@ -578,6 +632,31 @@ class TestDataset:
             assert back.o_match == orig.o_match and back.beta == orig.beta
             # initial type prior is not serialized; the loader substitutes uniform
             assert np.allclose(back.xi0, 1.0 / self.CFG.n_types)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_csv_round_trip_is_bit_exact(self, tmp_path_factory, data):
+        n_types = self.CFG.n_types
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        records = []
+        for _ in range(data.draw(st.integers(1, 8))):
+            position, mu0, obs = (np.array(data.draw(st.tuples(finite, finite)))
+                                  for _ in range(3))
+            records.append(InteractionRecord(
+                peg_type=data.draw(st.integers(1, n_types)),
+                hole_type=data.draw(st.integers(1, n_types)),
+                position=position, mu0=mu0, sigma0=np.eye(2), xi0=np.full(n_types, 1 / n_types),
+                obs=obs, o_match=data.draw(st.booleans()), beta=data.draw(st.booleans()),
+            ))
+        path = tmp_path_factory.mktemp("dataset") / "data.csv"
+        save_dataset(records, path)
+        loaded = load_dataset(path, self.CFG)
+        assert len(loaded) == len(records)
+        for orig, back in zip(records, loaded):
+            for field in ("position", "mu0", "obs"):
+                assert getattr(back, field).tobytes() == getattr(orig, field).tobytes()
+            assert (back.peg_type, back.hole_type, back.o_match, back.beta) == (
+                orig.peg_type, orig.hole_type, orig.o_match, orig.beta)
 
     @pytest.mark.parametrize(
         "body, problem",
