@@ -61,8 +61,8 @@ print("Tuning the radius toward the reference matched-pair rate 0.34:")
 result = tune_capture_radius(config, spiral, 0.34, 400, derive_rng(7, 4))
 print(f"  tuned radius {result.capture_radius*1000:.1f} mm "
       f"-> measured rate {result.alpha_hat:.3f}")
-print("  The rate plateaus near the alignment ceiling once the funnel covers")
-print("  the detector noise, so any radius on the plateau matches the target")
-print(f"  within sampling noise.  The task default stays "
-      f"{config.capture_radius*1000:.1f} mm; that small funnel is what makes "
-      "position estimates matter.")
+print("  The tuned radius is the smallest at which the tuning batch reaches the")
+print("  target.  Near the alignment ceiling the rate rises slowly with the")
+print("  radius, so a fresh batch's rate there can miss the target by sampling")
+print(f"  noise.  The task default stays {config.capture_radius*1000:.1f} mm; "
+      "that small funnel is what makes position estimates matter.")

@@ -260,11 +260,12 @@ class EnvConfig:
             raise ConfigurationError("capture radius must be finite and positive")
         lo = np.asarray(self.workspace_min, dtype=float)
         hi = np.asarray(self.workspace_max, dtype=float)
-        if lo.shape != (2,) or hi.shape != (2,) or not np.all(
-            (hi > lo) & np.isfinite(lo) & np.isfinite(hi)
+        # on Python floats, where an extent that overflows is inf without a warning
+        if lo.shape != (2,) or hi.shape != (2,) or not all(
+            h > l and math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())
         ):
             raise ConfigurationError(
-                "workspace bounds must be finite 2-vectors with positive extent"
+                "workspace bounds must be finite 2-vectors with positive, finite extent"
             )
         # tuples keep the config hashable, which the rollout's caches need
         object.__setattr__(self, "workspace_min", tuple(lo.tolist()))

@@ -130,20 +130,27 @@ def save_config(doc: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
+def _int(block: dict, key: str) -> int:
+    """An integer key's value; a float is the wrong type, not rounded."""
+    if type(block[key]) is not int:
+        raise TypeError(f"{key} must be an integer, got {block[key]!r}")
+    return block[key]
+
+
 @_block("env")
 def env_from(doc: dict) -> EnvConfig:
     env = doc["env"]
     return EnvConfig(
-        n_holes=int(env["n_holes"]),
-        n_types=int(env["n_types"]),
+        n_holes=_int(env, "n_holes"),
+        n_types=_int(env, "n_types"),
         detector_error_bound=float(env["detector_error_bound"]),
         alpha=float(env["alpha"]),
         sigma_init=float(env["sigma_init"]),
         workspace_min=tuple(float(x) for x in env["workspace_min"]),
         workspace_max=tuple(float(x) for x in env["workspace_max"]),
-        horizon_high=int(env["horizon_high"]),
-        horizon_low=int(env["horizon_low"]),
-        rng_seed=int(env["rng_seed"]),
+        horizon_high=_int(env, "horizon_high"),
+        horizon_low=_int(env, "horizon_low"),
+        rng_seed=_int(env, "rng_seed"),
         capture_radius=float(env["capture_radius"]),
         alignment_rate=float(env["alignment_rate"]),
     )
@@ -154,7 +161,7 @@ def spiral_from(doc: dict) -> SpiralParams:
     sp = doc["spiral"]
     return SpiralParams(
         r_max=float(sp["r_max"]),
-        n_rot=int(sp["n_rot"]),
+        n_rot=_int(sp, "n_rot"),
         delta_z=float(sp["delta_z"]),
         sigma_wiggle=float(sp["sigma_wiggle"]),
     )

@@ -2,31 +2,32 @@
 
 The table surface is the z=0 plane and holes live at known-z positions on it.
 The end effector is a point tip driven by position deltas; commanded motion
-below the surface becomes penetration (and a spring force reading) instead of
-displacement.  A matched rollout inserts when the tip enters the capture disk
-around the true hole position while the rollout's alignment draw is good; the
-alignment rate is the position-independent component of low-level success,
-the capture disk the position-dependent one.
+below the surface leaves the tip on it.  A matched rollout inserts when the
+tip enters the capture disk around the true hole position while the
+rollout's alignment draw is good; the alignment rate is the
+position-independent component of low-level success, the capture disk the
+position-dependent one.  So an aligned, matched rollout inserts at capture
+radius r exactly when its closest tip comes within r of the hole, and
+calibration gets the success rate at every radius from one batch.
 
-Every rollout consumes its RNG in a fixed order (alignment draw, wiggle
-block, force-noise block), so identical seeds give identical traces no matter
-how the rollout terminates.  No step depends on the tip before it, so a
-rollout computes all its steps at once as arrays.
+Every rollout consumes its RNG in a fixed order (alignment draw, then a
+normal block whose second half, once the force noise, is discarded), so
+identical seeds give identical traces no matter how the rollout terminates.
+No step depends on the tip before it, so a rollout computes all its steps at
+once as arrays.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .beliefs import EnvConfig, HoleGroundTruth, PegType
 from .errors import ConfigurationError, InvalidInputError
-
-FORCE_SPRING_K = 100.0  # N/m, spring response while pressing
-FORCE_NOISE_SD = 0.5    # N, per-axis sensor noise
 
 MAX_PLACEMENT_ATTEMPTS = 1000
 
@@ -50,15 +51,14 @@ class SpiralParams:
 
 @dataclass(frozen=True)
 class SensorimotorTrace:
-    """Tip positions and force readings, (n, 3) arrays with a row per step."""
+    """Tip positions, an (n, 3) array with a row per step."""
 
     positions: np.ndarray
-    forces: np.ndarray
 
     def __post_init__(self):
         shape = np.shape(self.positions)
-        if len(shape) != 2 or shape[1] != 3 or not shape[0] or np.shape(self.forces) != shape:
-            raise InvalidInputError("trace needs (n, 3) positions and forces, n >= 1")
+        if len(shape) != 2 or shape[1] != 3 or not shape[0]:
+            raise InvalidInputError("trace needs (n, 3) positions, n >= 1")
 
     def __len__(self) -> int:
         return len(self.positions)
@@ -195,56 +195,52 @@ def _column(values: tuple[float, ...]) -> np.ndarray:
     return column
 
 
-def _integrate(
-    start_estimate,
-    peg: PegType,
-    hole: HoleGroundTruth,
-    spiral: SpiralParams,
-    env: EnvConfig,
-    rng: np.random.Generator,
-    offsets: np.ndarray,
-) -> RolloutOutcome:
-    """The rollout kernel shared by both rollouts.
+def _approach(start_estimate, hole_position: np.ndarray, spiral: SpiralParams, env: EnvConfig,
+              rng: np.random.Generator,
+              offsets: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
+    """The rollout kernel shared by both rollouts and calibration.
 
     `offsets` is each step's open-loop motion as a (3, env.horizon_low)
     array.  A command adds a wiggle, rectified upward in z, and the pull back
     to the estimate, which cancels the previous tip: step j lands at the
-    estimate plus its drive, clipped to the workspace, and a drive below the
-    surface reads as spring force.  If aligned and matched, the trace ends at
-    the first tip in the capture disk.  The kernel works on rows x, y, z, one
-    entry per step, and returns the trace as (n, 3) views of them.
+    estimate plus its drive, clipped to the workspace, and never below the
+    surface.  Returns the alignment draw, the tips as rows x, y, z with one
+    entry per step, and each tip's xy distance to the hole.
     """
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
     aligned = rng.random() < env.alignment_rate
-    # one draw holds the wiggle block, then the force-noise block: the same
-    # stream as drawing them one after the other
-    wiggles, forces = rng.standard_normal((2, horizon, 3)).transpose(0, 2, 1).copy()
-    wiggles *= spiral.sigma_wiggle
+    # the block's second half is drawn and discarded to keep the stream order
+    wiggles = rng.standard_normal((2, horizon, 3))[0].T * spiral.sigma_wiggle
     np.abs(wiggles[2], out=wiggles[2])
     drive = np.add(offsets, wiggles, out=wiggles)
-    forces *= FORCE_NOISE_SD
 
     tips = np.empty((3, horizon))
     xy = np.add(drive[:2], start_estimate[:, None], out=tips[:2])
     np.maximum(xy, _column(env.workspace_min), out=xy)
     np.minimum(xy, _column(env.workspace_max), out=xy)
     np.maximum(drive[2], 0.0, out=tips[2])
-    forces[2] += FORCE_SPRING_K * (tips[2] - drive[2])  # depth of the drive below the surface
-    delta = xy - hole.position[:, None]
+    delta = xy - hole_position[:, None]
     delta *= delta
     distance = np.sqrt(np.add(delta[0], delta[1], out=delta[0]), out=delta[0])
+    return aligned, tips, distance
+
+
+def _integrate(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
+               env: EnvConfig, rng: np.random.Generator, offsets: np.ndarray) -> RolloutOutcome:
+    """One rollout: if aligned and matched, the trace, an (n, 3) view of the
+    kernel's tips, ends at the first tip in the capture disk."""
+    aligned, tips, distance = _approach(start_estimate, hole.position, spiral, env, rng, offsets)
     step = None
     if aligned and peg.value == hole.hole_type:
         first = int((distance <= env.capture_radius).argmax())
         if distance[first] <= env.capture_radius:
             step = first
-    n = horizon if step is None else step + 1
+    n = len(distance) if step is None else step + 1
     return RolloutOutcome(
-        step is not None, SensorimotorTrace(tips.T[:n], forces.T[:n]), step,
-        float(distance[:n].min()),
+        step is not None, SensorimotorTrace(tips.T[:n]), step, float(distance[:n].min())
     )
 
 
@@ -275,32 +271,36 @@ def rollout_random_actions(
     return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
 
 
-def _matched_pair_rollout(
-    config: EnvConfig, spiral: SpiralParams, rng: np.random.Generator
-) -> bool:
-    """One matched peg/hole attempt started from a detector sample.
+def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
+                    rng: np.random.Generator) -> np.ndarray:
+    """Each matched attempt's smallest inserting capture radius: its closest
+    tip distance, or inf when its alignment draw fails.  Each attempt starts
+    from a detector sample around a hole at the workspace center, where the
+    placement margin keeps clipping from skewing the estimate."""
+    if trials < 1:
+        raise InvalidInputError("need at least one trial")
+    placement_box(config, spiral)
+    center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
+    offsets = _drive_offsets(config.horizon_low, spiral, True)
+    bound = config.detector_error_bound
+    radii = np.full(trials, np.inf)
+    for i in range(trials):
+        detection = center + rng.uniform(-bound, bound, 2)
+        aligned, _, distance = _approach(detection, center, spiral, config, rng, offsets)
+        if aligned:
+            radii[i] = distance.min()
+    return radii
 
-    The hole sits at the workspace center so edge clipping cannot skew the
-    estimate; success depends only on detector error and rollout noise.
-    """
-    center = 0.5 * (
-        np.asarray(config.workspace_min) + np.asarray(config.workspace_max)
-    )
-    hole = HoleGroundTruth(hole_type=1, position=center)
-    detection = hole.position + rng.uniform(
-        -config.detector_error_bound, config.detector_error_bound, 2
-    )
-    return rollout_low_level(detection, PegType(1), hole, spiral, config, rng).success
+
+def _rate(radii: np.ndarray, radius: float) -> float:
+    return int(np.count_nonzero(radii <= radius)) / len(radii)
 
 
 def calibrate_alpha(
     config: EnvConfig, spiral: SpiralParams, trials: int, rng: np.random.Generator
 ) -> float:
     """Empirical matched-pair success rate under detector-noise starts."""
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
-    wins = sum(_matched_pair_rollout(config, spiral, rng) for _ in range(trials))
-    return wins / trials
+    return _rate(_critical_radii(config, spiral, trials, rng), config.capture_radius)
 
 
 @dataclass(frozen=True)
@@ -318,35 +318,25 @@ def capture_radius_bound(config: EnvConfig, spiral: SpiralParams) -> float:
 
 
 def tune_capture_radius(
-    config: EnvConfig,
-    spiral: SpiralParams,
-    target_alpha: float,
-    trials: int,
+    config: EnvConfig, spiral: SpiralParams, target_alpha: float, trials: int,
     rng: np.random.Generator,
-    iterations: int = 12,
 ) -> CalibrationResult:
-    """Bisection on the capture radius toward a target matched-pair rate.
-
-    The success rate is monotone in the radius and saturates at the alignment
-    rate, so targets above that ceiling clamp to the feasibility bound.
+    """The smallest capture radius whose matched-pair rate reaches a target:
+    the k-th smallest critical radius of one batch, with k the least count
+    whose rate reaches it.  `alpha_hat` comes from a fresh batch, since the
+    in-sample rate meets the target by construction.  A target at or above
+    the rate at the feasibility bound clamps to the bound and reports that
+    in-sample rate, unbiased since the bound precedes the batch.
     """
     if not 0.0 < target_alpha <= 1.0:
         raise InvalidInputError("target alpha must lie in (0, 1]")
-
-    def rate_at(radius: float, rng: np.random.Generator) -> float:
-        return calibrate_alpha(replace(config, capture_radius=radius), spiral, trials, rng)
-
-    seeds = rng.integers(0, 2**63 - 1, iterations + 1)
-    lo, hi = 0.0005, capture_radius_bound(config, spiral)
-    hi_rate = rate_at(hi, np.random.default_rng(seeds[0]))
-    if target_alpha >= hi_rate:
-        return CalibrationResult(hi, hi_rate, target_alpha, feasible=False, trials=trials)
-    for k in range(iterations):
-        mid = 0.5 * (lo + hi)
-        if rate_at(mid, np.random.default_rng(seeds[k + 1])) < target_alpha:
-            lo = mid
-        else:
-            hi = mid
-    tuned = 0.5 * (lo + hi)
-    final = rate_at(tuned, rng)
-    return CalibrationResult(tuned, final, target_alpha, feasible=True, trials=trials)
+    bound = capture_radius_bound(config, spiral)
+    radii = _critical_radii(config, spiral, trials, rng)
+    ceiling = _rate(radii, bound)
+    if target_alpha >= ceiling:
+        return CalibrationResult(bound, ceiling, target_alpha, feasible=False, trials=trials)
+    # k / trials as calibrate_alpha rounds it: ceil(target * trials) can be one off
+    k = bisect.bisect_left(range(trials + 1), target_alpha, key=lambda k: k / trials)
+    radius = float(np.partition(radii, k - 1)[k - 1])
+    alpha_hat = _rate(_critical_radii(config, spiral, trials, rng), radius)
+    return CalibrationResult(radius, alpha_hat, target_alpha, feasible=True, trials=trials)

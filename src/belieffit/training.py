@@ -75,7 +75,7 @@ class _Row:
     xi0 = slice(14, None)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class InteractionRecord:
     """One data point: initial beliefs, sensor readings, and outcome.
 
@@ -85,7 +85,7 @@ class InteractionRecord:
     the row cannot drift from the fields.  `sigma0` stays the caller's
     array, so records can share a prior.  Each field is set once, here:
     `dataclasses.replace` calls this constructor, so it checks and packs
-    again.
+    again.  Records compare by identity: arrays have no single truth value.
     """
 
     peg_type: int

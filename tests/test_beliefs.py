@@ -155,6 +155,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             EnvConfig(**{field: value})
 
+    def test_env_config_rejects_overflowing_workspace_extent(self):
+        # finite corners whose difference overflows, as a uniform draw across
+        # the workspace would
+        with pytest.raises(ConfigurationError, match="finite extent"):
+            EnvConfig(workspace_min=(-1.7e308, 0.0), workspace_max=(1.7e308, 1.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hole_ground_truth_rejects_non_finite_position(self, bad):
         for position in ((bad, 0.0), (0.0, bad)):

@@ -1,8 +1,11 @@
+import contextlib
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
 from belieffit.training import read_table, write_csv
@@ -88,6 +91,13 @@ class TestConfig:
         assert block in assert_one_line_error(capsys)
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("value", [2.5, 100.0, "5", True])
+    def test_integer_key_rejects_other_types(self, tmp_path, capsys, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"horizon_low": value}}))
+        assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
+        assert "horizon_low must be an integer" in assert_one_line_error(capsys)
+
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"env": {"n_holes": "five"}}))
@@ -161,6 +171,45 @@ def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
     assert path.read_text() == "a,b,c,d\n0.1,0.1,3,x|y\n"
     parsed = read_table(path, ("a", "b", "c", "d"), "cells", lambda r: (float(r[0]), int(r[2])))
     assert parsed == [(0.1, 3)]
+
+
+# One override per key drawn: a scalar of any JSON type, or a list or object
+# of them.  Integers stay small: a huge `horizon_low` would allocate a huge
+# noise block.
+_CONFIG_KEYS = [(block, key) for block in ("env", "spiral") for key in default_config()[block]]
+_JSON_VALUES = st.recursive(
+    st.one_of(st.floats(), st.integers(-3, 200), st.text(max_size=6), st.none()),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.text(max_size=6), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    overrides=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _JSON_VALUES, min_size=1, max_size=4)
+)
+# each of these once raised a traceback: numpy's array size limit, and the
+# detector's uniform range overflowing before and after a check on the margin
+@example(overrides={("env", "horizon_low"): 1e300})
+@example(overrides={("env", "detector_error_bound"): 1e308})
+@example(overrides={
+    ("env", "workspace_min"): [-1.7e308] * 2, ("env", "workspace_max"): [1.7e308] * 2,
+    ("env", "detector_error_bound"): 1e308,
+})
+def test_fuzzed_config_is_exit_0_or_one_line_exit_2(tmp_path_factory, overrides):
+    doc = {"env": {}, "spiral": {}}
+    for (block, key), value in overrides.items():
+        doc[block][key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(doc))  # NaN and inf as JSON's NaN and Infinity
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run_cli("calibrate", "--config", path, "--trials", 2)
+    assert code in (0, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 class TestTrain:

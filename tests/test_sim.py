@@ -20,8 +20,6 @@ from belieffit import (
 )
 from belieffit.seeding import derive_rng
 from belieffit.sim import (
-    FORCE_NOISE_SD,
-    FORCE_SPRING_K,
     _spiral_offset,
     capture_radius_bound,
     min_hole_separation,
@@ -35,12 +33,11 @@ SPIRAL = SpiralParams()
 WORKSPACE = (CFG.workspace_min, CFG.workspace_max)
 
 
-def _force_noise(rng, horizon):
-    """The force-noise block a rollout on `rng` draws, after the alignment
-    draw and the wiggle block."""
+def _wiggle_units(rng, horizon):
+    """The unit wiggle block a rollout on `rng` draws after its alignment
+    draw."""
     rng.random()
-    rng.normal(0.0, 1.0, (horizon, 3))
-    return rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    return rng.normal(0.0, 1.0, (horizon, 3))
 
 
 class TestSpawnWorld:
@@ -138,13 +135,11 @@ class TestSpiralCommand:
             _spiral_offset(0, 100, params), [0.0, 0.0, -params.delta_z], atol=1e-15
         )
         # without wiggle the first command is the bare offset: the tip stays
-        # at the estimate on the surface and the press reads as spring force
+        # at the estimate on the surface
         out = rollout_low_level(
             (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
             derive_rng(0, 3),
         )
-        spring = out.trace.forces[0] - _force_noise(derive_rng(0, 3), CFG.horizon_low)[0]
-        assert np.allclose(spring, [0.0, 0.0, FORCE_SPRING_K * params.delta_z], atol=1e-12)
         assert np.allclose(out.trace.positions[0], [0.01, 0.02, 0.0], atol=1e-15)
 
     def test_end_of_spiral_two_rotations(self):
@@ -152,17 +147,20 @@ class TestSpiralCommand:
         assert np.allclose(_spiral_offset(100, 100, params)[:2], [params.r_max, 0.0], atol=1e-12)
 
     def test_vertical_wiggle_rectified_upward(self):
-        # vertical drive = -delta_z + |wiggle z|: above the surface it is the
-        # tip height, below it the spring force reads the penetration
+        # vertical drive = -delta_z + |wiggle z|, and the tip height is the
+        # drive where it lies above the surface; a wiggle as large as the
+        # press lifts the tip off the surface on some steps, whatever the
+        # sign of the wiggle's draw
+        params = dataclasses.replace(SPIRAL, sigma_wiggle=SPIRAL.delta_z)
         out = rollout_low_level(
-            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), SPIRAL, CFG,
+            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
             derive_rng(1, 3),
         )
-        spring = out.trace.forces[:, 2] - _force_noise(derive_rng(1, 3), CFG.horizon_low)[:, 2]
-        assert np.all((out.trace.positions[:, 2] == 0.0) | (np.abs(spring) < 1e-12))
-        drive_z = out.trace.positions[:, 2] - spring / FORCE_SPRING_K
-        assert drive_z.min() >= -SPIRAL.delta_z - 1e-15
-        assert drive_z.max() > -SPIRAL.delta_z
+        units = _wiggle_units(derive_rng(1, 3), CFG.horizon_low)[:, 2]
+        drive_z = -params.delta_z + params.sigma_wiggle * np.abs(units)
+        assert np.array_equal(out.trace.positions[:, 2], np.maximum(drive_z, 0.0))
+        lifted = out.trace.positions[:, 2] > 0.0
+        assert np.any(lifted & (units < 0.0)) and np.any(lifted & (units > 0.0))
 
 
 def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
@@ -174,14 +172,14 @@ def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
 def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, matched):
     """Step-by-step rollout: each step builds its offset, scales its own
     wiggle and commands the pull back from the current tip to the estimate,
-    and the tip is clipped to the workspace.  Returns the tips, the force
-    readings and the insertion step (or None)."""
+    and the tip is clipped to the workspace.  Returns the tips and the
+    insertion step (or None)."""
     aligned = rng.random() < align
     unit = rng.normal(0.0, 1.0, (horizon, 3))
-    noise = rng.normal(0.0, FORCE_NOISE_SD, (horizon, 3))
+    rng.normal(0.0, 1.0, (horizon, 3))  # the discarded half of the rollout's block
     target = np.array([start[0], start[1], 0.0])
     ee = target.copy()
-    path, forces = [], []
+    path = []
     for j in range(horizon):
         wiggle = params.sigma_wiggle * unit[j]
         wiggle[2] = abs(wiggle[2])
@@ -195,21 +193,19 @@ def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, 
         ee[:2] = np.clip(ee[:2], *WORKSPACE)
         ee[2] = max(0.0, raw_z)
         path.append(ee.copy())
-        forces.append(noise[j] + [0.0, 0.0, FORCE_SPRING_K * max(0.0, -raw_z)])
         if aligned and matched and np.linalg.norm(ee[:2] - hole.position) <= cr:
-            return np.array(path), np.array(forces), j
-    return np.array(path), np.array(forces), None
+            return np.array(path), j
+    return np.array(path), None
 
 
 def _assert_matches_reference(out, ref):
     """Outcome, insertion step and trace length exact; tips within 1e-16 m,
     the roundoff the step loop adds by re-anchoring on the previous tip."""
-    path, forces, insertion_step = ref
+    path, insertion_step = ref
     assert out.insertion_step == insertion_step
     assert out.success == (insertion_step is not None)
     assert len(out.trace) == len(path)
     assert np.allclose(out.trace.positions, path, rtol=0.0, atol=1e-16)
-    assert np.allclose(out.trace.forces, forces, rtol=0.0, atol=1e-12)
 
 
 class TestRollout:
@@ -264,11 +260,7 @@ class TestRollout:
 
     def test_pressing_keeps_contact_and_surface(self):
         out = _rollout((0.02, 0.02), 2, self.HOLE, sigma=0.0)
-        noise = _force_noise(derive_rng(0, 4), CFG.horizon_low)
         assert np.all(out.trace.positions[:, 2] == 0.0)
-        assert np.array_equal(out.trace.forces[:, :2], noise[:, :2])
-        spring = out.trace.forces[:, 2] - noise[:, 2]
-        assert np.allclose(spring, FORCE_SPRING_K * SPIRAL.delta_z, rtol=0.0, atol=1e-12)
 
     def test_determinism(self):
         a = _rollout((0.01, -0.01), 1, self.HOLE, align=0.5, seed=9)
@@ -276,15 +268,12 @@ class TestRollout:
         assert a.success == b.success
         assert len(a.trace) == len(b.trace)
         assert np.array_equal(a.trace.positions, b.trace.positions)
-        assert np.array_equal(a.trace.forces, b.trace.forces)
 
     def test_trace_index_validation(self):
         with pytest.raises(InvalidInputError):
-            SensorimotorTrace(np.empty((0, 3)), np.empty((0, 3)))
+            SensorimotorTrace(np.empty((0, 3)))
         with pytest.raises(InvalidInputError):
-            SensorimotorTrace(np.zeros((2, 3)), np.zeros((3, 3)))
-        with pytest.raises(InvalidInputError):
-            SensorimotorTrace(np.zeros((2, 2)), np.zeros((2, 2)))
+            SensorimotorTrace(np.zeros((2, 2)))
 
     def test_outcome_consistency_validation(self):
         trace = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0).trace
@@ -381,3 +370,58 @@ class TestCalibration:
     def test_invalid_target_rejected(self):
         with pytest.raises(InvalidInputError):
             tune_capture_radius(CFG, SPIRAL, 0.0, 10, derive_rng(0, 5))
+
+    def test_detections_must_fit_the_workspace(self):
+        # a detector error bound wider than the workspace leaves no center
+        # whose detections and spirals stay unclipped
+        cfg = dataclasses.replace(CFG, detector_error_bound=1.0)
+        with pytest.raises(ConfigurationError, match="placement margin"):
+            calibrate_alpha(cfg, SPIRAL, 10, derive_rng(0, 5))
+
+    def test_unreachable_target_reports_rate_at_bound(self):
+        # the bound is fixed before the batch is drawn, so the batch's own
+        # rate there is the reported one
+        bound = capture_radius_bound(CFG, SPIRAL)
+        result = tune_capture_radius(CFG, SPIRAL, 1.0, 150, derive_rng(4, 5))
+        at_bound = dataclasses.replace(CFG, capture_radius=bound)
+        assert result.alpha_hat == calibrate_alpha(at_bound, SPIRAL, 150, derive_rng(4, 5))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_tuned_radius_replays_to_the_target(self, seed):
+        # 0.07 * 100 is 7.000000000000001, so ceil(target * trials) would pick
+        # the 8th smallest critical radius; calibrating at the tuned radius on
+        # the same stream replays the tuning batch
+        result = tune_capture_radius(CFG, SPIRAL, 0.07, 100, derive_rng(seed, 5))
+        tuned = dataclasses.replace(CFG, capture_radius=result.capture_radius)
+        assert result.feasible
+        assert calibrate_alpha(tuned, SPIRAL, 100, derive_rng(seed, 5)) == 0.07
+
+    @pytest.mark.parametrize("target, trials", [(0.34, 150), (0.55, 100), (0.81, 300), (0.5, 40)])
+    def test_tuned_rate_is_least_rate_reaching_target(self, target, trials):
+        cfg = dataclasses.replace(CFG, alignment_rate=1.0)
+        result = tune_capture_radius(cfg, SPIRAL, target, trials, derive_rng(6, 5))
+        tuned = dataclasses.replace(cfg, capture_radius=result.capture_radius)
+        least = min(k / trials for k in range(trials + 1) if k / trials >= target)
+        assert result.feasible
+        assert calibrate_alpha(tuned, SPIRAL, trials, derive_rng(6, 5)) == least
+
+    def test_fresh_batch_measures_alpha_hat(self):
+        result = tune_capture_radius(CFG, SPIRAL, 0.2, 120, derive_rng(8, 5))
+        rng = derive_rng(8, 5)
+        calibrate_alpha(CFG, SPIRAL, 120, rng)  # the tuning batch
+        tuned = dataclasses.replace(CFG, capture_radius=result.capture_radius)
+        assert result.alpha_hat == calibrate_alpha(tuned, SPIRAL, 120, rng)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    targets=st.tuples(*[st.floats(0.0, 1.0, exclude_min=True)] * 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_tuned_radius_does_not_decrease_as_target_rises(targets, seed):
+    low, high = sorted(targets)
+    low_radius, high_radius = (
+        tune_capture_radius(CFG, SPIRAL, t, 60, derive_rng(seed, 5)).capture_radius
+        for t in (low, high)
+    )
+    assert low_radius <= high_radius

@@ -473,9 +473,18 @@ class TestFusedPass:
     def test_history_is_loss_of_returned_parameters(self, case):
         params, alpha, records = case
         history: list = []
-        result = fit_parameters(records, init=params, lr=0.01, epochs=1,
-                                alpha=alpha, history_out=history)
-        assert history == [batch_nll(result, records, alpha)]
+        try:
+            result = fit_parameters(records, init=params, lr=0.01, epochs=1,
+                                    alpha=alpha, history_out=history)
+        except OptimizationFailureError:
+            # Adam's first step moves every coordinate by lr, as far as the
+            # drawn range of the Cholesky off-diagonal: at a small diagonal
+            # the loss can jump past the bound (about 5% of these cases), and
+            # the recorded loss must show it
+            initial = batch_nll(params, records, alpha)
+            assert len(history) == 1 and history[0] > 10.0 * max(abs(initial), 1.0)
+        else:
+            assert history == [batch_nll(result, records, alpha)]
 
 
 class TestRecordValidation:
@@ -541,6 +550,13 @@ class TestRecordValidation:
     def test_tiny_spd_prior_accepted(self):
         record = make_record(derive_rng(9, 20), sigma0_scale=1e-200)
         assert record.sigma0[0, 0] == 1e-200
+
+    def test_comparison_returns_a_bool(self):
+        # array fields have no single truth value, so records compare by identity
+        record = make_record(derive_rng(9, 20))
+        copy = dataclasses.replace(record)
+        assert (record == copy) is False and (record != copy) is True
+        assert (record == record) is True
 
 
 class TestOracles:
