@@ -24,6 +24,7 @@ PROB_FLOOR = 1e-12
 SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-12
 SUM_TOL = 1e-9
+MAX_HORIZON = 100_000  # rollouts size arrays by horizon_low; more exhausts memory
 
 
 def _frozen_array(value, shape) -> np.ndarray:
@@ -252,8 +253,8 @@ class EnvConfig:
             raise ConfigurationError("detector error bound must be finite and >= 0")
         if not 0.0 < self.sigma_init < np.inf:
             raise ConfigurationError("sigma_init must be finite and positive")
-        if self.horizon_high < 1 or self.horizon_low < 1:
-            raise ConfigurationError("horizons must be >= 1")
+        if not (1 <= self.horizon_high <= MAX_HORIZON and 1 <= self.horizon_low <= MAX_HORIZON):
+            raise ConfigurationError(f"horizons must lie in [1, {MAX_HORIZON}]")
         if not 0.0 < self.alignment_rate <= 1.0:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
         if not 0.0 < self.capture_radius < np.inf:

@@ -131,10 +131,11 @@ def save_config(doc: dict, path: str | Path) -> None:
 
 
 def _int(block: dict, key: str) -> int:
-    """An integer key's value; a float is the wrong type, not rounded."""
-    if type(block[key]) is not int:
-        raise TypeError(f"{key} must be an integer, got {block[key]!r}")
-    return block[key]
+    """An integer key's value; a whole float counts, a fraction is not rounded."""
+    value = block[key]
+    if type(value) is int or type(value) is float and value.is_integer():
+        return int(value)
+    raise TypeError(f"{key} must be an integer, got {value!r}")
 
 
 @_block("env")

@@ -296,9 +296,8 @@ def _rate(radii: np.ndarray, radius: float) -> float:
     return int(np.count_nonzero(radii <= radius)) / len(radii)
 
 
-def calibrate_alpha(
-    config: EnvConfig, spiral: SpiralParams, trials: int, rng: np.random.Generator
-) -> float:
+def calibrate_alpha(config: EnvConfig, spiral: SpiralParams, trials: int,
+                    rng: np.random.Generator) -> float:
     """Empirical matched-pair success rate under detector-noise starts."""
     return _rate(_critical_radii(config, spiral, trials, rng), config.capture_radius)
 

@@ -91,12 +91,26 @@ class TestConfig:
         assert block in assert_one_line_error(capsys)
         assert not (tmp_path / "r").exists()
 
-    @pytest.mark.parametrize("value", [2.5, 100.0, "5", True])
+    @pytest.mark.parametrize("value", [2.5, float("nan"), float("inf"), "5", True])
     def test_integer_key_rejects_other_types(self, tmp_path, capsys, value):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"env": {"horizon_low": value}}))
         assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
         assert "horizon_low must be an integer" in assert_one_line_error(capsys)
+
+    def test_integer_key_takes_a_whole_float(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"horizon_low": 100.0}}))
+        assert run_cli("calibrate", "--config", path, "--trials", 40) == 0
+        assert "measured alpha" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key", ["horizon_low", "horizon_high"])
+    @pytest.mark.parametrize("value", [10**10, 10**300, 1e300])
+    def test_huge_horizon_is_exit_2(self, tmp_path, capsys, key, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {key: value}}))
+        assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
+        assert "horizons must lie in" in assert_one_line_error(capsys)
 
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -174,8 +188,8 @@ def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
 
 
 # One override per key drawn: a scalar of any JSON type, or a list or object
-# of them.  Integers stay small: a huge `horizon_low` would allocate a huge
-# noise block.
+# of them.  Integers stay small so that each run is quick; huge ones are
+# among the examples below.
 _CONFIG_KEYS = [(block, key) for block in ("env", "spiral") for key in default_config()[block]]
 _JSON_VALUES = st.recursive(
     st.one_of(st.floats(), st.integers(-3, 200), st.text(max_size=6), st.none()),
@@ -193,6 +207,8 @@ _JSON_VALUES = st.recursive(
 # each of these once raised a traceback: numpy's array size limit, and the
 # detector's uniform range overflowing before and after a check on the margin
 @example(overrides={("env", "horizon_low"): 1e300})
+@example(overrides={("env", "horizon_low"): 10**300})
+@example(overrides={("env", "horizon_low"): 10**10})
 @example(overrides={("env", "detector_error_bound"): 1e308})
 @example(overrides={
     ("env", "workspace_min"): [-1.7e308] * 2, ("env", "workspace_max"): [1.7e308] * 2,
