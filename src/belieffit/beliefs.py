@@ -25,6 +25,13 @@ SYMMETRY_TOL = 1e-12
 PSD_TOL = -1e-12
 SUM_TOL = 1e-9
 MAX_HORIZON = 100_000  # rollouts size arrays by horizon_low; more exhausts memory
+# spawning draws a candidate per attempt, so more holes can never be placed
+MAX_PLACEMENT_ATTEMPTS = 1000
+# every type belief and every training record holds a probability per type
+MAX_TYPES = 1000
+# the bound [m] on workspace corners and on every configured length: squares
+# of sums of a few such lengths stay far from overflow in the kernels
+MAX_LENGTH = 1e100
 
 
 def _frozen_array(value, shape) -> np.ndarray:
@@ -69,6 +76,18 @@ def ordered_sum(values: list[float]) -> float:
     """Sum of floats in the order numpy sums a 1-D float array: left to right
     below 8 terms, numpy's own pairwise sum from 8 on."""
     return sum(values) if len(values) < 8 else float(np.add.reduce(values))
+
+
+def normalized_rows(weights: np.ndarray) -> np.ndarray:
+    """`normalized` applied to each row of a 2-D array; numpy reduces each
+    row of a C-contiguous array as `ordered_sum` does, so the results are
+    equal."""
+    weights = np.ascontiguousarray(weights)
+    total = np.add.reduce(weights, axis=1)
+    if not np.all((0.0 < total) & (total < math.inf)):
+        raise InvalidInputError("weights must have a positive finite sum")
+    floored = np.maximum(weights / total[:, None], PROB_FLOOR)
+    return floored / np.add.reduce(floored, axis=1)[:, None]
 
 
 def sample_gaussian(mean: np.ndarray, cov: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -242,31 +261,31 @@ class EnvConfig:
     alignment_rate: float = 0.36
 
     def __post_init__(self):
-        if self.n_holes < 1:
-            raise ConfigurationError("need at least one hole")
-        if self.n_types < 2:
-            raise ConfigurationError("need at least two hole types")
+        if not 1 <= self.n_holes <= MAX_PLACEMENT_ATTEMPTS:
+            raise ConfigurationError(f"n_holes must lie in [1, {MAX_PLACEMENT_ATTEMPTS}]")
+        if not 2 <= self.n_types <= MAX_TYPES:
+            raise ConfigurationError(f"n_types must lie in [2, {MAX_TYPES}]")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
         # every range check is written so that NaN fails it
-        if not 0.0 <= self.detector_error_bound < np.inf:
-            raise ConfigurationError("detector error bound must be finite and >= 0")
+        if not 0.0 <= self.detector_error_bound <= MAX_LENGTH:
+            raise ConfigurationError(f"detector error bound must lie in [0, {MAX_LENGTH:g}] m")
         if not 0.0 < self.sigma_init < np.inf:
             raise ConfigurationError("sigma_init must be finite and positive")
         if not (1 <= self.horizon_high <= MAX_HORIZON and 1 <= self.horizon_low <= MAX_HORIZON):
             raise ConfigurationError(f"horizons must lie in [1, {MAX_HORIZON}]")
         if not 0.0 < self.alignment_rate <= 1.0:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
-        if not 0.0 < self.capture_radius < np.inf:
-            raise ConfigurationError("capture radius must be finite and positive")
+        if not 0.0 < self.capture_radius <= MAX_LENGTH:
+            raise ConfigurationError(f"capture radius must lie in (0, {MAX_LENGTH:g}] m")
         lo = np.asarray(self.workspace_min, dtype=float)
         hi = np.asarray(self.workspace_max, dtype=float)
-        # on Python floats, where an extent that overflows is inf without a warning
         if lo.shape != (2,) or hi.shape != (2,) or not all(
-            h > l and math.isfinite(h - l) for l, h in zip(lo.tolist(), hi.tolist())
+            -MAX_LENGTH <= l < h <= MAX_LENGTH for l, h in zip(lo.tolist(), hi.tolist())
         ):
             raise ConfigurationError(
-                "workspace bounds must be finite 2-vectors with positive, finite extent"
+                "workspace bounds must be 2-vectors with positive, finite extent and "
+                f"corners within {MAX_LENGTH:g} m of 0"
             )
         # tuples keep the config hashable, which the rollout's caches need
         object.__setattr__(self, "workspace_min", tuple(lo.tolist()))

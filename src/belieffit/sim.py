@@ -11,10 +11,13 @@ radius r exactly when its closest tip comes within r of the hole, and
 calibration gets the success rate at every radius from one batch.
 
 Every rollout consumes its RNG in a fixed order (alignment draw, then a
-normal block whose second half, once the force noise, is discarded), so
+normal block: a first half whose x and y rows drive the wiggle and whose z
+row only lifts the tip, and a second half drawn and discarded), so
 identical seeds give identical traces no matter how the rollout terminates.
-No step depends on the tip before it, so a rollout computes all its steps at
-once as arrays.
+No step depends on the tip before it, so a rollout computes all its steps
+at once as arrays, and independent rollouts run as one array pass: dataset
+generation and calibration draw each rollout's numbers in stream order,
+then hand a block of them to `rollout_block`.
 """
 
 from __future__ import annotations
@@ -26,10 +29,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beliefs import EnvConfig, HoleGroundTruth, PegType
+from .beliefs import (
+    MAX_HORIZON,
+    MAX_LENGTH,
+    MAX_PLACEMENT_ATTEMPTS,
+    EnvConfig,
+    HoleGroundTruth,
+    PegType,
+)
 from .errors import ConfigurationError, InvalidInputError
 
-MAX_PLACEMENT_ATTEMPTS = 1000
+# bytes of x and y wiggle normals that a block of rollouts holds at once
+BLOCK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -43,10 +54,13 @@ class SpiralParams:
 
     def __post_init__(self):
         # written so that NaN fails each range check
-        if not (0.0 < self.r_max < np.inf and 0.0 < self.delta_z < np.inf) or self.n_rot < 1:
-            raise ConfigurationError("spiral parameters must be finite and positive")
-        if not 0.0 <= self.sigma_wiggle < np.inf:
-            raise ConfigurationError("wiggle scale must be finite and >= 0")
+        if not (0.0 < self.r_max <= MAX_LENGTH and 0.0 < self.delta_z <= MAX_LENGTH):
+            raise ConfigurationError(f"r_max and delta_z must lie in (0, {MAX_LENGTH:g}] m")
+        # a spiral of more turns than steps only aliases
+        if not 1 <= self.n_rot <= MAX_HORIZON:
+            raise ConfigurationError(f"n_rot must lie in [1, {MAX_HORIZON}]")
+        if not 0.0 <= self.sigma_wiggle <= MAX_LENGTH:
+            raise ConfigurationError(f"wiggle scale must lie in [0, {MAX_LENGTH:g}] m")
 
 
 @dataclass(frozen=True)
@@ -195,36 +209,64 @@ def _column(values: tuple[float, ...]) -> np.ndarray:
     return column
 
 
+def block_size(horizon: int) -> int:
+    """Rollouts per block: as many as keep their wiggle normals within
+    `BLOCK_BYTES`, and at least one."""
+    return max(1, BLOCK_BYTES // (16 * horizon))
+
+
+def wiggle_rows(normals: np.ndarray, horizon: int) -> np.ndarray:
+    """The rows x, y, z, one entry per step, of the wiggle normals at the
+    head of a rollout's normal block."""
+    return normals[:3 * horizon].reshape(horizon, 3).T
+
+
+def _tip_distances(starts, holes, normals_xy, spiral: SpiralParams, env: EnvConfig,
+                   offsets_xy: np.ndarray, tips=None) -> np.ndarray:
+    """The array pass shared by every rollout, for any leading axes: starts
+    and holes (..., 2), and the wiggle's x and y normals (..., 2, horizon).
+
+    A command adds a wiggle and the pull back to the estimate, which cancels
+    the previous tip: step j lands at the estimate plus its drive, the
+    open-loop offset plus the wiggle, clipped to the workspace.  The tips'
+    x and y go to `tips`; without it, the pass works in `normals_xy`.
+    Returns each tip's distance to the hole (..., horizon).
+    """
+    xy = np.multiply(normals_xy, spiral.sigma_wiggle, out=normals_xy if tips is None else tips)
+    xy += offsets_xy
+    xy += starts[..., :, None]
+    np.maximum(xy, _column(env.workspace_min), out=xy)
+    np.minimum(xy, _column(env.workspace_max), out=xy)
+    delta = np.subtract(xy, holes[..., :, None], out=normals_xy if tips is None else None)
+    delta *= delta
+    dx, dy = delta[..., 0, :], delta[..., 1, :]
+    return np.sqrt(np.add(dx, dy, out=dx), out=dx)
+
+
 def _approach(start_estimate, hole_position: np.ndarray, spiral: SpiralParams, env: EnvConfig,
               rng: np.random.Generator,
               offsets: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-    """The rollout kernel shared by both rollouts and calibration.
+    """The single rollout: its draws, the array pass, and the tips' z row,
+    which only the trace reads.
 
     `offsets` is each step's open-loop motion as a (3, env.horizon_low)
-    array.  A command adds a wiggle, rectified upward in z, and the pull back
-    to the estimate, which cancels the previous tip: step j lands at the
-    estimate plus its drive, clipped to the workspace, and never below the
-    surface.  Returns the alignment draw, the tips as rows x, y, z with one
-    entry per step, and each tip's xy distance to the hole.
+    array.  The tip's z is its drive with the wiggle rectified upward, never
+    below the surface.  Returns the alignment draw, the tips as rows x, y, z
+    with one entry per step, and each tip's xy distance to the hole.
     """
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
     aligned = rng.random() < env.alignment_rate
-    # the block's second half is drawn and discarded to keep the stream order
-    wiggles = rng.standard_normal((2, horizon, 3))[0].T * spiral.sigma_wiggle
-    np.abs(wiggles[2], out=wiggles[2])
-    drive = np.add(offsets, wiggles, out=wiggles)
-
+    normals = wiggle_rows(rng.standard_normal(6 * horizon), horizon)
     tips = np.empty((3, horizon))
-    xy = np.add(drive[:2], start_estimate[:, None], out=tips[:2])
-    np.maximum(xy, _column(env.workspace_min), out=xy)
-    np.minimum(xy, _column(env.workspace_max), out=xy)
-    np.maximum(drive[2], 0.0, out=tips[2])
-    delta = xy - hole_position[:, None]
-    delta *= delta
-    distance = np.sqrt(np.add(delta[0], delta[1], out=delta[0]), out=delta[0])
+    distance = _tip_distances(start_estimate, hole_position, normals[:2], spiral, env,
+                              offsets[:2], tips[:2])
+    z = np.multiply(normals[2], spiral.sigma_wiggle, out=tips[2])
+    np.abs(z, out=z)
+    z += offsets[2]
+    np.maximum(z, 0.0, out=z)
     return aligned, tips, distance
 
 
@@ -271,6 +313,32 @@ def rollout_random_actions(
     return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
 
 
+def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
+                  aligned: np.ndarray, matched, spiral: SpiralParams,
+                  env: EnvConfig, sweep: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Success and closest approach of n independent rollouts, each as
+    `rollout_low_level` (sweep) or `rollout_random_actions` finds them, from
+    its start and hole (n, 2), the x and y rows of its wiggle normals
+    (n, 2, horizon), which the pass overwrites, its alignment verdict and
+    whether its peg matches the hole.  The closest approach runs up to the
+    first inserting tip."""
+    if not np.isfinite(starts).all():
+        raise InvalidInputError("start estimate must be a finite 2-vector")
+    horizon = env.horizon_low
+    offsets = _drive_offsets(horizon, spiral, sweep)
+    distance = _tip_distances(starts, holes, normals_xy, spiral, env, offsets[:2])
+    inside = distance <= env.capture_radius
+    first = inside.argmax(axis=1)
+    success = aligned & matched & inside[np.arange(len(first)), first]
+    # an inserting rollout ends at its first tip in the disk
+    np.greater(np.arange(horizon), np.where(success, first, horizon)[:, None], out=inside)
+    distance[inside] = np.inf
+    closest = distance.min(axis=1)
+    if not np.all((0.0 <= closest) & (closest < np.inf)):
+        raise InvalidInputError("closest approach must be finite and >= 0")
+    return success, closest
+
+
 def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
                     rng: np.random.Generator) -> np.ndarray:
     """Each matched attempt's smallest inserting capture radius: its closest
@@ -281,14 +349,27 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
         raise InvalidInputError("need at least one trial")
     placement_box(config, spiral)
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
-    offsets = _drive_offsets(config.horizon_low, spiral, True)
+    horizon = config.horizon_low
     bound = config.detector_error_bound
-    radii = np.full(trials, np.inf)
-    for i in range(trials):
-        detection = center + rng.uniform(-bound, bound, 2)
-        aligned, _, distance = _approach(detection, center, spiral, config, rng, offsets)
-        if aligned:
-            radii[i] = distance.min()
+    radii = np.empty(trials)
+    normals = np.empty(6 * horizon)
+    for lo in range(0, trials, block_size(horizon)):
+        n = min(block_size(horizon), trials - lo)
+        # per trial, in stream order: the detector's two uniforms and the
+        # alignment draw, then the normal block, whose x and y rows are kept
+        uniforms = np.empty((n, 3))
+        normals_xy = np.empty((n, 2, horizon))
+        for k in range(n):
+            rng.random(out=uniforms[k])
+            normals_xy[k] = wiggle_rows(rng.standard_normal(out=normals), horizon)[:2]
+        # rng.uniform(-bound, bound) computes low + (high - low) * u
+        detections = center + (-bound + (bound - -bound) * uniforms[:, :2])
+        aligned = uniforms[:, 2] < config.alignment_rate
+        # unmatched, an attempt runs its whole horizon: its closest approach
+        # is its smallest tip distance
+        _, closest = rollout_block(detections, np.broadcast_to(center, (n, 2)), normals_xy,
+                                   aligned, False, spiral, config, sweep=True)
+        radii[lo:lo + n] = np.where(aligned, closest, np.inf)
     return radii
 
 

@@ -40,8 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, HoleGroundTruth, PegType
-from .beliefs import init_type_belief_random
+from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, normalized_rows
 from .errors import (
     DegenerateEvidenceError,
     DegenerateOracleError,
@@ -50,8 +49,8 @@ from .errors import (
     OptimizationFailureError,
 )
 from .filters import MATCH_PROB_EPS, FilterModels, MatchObservationModel, PositionNoiseModel
-from .sensors import SensorModel, sense_match, sense_position
-from .sim import SpiralParams, placement_box, rollout_random_actions
+from .sensors import SensorModel, observe_positions
+from .sim import SpiralParams, block_size, placement_box, rollout_block, wiggle_rows
 
 LOG_FLOOR = 1e-6
 
@@ -204,6 +203,72 @@ class LearnedParams:
 # --------------------------------------------------------------------------
 
 
+def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarray,
+          sigma0: np.ndarray, xi0: np.ndarray, obs: np.ndarray, o_match: np.ndarray,
+          beta: np.ndarray, where=lambda i: "") -> list[InteractionRecord]:
+    """The records that `InteractionRecord` would build from n rows, packed
+    as one read-only block with a row per record.
+
+    Takes the types as lists of ints, the vectors as (n, 2) arrays, one
+    shared `sigma0`, and `xi0` (n, C) or one (C,) shared by every row.  The
+    checks run on arrays; a rejected block raises the constructor's error
+    for the first record it would reject, prefixed by `where(index)`.
+    """
+    n = len(peg_types)
+    if not n:
+        return []
+    xi0 = np.broadcast_to(xi0, (n, np.shape(xi0)[-1]))
+    size = xi0.shape[1]
+    (a, b), (c, d) = sigma0.tolist()
+    total = xi0[:, 0].copy()  # left to right, as `sum` adds a record's list
+    for k in range(1, size):
+        total += xi0[:, k]
+    checks = (  # in the constructor's order
+        (np.isfinite(position).all(axis=1), "position must be a finite 2-vector"),
+        (np.isfinite(mu0).all(axis=1), "mu0 must be a finite 2-vector"),
+        (np.isfinite(obs).all(axis=1), "obs must be a finite 2-vector"),
+        ([1 <= p <= size and 1 <= h <= size for p, h in zip(peg_types, hole_types)],
+         "types out of range"),
+        ([abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0] * n,
+         "sigma0 must be symmetric positive definite"),
+        ((xi0 >= 0.0).all(axis=1) & (np.abs(total - 1.0) <= SUM_TOL),
+         "xi0 must lie on the probability simplex"),
+    )
+    passed = np.array([ok for ok, _ in checks])
+    if not passed.all():
+        i = int(passed.all(axis=0).argmin())
+        raise InvalidInputError(where(i) + checks[int(passed[:, i].argmin())][1])
+
+    rows = np.empty((n, _Row.o_match + 1 + size))
+    rows[:, _Row.p] = position
+    rows[:, _Row.mu0] = mu0
+    rows[:, _Row.obs] = obs
+    rows[:, _Row.sigma0] = (a, b, c, d)
+    rows[:, _Row.peg] = peg_types
+    rows[:, _Row.hole] = hole_types
+    rows[:, _Row.beta] = beta
+    rows[:, _Row.o_match] = o_match
+    rows[:, _Row.xi0] = xi0
+    rows.setflags(write=False)
+    put = object.__setattr__
+    records = []
+    for peg, hole, row, match, success in zip(peg_types, hole_types, rows,
+                                             o_match.tolist(), beta.tolist()):
+        record = object.__new__(InteractionRecord)
+        put(record, "peg_type", peg)
+        put(record, "hole_type", hole)
+        put(record, "position", row[_Row.p])
+        put(record, "mu0", row[_Row.mu0])
+        put(record, "sigma0", sigma0)
+        put(record, "xi0", row[_Row.xi0])
+        put(record, "obs", row[_Row.obs])
+        put(record, "o_match", match)
+        put(record, "beta", success)
+        put(record, "_row", row)
+        records.append(record)
+    return records
+
+
 def generate_dataset(
     config: EnvConfig,
     sensor_model: SensorModel,
@@ -214,45 +279,62 @@ def generate_dataset(
     """Balanced interaction dataset from exploration rollouts.
 
     The first ceil(n/2) records are matched pairs, the rest mismatched; each
-    record holds one reading of each virtual sensor plus the rollout outcome.
+    record holds one reading of each virtual sensor plus the outcome of a
+    `rollout_random_actions`.  A record takes its draws in the order that
+    rollout and `sense_position`, then `sense_match`, would take them, with
+    draws of one kind that follow each other merged into one call; then one
+    array pass per block of records computes the rollouts, readings and
+    records.
     """
     if n_interactions < 2:
         raise InvalidInputError("need at least two interactions for class balance")
     n_matched = (n_interactions + 1) // 2
     lo, hi = placement_box(config, spiral)
-    types = range(1, config.n_types + 1)
-    others = {h: [t for t in types if t != h] for h in types}
+    bound = config.detector_error_bound
+    n_types = config.n_types
+    horizon = config.horizon_low
     sigma0 = config.sigma_init * np.eye(2)
+    match = sensor_model.match
+    normals = np.empty(6 * horizon + 2)
     records = []
-    for i in range(n_interactions):
-        hole_type = int(rng.integers(1, config.n_types + 1))
-        if i < n_matched:
+    for first in range(0, n_interactions, block_size(horizon)):
+        n = min(block_size(horizon), n_interactions - first)
+        hole_types, peg_types = [], []
+        # per record: the hole position, the detector offset, the type
+        # weights and the alignment draw; the normal block and the position
+        # sensor's normals; the match sensor's uniform
+        uniforms = np.empty((n, 5 + n_types))
+        normals_xy = np.empty((n, 2, horizon))
+        sensor_normals = np.empty((n, 2))
+        verdicts = np.empty(n)
+        for k in range(n):
+            hole_type = int(rng.integers(1, n_types + 1))
             peg_type = hole_type
-        else:
-            choices = others[hole_type]
-            peg_type = int(choices[rng.integers(0, len(choices))])
-        p = rng.uniform(lo, hi)
-        hole = HoleGroundTruth(hole_type=hole_type, position=p)
-        mu0 = p + rng.uniform(
-            -config.detector_error_bound, config.detector_error_bound, 2
-        )
-        xi0 = init_type_belief_random(config.n_types, rng).probs
-        outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
-        innovation = sense_position(outcome.trace, p, mu0, sensor_model, rng)
-        o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)
-        records.append(
-            InteractionRecord(
-                peg_type=peg_type,
-                hole_type=hole_type,
-                position=p,
-                mu0=mu0,
-                sigma0=sigma0,
-                xi0=xi0,
-                obs=innovation.value + mu0,
-                o_match=o_match,
-                beta=outcome.success,
-            )
-        )
+            if first + k >= n_matched:  # one of the other types, in order
+                peg_type = int(rng.integers(0, n_types - 1)) + 1
+                peg_type += peg_type >= hole_type
+            hole_types.append(hole_type)
+            peg_types.append(peg_type)
+            rng.random(out=uniforms[k])
+            rng.standard_normal(out=normals)
+            normals_xy[k] = wiggle_rows(normals, horizon)[:2]
+            sensor_normals[k] = normals[6 * horizon:]
+            verdicts[k] = rng.random()
+
+        # rng.uniform(low, high) computes low + (high - low) * u
+        p = lo + (hi - lo) * uniforms[:, 0:2]
+        mu0 = p + (-bound + (bound - -bound) * uniforms[:, 2:4])
+        xi0 = normalized_rows(uniforms[:, 4:4 + n_types])
+        aligned = uniforms[:, 4 + n_types] < config.alignment_rate
+        matched = np.array(peg_types) == np.array(hole_types)
+        success, closest = rollout_block(mu0, p, normals_xy, aligned, matched, spiral, config,
+                                         sweep=False)
+        innovation = observe_positions(closest, p, sensor_model, sensor_normals) - mu0
+        if not np.isfinite(innovation).all():
+            raise InvalidInputError("innovation must be a finite 2-vector")
+        o_match = verdicts < np.where(matched, match.tpr, match.fpr)
+        records += _pack(peg_types, hole_types, p, mu0, sigma0, xi0, innovation + mu0,
+                         o_match, success)
     return records
 
 
@@ -273,8 +355,9 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, columns: tuple, what: str, parse) -> list:
-    """`parse(cells)` of each row of a CSV file whose header must be `columns`.
+def read_table(path, columns: tuple, what: str, parse, lines: list | None = None) -> list:
+    """`parse(cells)` of each row of a CSV file whose header must be `columns`;
+    each row's line number is appended to `lines` if given.
 
     A wrong header, a row of the wrong length, or a cell that `parse` rejects
     with ValueError raises InvalidInputError naming the file and line.
@@ -290,6 +373,8 @@ def read_table(path, columns: tuple, what: str, parse) -> list:
                 if len(row) != len(columns):
                     raise InvalidInputError(f"expected {len(columns)} cells, got {len(row)}")
                 out.append(parse(row))
+                if lines is not None:
+                    lines.append(reader.line_num)
             return out
         except UnicodeDecodeError as exc:  # read ahead in blocks: no line to name
             raise InvalidInputError(f"cannot decode {path}: {exc}") from None
@@ -299,24 +384,25 @@ def read_table(path, columns: tuple, what: str, parse) -> list:
 
 def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
     """Load records; initial beliefs not stored in the CSV are reconstructed
-    as the configured isotropic position prior and a uniform type prior."""
-    sigma0 = config.sigma_init * np.eye(2)
-    xi0 = np.full(config.n_types, 1.0 / config.n_types)
+    as the configured isotropic position prior and a uniform type prior.
+    Every cell is parsed first, then the records are packed as one block."""
 
-    def record(row):
-        return InteractionRecord(
-            peg_type=int(row[0]),
-            hole_type=int(row[1]),
-            position=np.array([float(row[2]), float(row[3])]),
-            mu0=np.array([float(row[4]), float(row[5])]),
-            sigma0=sigma0,
-            xi0=xi0,
-            obs=np.array([float(row[6]), float(row[7])]),
-            o_match=_flag(row[8]),
-            beta=_flag(row[9]),
-        )
+    def parse(row):
+        return (int(row[0]), int(row[1]), [float(cell) for cell in row[2:8]],
+                _flag(row[8]), _flag(row[9]))
 
-    return read_table(path, DATASET_COLUMNS, "dataset", record)
+    lines = []
+    rows = read_table(path, DATASET_COLUMNS, "dataset", parse, lines)
+    if not rows:
+        return []
+    peg_types, hole_types, vectors, o_match, beta = zip(*rows)
+    vectors = np.array(vectors)
+    return _pack(
+        peg_types, hole_types, vectors[:, 0:2], vectors[:, 2:4],
+        config.sigma_init * np.eye(2), np.full(config.n_types, 1.0 / config.n_types),
+        vectors[:, 4:6], np.array(o_match), np.array(beta),
+        where=lambda i: f"{path} line {lines[i]}: ",
+    )
 
 
 def _flag(cell: str) -> bool:

@@ -1,0 +1,218 @@
+"""The batched paths against the per-record and per-trial loops they replace.
+
+`generate_dataset` and calibration draw each record's or trial's numbers in
+stream order, then run one array pass per block.  The references below are
+those loops as they were written before: one rollout, one sensor read and
+one checked record constructor at a time.  Every record row, every radius
+and the generator's state after the call must be bitwise equal.
+"""
+
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from belieffit import (
+    EnvConfig,
+    HoleGroundTruth,
+    InteractionRecord,
+    PegType,
+    PositionSensorSpec,
+    SensorModel,
+    SpiralParams,
+    generate_dataset,
+    init_type_belief_random,
+    rollout_random_actions,
+    sense_match,
+    sense_position,
+)
+from belieffit import sim
+from belieffit.errors import InvalidInputError
+from belieffit.training import _pack
+
+R_MAX = SpiralParams().r_max
+SKEWED_SENSOR = SensorModel(position=PositionSensorSpec(
+    cov=np.array([[6.4e-5, 2.5e-5], [2.5e-5, 4.1e-5]]), bias=np.array([1e-3, -2e-3]),
+))
+
+
+def reference_dataset(config, sensor_model, n_interactions, rng, spiral):
+    """`generate_dataset` as a loop of one record at a time."""
+    n_matched = (n_interactions + 1) // 2
+    lo, hi = sim.placement_box(config, spiral)
+    types = range(1, config.n_types + 1)
+    others = {h: [t for t in types if t != h] for h in types}
+    sigma0 = config.sigma_init * np.eye(2)
+    records = []
+    for i in range(n_interactions):
+        hole_type = int(rng.integers(1, config.n_types + 1))
+        if i < n_matched:
+            peg_type = hole_type
+        else:
+            choices = others[hole_type]
+            peg_type = int(choices[rng.integers(0, len(choices))])
+        p = rng.uniform(lo, hi)
+        hole = HoleGroundTruth(hole_type=hole_type, position=p)
+        mu0 = p + rng.uniform(-config.detector_error_bound, config.detector_error_bound, 2)
+        xi0 = init_type_belief_random(config.n_types, rng).probs
+        outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
+        innovation = sense_position(outcome.trace, p, mu0, sensor_model, rng)
+        o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)
+        records.append(InteractionRecord(
+            peg_type=peg_type, hole_type=hole_type, position=p, mu0=mu0, sigma0=sigma0,
+            xi0=xi0, obs=innovation.value + mu0, o_match=o_match, beta=outcome.success,
+        ))
+    return records
+
+
+def reference_radii(config, spiral, trials, rng):
+    """`sim._critical_radii` as a loop of one single-rollout kernel call a
+    trial."""
+    center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
+    offsets = sim._drive_offsets(config.horizon_low, spiral, True)
+    bound = config.detector_error_bound
+    radii = np.full(trials, np.inf)
+    for i in range(trials):
+        detection = center + rng.uniform(-bound, bound, 2)
+        aligned, _, distance = sim._approach(detection, center, spiral, config, rng, offsets)
+        if aligned:
+            radii[i] = distance.min()
+    return radii
+
+
+@st.composite
+def setups(draw):
+    """A world, a wiggle and a block size, with the edge cases among them:
+    no wiggle, an exact detector, certain alignment, a workspace so tight
+    that clipping acts, and blocks of one or a few rollouts."""
+    bound = draw(st.sampled_from([0.0, 0.004, 0.02]))
+    half = draw(st.sampled_from([0.25, bound + R_MAX + 0.002]))
+    env = EnvConfig(
+        n_types=draw(st.integers(2, 9)),
+        horizon_low=draw(st.integers(1, 300)),
+        detector_error_bound=bound,
+        workspace_min=(-half, -half),
+        workspace_max=(half, half),
+        capture_radius=draw(st.sampled_from([0.0025, 0.01])),
+        alignment_rate=draw(st.sampled_from([0.36, 1.0])),
+    )
+    spiral = SpiralParams(sigma_wiggle=draw(st.sampled_from([0.0, 0.00125, 0.01])))
+    block_bytes = draw(st.sampled_from([sim.BLOCK_BYTES, 1, 16 * env.horizon_low * 3]))
+    return env, spiral, block_bytes
+
+
+def assert_same_records(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a._row.tobytes() == b._row.tobytes()
+        assert (a.peg_type, a.hole_type, a.o_match, a.beta) == (
+            b.peg_type, b.hole_type, b.o_match, b.beta)
+        assert type(a.peg_type) is int and type(a.hole_type) is int
+        assert type(a.o_match) is bool and type(a.beta) is bool
+        for name in ("position", "mu0", "obs", "xi0", "sigma0"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(setup=setups(), seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+       sensor_model=st.sampled_from([SensorModel(), SKEWED_SENSOR]))
+def test_generate_dataset_matches_per_record_loop(setup, seed, n, sensor_model):
+    env, spiral, block_bytes = setup
+    rng = np.random.default_rng(seed)
+    expected = reference_dataset(env, sensor_model, n, rng, spiral)
+    batched = np.random.default_rng(seed)
+    with mock.patch.object(sim, "BLOCK_BYTES", block_bytes):
+        got = generate_dataset(env, sensor_model, n, batched, spiral)
+    assert_same_records(got, expected)
+    assert batched.bit_generator.state == rng.bit_generator.state
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(setup=setups(), seed=st.integers(0, 2**32 - 1), trials=st.integers(2, 40))
+def test_critical_radii_match_per_trial_loop(setup, seed, trials):
+    env, spiral, block_bytes = setup
+    rng = np.random.default_rng(seed)
+    expected = reference_radii(env, spiral, trials, rng)
+    batched = np.random.default_rng(seed)
+    with mock.patch.object(sim, "BLOCK_BYTES", block_bytes):
+        got = sim._critical_radii(env, spiral, trials, batched)
+    assert got.tobytes() == expected.tobytes()
+    assert batched.bit_generator.state == rng.bit_generator.state
+
+
+def test_generation_spans_several_default_blocks():
+    env = EnvConfig(horizon_low=20_000)  # 3 records to a block
+    rng, batched = np.random.default_rng(5), np.random.default_rng(5)
+    expected = reference_dataset(env, SensorModel(), 7, rng, SpiralParams())
+    assert sim.block_size(env.horizon_low) == 3
+    assert_same_records(generate_dataset(env, SensorModel(), 7, batched, SpiralParams()),
+                        expected)
+    assert batched.bit_generator.state == rng.bit_generator.state
+
+
+# the first and third are valid: an asymmetry within SYMMETRY_TOL passes
+_SIGMA0 = [np.eye(2) * 1e-4, np.array([[1.0, 2.0], [2.0, 1.0]]),
+           np.array([[1.0, 5e-13], [0.0, 1.0]]), np.array([[1.0, 1e-3], [0.0, 1.0]])]
+_FAULTS = ["position", "mu0", "obs", "peg_type", "hole_type"]
+
+
+@st.composite
+def xi0_rows(draw, size):
+    """A type prior on the simplex, off it by a little or a lot, or with a
+    negative entry."""
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
+    probs = weights / weights.sum()
+    probs[0] += draw(st.sampled_from([0.0] * 8 + [5e-10, -1e-9, 2e-9, 0.5, -2.0, math.nan]))
+    return probs
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(1, 9), n=st.integers(1, 6))
+def test_pack_accepts_and_rejects_as_the_constructor(data, size, n):
+    rows = []
+    for _ in range(n):
+        row = {name: np.array(data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
+               for name in ("position", "mu0", "obs")}
+        row["peg_type"], row["hole_type"] = data.draw(st.integers(1, size)), data.draw(
+            st.integers(1, size))
+        fault = data.draw(st.sampled_from([None] * 12 + _FAULTS))
+        if fault in ("peg_type", "hole_type"):
+            row[fault] = data.draw(st.sampled_from([-1, 0, size + 1, 10**30]))
+        elif fault:
+            row[fault][data.draw(st.integers(0, 1))] = data.draw(
+                st.sampled_from([math.nan, math.inf, -math.inf]))
+        row["xi0"] = data.draw(xi0_rows(size))
+        row["o_match"], row["beta"] = data.draw(st.booleans()), data.draw(st.booleans())
+        rows.append(row)
+    sigma0 = data.draw(st.sampled_from([_SIGMA0[0]] * 4 + _SIGMA0[1:]))
+
+    def column(name):
+        return [row[name] for row in rows]
+
+    def build(make):
+        try:
+            return make()
+        except InvalidInputError as exc:
+            return str(exc)
+
+    expected = build(lambda: [InteractionRecord(sigma0=sigma0, **row) for row in rows])
+    got = build(lambda: _pack(
+        column("peg_type"), column("hole_type"), np.array(column("position")),
+        np.array(column("mu0")), sigma0, np.array(column("xi0")), np.array(column("obs")),
+        np.array(column("o_match")), np.array(column("beta")),
+    ))
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert_same_records(got, expected)
+
+
+def test_pack_names_the_first_rejected_row():
+    xi0 = np.full(3, 1 / 3)
+    position = np.zeros((3, 2))
+    with pytest.raises(InvalidInputError, match="^row 1: types out of range$"):
+        _pack([1, 4, 1], [1, 1, 1], position, position, np.eye(2), xi0,
+              np.array([[0.0, 0.0], [0.0, 0.0], [math.nan, 0.0]]),
+              np.ones(3, bool), np.zeros(3, bool), where=lambda i: f"row {i}: ")

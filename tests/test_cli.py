@@ -2,6 +2,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,33 @@ class TestConfig:
         assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
         assert "horizons must lie in" in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("key", ["n_types", "n_holes"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("experiment", "assembly", "--trials", 1), ("train", "--generate", 4, "--epochs", 2)],
+        ids=["experiment", "train"],
+    )
+    def test_huge_count_is_exit_2(self, tmp_path, capsys, key, argv):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {key: 10**10}}))
+        assert run_cli(*argv, "--config", path, "--out", tmp_path / "o") == 2
+        assert f"{key} must lie in" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "doc",
+        [{"spiral": {"sigma_wiggle": 1e308}}, {"env": {"workspace_max": [1e300, 1e300]}}],
+        ids=["sigma_wiggle", "workspace_max"],
+    )
+    def test_overflowing_length_is_exit_2_without_warnings(self, tmp_path, capsys, doc):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(doc))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run_cli("train", "--config", path, "--generate", 4, "--epochs", 2,
+                           "--out", tmp_path / "o")
+        assert code == 2 and not caught
+        assert "1e+100" in assert_one_line_error(capsys)
+
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"env": {"n_holes": "five"}}))
@@ -214,6 +242,12 @@ _JSON_VALUES = st.recursive(
     ("env", "workspace_min"): [-1.7e308] * 2, ("env", "workspace_max"): [1.7e308] * 2,
     ("env", "detector_error_bound"): 1e308,
 })
+# each of these once printed a numpy overflow warning
+@example(overrides={("spiral", "sigma_wiggle"): 1e308})
+@example(overrides={("spiral", "n_rot"): 1e308})
+@example(overrides={
+    ("env", "workspace_min"): [1e308] * 2, ("env", "workspace_max"): [1.7e308] * 2,
+})
 def test_fuzzed_config_is_exit_0_or_one_line_exit_2(tmp_path_factory, overrides):
     doc = {"env": {}, "spiral": {}}
     for (block, key), value in overrides.items():
@@ -221,8 +255,11 @@ def test_fuzzed_config_is_exit_0_or_one_line_exit_2(tmp_path_factory, overrides)
     path = tmp_path_factory.mktemp("fuzz") / "config.json"
     path.write_text(json.dumps(doc))  # NaN and inf as JSON's NaN and Infinity
     err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         code = run_cli("calibrate", "--config", path, "--trials", 2)
+    assert not caught, [str(w.message) for w in caught]
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
