@@ -42,10 +42,7 @@ outcome = rollout_low_level(
 )
 print()
 print(f"rollout on hole 0: success={outcome.success}, steps={len(outcome.trace)}")
-closest = outcome.trace.closest_approach(hole.position)
-print(f"closest approach to the hole: {closest*100:.2f} cm")
-surface_frac = np.mean(outcome.trace.positions[:, 2] == 0.0)
-print(f"fraction of steps on the surface: {surface_frac:.2f}")
+print(f"closest approach to the hole: {outcome.closest_approach*100:.2f} cm")
 
 # --- success rate vs capture radius ----------------------------------------
 print()

@@ -45,7 +45,6 @@ from .sensors import MatchSensorSpec, PositionSensorSpec, SensorModel, sense_mat
 from .sim import (
     CalibrationResult,
     RolloutOutcome,
-    SensorimotorTrace,
     SpiralParams,
     World,
     calibrate_alpha,

@@ -340,6 +340,9 @@ def main(argv=None) -> int:
     except BeliefFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a size flag asked for more than the host has
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
 """JSON configuration: one document holding environment, controller, sensor
 ground truth, and (optionally) the filters' learned parameters.
 
-`default_config()` reproduces the documented desk-scale defaults; files only
-need the keys they want to override, and a key the defaults lack is an error.
+`default_config()` reads the desk-scale defaults from the config classes;
+files only need the keys they want to override, and a key the defaults lack
+is an error.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 from pathlib import Path
@@ -20,41 +22,27 @@ from .sensors import MatchSensorSpec, PositionSensorSpec, SensorModel
 from .sim import SpiralParams
 
 
+def _block_of(value):
+    """A default instance as a config block: a dataclass as a dict of its
+    fields, tuples and arrays as lists."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _block_of(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, (tuple, np.ndarray)):
+        return np.asarray(value).tolist()
+    return value
+
+
 def default_config() -> dict:
+    sensors = SensorModel()
     return {
-        "env": {
-            "n_holes": 5,
-            "n_types": 3,
-            "detector_error_bound": 0.02,
-            "alpha": 0.34,
-            "sigma_init": 1e-4,
-            "workspace_min": [-0.25, -0.25],
-            "workspace_max": [0.25, 0.25],
-            "horizon_high": 10,
-            "horizon_low": 100,
-            "rng_seed": 0,
-            "capture_radius": 0.0025,
-            "alignment_rate": 0.36,
-        },
-        "spiral": {
-            "r_max": 0.015,
-            "n_rot": 2,
-            "delta_z": 0.004,
-            "sigma_wiggle": 0.00125,
-        },
-        "sensors": {
-            "position": {
-                "cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]],
-                "bias": [0.0, 0.0],
-                "uninformative_scale": 3.0,
-                "informative_radius": 0.01125,
-            },
-            "match": {"tpr": 0.85, "fpr": 0.15},
-        },
+        "env": _block_of(EnvConfig()),
+        "spiral": _block_of(SpiralParams()),
+        "sensors": _block_of(sensors),
+        # the filters start from the sensors' truth
         "learned": {
-            "position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]],
-            "tpr": 0.85,
-            "fpr": 0.15,
+            "position_cov": sensors.position.cov.tolist(),
+            "tpr": sensors.match.tpr,
+            "fpr": sensors.match.fpr,
         },
         # written by `calibrate --out` as a record of the run; never read
         "calibration": None,

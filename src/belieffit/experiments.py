@@ -4,7 +4,8 @@ Worlds, detections and peg orders are derived from (master seed, trial) only
 and built once per trial, so every variant faces the identical sequence of
 environments; episode noise additionally keys on the variant.  Each trial
 draws only from its own streams, so its rows do not depend on how many trials
-a run has.
+a run has.  A trial's detected beliefs are built once, and each variant
+steps its own copy of them.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .beliefs import EnvConfig, PegType
+from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType
 from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
@@ -23,9 +24,9 @@ from .policy import (
     PolicyModels,
     PolicyVariant,
     TerminalStatus,
-    init_beliefs,
+    initial_state,
     run_assembly_task,
-    run_episode,
+    run_steps,
 )
 from .seeding import (
     STREAM_DETECT,
@@ -101,6 +102,8 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
+        if not (1 <= self.steps <= MAX_HORIZON and 1 <= self.step_cap <= MAX_HORIZON):
+            raise ConfigurationError(f"steps and step cap must lie in [1, {MAX_HORIZON}]")
         if not self.variants:
             object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
 
@@ -156,19 +159,26 @@ def _episode_step_rows(
 
 def _single_hole_setup(
     spec: ExperimentSpec, trial: int, matched: bool
-) -> tuple[World, PegType, list]:
+) -> tuple[World, PegType, BeliefArrays]:
     kind_id = KIND_IDS[spec.kind]
     env1 = replace(spec.env, n_holes=1)
     world = spawn_world(
         env1, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial), spec.spiral
     )
     hole_type = world.holes[0].hole_type
-    if matched:
-        peg = PegType(hole_type)
-    else:
-        peg = PegType(hole_type % env1.n_types + 1)
-    beliefs = init_beliefs(world, derive_rng(spec.seed, kind_id, STREAM_DETECT, trial))
-    return world, peg, beliefs
+    peg = PegType(hole_type if matched else hole_type % env1.n_types + 1)
+    state = initial_state(world, derive_rng(spec.seed, kind_id, STREAM_DETECT, trial))
+    return world, peg, state
+
+
+def _single_hole_episode(spec: ExperimentSpec, variant: PolicyVariant, trial: int,
+                         setup: tuple[World, PegType, BeliefArrays], horizon: int) -> EpisodeLog:
+    """One variant's episode on a copy of the trial's detected beliefs."""
+    world, peg, state = setup
+    state = state.copy()
+    rng = derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, _variant_key(variant))
+    records, status = run_steps(state, world, peg, variant, spec.models, horizon, rng)
+    return EpisodeLog(peg, records, status, state)
 
 
 def run_position_estimation(spec: ExperimentSpec):
@@ -178,22 +188,15 @@ def run_position_estimation(spec: ExperimentSpec):
     sequence of estimate errors; only the position-update rule differs
     between variants.
     """
-    kind_id = KIND_IDS[spec.kind]
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
     setups = [_single_hole_setup(spec, trial, matched=False) for trial in range(spec.trials)]
     for variant in spec.variants:
         errors = []
-        for trial, (world, peg, beliefs) in enumerate(setups):
-            rng = derive_rng(
-                spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
-            )
-            initial_error = float(
-                np.linalg.norm(beliefs[0].position.mean - world.holes[0].position)
-            )
-            episode = run_episode(
-                world, peg, variant, spec.models, spec.steps, rng, beliefs=beliefs
-            )
+        for trial, setup in enumerate(setups):
+            world, _, state = setup
+            initial_error = float(np.linalg.norm(state.means[0] - world.holes[0].position))
+            episode = _single_hole_episode(spec, variant, trial, setup, spec.steps)
             errors.append([initial_error] + [r.pos_error for r in episode.records])
             step_rows.extend(_episode_step_rows(spec, variant, trial, episode))
         errors = np.array(errors)
@@ -211,20 +214,14 @@ def run_position_estimation(spec: ExperimentSpec):
 
 def run_matching_insertion(spec: ExperimentSpec):
     """Success-within-t curves on a task whose single hole matches the peg."""
-    kind_id = KIND_IDS[spec.kind]
     horizon = spec.env.horizon_high
     metric_rows: list[ResultRow] = []
     step_rows: list[dict] = []
     setups = [_single_hole_setup(spec, trial, matched=True) for trial in range(spec.trials)]
     for variant in spec.variants:
         steps_to_success = []
-        for trial, (world, peg, beliefs) in enumerate(setups):
-            rng = derive_rng(
-                spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
-            )
-            episode = run_episode(
-                world, peg, variant, spec.models, horizon, rng, beliefs=beliefs
-            )
+        for trial, setup in enumerate(setups):
+            episode = _single_hole_episode(spec, variant, trial, setup, horizon)
             steps_to_success.append(
                 episode.attempts if episode.status is TerminalStatus.SUCCESS else None
             )

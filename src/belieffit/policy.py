@@ -17,9 +17,10 @@ A Kalman update reads the position sensor after a failure and the final tip
 position after an insertion; "replace mean" sets the mean to that same
 observation and keeps the covariance.
 
-`run_episode` and `run_assembly_task` hold a trial's beliefs as one
-`BeliefArrays` and step it in place; `high_level_step` and `select_hole` are
-the same step and choice for a list of belief objects.
+`run_steps` holds a trial's beliefs as one `BeliefArrays` and steps it in
+place; `run_episode` and `run_assembly_task` run it from detected or given
+beliefs.  `high_level_step`, `select_hole` and `init_beliefs` are the same
+step, choice and start for a list of belief objects.
 """
 
 from __future__ import annotations
@@ -133,12 +134,6 @@ class StepRecord:
     pos_error: float
     evidence_reset: bool = False
 
-    @property
-    def belief(self) -> HoleBelief:
-        return HoleBelief(
-            GaussianBelief2(self.mean, self.cov), TypeBelief(self.xi), self.fitted
-        )
-
 
 class TerminalStatus(str, enum.Enum):
     SUCCESS = "success"
@@ -152,10 +147,6 @@ class EpisodeLog:
     records: list[StepRecord]
     status: TerminalStatus
     final_state: BeliefArrays  # every hole's belief when the episode ended
-
-    @property
-    def final_beliefs(self) -> list[HoleBelief]:
-        return self.final_state.to_beliefs()
 
     @property
     def attempts(self) -> int:
@@ -177,7 +168,7 @@ class AssemblyResult:
         return out
 
 
-def _initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
+def initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
     """Initial beliefs from one pass of the vision detector."""
     config = world.config
     return BeliefArrays.detected(vision_detect(world, rng), config.sigma_init, config.n_types)
@@ -185,7 +176,7 @@ def _initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
 
 def init_beliefs(world: World, rng: np.random.Generator) -> list[HoleBelief]:
     """Initial beliefs from one pass of the vision detector."""
-    return _initial_state(world, rng).to_beliefs()
+    return initial_state(world, rng).to_beliefs()
 
 
 def _select(xi: np.ndarray, fitted: np.ndarray, peg: PegType, alpha: float) -> int:
@@ -223,7 +214,7 @@ def _updated_position(
     """Position posterior: an insertion observes the final tip position, a
     failure reads the position sensor."""
     if outcome.success:
-        observed = outcome.final_ee[:2]
+        observed = outcome.trace[-1]
         if rule is PositionUpdate.REPLACE:
             return observed, cov
         return kalman_posterior(mean, cov, observed - mean, INSERTION_NOISE.cov)
@@ -334,10 +325,12 @@ def high_level_step(
     every other belief object passes through.  The record's `t` is 0; the
     episode loop numbers its steps from 1."""
     record = _step(BeliefArrays.of(beliefs), 0, peg, world, variant, models, rng)
-    return [record.belief if i == record.chosen else b for i, b in enumerate(beliefs)], record
+    position = GaussianBelief2(record.mean, record.cov)
+    chosen = HoleBelief(position, TypeBelief(record.xi), record.fitted)
+    return [chosen if i == record.chosen else b for i, b in enumerate(beliefs)], record
 
 
-def _episode(
+def run_steps(
     state: BeliefArrays,
     world: World,
     peg: PegType,
@@ -346,7 +339,7 @@ def _episode(
     horizon: int,
     rng: np.random.Generator,
 ) -> tuple[list[StepRecord], TerminalStatus]:
-    """Steps `state` for one peg until a fit or the horizon."""
+    """Steps `state` in place for one peg until a fit or the horizon."""
     if horizon < 1:
         raise InvalidInputError("episode horizon must be >= 1")
     records: list[StepRecord] = []
@@ -368,8 +361,8 @@ def run_episode(
     beliefs: list[HoleBelief] | None = None,
 ) -> EpisodeLog:
     """Attempt loop for one peg: steps until a fit or the horizon."""
-    state = _initial_state(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
-    records, status = _episode(state, world, peg, variant, models, horizon, rng)
+    state = initial_state(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
+    records, status = run_steps(state, world, peg, variant, models, horizon, rng)
     return EpisodeLog(peg, records, status, state)
 
 
@@ -391,11 +384,11 @@ def run_assembly_task(
     if sorted(p.value for p in pegs) != world_types:
         raise InvalidInputError("pegs must be a permutation of the world's hole types")
 
-    state = _initial_state(world, rng)
+    state = initial_state(world, rng)
     episodes: list[EpisodeLog] = []
     interventions = 0
     for peg in pegs:
-        records, status = _episode(state, world, peg, variant, models, step_cap, rng)
+        records, status = run_steps(state, world, peg, variant, models, step_cap, rng)
         if status is TerminalStatus.STEP_CAP:
             status = TerminalStatus.INTERVENTION
             interventions += 1

@@ -20,7 +20,6 @@ import numpy as np
 from .beliefs import PegType
 from .errors import InvalidInputError
 from .filters import Innovation
-from .sim import SensorimotorTrace
 
 
 @dataclass(frozen=True)
@@ -45,15 +44,20 @@ class PositionSensorSpec:
             raise InvalidInputError("uninformative scale must be finite and >= 1")
         if not 0.0 < self.informative_radius < np.inf:
             raise InvalidInputError("informative radius must be finite and positive")
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 is nan
+            inflated = np.float64(self.uninformative_scale) ** 2 * cov
+        if not np.all(np.isfinite(inflated)):
+            raise InvalidInputError(
+                "sensor covariance times uninformative scale squared must be finite"
+            )
         cov.setflags(write=False)
         bias.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "bias", bias)
         # Cholesky factors of the informative and uninformative noise laws
-        object.__setattr__(self, "_factors", (
-            np.linalg.cholesky(cov),
-            np.linalg.cholesky((self.uninformative_scale ** 2) * cov),
-        ))
+        object.__setattr__(
+            self, "_factors", (np.linalg.cholesky(cov), np.linalg.cholesky(inflated))
+        )
 
     def noise_factor(self, closest_approach: float) -> np.ndarray:
         """Cholesky factor of the noise covariance for a trace whose closest
@@ -101,18 +105,18 @@ def observe_positions(closest_approach: np.ndarray, true_positions: np.ndarray,
 
 
 def sense_position(
-    trace: SensorimotorTrace,
+    trace: np.ndarray,
     true_position,
     current_mean,
     model: SensorModel,
     rng: np.random.Generator,
 ) -> Innovation:
-    """Noisy innovation (observed position minus current estimate mean)."""
+    """Noisy innovation (observed position minus current estimate mean)
+    after a trace of tip positions, an (n, 2) array."""
     true_position = np.asarray(true_position, dtype=float)
     current_mean = np.asarray(current_mean, dtype=float)
-    observed = observe_position(
-        trace.closest_approach(true_position), true_position, model, rng
-    )
+    closest = float(np.sqrt(((trace - true_position) ** 2).sum(axis=1)).min())
+    observed = observe_position(closest, true_position, model, rng)
     return Innovation(observed - current_mean)
 
 

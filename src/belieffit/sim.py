@@ -1,10 +1,9 @@
 """Kinematic 2D peg-in-hole world.
 
-The table surface is the z=0 plane and holes live at known-z positions on it.
-The end effector is a point tip driven by position deltas; commanded motion
-below the surface leaves the tip on it.  A matched rollout inserts when the
-tip enters the capture disk around the true hole position while the
-rollout's alignment draw is good; the alignment rate is the
+Holes live at known positions on the table plane, and the end effector is
+a point tip driven by position deltas in it.  A matched rollout inserts
+when the tip enters the capture disk around the true hole position while
+the rollout's alignment draw is good; the alignment rate is the
 position-independent component of low-level success, the capture disk the
 position-dependent one.  So an aligned, matched rollout inserts at capture
 radius r exactly when its closest tip comes within r of the hole, and
@@ -12,7 +11,7 @@ calibration gets the success rate at every radius from one batch.
 
 Every rollout consumes its RNG in a fixed order (alignment draw, then a
 normal block: a first half whose x and y rows drive the wiggle and whose z
-row only lifts the tip, and a second half drawn and discarded), so
+row is drawn and unread, and a second half drawn and discarded), so
 identical seeds give identical traces no matter how the rollout terminates.
 No step depends on the tip before it, so a rollout computes all its steps
 at once as arrays, and independent rollouts run as one array pass: dataset
@@ -64,49 +63,19 @@ class SpiralParams:
 
 
 @dataclass(frozen=True)
-class SensorimotorTrace:
-    """Tip positions, an (n, 3) array with a row per step."""
-
-    positions: np.ndarray
-
-    def __post_init__(self):
-        shape = np.shape(self.positions)
-        if len(shape) != 2 or shape[1] != 3 or not shape[0]:
-            raise InvalidInputError("trace needs (n, 3) positions, n >= 1")
-
-    def __len__(self) -> int:
-        return len(self.positions)
-
-    def positions_xy(self) -> np.ndarray:
-        return self.positions[:, :2]
-
-    def closest_approach(self, point) -> float:
-        """Smallest tip distance to a 2D point over the whole trace."""
-        deltas = self.positions_xy() - np.asarray(point, dtype=float)
-        return float(np.sqrt((deltas ** 2).sum(axis=1)).min())
-
-
-@dataclass(frozen=True)
 class RolloutOutcome:
-    """A rollout's result; `closest_approach` is the smallest tip distance to
-    the hole over the trace [m], which the position sensor reads."""
+    """A rollout's result.  `trace` holds the tips' xy, an (n, 2) read-only
+    array with a row per step up to the first inserting tip, and
+    `closest_approach` is the smallest tip distance to the hole over it [m],
+    which the position sensor reads."""
 
     success: bool
-    trace: SensorimotorTrace
-    insertion_step: int | None
+    trace: np.ndarray
     closest_approach: float
 
     def __post_init__(self):
-        if self.success != (self.insertion_step is not None):
-            raise InvalidInputError("success iff insertion_step present")
-        if self.insertion_step is not None and self.insertion_step >= len(self.trace):
-            raise InvalidInputError("insertion step beyond trace length")
         if not 0.0 <= self.closest_approach < np.inf:
             raise InvalidInputError("closest approach must be finite and >= 0")
-
-    @property
-    def final_ee(self) -> np.ndarray:
-        return self.trace.positions[-1]
 
 
 @dataclass(frozen=True)
@@ -180,23 +149,22 @@ def vision_detect(world: World, rng: np.random.Generator) -> list[np.ndarray]:
 
 
 def _spiral_offset(j, horizon: int, spiral: SpiralParams) -> np.ndarray:
-    """Open-loop spiral motion at step j, or one row per step for an array j."""
+    """Open-loop spiral motion in xy at step j, or one row per step for an
+    array j."""
     j = np.asarray(j, dtype=float)
     radius = j * spiral.r_max / horizon
     angle = 2.0 * math.pi * j * spiral.n_rot / horizon
-    z = np.full_like(j, -spiral.delta_z)
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle), z], axis=-1)
+    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
 
 
 @functools.lru_cache(maxsize=32)
 def _drive_offsets(horizon: int, spiral: SpiralParams, sweep: bool) -> np.ndarray:
-    """Every step's open-loop motion as rows x, y, z of a (3, horizon) array:
+    """Every step's open-loop motion as rows x, y of a (2, horizon) array:
     the spiral sweep, or pressing in place.  Computed once per argument set."""
     if sweep:
         offsets = _spiral_offset(np.arange(horizon), horizon, spiral).T.copy()
     else:
-        offsets = np.zeros((3, horizon))
-        offsets[2] = -spiral.delta_z
+        offsets = np.zeros((2, horizon))
     offsets.setflags(write=False)
     return offsets
 
@@ -216,9 +184,9 @@ def block_size(horizon: int) -> int:
 
 
 def wiggle_rows(normals: np.ndarray, horizon: int) -> np.ndarray:
-    """The rows x, y, z, one entry per step, of the wiggle normals at the
-    head of a rollout's normal block."""
-    return normals[:3 * horizon].reshape(horizon, 3).T
+    """The rows x and y, one entry per step, of the wiggle normals at the
+    head of a rollout's normal block; each step's z normal is unread."""
+    return normals[:3 * horizon].reshape(horizon, 3).T[:2]
 
 
 def _tip_distances(starts, holes, normals_xy, spiral: SpiralParams, env: EnvConfig,
@@ -243,47 +211,28 @@ def _tip_distances(starts, holes, normals_xy, spiral: SpiralParams, env: EnvConf
     return np.sqrt(np.add(dx, dy, out=dx), out=dx)
 
 
-def _approach(start_estimate, hole_position: np.ndarray, spiral: SpiralParams, env: EnvConfig,
-              rng: np.random.Generator,
-              offsets: np.ndarray) -> tuple[bool, np.ndarray, np.ndarray]:
-    """The single rollout: its draws, the array pass, and the tips' z row,
-    which only the trace reads.
-
-    `offsets` is each step's open-loop motion as a (3, env.horizon_low)
-    array.  The tip's z is its drive with the wiggle rectified upward, never
-    below the surface.  Returns the alignment draw, the tips as rows x, y, z
-    with one entry per step, and each tip's xy distance to the hole.
-    """
+def _rollout(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
+             env: EnvConfig, rng: np.random.Generator, sweep: bool) -> RolloutOutcome:
+    """One rollout: its draws and the array pass.  If aligned and matched,
+    the trace, a view of the kernel's tips, ends at the first tip in the
+    capture disk."""
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
     aligned = rng.random() < env.alignment_rate
     normals = wiggle_rows(rng.standard_normal(6 * horizon), horizon)
-    tips = np.empty((3, horizon))
-    distance = _tip_distances(start_estimate, hole_position, normals[:2], spiral, env,
-                              offsets[:2], tips[:2])
-    z = np.multiply(normals[2], spiral.sigma_wiggle, out=tips[2])
-    np.abs(z, out=z)
-    z += offsets[2]
-    np.maximum(z, 0.0, out=z)
-    return aligned, tips, distance
-
-
-def _integrate(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
-               env: EnvConfig, rng: np.random.Generator, offsets: np.ndarray) -> RolloutOutcome:
-    """One rollout: if aligned and matched, the trace, an (n, 3) view of the
-    kernel's tips, ends at the first tip in the capture disk."""
-    aligned, tips, distance = _approach(start_estimate, hole.position, spiral, env, rng, offsets)
-    step = None
+    tips = np.empty((2, horizon))
+    distance = _tip_distances(start_estimate, hole.position, normals, spiral, env,
+                              _drive_offsets(horizon, spiral, sweep), tips)
+    success = False
     if aligned and peg.value == hole.hole_type:
         first = int((distance <= env.capture_radius).argmax())
-        if distance[first] <= env.capture_radius:
-            step = first
-    n = len(distance) if step is None else step + 1
-    return RolloutOutcome(
-        step is not None, SensorimotorTrace(tips.T[:n]), step, float(distance[:n].min())
-    )
+        success = bool(distance[first] <= env.capture_radius)
+    n = first + 1 if success else horizon
+    trace = tips.T[:n]
+    trace.setflags(write=False)
+    return RolloutOutcome(success, trace, float(distance[:n].min()))
 
 
 def rollout_low_level(
@@ -295,8 +244,7 @@ def rollout_low_level(
     rng: np.random.Generator,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-    offsets = _drive_offsets(env.horizon_low, spiral, True)
-    return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
+    return _rollout(start_estimate, peg, hole, spiral, env, rng, sweep=True)
 
 
 def rollout_random_actions(
@@ -309,8 +257,7 @@ def rollout_random_actions(
 ) -> RolloutOutcome:
     """Exploration rollout for data collection: random wiggles while pressing,
     anchored at the position estimate (no spiral sweep)."""
-    offsets = _drive_offsets(env.horizon_low, spiral, False)
-    return _integrate(start_estimate, peg, hole, spiral, env, rng, offsets)
+    return _rollout(start_estimate, peg, hole, spiral, env, rng, sweep=False)
 
 
 def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
@@ -326,7 +273,7 @@ def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
     offsets = _drive_offsets(horizon, spiral, sweep)
-    distance = _tip_distances(starts, holes, normals_xy, spiral, env, offsets[:2])
+    distance = _tip_distances(starts, holes, normals_xy, spiral, env, offsets)
     inside = distance <= env.capture_radius
     first = inside.argmax(axis=1)
     success = aligned & matched & inside[np.arange(len(first)), first]
@@ -361,7 +308,7 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
         normals_xy = np.empty((n, 2, horizon))
         for k in range(n):
             rng.random(out=uniforms[k])
-            normals_xy[k] = wiggle_rows(rng.standard_normal(out=normals), horizon)[:2]
+            normals_xy[k] = wiggle_rows(rng.standard_normal(out=normals), horizon)
         # rng.uniform(-bound, bound) computes low + (high - low) * u
         detections = center + (-bound + (bound - -bound) * uniforms[:, :2])
         aligned = uniforms[:, 2] < config.alignment_rate

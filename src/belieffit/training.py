@@ -317,7 +317,7 @@ def generate_dataset(
             peg_types.append(peg_type)
             rng.random(out=uniforms[k])
             rng.standard_normal(out=normals)
-            normals_xy[k] = wiggle_rows(normals, horizon)[:2]
+            normals_xy[k] = wiggle_rows(normals, horizon)
             sensor_normals[k] = normals[6 * horizon:]
             verdicts[k] = rng.random()
 

@@ -7,6 +7,7 @@ one checked record constructor at a time.  Every record row, every radius
 and the generator's state after the call must be bitwise equal.
 """
 
+import copy
 import math
 from unittest import mock
 
@@ -24,6 +25,7 @@ from belieffit import (
     SpiralParams,
     generate_dataset,
     init_type_belief_random,
+    rollout_low_level,
     rollout_random_actions,
     sense_match,
     sense_position,
@@ -68,17 +70,18 @@ def reference_dataset(config, sensor_model, n_interactions, rng, spiral):
 
 
 def reference_radii(config, spiral, trials, rng):
-    """`sim._critical_radii` as a loop of one single-rollout kernel call a
-    trial."""
+    """`sim._critical_radii` as a loop of one unmatched single rollout a
+    trial, whose alignment draw is read from a copy of the generator."""
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
-    offsets = sim._drive_offsets(config.horizon_low, spiral, True)
+    hole = HoleGroundTruth(hole_type=1, position=center)
     bound = config.detector_error_bound
     radii = np.full(trials, np.inf)
     for i in range(trials):
         detection = center + rng.uniform(-bound, bound, 2)
-        aligned, _, distance = sim._approach(detection, center, spiral, config, rng, offsets)
+        aligned = copy.deepcopy(rng).random() < config.alignment_rate
+        outcome = rollout_low_level(detection, PegType(2), hole, spiral, config, rng)
         if aligned:
-            radii[i] = distance.min()
+            radii[i] = outcome.closest_approach
     return radii
 
 

@@ -2,7 +2,11 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -126,11 +130,17 @@ class TestConfig:
         assert f"{key} must lie in" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize(
-        "doc",
-        [{"spiral": {"sigma_wiggle": 1e308}}, {"env": {"workspace_max": [1e300, 1e300]}}],
-        ids=["sigma_wiggle", "workspace_max"],
+        "doc, named",
+        [
+            ({"spiral": {"sigma_wiggle": 1e308}}, "1e+100"),
+            ({"env": {"workspace_max": [1e300, 1e300]}}, "1e+100"),
+            # the sensor's uninformative covariance is scale**2 * cov
+            ({"sensors": {"position": {"cov": [[1e308, 0], [0, 1e308]]}}}, "scale squared"),
+            ({"sensors": {"position": {"uninformative_scale": 1e200}}}, "scale squared"),
+        ],
+        ids=["sigma_wiggle", "workspace_max", "sensor_cov", "uninformative_scale"],
     )
-    def test_overflowing_length_is_exit_2_without_warnings(self, tmp_path, capsys, doc):
+    def test_overflowing_length_is_exit_2_without_warnings(self, tmp_path, capsys, doc, named):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(doc))
         with warnings.catch_warnings(record=True) as caught:
@@ -138,7 +148,7 @@ class TestConfig:
             code = run_cli("train", "--config", path, "--generate", 4, "--epochs", 2,
                            "--out", tmp_path / "o")
         assert code == 2 and not caught
-        assert "1e+100" in assert_one_line_error(capsys)
+        assert named in assert_one_line_error(capsys)
 
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -263,6 +273,24 @@ def test_fuzzed_config_is_exit_0_or_one_line_exit_2(tmp_path_factory, overrides)
     assert code in (0, 2)
     if code == 2:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+def test_out_of_memory_is_exit_2(tmp_path):
+    """`calibrate` holds every trial's critical radius, so 10**10 trials ask
+    for 75 GiB.  The child runs under a 2 GiB address-space limit, where the
+    allocation fails at once instead of swapping."""
+    limit = 2 << 30
+    script = (
+        "import resource, sys\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+        "from belieffit.cli import main\n"
+        "sys.exit(main(['calibrate', '--trials', str(10**10)]))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
 
 
 class TestTrain:
@@ -441,6 +469,19 @@ class TestExperiment:
         )
         assert code == 2
         assert problem in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "kind, flag", [("position_estimation", "--steps"), ("assembly", "--step-cap")]
+    )
+    @pytest.mark.parametrize("value", [0, 10**10])
+    def test_out_of_range_horizon_flag_is_exit_2(
+        self, small_config, tmp_path, capsys, kind, flag, value
+    ):
+        code = run_cli("experiment", kind, "--config", small_config, "--trials", 1,
+                       flag, value, "--out", tmp_path / "r")
+        assert code == 2
+        assert "steps and step cap must lie in [1, 100000]" in assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
 
     def test_unknown_variant_is_exit_2(self, small_config, tmp_path):
         code = run_cli(

@@ -298,7 +298,7 @@ class TestRunEpisode:
         assert a.status == b.status and a.attempts == b.attempts
         for ra, rb in zip(a.records, b.records):
             assert ra.chosen == rb.chosen and ra.beta == rb.beta
-            assert np.array_equal(ra.belief.position.mean, rb.belief.position.mean)
+            assert np.array_equal(ra.mean, rb.mean)
 
     def test_full_approach_covariance_contracts_each_step(self):
         world = single_hole_world(hole_type=2)  # mismatch: never terminates early
@@ -308,7 +308,7 @@ class TestRunEpisode:
             derive_rng(9, 3), beliefs=beliefs,
         )
         traces = [np.trace(beliefs[0].position.cov)] + [
-            np.trace(r.belief.position.cov) for r in log.records
+            np.trace(r.cov) for r in log.records
         ]
         assert all(b <= a + 1e-15 for a, b in zip(traces, traces[1:]))
 
@@ -354,7 +354,7 @@ class TestAssembly:
         assert 0 <= result.interventions <= len(pegs)
         assert len(result.episodes) == len(pegs)
         # every hole ends fitted, by success or intervention
-        assert all(b.fitted for b in result.episodes[-1].final_beliefs)
+        assert result.episodes[-1].final_state.fitted.all()
 
     def test_informed_agent_with_no_cap_never_intervenes(self):
         world, models = self._world_and_models(
@@ -382,6 +382,4 @@ class TestAssembly:
         for episode in result.episodes:
             for rec in episode.records:
                 assert rec.chosen not in fitted
-            for i, belief in enumerate(episode.final_beliefs):
-                if belief.fitted:
-                    fitted.add(i)
+            fitted.update(np.flatnonzero(episode.final_state.fitted).tolist())

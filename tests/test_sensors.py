@@ -65,7 +65,7 @@ class TestSensePosition:
         spec = PositionSensorSpec(uninformative_scale=4.0)
         model = SensorModel(position=spec)
         for trace, scale in ((CLOSE_TRACE, 1.0), (FAR_TRACE, 16.0)):
-            factor = spec.noise_factor(trace.closest_approach((0.0, 0.0)))
+            factor = spec.noise_factor(float(np.linalg.norm(trace, axis=1).min()))
             assert np.allclose(factor @ factor.T, scale * spec.cov)
         rng = derive_rng(3, 11)
         n = 10_000

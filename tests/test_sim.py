@@ -9,7 +9,6 @@ from belieffit import (
     HoleGroundTruth,
     PegType,
     RolloutOutcome,
-    SensorimotorTrace,
     SpiralParams,
     calibrate_alpha,
     rollout_low_level,
@@ -31,13 +30,6 @@ from belieffit.errors import ConfigurationError, InvalidInputError
 CFG = EnvConfig()
 SPIRAL = SpiralParams()
 WORKSPACE = (CFG.workspace_min, CFG.workspace_max)
-
-
-def _wiggle_units(rng, horizon):
-    """The unit wiggle block a rollout on `rng` draws after its alignment
-    draw."""
-    rng.random()
-    return rng.normal(0.0, 1.0, (horizon, 3))
 
 
 class TestSpawnWorld:
@@ -131,36 +123,18 @@ class TestVisionDetect:
 class TestSpiralCommand:
     def test_start_of_spiral(self):
         params = SpiralParams(sigma_wiggle=0.0)
-        assert np.allclose(
-            _spiral_offset(0, 100, params), [0.0, 0.0, -params.delta_z], atol=1e-15
-        )
+        assert np.allclose(_spiral_offset(0, 100, params), [0.0, 0.0], atol=1e-15)
         # without wiggle the first command is the bare offset: the tip stays
-        # at the estimate on the surface
+        # at the estimate
         out = rollout_low_level(
             (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
             derive_rng(0, 3),
         )
-        assert np.allclose(out.trace.positions[0], [0.01, 0.02, 0.0], atol=1e-15)
+        assert np.allclose(out.trace[0], [0.01, 0.02], atol=1e-15)
 
     def test_end_of_spiral_two_rotations(self):
         params = SpiralParams(sigma_wiggle=0.0)
-        assert np.allclose(_spiral_offset(100, 100, params)[:2], [params.r_max, 0.0], atol=1e-12)
-
-    def test_vertical_wiggle_rectified_upward(self):
-        # vertical drive = -delta_z + |wiggle z|, and the tip height is the
-        # drive where it lies above the surface; a wiggle as large as the
-        # press lifts the tip off the surface on some steps, whatever the
-        # sign of the wiggle's draw
-        params = dataclasses.replace(SPIRAL, sigma_wiggle=SPIRAL.delta_z)
-        out = rollout_low_level(
-            (0.0, 0.0), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
-            derive_rng(1, 3),
-        )
-        units = _wiggle_units(derive_rng(1, 3), CFG.horizon_low)[:, 2]
-        drive_z = -params.delta_z + params.sigma_wiggle * np.abs(units)
-        assert np.array_equal(out.trace.positions[:, 2], np.maximum(drive_z, 0.0))
-        lifted = out.trace.positions[:, 2] > 0.0
-        assert np.any(lifted & (units < 0.0)) and np.any(lifted & (units > 0.0))
+        assert np.allclose(_spiral_offset(100, 100, params), [params.r_max, 0.0], atol=1e-12)
 
 
 def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
@@ -172,40 +146,36 @@ def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
 def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, matched):
     """Step-by-step rollout: each step builds its offset, scales its own
     wiggle and commands the pull back from the current tip to the estimate,
-    and the tip is clipped to the workspace.  Returns the tips and the
+    and the tip is clipped to the workspace.  Returns the tips' xy and the
     insertion step (or None)."""
     aligned = rng.random() < align
-    unit = rng.normal(0.0, 1.0, (horizon, 3))
+    unit = rng.normal(0.0, 1.0, (horizon, 3))[:, :2]  # each step's z normal is unread
     rng.normal(0.0, 1.0, (horizon, 3))  # the discarded half of the rollout's block
-    target = np.array([start[0], start[1], 0.0])
+    target = np.array(start, dtype=float)
     ee = target.copy()
     path = []
     for j in range(horizon):
-        wiggle = params.sigma_wiggle * unit[j]
-        wiggle[2] = abs(wiggle[2])
-        if spiral:
-            offset = _spiral_offset(j, horizon, params)
-        else:
-            offset = np.array([0.0, 0.0, -params.delta_z])
-        u = offset + wiggle + (target - ee)
-        raw_z = ee[2] + u[2]
-        ee = ee + u
-        ee[:2] = np.clip(ee[:2], *WORKSPACE)
-        ee[2] = max(0.0, raw_z)
+        offset = _spiral_offset(j, horizon, params) if spiral else np.zeros(2)
+        u = offset + params.sigma_wiggle * unit[j] + (target - ee)
+        ee = np.clip(ee + u, *WORKSPACE)
         path.append(ee.copy())
-        if aligned and matched and np.linalg.norm(ee[:2] - hole.position) <= cr:
+        if aligned and matched and np.linalg.norm(ee - hole.position) <= cr:
             return np.array(path), j
     return np.array(path), None
 
 
+def _distances(trace, point):
+    """Each tip's distance to a point, as the position sensor computes it."""
+    return np.sqrt(((trace - np.asarray(point)) ** 2).sum(axis=1))
+
+
 def _assert_matches_reference(out, ref):
-    """Outcome, insertion step and trace length exact; tips within 1e-16 m,
-    the roundoff the step loop adds by re-anchoring on the previous tip."""
+    """Outcome and trace length exact; tips within 1e-16 m, the roundoff
+    the step loop adds by re-anchoring on the previous tip."""
     path, insertion_step = ref
-    assert out.insertion_step == insertion_step
     assert out.success == (insertion_step is not None)
-    assert len(out.trace) == len(path)
-    assert np.allclose(out.trace.positions, path, rtol=0.0, atol=1e-16)
+    assert out.trace.shape == path.shape
+    assert np.allclose(out.trace, path, rtol=0.0, atol=1e-16)
 
 
 class TestRollout:
@@ -229,7 +199,7 @@ class TestRollout:
 
     def test_zero_error_inserts_immediately(self):
         out = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0)
-        assert out.success and out.insertion_step == 0
+        assert out.success
         assert len(out.trace) == 1
 
     def test_mismatched_peg_never_succeeds(self):
@@ -244,46 +214,40 @@ class TestRollout:
         assert not out.success
 
     def test_trace_length_contract(self):
+        successes = 0
         for seed in range(20):
-            out = _rollout((0.004, 0.003), 1, self.HOLE, seed=seed)
-            if out.success:
-                assert len(out.trace) == out.insertion_step + 1
+            out = _rollout((0.004, 0.003), 1, self.HOLE, align=0.5, seed=seed)
+            if out.success:  # the trace ends at its first tip in the disk
+                inside = _distances(out.trace, self.HOLE.position) <= CFG.capture_radius
+                assert inside[-1] and not inside[:-1].any()
+                successes += 1
             else:
                 assert len(out.trace) == CFG.horizon_low
+        assert 0 < successes < 20
 
     def test_spiral_radius_law_without_wiggle(self):
         out = _rollout((0.02, 0.02), 2, self.HOLE, sigma=0.0)
-        xy = out.trace.positions_xy() - np.array([0.02, 0.02])
+        xy = out.trace - np.array([0.02, 0.02])
         radii = np.linalg.norm(xy, axis=1)
         for j, r in enumerate(radii):
             assert r == pytest.approx(j * SPIRAL.r_max / CFG.horizon_low, abs=1e-12)
-
-    def test_pressing_keeps_contact_and_surface(self):
-        out = _rollout((0.02, 0.02), 2, self.HOLE, sigma=0.0)
-        assert np.all(out.trace.positions[:, 2] == 0.0)
 
     def test_determinism(self):
         a = _rollout((0.01, -0.01), 1, self.HOLE, align=0.5, seed=9)
         b = _rollout((0.01, -0.01), 1, self.HOLE, align=0.5, seed=9)
         assert a.success == b.success
         assert len(a.trace) == len(b.trace)
-        assert np.array_equal(a.trace.positions, b.trace.positions)
-
-    def test_trace_index_validation(self):
-        with pytest.raises(InvalidInputError):
-            SensorimotorTrace(np.empty((0, 3)))
-        with pytest.raises(InvalidInputError):
-            SensorimotorTrace(np.zeros((2, 2)))
+        assert np.array_equal(a.trace, b.trace)
 
     def test_outcome_consistency_validation(self):
         trace = _rollout((0.0, 0.0), 1, self.HOLE, sigma=0.0).trace
-        with pytest.raises(InvalidInputError):
-            RolloutOutcome(True, trace, None, 0.0)
-        with pytest.raises(InvalidInputError):
-            RolloutOutcome(True, trace, len(trace), 0.0)
         for bad in (-1e-3, np.nan, np.inf):
             with pytest.raises(InvalidInputError):
-                RolloutOutcome(True, trace, 0, bad)
+                RolloutOutcome(True, trace, bad)
+
+    def test_trace_is_read_only(self):
+        out = _rollout((0.004, 0.003), 1, self.HOLE, seed=3)
+        assert out.trace.shape[1:] == (2,) and not out.trace.flags.writeable
 
     def test_workspace_bounds_given_as_lists(self):
         env = dataclasses.replace(
@@ -295,11 +259,7 @@ class TestRollout:
         out = rollout_low_level(
             (0.015, 0.0), PegType(2), self.HOLE, SPIRAL, env, derive_rng(2, 4)
         )
-        assert out.trace.positions[:, 0].max() == 0.02  # the spiral reaches the clip
-
-    def test_final_ee_is_last_tip(self):
-        out = _rollout((0.004, 0.003), 1, self.HOLE, seed=3)
-        assert np.array_equal(out.final_ee, out.trace.positions[-1])
+        assert out.trace[:, 0].max() == 0.02  # the spiral reaches the clip
 
 
 # Start coordinates anywhere, or within 1.5 cm of an edge up to 2 cm past it,
@@ -338,8 +298,8 @@ def test_closed_form_matches_step_loop(
         cr=CFG.capture_radius, align=align, matched=matched,
     )
     _assert_matches_reference(out, ref)
-    # the position sensor reads the kernel's closest approach, not the trace
-    assert out.closest_approach == out.trace.closest_approach(hole.position)
+    # the kernel's closest approach is the one the position sensor finds in the trace
+    assert out.closest_approach == _distances(out.trace, hole.position).min()
 
 
 class TestCalibration:
