@@ -8,22 +8,12 @@ finish in about a minute.
 Run: python demos/04_policy_benchmarks.py
 """
 
-from belieffit import (
-    EnvConfig,
-    FilterModels,
-    MatchObservationModel,
-    PositionNoiseModel,
-    SensorModel,
-    SpiralParams,
-)
+from belieffit import EnvConfig, SensorModel, SpiralParams
 from belieffit.experiments import ExperimentSpec, run_experiment
 
 config = EnvConfig()
 sensors = SensorModel()
-learned = FilterModels(
-    position=PositionNoiseModel(sensors.position.cov),
-    match=MatchObservationModel(sensors.match.tpr, sensors.match.fpr),
-)
+learned = sensors.filter_models()  # the filters hold the sensor truth
 
 
 def spec(kind, trials, **kwargs):

@@ -256,7 +256,6 @@ class EnvConfig:
     workspace_max: tuple[float, float] = (0.25, 0.25)
     horizon_high: int = 10
     horizon_low: int = 100
-    rng_seed: int = 0
     capture_radius: float = 0.0025
     alignment_rate: float = 0.36
 

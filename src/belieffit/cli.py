@@ -17,7 +17,6 @@ import numpy as np
 from . import config as cfg
 from .errors import BeliefFitError, ConfigurationError, OptimizationFailureError
 from .experiments import (
-    DEFAULT_VARIANTS,
     KIND_IDS,
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -62,9 +61,10 @@ def validate_steps_csv(path: Path) -> None:
         raise ConfigurationError(f"rows out of order in {path}")
 
 
-def _parse_variants(raw: str | None, kind: str) -> tuple[PolicyVariant, ...]:
+def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
+    """The variants a `--variants` flag names; none leaves the spec's default."""
     if not raw:
-        return DEFAULT_VARIANTS[kind]
+        return ()
     by_value = {v.value: v for v in PolicyVariant}
     out = []
     for name in raw.split(","):
@@ -81,9 +81,8 @@ def cmd_calibrate(args) -> int:
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
-    seed = args.seed if args.seed is not None else env.rng_seed
     target = args.target_alpha if args.target_alpha is not None else env.alpha
-    rng = derive_rng(seed, STREAM_CALIBRATE)
+    rng = derive_rng(args.seed, STREAM_CALIBRATE)
     result = tune_capture_radius(env, spiral, target, args.trials, rng)
     if result.alpha_hat <= 0.0:  # no config may hold it: alpha must lie in (0, 1]
         print(
@@ -109,7 +108,7 @@ def cmd_calibrate(args) -> int:
             "alpha_hat": result.alpha_hat,
             "capture_radius": result.capture_radius,
             "trials": result.trials,
-            "seed": seed,
+            "seed": args.seed,
         }
         cfg.save_config(doc, args.out)
         print(f"wrote {args.out}")
@@ -121,7 +120,6 @@ def cmd_train(args) -> int:
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
     sensors = cfg.sensors_from(doc)
-    seed = args.seed if args.seed is not None else env.rng_seed
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -133,7 +131,7 @@ def cmd_train(args) -> int:
         records = load_dataset(path, env)
     else:
         records = generate_dataset(
-            env, sensors, args.generate, derive_rng(seed, STREAM_DATASET), spiral
+            env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
         )
         save_dataset(records, out_dir / "dataset.csv")
 
@@ -190,19 +188,20 @@ def cmd_train(args) -> int:
 def cmd_experiment(args) -> int:
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
-    learned = cfg.load_params(args.params) if args.params else cfg.learned_from(doc)
-
-    seed = args.seed if args.seed is not None else env.rng_seed
+    spiral = cfg.spiral_from(doc)
+    sensors = cfg.sensors_from(doc)
+    # without trained parameters the filters hold the sensors' truth
+    learned = cfg.load_params(args.params) if args.params else sensors.filter_models()
     trials = args.trials if args.trials is not None else DEFAULT_TRIALS[args.kind]
     spec = ExperimentSpec(
         kind=args.kind,
         env=env,
-        spiral=cfg.spiral_from(doc),
-        sensors=cfg.sensors_from(doc),
+        spiral=spiral,
+        sensors=sensors,
         learned=learned,
         trials=trials,
-        seed=seed,
-        variants=_parse_variants(args.variants, args.kind),
+        seed=args.seed,
+        variants=_parse_variants(args.variants),
         steps=args.steps,
         step_cap=args.step_cap,
     )
@@ -221,7 +220,7 @@ def cmd_experiment(args) -> int:
     validate_metrics_csv(metrics_path)
     validate_steps_csv(steps_path)
 
-    print(f"experiment        : {args.kind} ({trials} trials, seed {seed})")
+    print(f"experiment        : {args.kind} ({trials} trials, seed {args.seed})")
     for variant in spec.variants:
         rows = [r for r in metric_rows if r.variant == variant.value]
         if args.kind == "position_estimation":
@@ -292,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="tune the capture radius to a target success rate")
     p.add_argument("--config", default=None)
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--target-alpha", type=float, default=None)
     p.add_argument("--out", default=None, help="write the calibrated config here")
     p.set_defaults(func=cmd_calibrate)
@@ -304,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="generate this many interactions when no dataset is given")
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="train_out")
     p.set_defaults(func=cmd_train)
 
@@ -313,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None)
     p.add_argument("--params", default=None, help="learned-parameters JSON file")
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", default=None,
                    help="comma-separated variant names (default: per-kind set)")
     p.add_argument("--steps", type=int, default=5,

@@ -1,15 +1,17 @@
-"""JSON configuration: one document holding environment, controller, sensor
-ground truth, and (optionally) the filters' learned parameters.
+"""JSON configuration: one document holding the environment, the spiral
+controller and the sensor ground truth.
 
-`default_config()` reads the desk-scale defaults from the config classes;
-files only need the keys they want to override, and a key the defaults lack
-is an error.
+`default_config()` reads the desk-scale defaults from the config classes, and
+`env_from`, `spiral_from` and `sensors_from` read the blocks back through the
+same classes; files only need the keys they want to override, and a key the
+defaults lack is an error.  The filters' trained parameters are not part of
+the config: `train` writes them to a params file, which `load_params` reads.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import json
 from pathlib import Path
 
@@ -18,12 +20,12 @@ import numpy as np
 from .beliefs import EnvConfig
 from .errors import ConfigurationError
 from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
-from .sensors import MatchSensorSpec, PositionSensorSpec, SensorModel
+from .sensors import SensorModel
 from .sim import SpiralParams
 
 
 def _block_of(value):
-    """A default instance as a config block: a dataclass as a dict of its
+    """A config instance as a config block: a dataclass as a dict of its
     fields, tuples and arrays as lists."""
     if dataclasses.is_dataclass(value):
         return {f.name: _block_of(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -33,17 +35,10 @@ def _block_of(value):
 
 
 def default_config() -> dict:
-    sensors = SensorModel()
     return {
         "env": _block_of(EnvConfig()),
         "spiral": _block_of(SpiralParams()),
-        "sensors": _block_of(sensors),
-        # the filters start from the sensors' truth
-        "learned": {
-            "position_cov": sensors.position.cov.tolist(),
-            "tpr": sensors.match.tpr,
-            "fpr": sensors.match.fpr,
-        },
+        "sensors": _block_of(SensorModel()),
         # written by `calibrate --out` as a record of the run; never read
         "calibration": None,
     }
@@ -89,33 +84,35 @@ def load_config(path: str | Path | None) -> dict:
 def load_params(path: str | Path) -> FilterModels:
     """Learned filter parameters from a JSON file like `train` writes."""
     doc = _read_json(path, "params")
-    try:
-        return learned_from({"learned": doc})
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"params file {path}: {exc}") from None
+    with _reading(f"params file {path}: learned"):
+        return FilterModels(
+            position=PositionNoiseModel(np.array(doc["position_cov"], dtype=float)),
+            match=MatchObservationModel(tpr=float(doc["tpr"]), fpr=float(doc["fpr"])),
+        )
 
 
-def _block(name: str):
-    """Report a missing key, a wrong-typed value or a value out of range in
-    block `name` as one ConfigurationError that names the block."""
-
-    def decorate(read):
-        @functools.wraps(read)
-        def checked(doc: dict):
-            try:
-                return read(doc)
-            except KeyError as exc:
-                raise ConfigurationError(f"{name}: missing key {exc}") from None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigurationError(f"{name}: {exc}") from None
-
-        return checked
-
-    return decorate
+def learned_to_doc(models: FilterModels) -> dict:
+    return {
+        "position_cov": [[float(x) for x in row] for row in models.position.cov],
+        "tpr": float(models.match.tpr),
+        "fpr": float(models.match.fpr),
+    }
 
 
 def save_config(doc: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+@contextlib.contextmanager
+def _reading(where: str):
+    """Report a missing key, a wrong-typed value or a value out of range as
+    one ConfigurationError that names `where`."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ConfigurationError(f"{where}: missing key {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"{where}: {exc}") from None
 
 
 def _int(block: dict, key: str) -> int:
@@ -126,67 +123,37 @@ def _int(block: dict, key: str) -> int:
     raise TypeError(f"{key} must be an integer, got {value!r}")
 
 
-@_block("env")
+def _from_block(cls, block: dict):
+    """The inverse of `_block_of`: a `cls` built from its block, each field
+    read as the type of its default."""
+    defaults, values = cls(), {}
+    for f in dataclasses.fields(cls):
+        default = getattr(defaults, f.name)
+        if dataclasses.is_dataclass(default):
+            values[f.name] = _from_block(type(default), block[f.name])
+        elif isinstance(default, tuple):
+            values[f.name] = tuple(float(x) for x in block[f.name])
+        elif isinstance(default, np.ndarray):
+            values[f.name] = np.array(block[f.name], dtype=float)
+        elif isinstance(default, int):
+            values[f.name] = _int(block, f.name)
+        else:
+            values[f.name] = float(block[f.name])
+    return cls(**values)
+
+
+def _read_block(doc: dict, name: str, cls):
+    with _reading(name):
+        return _from_block(cls, doc[name])
+
+
 def env_from(doc: dict) -> EnvConfig:
-    env = doc["env"]
-    return EnvConfig(
-        n_holes=_int(env, "n_holes"),
-        n_types=_int(env, "n_types"),
-        detector_error_bound=float(env["detector_error_bound"]),
-        alpha=float(env["alpha"]),
-        sigma_init=float(env["sigma_init"]),
-        workspace_min=tuple(float(x) for x in env["workspace_min"]),
-        workspace_max=tuple(float(x) for x in env["workspace_max"]),
-        horizon_high=_int(env, "horizon_high"),
-        horizon_low=_int(env, "horizon_low"),
-        rng_seed=_int(env, "rng_seed"),
-        capture_radius=float(env["capture_radius"]),
-        alignment_rate=float(env["alignment_rate"]),
-    )
+    return _read_block(doc, "env", EnvConfig)
 
 
-@_block("spiral")
 def spiral_from(doc: dict) -> SpiralParams:
-    sp = doc["spiral"]
-    return SpiralParams(
-        r_max=float(sp["r_max"]),
-        n_rot=_int(sp, "n_rot"),
-        delta_z=float(sp["delta_z"]),
-        sigma_wiggle=float(sp["sigma_wiggle"]),
-    )
+    return _read_block(doc, "spiral", SpiralParams)
 
 
-@_block("sensors")
 def sensors_from(doc: dict) -> SensorModel:
-    sens = doc["sensors"]
-    pos = sens["position"]
-    return SensorModel(
-        position=PositionSensorSpec(
-            cov=np.array(pos["cov"], dtype=float),
-            bias=np.array(pos["bias"], dtype=float),
-            uninformative_scale=float(pos["uninformative_scale"]),
-            informative_radius=float(pos["informative_radius"]),
-        ),
-        match=MatchSensorSpec(
-            tpr=float(sens["match"]["tpr"]), fpr=float(sens["match"]["fpr"])
-        ),
-    )
-
-
-@_block("learned")
-def learned_from(doc: dict) -> FilterModels:
-    if "learned" not in doc or doc["learned"] is None:
-        raise ConfigurationError("no learned parameters in config")
-    lp = doc["learned"]
-    return FilterModels(
-        position=PositionNoiseModel(np.array(lp["position_cov"], dtype=float)),
-        match=MatchObservationModel(tpr=float(lp["tpr"]), fpr=float(lp["fpr"])),
-    )
-
-
-def learned_to_doc(models: FilterModels) -> dict:
-    return {
-        "position_cov": [[float(x) for x in row] for row in models.position.cov],
-        "tpr": float(models.match.tpr),
-        "fpr": float(models.match.fpr),
-    }
+    return _read_block(doc, "sensors", SensorModel)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .beliefs import PegType
 from .errors import InvalidInputError
-from .filters import Innovation
+from .filters import FilterModels, Innovation, MatchObservationModel, PositionNoiseModel
 
 
 @dataclass(frozen=True)
@@ -62,7 +62,7 @@ class PositionSensorSpec:
     def noise_factor(self, closest_approach: float) -> np.ndarray:
         """Cholesky factor of the noise covariance for a trace whose closest
         tip came `closest_approach` [m] from the hole."""
-        return self._factors[closest_approach > self.informative_radius]
+        return self._factors[int(closest_approach > self.informative_radius)]
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,14 @@ class MatchSensorSpec:
 class SensorModel:
     position: PositionSensorSpec = field(default_factory=PositionSensorSpec)
     match: MatchSensorSpec = field(default_factory=MatchSensorSpec)
+
+    def filter_models(self) -> FilterModels:
+        """Filter parameters equal to this truth (the bias and the
+        uninformative inflation aside)."""
+        return FilterModels(
+            position=PositionNoiseModel(self.position.cov),
+            match=MatchObservationModel(tpr=self.match.tpr, fpr=self.match.fpr),
+        )
 
 
 def observe_position(

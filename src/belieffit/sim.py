@@ -48,13 +48,12 @@ class SpiralParams:
 
     r_max: float = 0.015
     n_rot: int = 2
-    delta_z: float = 0.004
     sigma_wiggle: float = 0.00125
 
     def __post_init__(self):
         # written so that NaN fails each range check
-        if not (0.0 < self.r_max <= MAX_LENGTH and 0.0 < self.delta_z <= MAX_LENGTH):
-            raise ConfigurationError(f"r_max and delta_z must lie in (0, {MAX_LENGTH:g}] m")
+        if not 0.0 < self.r_max <= MAX_LENGTH:
+            raise ConfigurationError(f"r_max must lie in (0, {MAX_LENGTH:g}] m")
         # a spiral of more turns than steps only aliases
         if not 1 <= self.n_rot <= MAX_HORIZON:
             raise ConfigurationError(f"n_rot must lie in [1, {MAX_HORIZON}]")

@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -14,7 +15,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
 from belieffit.training import read_table, write_csv
-from belieffit.config import default_config, load_config, save_config
+from belieffit import EnvConfig, SensorModel, SpiralParams
+from belieffit.config import (
+    _block_of,
+    default_config,
+    env_from,
+    load_config,
+    save_config,
+    sensors_from,
+    spiral_from,
+)
 from belieffit.errors import ConfigurationError, InvalidInputError
 
 
@@ -58,6 +68,11 @@ class TestConfig:
             ({"env": {"n_hole": 3}}, "'env.n_hole'; did you mean 'env.n_holes'"),
             ({"env": {"clearance": 0.001}}, "'env.clearance'"),
             ({"spirals": {}}, "'spirals'; did you mean 'spiral'"),
+            # deleted keys: trained parameters come only from --params, the
+            # seed only from --seed, and the press depth changed no output
+            ({"learned": {"tpr": 0.85}}, "key 'learned'"),
+            ({"env": {"rng_seed": 0}}, "key 'env.rng_seed'"),
+            ({"spiral": {"delta_z": 0.004}}, "key 'spiral.delta_z'"),
         ],
     )
     def test_unknown_key_is_exit_2(self, tmp_path, capsys, doc, named):
@@ -71,6 +86,24 @@ class TestConfig:
         )
         assert code == 2
         assert named in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "read, name, cls",
+        [(env_from, "env", EnvConfig), (spiral_from, "spiral", SpiralParams),
+         (sensors_from, "sensors", SensorModel)],
+        ids=["env", "spiral", "sensors"],
+    )
+    def test_block_reads_back_as_its_class(self, read, name, cls):
+        def assert_same_fields(got, want):
+            assert type(got) is type(want)
+            for f in dataclasses.fields(want):
+                a, b = getattr(got, f.name), getattr(want, f.name)
+                if dataclasses.is_dataclass(b):
+                    assert_same_fields(a, b)
+                else:
+                    assert type(a) is type(b) and np.array_equal(a, b), f.name
+
+        assert_same_fields(read({name: _block_of(cls())}), cls())
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "1e999"])
     @pytest.mark.parametrize(
@@ -275,6 +308,33 @@ def test_fuzzed_config_is_exit_0_or_one_line_exit_2(tmp_path_factory, overrides)
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
+_SENSOR_KEYS = [(group, key) for group, block in default_config()["sensors"].items()
+                for key in block]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(overrides=st.dictionaries(
+    st.sampled_from(_SENSOR_KEYS),
+    st.one_of(_JSON_VALUES, st.lists(st.lists(st.floats(), min_size=2, max_size=2),
+                                     min_size=2, max_size=2)),
+    min_size=1, max_size=4,
+))
+def test_fuzzed_sensors_block_reads_or_raises_configuration_error(tmp_path_factory, overrides):
+    """`calibrate` never reads `sensors`, so the block is read in process."""
+    doc = {"sensors": {"position": {}, "match": {}}}
+    for (group, key), value in overrides.items():
+        doc["sensors"][group][key] = value
+    path = tmp_path_factory.mktemp("fuzz") / "config.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            assert isinstance(sensors_from(load_config(path)), SensorModel)
+        except ConfigurationError:
+            pass
+    assert not caught, [str(w.message) for w in caught]
+
+
 def test_out_of_memory_is_exit_2(tmp_path):
     """`calibrate` holds every trial's critical radius, so 10**10 trials ask
     for 75 GiB.  The child runs under a 2 GiB address-space limit, where the
@@ -436,6 +496,19 @@ class TestExperiment:
                 "experiment", "matching_insertion", "--config", small_config,
                 "--trials", 5, "--seed", 4, "--out", out,
             ) == 0
+        assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
+        assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
+
+    def test_config_sensor_truth_is_the_filters_default(self, tmp_path, capsys):
+        """Without `--params` the filters hold the config's own sensor truth."""
+        config, params = tmp_path / "c.json", tmp_path / "p.json"
+        config.write_text(json.dumps({"sensors": {"match": {"tpr": 0.7}}}))
+        params.write_text(json.dumps({"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]],
+                                      "tpr": 0.7, "fpr": 0.15}))
+        out1, out2 = tmp_path / "r1", tmp_path / "r2"
+        argv = ("experiment", "matching_insertion", "--config", config, "--trials", 3)
+        assert run_cli(*argv, "--out", out1) == 0
+        assert run_cli(*argv, "--params", params, "--out", out2) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
 

@@ -16,6 +16,7 @@ from belieffit import (
     sense_position,
 )
 from belieffit.seeding import derive_rng
+from belieffit.sensors import observe_position
 from belieffit.errors import InvalidInputError
 
 CFG = EnvConfig()
@@ -79,6 +80,13 @@ class TestSensePosition:
         expected = 16.0 * spec.cov
         rel = np.linalg.norm(sample_cov - expected) / np.linalg.norm(expected)
         assert rel <= 0.10
+
+    @pytest.mark.parametrize("approach", [0.0, 0.02])
+    def test_numpy_scalar_approach_reads_like_a_float(self, approach):
+        model = SensorModel(position=PositionSensorSpec(uninformative_scale=4.0))
+        got = observe_position(np.float64(approach), np.zeros(2), model, derive_rng(5, 11))
+        want = observe_position(approach, np.zeros(2), model, derive_rng(5, 11))
+        assert np.array_equal(got, want)
 
     def test_same_inputs_same_output(self):
         model = SensorModel()

@@ -87,7 +87,7 @@ class TestSpawnWorld:
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("field", ["r_max", "delta_z", "sigma_wiggle"])
+@pytest.mark.parametrize("field", ["r_max", "sigma_wiggle"])
 def test_spiral_params_reject_non_finite(field, bad):
     with pytest.raises(ConfigurationError):
         SpiralParams(**{field: bad})
