@@ -133,6 +133,15 @@ def cmd_train(args) -> int:
         records = generate_dataset(
             env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
         )
+    # the oracles reject a batch they cannot estimate from before any file is written
+    cov_oracle = mle_covariance_oracle(
+        np.array([r.obs for r in records]).reshape(-1, 2),
+        np.array([r.position for r in records]).reshape(-1, 2),
+    )
+    tpr_oracle, fpr_oracle = mle_confusion_oracle(
+        [(r.peg_type == r.hole_type, r.o_match) for r in records]
+    )
+    if not args.dataset:
         save_dataset(records, out_dir / "dataset.csv")
 
     matched = sum(1 for r in records if r.peg_type == r.hole_type)
@@ -160,12 +169,6 @@ def cmd_train(args) -> int:
     print(f"final mean NLL    : {history[-1]}")
     print(f"trailing window loss non-increasing: {trailing_ok}")
 
-    cov_oracle = mle_covariance_oracle(
-        np.array([r.obs for r in records]), np.array([r.position for r in records])
-    )
-    tpr_oracle, fpr_oracle = mle_confusion_oracle(
-        [(r.peg_type == r.hole_type, r.o_match) for r in records]
-    )
     learned_cov = params.position_cov
     rel = float(
         np.linalg.norm(learned_cov - cov_oracle) / np.linalg.norm(cov_oracle)

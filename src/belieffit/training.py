@@ -33,6 +33,7 @@ Gradients are analytic and validated against central finite differences.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -205,9 +206,10 @@ class LearnedParams:
 
 def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarray,
           sigma0: np.ndarray, xi0: np.ndarray, obs: np.ndarray, o_match: np.ndarray,
-          beta: np.ndarray, where=lambda i: "") -> list[InteractionRecord]:
+          beta: np.ndarray, where=lambda i: "", out=None) -> list[InteractionRecord]:
     """The records that `InteractionRecord` would build from n rows, packed
-    as one read-only block with a row per record.
+    as one read-only block with a row per record: `out`, (n, 14 + C), if
+    given.
 
     Takes the types as lists of ints, the vectors as (n, 2) arrays, one
     shared `sigma0`, and `xi0` (n, C) or one (C,) shared by every row.  The
@@ -239,7 +241,7 @@ def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarr
         i = int(passed.all(axis=0).argmin())
         raise InvalidInputError(where(i) + checks[int(passed[:, i].argmin())][1])
 
-    rows = np.empty((n, _Row.o_match + 1 + size))
+    rows = np.empty((n, _Row.o_match + 1 + size)) if out is None else out
     rows[:, _Row.p] = position
     rows[:, _Row.mu0] = mu0
     rows[:, _Row.obs] = obs
@@ -284,7 +286,8 @@ def generate_dataset(
     rollout and `sense_position`, then `sense_match`, would take them, with
     draws of one kind that follow each other merged into one call; then one
     array pass per block of records computes the rollouts, readings and
-    records.
+    records.  The records' packed rows are allocated before the first draw,
+    so a size the host cannot hold raises MemoryError at once.
     """
     if n_interactions < 2:
         raise InvalidInputError("need at least two interactions for class balance")
@@ -296,6 +299,7 @@ def generate_dataset(
     sigma0 = config.sigma_init * np.eye(2)
     match = sensor_model.match
     normals = np.empty(6 * horizon + 2)
+    rows = np.empty((n_interactions, _Row.o_match + 1 + n_types))
     records = []
     for first in range(0, n_interactions, block_size(horizon)):
         n = min(block_size(horizon), n_interactions - first)
@@ -334,7 +338,7 @@ def generate_dataset(
             raise InvalidInputError("innovation must be a finite 2-vector")
         o_match = verdicts < np.where(matched, match.tpr, match.fpr)
         records += _pack(peg_types, hole_types, p, mu0, sigma0, xi0, innovation + mu0,
-                         o_match, success)
+                         o_match, success, out=rows[first:first + n])
     return records
 
 
@@ -439,24 +443,26 @@ class _Precomputed(NamedTuple):
     tx_true: np.ndarray  # (4, g)
     cells: np.ndarray  # (4, g): 1.0 in the column's cell
     weight: np.ndarray  # (g,): records per column
-    count: np.ndarray  # (4,): records per cell
+    count: list  # 4 floats: records per cell
 
 
 # the derivative of each cell's likelihood in its rate
-_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+_SIGN = (-1.0, 1.0, -1.0, 1.0)
 
 
 def _runs(keys: np.ndarray) -> tuple:
     """Runs of exactly equal columns of `keys`, one row per key: an index
-    that makes equal columns adjacent, and the bounds [0, ..., n] of the
-    runs in that order.  When every column is equal, the index is a slice,
-    so applying it sorts and copies nothing."""
+    that makes equal columns adjacent, the keys in that order, and the
+    bounds [0, ..., n] of the runs.  When every column is equal, the index
+    is a slice and the keys are `keys`: nothing is sorted or copied."""
     n = keys.shape[1]
     if (keys == keys[:, :1]).all():
-        return slice(None), [0, n]
+        return slice(None), keys, [0, n]
     order = np.lexsort(keys)
     ks = keys[:, order]
-    return order, [0, *(np.flatnonzero((ks[:, 1:] != ks[:, :-1]).any(axis=0)) + 1).tolist(), n]
+    # OR the key rows one by one: numpy reduces the short axis 0 slowly
+    changed = functools.reduce(np.logical_or, ks[:, 1:] != ks[:, :-1])
+    return order, ks, [0, *(np.flatnonzero(changed) + 1).tolist(), n]
 
 
 def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
@@ -471,16 +477,16 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     # position: group the records by S0; m[i][j] holds the entries of a
     # group's sum of x_i x_j^T, x = (e, f, h)
     z = np.empty((n, 6))
-    np.subtract(rows[:, _Row.p], rows[:, _Row.mu0], out=z[:, 0:2])
-    np.subtract(rows[:, _Row.p], rows[:, _Row.obs], out=z[:, 2:4])
-    np.subtract(rows[:, _Row.obs], rows[:, _Row.mu0], out=z[:, 4:6])
-    order, cuts = _runs(rows[:, _Row.sigma0].T)
-    s0, z = rows[:, _Row.sigma0][order], z[order]
+    for k, (x, y) in enumerate(((_Row.p, _Row.mu0), (_Row.p, _Row.obs), (_Row.obs, _Row.mu0))):
+        for j in range(2):  # one column at a time: strided pairs cost 4x more
+            np.subtract(rows[:, x.start + j], rows[:, y.start + j], out=z[:, 2 * k + j])
+    order, s0, cuts = _runs(rows[:, _Row.sigma0].T)
+    z = z[order]
     groups = []
     for lo, hi in zip(cuts, cuts[1:]):
         q = z[lo:hi].T @ z[lo:hi]
         m = q.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3).reshape(3, 3, 4).tolist()
-        groups.append((s0[lo].tolist(), hi - lo, m[0][0], m[0][1], m[1][1], m[0][2], m[1][2]))
+        groups.append((s0[:, lo].tolist(), hi - lo, m[0][0], m[0][1], m[1][1], m[0][2], m[1][2]))
     del z, s0
 
     # type and match: a record's terms depend only on its key (tx_true,
@@ -496,12 +502,21 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     t_other = np.where(beta, 0.0, 1.0)
     keys = np.empty((4, n))
     keys[0] = np.where(on_peg, t_peg, t_other) * xi0[idx, true]
-    keys[1] = t_other * np.where(peg[:, None] == np.arange(xi0.shape[1]), 0.0, xi0).sum(axis=1)
+    # the prior mass off the peg's class, summed in the order numpy sums a
+    # row (`beliefs.ordered_sum`): column by column below 8 classes
+    size = xi0.shape[1]
+    if size < 8:
+        other = np.where(peg == 0, 0.0, xi0[:, 0])
+        for k in range(1, size):
+            other += np.where(peg == k, 0.0, xi0[:, k])
+    else:
+        other = np.where(peg[:, None] == np.arange(size), 0.0, xi0).sum(axis=1)
+    keys[1] = t_other * other
     keys[2] = t_peg * xi0[idx, peg]
     keys[3] = np.where(on_peg, 0, 2) + rows[:, _Row.o_match]
     del rows, xi0  # the packed rows are split: free them before sorting
-    order, cuts = _runs(keys)
-    true_x, tx_other, tx_peg, cell = keys[:, order][:, cuts[:-1]]
+    _, keys, cuts = _runs(keys)
+    true_x, tx_other, tx_peg, cell = keys[:, cuts[:-1]]
     if not np.all(tx_peg + tx_other > 0.0):
         raise DegenerateEvidenceError(
             "a record's outcome has zero probability under its type prior"
@@ -517,7 +532,7 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     cells = (cell == np.arange(4)[:, None]).astype(float)
     weight = np.diff(cuts).astype(float)
     return _Precomputed(n=n, groups=tuple(groups), tx=tx, tx_true=tx_true,
-                        cells=cells, weight=weight, count=cells @ weight)
+                        cells=cells, weight=weight, count=(cells @ weight).tolist())
 
 
 def _mul(x: tuple, y: tuple) -> tuple:
@@ -550,12 +565,13 @@ def _inv(x: tuple) -> tuple:
     return (x11 / det, -x01 / det, -x10 / det, x00 / det), det
 
 
-def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, np.ndarray]:
-    """Batch-mean loss terms at theta, (position, type, match), and the
-    gradient of each, one 5-vector per row."""
-    params = LearnedParams(theta)
-    grads = np.zeros((3, 5))
-
+def _value_and_grad(theta: list, pre: _Precomputed) -> tuple[tuple, tuple]:
+    """Batch-sum loss terms at theta, a list of 5 floats, as (position,
+    type, match), and the gradient of each: position's in theta[0:3], type's
+    and match's in theta[3:5], zero elsewhere.  The pass runs on Python
+    floats except where numpy rounds otherwise: R's 2x2 product (BLAS fuses
+    its multiply-adds), the logistic's exp, the logs and the products with
+    the type arrays."""
     # position, per group: one Kalman correction with A = (R + S0)^-1,
     # K = S0 A, Sigma1 = S0 - K S0 = M^-1 and d = (I - K) e + K f.  Summed
     # over the group, Lp = count/2 ln|Sigma1| + 1/2 tr(M D) with
@@ -563,7 +579,9 @@ def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, n
     # dLp = tr(G dR) with G = count/2 P M P^T + P M C A^T - 1/2 P M D M P^T,
     # P = A S0 and C = sum d h^T; dR is symmetric, so only G00, G01 + G10
     # and G11 matter
-    r = tuple(params.position_cov.ravel().tolist())
+    ea, b, ec = math.exp(theta[0]), theta[1], math.exp(theta[2])
+    chol = np.array([[ea, 0.0], [b, ec]])
+    r = tuple((chol @ chol.T).ravel().tolist())
     loss_pos = g00 = g11 = gx = 0.0
     for s0, count, see, sef, sff, seh, sfh in pre.groups:
         a, _ = _inv(_add(s0, r))
@@ -582,49 +600,53 @@ def _value_and_grad(theta: np.ndarray, pre: _Precomputed) -> tuple[np.ndarray, n
         g00 += g[0]
         g11 += g[3]
         gx += g[1] + g[2]
-    (ea, _), (b, ec) = params.chol.tolist()
-    grads[0, :3] = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11,
-                    2.0 * ec * ec * g11)
+    g_pos = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11, 2.0 * ec * ec * g11)
 
     # type, per type column, and match, per cell.  A record's dLc/dh_k is
     # tx_k / eta - [k = c] / h_c above the floor and 0 below it, and equal
     # columns give equal terms: summed, the first part is
     # tx @ (weight active / eta), the second follows from each cell's count
-    # of active records.  dlog_h is d ln h / d(its rate); the rows (0, 1) of
-    # a per-cell sum belong to tpr and (2, 3) to fpr
-    tpr, fpr = params.tpr, params.fpr
+    # of active records.  dlog_h is d ln h / d(its rate); the cells (0, 1)
+    # belong to tpr and (2, 3) to fpr
+    scale = 1.0 - 2.0 * MATCH_PROB_EPS
+    st, sf = float(_sigmoid(theta[3])), float(_sigmoid(theta[4]))
+    tpr, fpr = MATCH_PROB_EPS + scale * st, MATCH_PROB_EPS + scale * sf
     h = np.array([1.0 - tpr, tpr, 1.0 - fpr, fpr])
     eta = h @ pre.tx
     xi1_true = h @ pre.tx_true
     xi1_true /= eta
     active = (xi1_true >= LOG_FLOOR) * pre.weight
-    loss_type = -(pre.weight @ np.log(np.maximum(xi1_true, LOG_FLOOR)))
-    loss_match = -(pre.count * np.log(np.maximum(h, LOG_FLOOR))).sum()
-    dlog_h = _SIGN / h
-    d_type = _SIGN * (pre.tx @ (active / eta)) - (pre.cells @ active) * dlog_h
-    d_match = -pre.count * dlog_h
-    scale = 1.0 - 2.0 * MATCH_PROB_EPS
-    st, sf = _sigmoid(theta[3]), _sigmoid(theta[4])
-    chain = np.array([scale * st * (1.0 - st), scale * sf * (1.0 - sf)])
-    grads[1, 3:] = chain * d_type.reshape(2, 2).sum(axis=1)
-    grads[2, 3:] = chain * d_match.reshape(2, 2).sum(axis=1)
-    return np.array([loss_pos, loss_type, loss_match]) / pre.n, grads / pre.n
+    loss_type = -float(pre.weight @ np.log(np.maximum(xi1_true, LOG_FLOOR)))
+    log_h = np.log(np.maximum(h, LOG_FLOOR)).tolist()
+    loss_match = -sum(k * x for k, x in zip(pre.count, log_h))
+    dlog_h = [s / x for s, x in zip(_SIGN, h.tolist())]
+    d_type = [s * x - y * d for s, x, y, d in zip(
+        _SIGN, (pre.tx @ (active / eta)).tolist(), (pre.cells @ active).tolist(), dlog_h)]
+    d_match = [-k * d for k, d in zip(pre.count, dlog_h)]
+    chain = (scale * st * (1.0 - st), scale * sf * (1.0 - sf))
+    g_type = (chain[0] * (d_type[0] + d_type[1]), chain[1] * (d_type[2] + d_type[3]))
+    g_match = (chain[0] * (d_match[0] + d_match[1]), chain[1] * (d_match[2] + d_match[3]))
+    return (loss_pos, loss_type, loss_match), (g_pos, g_type, g_match)
 
 
-def _mean_loss_and_grad(theta, pre: _Precomputed) -> tuple[float, np.ndarray]:
-    """Batch-mean loss, every term summed, and its gradient."""
-    losses, grads = _value_and_grad(theta, pre)
-    return float(losses.sum()), grads.sum(axis=0)
+def _mean_loss_and_grad(theta: list, pre: _Precomputed) -> tuple[float, list]:
+    """Batch-mean loss, every term summed, and its gradient as 5 floats:
+    each term's sum divided by the batch size, then the terms added in
+    their (position, type, match) order."""
+    n = pre.n
+    (loss_pos, loss_type, loss_match), (g_pos, g_type, g_match) = _value_and_grad(theta, pre)
+    return (loss_pos / n + loss_type / n + loss_match / n,
+            [x / n for x in g_pos] + [t / n + m / n for t, m in zip(g_type, g_match)])
 
 
 def batch_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> float:
     """Mean one-step filtering NLL of the records under `params`."""
-    return _mean_loss_and_grad(params.theta, _precompute(records, alpha))[0]
+    return _mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[0]
 
 
 def grad_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> np.ndarray:
     """Analytic gradient of the mean NLL w.r.t. theta."""
-    return _mean_loss_and_grad(params.theta, _precompute(records, alpha))[1]
+    return np.array(_mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[1])
 
 
 def fit_parameters(
@@ -644,7 +666,8 @@ def fit_parameters(
     covariance, mildly informative confusion rates).  Divergence past 10x the
     initial loss aborts with an error.  Each epoch makes one pass over the
     batch: the loss at the new parameters, recorded in `history_out`, comes
-    with the gradient for the next step.
+    with the gradient for the next step.  The steps run on lists of 5 Python
+    floats, in the order of operations of Adam on numpy 5-vectors.
     """
     if epochs < 1:
         raise InvalidInputError("need at least one epoch")
@@ -653,27 +676,26 @@ def fit_parameters(
     pre = _precompute(records, alpha)
     if init is None:
         init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)
-    theta = init.theta.copy()
+    theta = init.theta.tolist()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
-    m = np.zeros(5)
-    v = np.zeros(5)
+    m = [0.0] * 5
+    v = [0.0] * 5
     initial_loss, g = _mean_loss_and_grad(theta, pre)
     bound = 10.0 * max(abs(initial_loss), 1.0)
     for epoch in range(1, epochs + 1):
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** epoch)
-        v_hat = v / (1 - beta2 ** epoch)
+        m = [beta1 * x + (1 - beta1) * y for x, y in zip(m, g)]
+        v = [beta2 * x + (1 - beta2) * y * y for x, y in zip(v, g)]
+        c1, c2 = 1 - beta1 ** epoch, 1 - beta2 ** epoch  # bias corrections
         step = lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / epochs))
-        theta = theta - step * m_hat / (np.sqrt(v_hat) + eps)
-        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta[:3])) > 150.0:
+        theta = [t - step * (x / c1) / (math.sqrt(y / c2) + eps) for t, x, y in zip(theta, m, v)]
+        if not all(map(math.isfinite, theta)) or max(map(abs, theta[:3])) > 150.0:
             raise OptimizationFailureError(
                 f"parameters diverged at epoch {epoch} (|theta| too large)"
             )
         loss, g = _mean_loss_and_grad(theta, pre)
         if history_out is not None:
             history_out.append(loss)
-        if not np.isfinite(loss) or loss > bound:
+        if not math.isfinite(loss) or loss > bound:
             raise OptimizationFailureError(
                 f"loss diverged at epoch {epoch}: {loss:.3g} vs initial {initial_loss:.3g}"
             )
@@ -692,7 +714,7 @@ def mle_covariance_oracle(observations, truths) -> np.ndarray:
     if observations.shape != truths.shape or observations.ndim != 2:
         raise InvalidInputError("observations and truths must be (n, 2) arrays")
     if observations.shape[0] < 3:
-        raise DegenerateOracleError("need at least 3 samples")
+        raise DegenerateOracleError("covariance oracle needs at least 3 samples")
     residuals = observations - truths
     centered = residuals - residuals.mean(axis=0)
     cov = centered.T @ centered / (residuals.shape[0] - 1)
@@ -706,7 +728,7 @@ def mle_confusion_oracle(samples) -> tuple[float, float]:
     matched = [o for is_match, o in samples if is_match]
     mismatched = [o for is_match, o in samples if not is_match]
     if not matched or not mismatched:
-        raise DegenerateOracleError("need both matched and mismatched samples")
+        raise DegenerateOracleError("confusion oracle needs both matched and mismatched samples")
     eps = MATCH_PROB_EPS
     tpr = min(max(sum(matched) / len(matched), eps), 1.0 - eps)
     fpr = min(max(sum(mismatched) / len(mismatched), eps), 1.0 - eps)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
-from belieffit.training import read_table, write_csv
+from belieffit.training import DATASET_COLUMNS, read_table, write_csv
 from belieffit import EnvConfig, SensorModel, SpiralParams
 from belieffit.config import (
     _block_of,
@@ -335,20 +335,34 @@ def test_fuzzed_sensors_block_reads_or_raises_configuration_error(tmp_path_facto
     assert not caught, [str(w.message) for w in caught]
 
 
-def test_out_of_memory_is_exit_2(tmp_path):
-    """`calibrate` holds every trial's critical radius, so 10**10 trials ask
-    for 75 GiB.  The child runs under a 2 GiB address-space limit, where the
-    allocation fails at once instead of swapping."""
+def run_in_2_gib(tmp_path, *argv):
+    """`main(argv)` in a child process under a 2 GiB address-space limit,
+    where an allocation the host cannot hold fails at once instead of
+    swapping."""
     limit = 2 << 30
     script = (
         "import resource, sys\n"
         f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
         "from belieffit.cli import main\n"
-        "sys.exit(main(['calibrate', '--trials', str(10**10)]))\n"
+        f"sys.exit(main({[str(a) for a in argv]!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
-                           capture_output=True, text=True, timeout=60)
+    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_out_of_memory_is_exit_2(tmp_path):
+    """`calibrate` holds every trial's critical radius, so 10**10 trials ask
+    for 75 GiB."""
+    child = run_in_2_gib(tmp_path, "calibrate", "--trials", 10**10)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
+
+
+def test_generated_dataset_out_of_memory_is_exit_2(tmp_path):
+    """`train --generate` allocates its records' packed rows before the
+    first draw: 10**10 records of 17 floats ask for 1.2 TiB."""
+    child = run_in_2_gib(tmp_path, "train", "--generate", 10**10)
     assert child.returncode == 2
     assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
 
@@ -402,6 +416,29 @@ class TestTrain:
         )
         assert code == 2
         assert "learning rate" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("source, oracle", [("generate", "covariance oracle"),
+                                                ("dataset", "confusion oracle")])
+    def test_batch_an_oracle_rejects_writes_nothing(
+        self, small_config, tmp_path, capsys, source, oracle
+    ):
+        # two generated records are too few for the covariance oracle, and
+        # a dataset of matched records has no fpr to count
+        flags = ("--generate", 2)
+        if source == "dataset":
+            flags = ("--dataset", tmp_path / "matched.csv")
+            write_csv(flags[1], DATASET_COLUMNS, [
+                (1, 1, 0.01, 0.02, 0.011, 0.019, 0.012, 0.021, 1, 0),
+                (2, 2, -0.01, 0.0, -0.011, 0.001, -0.009, -0.002, 0, 0),
+                (1, 1, 0.03, -0.02, 0.029, -0.021, 0.031, -0.018, 1, 1),
+                (2, 2, 0.0, 0.05, 0.001, 0.049, -0.002, 0.052, 0, 0),
+            ])
+        out = tmp_path / "out"
+        code = run_cli("train", "--config", small_config, *flags, "--epochs", 2,
+                       "--seed", 3, "--out", out)
+        assert code == 2
+        assert oracle in assert_one_line_error(capsys)
+        assert list(out.iterdir()) == []
 
     def test_missing_dataset_is_exit_2(self, small_config, tmp_path, capsys):
         code = run_cli(

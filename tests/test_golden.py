@@ -42,6 +42,14 @@ CASES = {
             "learned_params.json": "014dabea300073a20286c6aca615dfbd1625e6ed48e3bf7c49c9166b3e722fe3",
         },
     ),
+    "train_readme": (  # README's command: 3000 records, 2000 epochs, about 1 s
+        ["train", "--generate", "3000", "--epochs", "2000", "--lr", "0.01", "--seed", "0"],
+        {
+            "dataset.csv": "640c80fe9258165076c2f2c9f286c516f9ab64a4717f31500b26b39e6a93feed",
+            "loss.csv": "af7ae6790f2f6ce7c6915dd7b780e84cea4e19b2f34f6b873c66ef2585ec43e9",
+            "learned_params.json": "5b42b9f71866b74e394c850d9607d14adf12990bce7f72a8fc429090c6854fe3",
+        },
+    ),
 }
 
 

@@ -30,6 +30,7 @@ from belieffit import (
     save_dataset,
 )
 from belieffit.errors import (
+    BeliefFitError,
     ConfigurationError,
     DegenerateEvidenceError,
     DegenerateOracleError,
@@ -37,8 +38,20 @@ from belieffit.errors import (
     InvalidInputError,
     OptimizationFailureError,
 )
+from belieffit.filters import MATCH_PROB_EPS
 from belieffit.seeding import derive_rng
-from belieffit.training import LOG_FLOOR, _add, _inv, _mul, _precompute, _value_and_grad
+from belieffit.training import (
+    LOG_FLOOR,
+    _add,
+    _inv,
+    _mul,
+    _precompute,
+    _Precomputed,
+    _Row,
+    _sigmoid,
+    _t,
+    _value_and_grad,
+)
 
 ALPHA = 0.34
 SPIRAL = SpiralParams()
@@ -78,13 +91,23 @@ def make_record(
     )
 
 
+def value_and_grad(theta, pre):
+    """Batch-mean loss terms at theta, (position, type, match), and the
+    gradient of each, one 5-vector per row: the fused pass's sums divided
+    by the batch size."""
+    losses, (g_pos, g_type, g_match) = _value_and_grad([float(x) for x in theta], pre)
+    grads = np.zeros((3, 5))
+    grads[0, :3], grads[1, 3:], grads[2, 3:] = g_pos, g_type, g_match
+    return np.array(losses) / pre.n, grads / pre.n
+
+
 EVERY_TERM = (True, True, True)
 
 
 def selected_nll(theta, records, alpha, keep=EVERY_TERM):
     """Batch-mean loss and its gradient over the terms `keep` selects from
     (position, type, match), read from the rows of the fused pass."""
-    losses, grads = _value_and_grad(np.asarray(theta, dtype=float), _precompute(records, alpha))
+    losses, grads = value_and_grad(theta, _precompute(records, alpha))
     keep = np.array(keep, dtype=bool)
     return float(losses[keep].sum()), grads[keep].sum(axis=0)
 
@@ -341,15 +364,15 @@ def draw_xi0(draw, n_types, low_class=None):
 
 
 @st.composite
-def fused_cases(draw, max_records=6, n_priors=None, n_type_priors=None):
+def fused_cases(draw, max_records=6, n_priors=None, n_type_priors=None, max_types=4):
     """Random theta, alpha and a small batch: non-isotropic SPD priors, type
     priors on the simplex, both verdicts and outcomes, and records whose true
     class ends below LOG_FLOOR (a success on another class, or a prior mass
     of 1e-12 on the true class).  With `n_priors`, the records share at most
     that many position priors, so that the loss groups several records;
     with `n_type_priors`, at most that many type priors, so that records
-    repeat type columns."""
-    n_types = draw(st.integers(2, 4))
+    repeat type columns.  The records have 2 to `max_types` classes."""
+    n_types = draw(st.integers(2, max_types))
     priors = None
     if n_priors is not None:
         priors = [draw_sigma0(draw) for _ in range(draw(st.integers(1, n_priors)))]
@@ -388,7 +411,7 @@ class TestFusedPass:
     def test_per_record_terms_match_filter_run(self, case):
         params, alpha, records = case
         for record in records:
-            losses, _ = _value_and_grad(params.theta, _precompute([record], alpha))
+            losses, _ = value_and_grad(params.theta, _precompute([record], alpha))
             for row, term in enumerate(TERMS):
                 only = {t: t == term for t in TERMS}
                 expected = filter_run_nll(params, record, alpha, **only)
@@ -398,7 +421,7 @@ class TestFusedPass:
     @given(case=fused_cases(max_records=12, n_priors=3))
     def test_grouped_batch_terms_match_filter_run_mean(self, case):
         params, alpha, records = case
-        losses, _ = _value_and_grad(params.theta, _precompute(records, alpha))
+        losses, _ = value_and_grad(params.theta, _precompute(records, alpha))
         for row, term in enumerate(TERMS):
             only = {t: t == term for t in TERMS}
             expected = np.mean([filter_run_nll(params, r, alpha, **only) for r in records])
@@ -460,9 +483,9 @@ class TestFusedPass:
         # records' magnitudes, each at least 1: a record's type gradient can
         # cancel to ~1e-13 from two parts of order 1
         params, alpha, records = data.draw(cases)
-        singles = [_value_and_grad(params.theta, _precompute([r], alpha)) for r in records]
+        singles = [value_and_grad(params.theta, _precompute([r], alpha)) for r in records]
         for batch in (records, data.draw(st.permutations(records))):
-            for got, parts in zip(_value_and_grad(params.theta, _precompute(batch, alpha)),
+            for got, parts in zip(value_and_grad(params.theta, _precompute(batch, alpha)),
                                   map(np.array, zip(*singles))):
                 err = np.abs(len(batch) * got - parts.sum(axis=0))
                 scale = np.maximum(np.abs(parts), 1.0).sum(axis=0)
@@ -478,6 +501,188 @@ class TestFusedPass:
         result = fit_parameters(records, init=params, lr=1e-4, epochs=1,
                                 alpha=alpha, history_out=history)
         assert history == [batch_nll(result, records, alpha)]
+
+
+# --------------------------------------------------------------------------
+# the fit on numpy arrays, as written before the pass and the Adam loop ran
+# on Python floats: the reference for their bits
+# --------------------------------------------------------------------------
+
+
+def reference_runs(keys):
+    n = keys.shape[1]
+    if (keys == keys[:, :1]).all():
+        return slice(None), [0, n]
+    order = np.lexsort(keys)
+    ks = keys[:, order]
+    return order, [0, *(np.flatnonzero((ks[:, 1:] != ks[:, :-1]).any(axis=0)) + 1).tolist(), n]
+
+
+def reference_precompute(records, alpha):
+    rows = np.array([r._row for r in records])
+    n = len(rows)
+    z = np.empty((n, 6))
+    np.subtract(rows[:, _Row.p], rows[:, _Row.mu0], out=z[:, 0:2])
+    np.subtract(rows[:, _Row.p], rows[:, _Row.obs], out=z[:, 2:4])
+    np.subtract(rows[:, _Row.obs], rows[:, _Row.mu0], out=z[:, 4:6])
+    order, cuts = reference_runs(rows[:, _Row.sigma0].T)
+    s0, z = rows[:, _Row.sigma0][order], z[order]
+    groups = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        q = z[lo:hi].T @ z[lo:hi]
+        m = q.reshape(3, 2, 3, 2).transpose(0, 2, 1, 3).reshape(3, 3, 4).tolist()
+        groups.append((s0[lo].tolist(), hi - lo, m[0][0], m[0][1], m[1][1], m[0][2], m[1][2]))
+    xi0 = rows[:, _Row.xi0]
+    idx = np.arange(n)
+    peg = rows[:, _Row.peg].astype(int) - 1
+    true = rows[:, _Row.hole].astype(int) - 1
+    beta = rows[:, _Row.beta] == 1.0
+    on_peg = peg == true
+    t_peg = np.where(beta, alpha, 1.0 - alpha)
+    t_other = np.where(beta, 0.0, 1.0)
+    keys = np.empty((4, n))
+    keys[0] = np.where(on_peg, t_peg, t_other) * xi0[idx, true]
+    keys[1] = t_other * np.where(peg[:, None] == np.arange(xi0.shape[1]), 0.0, xi0).sum(axis=1)
+    keys[2] = t_peg * xi0[idx, peg]
+    keys[3] = np.where(on_peg, 0, 2) + rows[:, _Row.o_match]
+    order, cuts = reference_runs(keys)
+    true_x, tx_other, tx_peg, cell = keys[:, order][:, cuts[:-1]]
+    if not np.all(tx_peg + tx_other > 0.0):
+        raise DegenerateEvidenceError(
+            "a record's outcome has zero probability under its type prior"
+        )
+    cell = cell.astype(int)
+    o_match = cell % 2
+    col = np.arange(cell.size)
+    tx = np.zeros((4, cell.size))
+    tx[o_match, col] = tx_peg
+    tx[2 + o_match, col] = tx_other
+    tx_true = np.zeros((4, cell.size))
+    tx_true[cell, col] = true_x
+    cells = (cell == np.arange(4)[:, None]).astype(float)
+    weight = np.diff(cuts).astype(float)
+    return _Precomputed(n=n, groups=tuple(groups), tx=tx, tx_true=tx_true,
+                        cells=cells, weight=weight, count=cells @ weight)
+
+
+REFERENCE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
+
+
+def reference_value_and_grad(theta, pre):
+    params = LearnedParams(theta)
+    grads = np.zeros((3, 5))
+    r = tuple(params.position_cov.ravel().tolist())
+    loss_pos = g00 = g11 = gx = 0.0
+    for s0, count, see, sef, sff, seh, sfh in pre.groups:
+        a, _ = _inv(_add(s0, r))
+        k = _mul(s0, a)
+        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        u = _mul(r, a)
+        cross = _mul(_mul(u, sef), _t(k))
+        dd = _add(_mul(_mul(u, see), _t(u)), cross, _t(cross), _mul(_mul(k, sff), _t(k)))
+        dh = _add(_mul(u, seh), _mul(k, sfh))
+        p = _mul(a, s0)
+        pm = _mul(p, m)
+        g = [0.5 * count * x + y - 0.5 * w for x, y, w in zip(
+            _mul(pm, _t(p)), _mul(_mul(pm, dh), _t(a)), _mul(_mul(pm, dd), _t(pm)))]
+        loss_pos += 0.5 * count * math.log(det1) + 0.5 * (
+            m[0] * dd[0] + m[1] * dd[2] + m[2] * dd[1] + m[3] * dd[3])
+        g00 += g[0]
+        g11 += g[3]
+        gx += g[1] + g[2]
+    (ea, _), (b, ec) = params.chol.tolist()
+    grads[0, :3] = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11,
+                    2.0 * ec * ec * g11)
+    tpr, fpr = params.tpr, params.fpr
+    h = np.array([1.0 - tpr, tpr, 1.0 - fpr, fpr])
+    eta = h @ pre.tx
+    xi1_true = h @ pre.tx_true
+    xi1_true /= eta
+    active = (xi1_true >= LOG_FLOOR) * pre.weight
+    loss_type = -(pre.weight @ np.log(np.maximum(xi1_true, LOG_FLOOR)))
+    loss_match = -(pre.count * np.log(np.maximum(h, LOG_FLOOR))).sum()
+    dlog_h = REFERENCE_SIGN / h
+    d_type = REFERENCE_SIGN * (pre.tx @ (active / eta)) - (pre.cells @ active) * dlog_h
+    d_match = -pre.count * dlog_h
+    scale = 1.0 - 2.0 * MATCH_PROB_EPS
+    st, sf = _sigmoid(theta[3]), _sigmoid(theta[4])
+    chain = np.array([scale * st * (1.0 - st), scale * sf * (1.0 - sf)])
+    grads[1, 3:] = chain * d_type.reshape(2, 2).sum(axis=1)
+    grads[2, 3:] = chain * d_match.reshape(2, 2).sum(axis=1)
+    return np.array([loss_pos, loss_type, loss_match]) / pre.n, grads / pre.n
+
+
+def reference_mean_loss_and_grad(theta, pre):
+    losses, grads = reference_value_and_grad(theta, pre)
+    return float(losses.sum()), grads.sum(axis=0)
+
+
+def reference_fit(records, init, lr, epochs, alpha, history_out):
+    pre = reference_precompute(records, alpha)
+    theta = init.theta.copy()
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    m = np.zeros(5)
+    v = np.zeros(5)
+    initial_loss, g = reference_mean_loss_and_grad(theta, pre)
+    bound = 10.0 * max(abs(initial_loss), 1.0)
+    for epoch in range(1, epochs + 1):
+        m = beta1 * m + (1 - beta1) * g
+        v = beta2 * v + (1 - beta2) * g * g
+        m_hat = m / (1 - beta1 ** epoch)
+        v_hat = v / (1 - beta2 ** epoch)
+        step = lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / epochs))
+        theta = theta - step * m_hat / (np.sqrt(v_hat) + eps)
+        if not np.all(np.isfinite(theta)) or np.max(np.abs(theta[:3])) > 150.0:
+            raise OptimizationFailureError(
+                f"parameters diverged at epoch {epoch} (|theta| too large)"
+            )
+        loss, g = reference_mean_loss_and_grad(theta, pre)
+        history_out.append(loss)
+        if not np.isfinite(loss) or loss > bound:
+            raise OptimizationFailureError(
+                f"loss diverged at epoch {epoch}: {loss:.3g} vs initial {initial_loss:.3g}"
+            )
+    return LearnedParams(theta)
+
+
+def fit_outcome(fit, records, init, lr, epochs, alpha):
+    """The bytes of the loss history, and those of the returned theta or
+    the failure's type and message."""
+    history: list = []
+    try:
+        with np.errstate(all="ignore"):
+            theta = fit(records, init=init, lr=lr, epochs=epochs, alpha=alpha,
+                        history_out=history).theta
+    except BeliefFitError as exc:
+        return np.array(history).tobytes(), type(exc), str(exc)
+    return np.array(history).tobytes(), theta.tobytes()
+
+
+class TestNumpyReference:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_fit_is_bitwise_the_numpy_loop(self, data):
+        n_type_priors = data.draw(st.sampled_from([None, 2]))
+        params, alpha, records = data.draw(fused_cases(
+            max_records=24, n_priors=3, n_type_priors=n_type_priors, max_types=9))
+        lr = data.draw(st.floats(1e-4, 0.05))
+        epochs = data.draw(st.integers(1, 60))
+        for got, expected in zip(value_and_grad(params.theta, _precompute(records, alpha)),
+                                 reference_value_and_grad(params.theta,
+                                                          reference_precompute(records, alpha))):
+            assert got.tobytes() == expected.tobytes()
+        assert (fit_outcome(fit_parameters, records, params, lr, epochs, alpha)
+                == fit_outcome(reference_fit, records, params, lr, epochs, alpha))
+
+    @pytest.mark.parametrize("lr, problem", [(200.0, "parameters diverged"),
+                                             (3.0, "loss diverged")])
+    def test_divergence_is_the_numpy_loop_s(self, lr, problem):
+        rng = derive_rng(7, 20)
+        records = [make_record(rng, matched=bool(i % 2)) for i in range(6)]
+        init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)
+        got = fit_outcome(fit_parameters, records, init, lr, 400, ALPHA)
+        assert got == fit_outcome(reference_fit, records, init, lr, 400, ALPHA)
+        assert got[1] is OptimizationFailureError and problem in got[2]
 
 
 class TestRecordValidation:
