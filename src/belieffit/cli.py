@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import sys
 from pathlib import Path
 
@@ -219,7 +218,7 @@ def cmd_experiment(args) -> int:
          for r in metric_rows],
     )
     steps_path = out_dir / "steps.csv"
-    write_csv(steps_path, STEP_COLUMNS, map(operator.itemgetter(*STEP_COLUMNS), step_rows))
+    write_csv(steps_path, STEP_COLUMNS, step_rows)
     validate_metrics_csv(metrics_path)
     validate_steps_csv(steps_path)
 

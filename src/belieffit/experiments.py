@@ -6,6 +6,11 @@ environments; episode noise additionally keys on the variant.  Each trial
 draws only from its own streams, so its rows do not depend on how many trials
 a run has.  A trial's detected beliefs are built once, and each variant
 steps its own copy of them.
+
+A study builds every (variant, trial) task and `policy.run_tasks` drives
+them together in lockstep rounds; since each task draws only from its own
+stream, its rows equal those of the task run alone.  Step rows are tuples
+in `STEP_COLUMNS` order, which the CLI writes as they are.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
     AssemblyResult,
-    EpisodeLog,
     PolicyModels,
     PolicyVariant,
+    StepRecord,
     TerminalStatus,
+    assembly_task,
     initial_state,
-    run_assembly_task,
-    run_steps,
+    run_tasks,
+    steps_task,
 )
 from .seeding import (
     STREAM_DETECT,
@@ -118,42 +124,22 @@ def _variant_key(variant: PolicyVariant) -> int:
     return list(PolicyVariant).index(variant)
 
 
-def _episode_step_rows(
-    spec: ExperimentSpec,
-    variant: PolicyVariant,
-    trial: int,
-    episode: EpisodeLog,
-    peg_index: int = 0,
-) -> list[dict]:
+def _episode_rng(spec: ExperimentSpec, trial: int, variant: PolicyVariant) -> np.random.Generator:
+    return derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, _variant_key(variant))
+
+
+def _step_rows(spec: ExperimentSpec, variant: PolicyVariant, trial: int, peg_index: int,
+               peg: PegType, records: list[StepRecord], status: TerminalStatus) -> list[tuple]:
+    """The `STEP_COLUMNS` rows of one episode's records."""
+    episode = (spec.kind, variant.value, trial, peg_index, peg.value)
     rows = []
-    for rec in episode.records:
-        start_x, start_y = rec.start_estimate.tolist()
-        mu_x, mu_y = rec.mean.tolist()
+    for rec in records:
         (cov_xx, cov_xy), (_, cov_yy) = rec.cov.tolist()
-        rows.append(
-            {
-                "experiment": spec.kind,
-                "variant": variant.value,
-                "trial": trial,
-                "peg_index": peg_index,
-                "peg_type": episode.peg.value,
-                "step": rec.t,
-                "chosen_hole": rec.chosen,
-                "start_x": start_x,
-                "start_y": start_y,
-                "beta": int(rec.beta),
-                "mu_x": mu_x,
-                "mu_y": mu_y,
-                "cov_xx": cov_xx,
-                "cov_xy": cov_xy,
-                "cov_yy": cov_yy,
-                "xi": "|".join(map(repr, rec.xi)),
-                "fitted": int(rec.fitted),
-                "pos_error": rec.pos_error,
-                "status": episode.status.value,
-                "seed": spec.seed,
-            }
-        )
+        rows.append((
+            *episode, rec.t, rec.chosen, *rec.start_estimate.tolist(), int(rec.beta),
+            *rec.mean.tolist(), cov_xx, cov_xy, cov_yy, "|".join(map(repr, rec.xi)),
+            int(rec.fitted), rec.pos_error, status.value, spec.seed,
+        ))
     return rows
 
 
@@ -171,14 +157,19 @@ def _single_hole_setup(
     return world, peg, state
 
 
-def _single_hole_episode(spec: ExperimentSpec, variant: PolicyVariant, trial: int,
-                         setup: tuple[World, PegType, BeliefArrays], horizon: int) -> EpisodeLog:
-    """One variant's episode on a copy of the trial's detected beliefs."""
-    world, peg, state = setup
-    state = state.copy()
-    rng = derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, _variant_key(variant))
-    records, status = run_steps(state, world, peg, variant, spec.models, horizon, rng)
-    return EpisodeLog(peg, records, status, state)
+def _single_hole_episodes(spec: ExperimentSpec, matched: bool, horizon: int):
+    """Every (variant, trial) episode of a single-hole study, run together,
+    each on its own copy of the trial's detected beliefs.  Returns the
+    setups and, per variant, each trial's (records, status)."""
+    setups = [_single_hole_setup(spec, trial, matched) for trial in range(spec.trials)]
+    tasks = []
+    for variant in spec.variants:
+        for trial, (world, peg, state) in enumerate(setups):
+            rng = _episode_rng(spec, trial, variant)
+            tasks.append((steps_task(state.copy(), world, peg, variant, spec.models, horizon,
+                                     rng), rng))
+    results = run_tasks(tasks, spec.spiral, spec.env)
+    return setups, [results[i:i + spec.trials] for i in range(0, len(results), spec.trials)]
 
 
 def run_position_estimation(spec: ExperimentSpec):
@@ -189,16 +180,14 @@ def run_position_estimation(spec: ExperimentSpec):
     between variants.
     """
     metric_rows: list[ResultRow] = []
-    step_rows: list[dict] = []
-    setups = [_single_hole_setup(spec, trial, matched=False) for trial in range(spec.trials)]
-    for variant in spec.variants:
+    step_rows: list[tuple] = []
+    setups, episodes = _single_hole_episodes(spec, matched=False, horizon=spec.steps)
+    for variant, results in zip(spec.variants, episodes):
         errors = []
-        for trial, setup in enumerate(setups):
-            world, _, state = setup
+        for trial, ((world, peg, state), (records, status)) in enumerate(zip(setups, results)):
             initial_error = float(np.linalg.norm(state.means[0] - world.holes[0].position))
-            episode = _single_hole_episode(spec, variant, trial, setup, spec.steps)
-            errors.append([initial_error] + [r.pos_error for r in episode.records])
-            step_rows.extend(_episode_step_rows(spec, variant, trial, episode))
+            errors.append([initial_error] + [r.pos_error for r in records])
+            step_rows += _step_rows(spec, variant, trial, 0, peg, records, status)
         errors = np.array(errors)
         for t in range(spec.steps + 1):
             metric_rows.append(
@@ -216,16 +205,15 @@ def run_matching_insertion(spec: ExperimentSpec):
     """Success-within-t curves on a task whose single hole matches the peg."""
     horizon = spec.env.horizon_high
     metric_rows: list[ResultRow] = []
-    step_rows: list[dict] = []
-    setups = [_single_hole_setup(spec, trial, matched=True) for trial in range(spec.trials)]
-    for variant in spec.variants:
+    step_rows: list[tuple] = []
+    setups, episodes = _single_hole_episodes(spec, matched=True, horizon=horizon)
+    for variant, results in zip(spec.variants, episodes):
         steps_to_success = []
-        for trial, setup in enumerate(setups):
-            episode = _single_hole_episode(spec, variant, trial, setup, horizon)
+        for trial, ((_, peg, _), (records, status)) in enumerate(zip(setups, results)):
             steps_to_success.append(
-                episode.attempts if episode.status is TerminalStatus.SUCCESS else None
+                len(records) if status is TerminalStatus.SUCCESS else None
             )
-            step_rows.extend(_episode_step_rows(spec, variant, trial, episode))
+            step_rows += _step_rows(spec, variant, trial, 0, peg, records, status)
         for t in range(1, horizon + 1):
             rate = sum(1 for s in steps_to_success if s is not None and s <= t)
             metric_rows.append(
@@ -239,7 +227,7 @@ def run_assembly(spec: ExperimentSpec):
     """Multi-peg task: cumulative attempts and intervention rates."""
     kind_id = KIND_IDS[spec.kind]
     metric_rows: list[ResultRow] = []
-    step_rows: list[dict] = []
+    step_rows: list[tuple] = []
     n_pegs = spec.env.n_holes
     setups = []
     for trial in range(spec.trials):
@@ -249,20 +237,19 @@ def run_assembly(spec: ExperimentSpec):
         peg_rng = derive_rng(spec.seed, kind_id, STREAM_PEGS, trial)
         types = [h.hole_type for h in world.holes]
         setups.append((world, [PegType(types[i]) for i in peg_rng.permutation(len(types))]))
+    tasks = []
     for variant in spec.variants:
-        assemblies: list[AssemblyResult] = []
         for trial, (world, pegs) in enumerate(setups):
-            rng = derive_rng(
-                spec.seed, kind_id, STREAM_EPISODE, trial, _variant_key(variant)
-            )
-            result = run_assembly_task(
-                world, pegs, variant, spec.models, rng, step_cap=spec.step_cap
-            )
-            assemblies.append(result)
+            rng = _episode_rng(spec, trial, variant)
+            tasks.append((assembly_task(world, pegs, variant, spec.models, rng,
+                                        step_cap=spec.step_cap), rng))
+    results = run_tasks(tasks, spec.spiral, spec.env)
+    for v, variant in enumerate(spec.variants):
+        assemblies: list[AssemblyResult] = results[v * spec.trials:(v + 1) * spec.trials]
+        for trial, result in enumerate(assemblies):
             for peg_index, episode in enumerate(result.episodes):
-                step_rows.extend(
-                    _episode_step_rows(spec, variant, trial, episode, peg_index)
-                )
+                step_rows += _step_rows(spec, variant, trial, peg_index, episode.peg,
+                                        episode.records, episode.status)
 
         interventions = sum(a.interventions for a in assemblies)
         metric_rows.append(
@@ -301,5 +288,5 @@ RUNNERS = {
 def run_experiment(spec: ExperimentSpec):
     metric_rows, step_rows = RUNNERS[spec.kind](spec)
     metric_rows.sort(key=attrgetter("experiment", "variant", "trial", "step", "metric"))
-    step_rows.sort(key=itemgetter("experiment", "variant", "trial", "peg_index", "step"))
+    step_rows.sort(key=itemgetter(0, 1, 2, 3, 5))  # experiment, variant, trial, peg_index, step
     return metric_rows, step_rows

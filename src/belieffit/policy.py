@@ -17,6 +17,15 @@ A Kalman update reads the position sensor after a failure and the final tip
 position after an insertion; "replace mean" sets the mean to that same
 observation and keeps the covariance.
 
+The step is resumable: `_step` is a generator that yields its rollout
+request (start estimate, hole position, whether the peg matches) and is
+resumed with the outcome.  `steps_task` and `assembly_task` chain steps into
+an episode and a multi-peg task, and `run_tasks` drives any number of
+independent tasks in rounds, one `rollout_block` pass per round, so a study
+runs all its (variant, trial) tasks together.  `run_steps`,
+`run_episode`, `run_assembly_task` and `high_level_step` run one task
+through `run_tasks` too.
+
 `run_steps` holds a trial's beliefs as one `BeliefArrays` and steps it in
 place; `run_episode` and `run_assembly_task` run it from detected or given
 beliefs.  `high_level_step`, `select_hole` and `init_beliefs` are the same
@@ -28,6 +37,7 @@ from __future__ import annotations
 import enum
 import logging
 import math
+from collections.abc import Generator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,13 +65,21 @@ from .filters import (
     type_posterior,
 )
 from .sensors import SensorModel, observe_position, sense_match
-from .sim import RolloutOutcome, SpiralParams, World, rollout_low_level, vision_detect
+from .sim import SpiralParams, World, block_size, rollout_block, vision_detect, wiggle_rows
 
 logger = logging.getLogger(__name__)
 
 # Insertion pins down the hole position; treat the final tip position as a
 # (numerically) noise-free observation of it.
 INSERTION_NOISE = PositionNoiseModel(1e-12 * np.eye(2))
+
+# A rollout request: the start estimate, the hole's position and whether the
+# peg matches the hole.  Its outcome: success, the closest approach [m] and
+# the last tip, which is the inserting tip after a success.
+Request = tuple[np.ndarray, np.ndarray, bool]
+Outcome = tuple[bool, float, np.ndarray]
+# a resumable computation that yields rollout requests and returns a result
+Task = Generator[Request, Outcome, object]
 
 
 class PolicyVariant(enum.Enum):
@@ -206,19 +224,19 @@ def _updated_position(
     mean: np.ndarray,
     cov: np.ndarray,
     rule: PositionUpdate,
-    outcome: RolloutOutcome,
+    outcome: Outcome,
     hole: HoleGroundTruth,
     models: PolicyModels,
     rng: np.random.Generator,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Position posterior: an insertion observes the final tip position, a
+    """Position posterior: an insertion observes the inserting tip, a
     failure reads the position sensor."""
-    if outcome.success:
-        observed = outcome.trace[-1]
+    success, closest, tip = outcome
+    if success:
         if rule is PositionUpdate.REPLACE:
-            return observed, cov
-        return kalman_posterior(mean, cov, observed - mean, INSERTION_NOISE.cov)
-    observed = observe_position(outcome.closest_approach, hole.position, models.sensor, rng)
+            return tip, cov
+        return kalman_posterior(mean, cov, tip - mean, INSERTION_NOISE.cov)
+    observed = observe_position(closest, hole.position, models.sensor, rng)
     innovation = observed - mean
     if rule is PositionUpdate.REPLACE:
         return mean + innovation, cov
@@ -266,14 +284,15 @@ def _step(
     variant: PolicyVariant,
     models: PolicyModels,
     rng: np.random.Generator,
-) -> StepRecord:
-    """One choose-hole / rollout / belief-update iteration on `state`.
+) -> Task:
+    """One choose-hole / rollout / belief-update iteration on `state`, as a
+    task that yields its rollout request and returns its `StepRecord`.
 
     The package's one belief update: the chosen hole's row changes as the
     variant's `FEEDBACK` row says, each posterior is checked once before it
     is written, and every other row is left alone.  Random draws come in a
-    fixed order: start sample, rollout, position sensor (after a failure),
-    match sensor.
+    fixed order: start sample, rollout (drawn by `run_tasks`), position
+    sensor (after a failure), match sensor.
     """
     config: EnvConfig = world.config
     feedback = FEEDBACK[variant]
@@ -282,8 +301,8 @@ def _step(
     mean, cov = state.means[chosen], state.covs[chosen]
 
     start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()
-    outcome = rollout_low_level(start, peg, hole, models.spiral, config, rng)
-    beta = outcome.success
+    outcome = yield start, hole.position, peg.value == hole.hole_type
+    beta = outcome[0]
 
     if feedback.position is not PositionUpdate.NONE:
         mean, cov = _updated_position(mean, cov, feedback.position, outcome, hole, models, rng)
@@ -313,6 +332,63 @@ def _step(
     )
 
 
+def run_tasks(tasks: list[tuple[Task, np.random.Generator]], spiral: SpiralParams,
+              env: EnvConfig) -> list:
+    """Run independent tasks to their ends in lockstep rounds and return
+    each one's result, in task order.
+
+    A task is a pair (generator, rng).  The generator yields a rollout
+    request (start estimate, hole position, whether the peg matches the
+    hole), is resumed with the rollout's `Outcome` and returns its result;
+    rng is the stream that it and its rollouts draw from, which no other
+    task may share.  Each round draws every live task's alignment uniform
+    and normal block from its own stream, in task order, runs the round's
+    rollouts through `rollout_block` a block at a time, and resumes each
+    task with its outcome, so every stream is read in the order of the task
+    run alone.
+    """
+    results: list = [None] * len(tasks)
+    outcomes: list = [None] * len(tasks)  # a task starts on None
+    live = list(range(len(tasks)))
+    horizon, rate = env.horizon_low, env.alignment_rate
+    size = block_size(horizon)
+    normals = np.empty(6 * horizon)
+    wiggle = wiggle_rows(normals, horizon)  # a view: each draw into `normals` refills it
+    while live:
+        requests, still = [], []
+        for i in live:
+            try:
+                requests.append(tasks[i][0].send(outcomes[i]))
+            except StopIteration as stop:
+                results[i] = stop.value
+            else:
+                still.append(i)
+        live = still
+        for lo in range(0, len(live), size):
+            block = live[lo:lo + size]
+            n = len(block)
+            starts, holes, matched = np.empty((n, 2)), np.empty((n, 2)), np.empty(n, bool)
+            aligned, normals_xy = np.empty(n, bool), np.empty((n, 2, horizon))
+            tips = np.empty((n, 2, horizon))
+            for k, i in enumerate(block):
+                starts[k], holes[k], matched[k] = requests[lo + k]
+                rng = tasks[i][1]
+                aligned[k] = rng.random() < rate
+                rng.standard_normal(out=normals)
+                normals_xy[k] = wiggle
+            out = rollout_block(starts, holes, normals_xy, aligned, matched, spiral, env,
+                                sweep=True, tips=tips)
+            for i, success, closest, tip in zip(block, out.success.tolist(),
+                                                out.closest.tolist(), out.tip):
+                outcomes[i] = success, closest, tip
+    return results
+
+
+def _run(task: Task, world: World, models: PolicyModels, rng: np.random.Generator):
+    """One task's result, run through `run_tasks` alone."""
+    return run_tasks([(task, rng)], models.spiral, world.config)[0]
+
+
 def high_level_step(
     beliefs: list[HoleBelief],
     peg: PegType,
@@ -324,10 +400,32 @@ def high_level_step(
     """`_step` on a list of beliefs: the chosen hole's belief is replaced and
     every other belief object passes through.  The record's `t` is 0; the
     episode loop numbers its steps from 1."""
-    record = _step(BeliefArrays.of(beliefs), 0, peg, world, variant, models, rng)
+    task = _step(BeliefArrays.of(beliefs), 0, peg, world, variant, models, rng)
+    record = _run(task, world, models, rng)
     position = GaussianBelief2(record.mean, record.cov)
     chosen = HoleBelief(position, TypeBelief(record.xi), record.fitted)
     return [chosen if i == record.chosen else b for i, b in enumerate(beliefs)], record
+
+
+def steps_task(
+    state: BeliefArrays,
+    world: World,
+    peg: PegType,
+    variant: PolicyVariant,
+    models: PolicyModels,
+    horizon: int,
+    rng: np.random.Generator,
+) -> Task:
+    """`run_steps` as a task for `run_tasks`; it returns (records, status)."""
+    if horizon < 1:
+        raise InvalidInputError("episode horizon must be >= 1")
+    records: list[StepRecord] = []
+    for t in range(1, horizon + 1):
+        record = yield from _step(state, t, peg, world, variant, models, rng)
+        records.append(record)
+        if record.beta:
+            return records, TerminalStatus.SUCCESS
+    return records, TerminalStatus.STEP_CAP
 
 
 def run_steps(
@@ -340,15 +438,7 @@ def run_steps(
     rng: np.random.Generator,
 ) -> tuple[list[StepRecord], TerminalStatus]:
     """Steps `state` in place for one peg until a fit or the horizon."""
-    if horizon < 1:
-        raise InvalidInputError("episode horizon must be >= 1")
-    records: list[StepRecord] = []
-    for t in range(1, horizon + 1):
-        record = _step(state, t, peg, world, variant, models, rng)
-        records.append(record)
-        if record.beta:
-            return records, TerminalStatus.SUCCESS
-    return records, TerminalStatus.STEP_CAP
+    return _run(steps_task(state, world, peg, variant, models, horizon, rng), world, models, rng)
 
 
 def run_episode(
@@ -366,6 +456,36 @@ def run_episode(
     return EpisodeLog(peg, records, status, state)
 
 
+def assembly_task(
+    world: World,
+    pegs: list[PegType],
+    variant: PolicyVariant,
+    models: PolicyModels,
+    rng: np.random.Generator,
+    step_cap: int = 30,
+) -> Task:
+    """`run_assembly_task` as a task for `run_tasks`."""
+    world_types = sorted(h.hole_type for h in world.holes)
+    if sorted(p.value for p in pegs) != world_types:
+        raise InvalidInputError("pegs must be a permutation of the world's hole types")
+
+    state = initial_state(world, rng)
+    episodes: list[EpisodeLog] = []
+    interventions = 0
+    for peg in pegs:
+        records, status = yield from steps_task(state, world, peg, variant, models, step_cap, rng)
+        if status is TerminalStatus.STEP_CAP:
+            status = TerminalStatus.INTERVENTION
+            interventions += 1
+            _intervene(state, world, peg)
+        episodes.append(EpisodeLog(peg, records, status, state.copy()))
+    return AssemblyResult(
+        attempts_per_peg=[e.attempts for e in episodes],
+        interventions=interventions,
+        episodes=episodes,
+    )
+
+
 def run_assembly_task(
     world: World,
     pegs: list[PegType],
@@ -380,25 +500,7 @@ def run_assembly_task(
     lowest-index unfitted hole of the peg's true type is marked fitted and
     the task moves on.
     """
-    world_types = sorted(h.hole_type for h in world.holes)
-    if sorted(p.value for p in pegs) != world_types:
-        raise InvalidInputError("pegs must be a permutation of the world's hole types")
-
-    state = initial_state(world, rng)
-    episodes: list[EpisodeLog] = []
-    interventions = 0
-    for peg in pegs:
-        records, status = run_steps(state, world, peg, variant, models, step_cap, rng)
-        if status is TerminalStatus.STEP_CAP:
-            status = TerminalStatus.INTERVENTION
-            interventions += 1
-            _intervene(state, world, peg)
-        episodes.append(EpisodeLog(peg, records, status, state.copy()))
-    return AssemblyResult(
-        attempts_per_peg=[e.attempts for e in episodes],
-        interventions=interventions,
-        episodes=episodes,
-    )
+    return _run(assembly_task(world, pegs, variant, models, rng, step_cap), world, models, rng)
 
 
 def _intervene(state: BeliefArrays, world: World, peg: PegType) -> None:

@@ -14,9 +14,11 @@ normal block: a first half whose x and y rows drive the wiggle and whose z
 row is drawn and unread, and a second half drawn and discarded), so
 identical seeds give identical traces no matter how the rollout terminates.
 No step depends on the tip before it, so a rollout computes all its steps
-at once as arrays, and independent rollouts run as one array pass: dataset
-generation and calibration draw each rollout's numbers in stream order,
-then hand a block of them to `rollout_block`.
+at once as arrays, and independent rollouts run as one array pass.
+`rollout_block` is the one rollout kernel: dataset generation, calibration
+and the studies' lockstep rounds (`policy.run_tasks`) draw each rollout's
+numbers in stream order, then hand a block of them to it, and
+`rollout_low_level` and `rollout_random_actions` run it on a block of one.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -188,50 +191,75 @@ def wiggle_rows(normals: np.ndarray, horizon: int) -> np.ndarray:
     return normals[:3 * horizon].reshape(horizon, 3).T[:2]
 
 
-def _tip_distances(starts, holes, normals_xy, spiral: SpiralParams, env: EnvConfig,
-                   offsets_xy: np.ndarray, tips=None) -> np.ndarray:
-    """The array pass shared by every rollout, for any leading axes: starts
-    and holes (..., 2), and the wiggle's x and y normals (..., 2, horizon).
+class BlockOutcome(NamedTuple):
+    """The outcomes of n rollouts: whether each inserts (n,), its closest
+    approach (n,) and the count of its tips (n,), which end at its first tip
+    in the capture disk when it inserts; and, when the pass keeps the tips,
+    each one's last tip (n, 2), else None."""
+
+    success: np.ndarray
+    closest: np.ndarray
+    steps: np.ndarray
+    tip: np.ndarray | None
+
+
+def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
+                  aligned: np.ndarray, matched, spiral: SpiralParams,
+                  env: EnvConfig, sweep: bool, tips: np.ndarray | None = None) -> BlockOutcome:
+    """The one rollout kernel: n independent rollouts, each as
+    `rollout_low_level` (sweep) or `rollout_random_actions` finds them, from
+    its start and hole (n, 2), the x and y rows of its wiggle normals
+    (n, 2, horizon), which the pass overwrites, its alignment verdict and
+    whether its peg matches the hole.  The closest approach runs up to the
+    first inserting tip.
 
     A command adds a wiggle and the pull back to the estimate, which cancels
     the previous tip: step j lands at the estimate plus its drive, the
     open-loop offset plus the wiggle, clipped to the workspace.  The tips'
-    x and y go to `tips`; without it, the pass works in `normals_xy`.
-    Returns each tip's distance to the hole (..., horizon).
+    x and y go to `tips` (n, 2, horizon) if given, so rollout k's trace is
+    `tips[k, :, :steps[k]].T`; without it, the pass works in `normals_xy`.
     """
+    if not np.isfinite(starts).all():
+        raise InvalidInputError("start estimate must be a finite 2-vector")
+    horizon = env.horizon_low
     xy = np.multiply(normals_xy, spiral.sigma_wiggle, out=normals_xy if tips is None else tips)
-    xy += offsets_xy
-    xy += starts[..., :, None]
+    xy += _drive_offsets(horizon, spiral, sweep)
+    xy += starts[:, :, None]
     np.maximum(xy, _column(env.workspace_min), out=xy)
     np.minimum(xy, _column(env.workspace_max), out=xy)
-    delta = np.subtract(xy, holes[..., :, None], out=normals_xy if tips is None else None)
+    delta = np.subtract(xy, holes[:, :, None], out=normals_xy)
     delta *= delta
-    dx, dy = delta[..., 0, :], delta[..., 1, :]
-    return np.sqrt(np.add(dx, dy, out=dx), out=dx)
+    distance = np.add(delta[:, 0], delta[:, 1], out=delta[:, 0])
+    np.sqrt(distance, out=distance)
+    inside = distance <= env.capture_radius
+    first = inside.argmax(axis=1)
+    rows = np.arange(len(first))
+    success = aligned & matched & inside[rows, first]
+    # an inserting rollout ends at its first tip in the disk, and every tip
+    # before that one lies farther out, so it is also the closest
+    last = np.where(success, first, horizon - 1)
+    closest = np.where(success, distance[rows, first], distance.min(axis=1))
+    if not 0.0 <= closest.min() <= closest.max() < math.inf:
+        raise InvalidInputError("closest approach must be finite and >= 0")
+    return BlockOutcome(success, closest, last + 1, None if tips is None else xy[rows, :, last])
 
 
-def _rollout(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
-             env: EnvConfig, rng: np.random.Generator, sweep: bool) -> RolloutOutcome:
-    """One rollout: its draws and the array pass.  If aligned and matched,
-    the trace, a view of the kernel's tips, ends at the first tip in the
-    capture disk."""
+def _single_rollout(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
+                    env: EnvConfig, rng: np.random.Generator, sweep: bool) -> RolloutOutcome:
+    """One rollout as a block of one: its draws, then the kernel."""
     start_estimate = np.asarray(start_estimate, dtype=float)
     if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
         raise InvalidInputError("start estimate must be a finite 2-vector")
     horizon = env.horizon_low
     aligned = rng.random() < env.alignment_rate
     normals = wiggle_rows(rng.standard_normal(6 * horizon), horizon)
-    tips = np.empty((2, horizon))
-    distance = _tip_distances(start_estimate, hole.position, normals, spiral, env,
-                              _drive_offsets(horizon, spiral, sweep), tips)
-    success = False
-    if aligned and peg.value == hole.hole_type:
-        first = int((distance <= env.capture_radius).argmax())
-        success = bool(distance[first] <= env.capture_radius)
-    n = first + 1 if success else horizon
-    trace = tips.T[:n]
+    tips = np.empty((1, 2, horizon))
+    out = rollout_block(start_estimate[None], hole.position[None], normals[None],
+                        np.array([aligned]), peg.value == hole.hole_type, spiral, env, sweep,
+                        tips)
+    trace = tips[0].T[:out.steps[0]]
     trace.setflags(write=False)
-    return RolloutOutcome(success, trace, float(distance[:n].min()))
+    return RolloutOutcome(bool(out.success[0]), trace, float(out.closest[0]))
 
 
 def rollout_low_level(
@@ -243,7 +271,7 @@ def rollout_low_level(
     rng: np.random.Generator,
 ) -> RolloutOutcome:
     """Run the spiral search around a position estimate until insertion or timeout."""
-    return _rollout(start_estimate, peg, hole, spiral, env, rng, sweep=True)
+    return _single_rollout(start_estimate, peg, hole, spiral, env, rng, sweep=True)
 
 
 def rollout_random_actions(
@@ -256,33 +284,7 @@ def rollout_random_actions(
 ) -> RolloutOutcome:
     """Exploration rollout for data collection: random wiggles while pressing,
     anchored at the position estimate (no spiral sweep)."""
-    return _rollout(start_estimate, peg, hole, spiral, env, rng, sweep=False)
-
-
-def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
-                  aligned: np.ndarray, matched, spiral: SpiralParams,
-                  env: EnvConfig, sweep: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Success and closest approach of n independent rollouts, each as
-    `rollout_low_level` (sweep) or `rollout_random_actions` finds them, from
-    its start and hole (n, 2), the x and y rows of its wiggle normals
-    (n, 2, horizon), which the pass overwrites, its alignment verdict and
-    whether its peg matches the hole.  The closest approach runs up to the
-    first inserting tip."""
-    if not np.isfinite(starts).all():
-        raise InvalidInputError("start estimate must be a finite 2-vector")
-    horizon = env.horizon_low
-    offsets = _drive_offsets(horizon, spiral, sweep)
-    distance = _tip_distances(starts, holes, normals_xy, spiral, env, offsets)
-    inside = distance <= env.capture_radius
-    first = inside.argmax(axis=1)
-    success = aligned & matched & inside[np.arange(len(first)), first]
-    # an inserting rollout ends at its first tip in the disk
-    np.greater(np.arange(horizon), np.where(success, first, horizon)[:, None], out=inside)
-    distance[inside] = np.inf
-    closest = distance.min(axis=1)
-    if not np.all((0.0 <= closest) & (closest < np.inf)):
-        raise InvalidInputError("closest approach must be finite and >= 0")
-    return success, closest
+    return _single_rollout(start_estimate, peg, hole, spiral, env, rng, sweep=False)
 
 
 def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
@@ -313,9 +315,9 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
         aligned = uniforms[:, 2] < config.alignment_rate
         # unmatched, an attempt runs its whole horizon: its closest approach
         # is its smallest tip distance
-        _, closest = rollout_block(detections, np.broadcast_to(center, (n, 2)), normals_xy,
-                                   aligned, False, spiral, config, sweep=True)
-        radii[lo:lo + n] = np.where(aligned, closest, np.inf)
+        out = rollout_block(detections, np.broadcast_to(center, (n, 2)), normals_xy,
+                            aligned, False, spiral, config, sweep=True)
+        radii[lo:lo + n] = np.where(aligned, out.closest, np.inf)
     return radii
 
 

@@ -331,8 +331,8 @@ def generate_dataset(
         xi0 = normalized_rows(uniforms[:, 4:4 + n_types])
         aligned = uniforms[:, 4 + n_types] < config.alignment_rate
         matched = np.array(peg_types) == np.array(hole_types)
-        success, closest = rollout_block(mu0, p, normals_xy, aligned, matched, spiral, config,
-                                         sweep=False)
+        success, closest, *_ = rollout_block(mu0, p, normals_xy, aligned, matched, spiral,
+                                             config, sweep=False)
         innovation = observe_positions(closest, p, sensor_model, sensor_normals) - mu0
         if not np.isfinite(innovation).all():
             raise InvalidInputError("innovation must be a finite 2-vector")
@@ -468,11 +468,12 @@ def _runs(keys: np.ndarray) -> tuple:
 def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     if not records:
         raise InvalidInputError("batch must be non-empty")
-    try:
-        rows = np.array([r._row for r in records])
-    except ValueError:  # rows of different lengths
-        raise InvalidInputError("records must share the same number of types") from None
+    rows = [r._row for r in records]
+    if len(set(map(len, rows))) > 1:
+        raise InvalidInputError("records must share the same number of types")
     n = len(rows)
+    # every row is a contiguous float64 array, so its bytes are its values
+    rows = np.frombuffer(b"".join(rows)).reshape(n, -1)
 
     # position: group the records by S0; m[i][j] holds the entries of a
     # group's sum of x_i x_j^T, x = (e, f, h)

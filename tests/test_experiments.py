@@ -14,6 +14,7 @@ from belieffit import (
 from belieffit.errors import ConfigurationError, InvalidInputError
 from belieffit.experiments import (
     DEFAULT_VARIANTS,
+    STEP_COLUMNS,
     ExperimentSpec,
     ResultRow,
     run_experiment,
@@ -112,7 +113,7 @@ class TestDeterminism:
             short = run_experiment(make_spec(kind, trials=k, step_cap=8))[1]
             long = run_experiment(make_spec(kind, trials=n, step_cap=8))[1]
             assert short
-            assert short == [row for row in long if row["trial"] < k]
+            assert short == [row for row in long if row[STEP_COLUMNS.index("trial")] < k]
 
 
 class TestValidation:

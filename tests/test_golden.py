@@ -34,6 +34,29 @@ CASES = {
             "steps.csv": "ea749fcb2ed362c64317fecf8793e8de5cba7e79c3ec7eb684e567fa2eec85ad",
         },
     ),
+    # the cases below end their (variant, trial) tasks at different steps
+    "assembly_interventions": (
+        ["experiment", "assembly", "--trials", "12", "--step-cap", "4", "--seed", "5"],
+        {
+            "metrics.csv": "eadd5511b8aa9f0ca796782ded3b8256d5ccdff55f8a50b89abbce73ee531beb",
+            "steps.csv": "7576898470ce27ac542950e65d1bb99a2542b4e7599eec68fb640a9502d89c38",
+        },
+    ),
+    "matching_insertion_two_variants": (
+        ["experiment", "matching_insertion", "--trials", "40", "--seed", "5",
+         "--variants", "sampled_initial,frame_by_frame"],
+        {
+            "metrics.csv": "e9773bcdd057e94045a14840b924d6f694c3845c544dbb680c863ac1ddc8f11f",
+            "steps.csv": "e2511e3588d7c768c97bd15faff32e60e34e8aec51cf196589660f8e39d35750",
+        },
+    ),
+    "position_estimation_8_steps": (
+        ["experiment", "position_estimation", "--trials", "30", "--seed", "5", "--steps", "8"],
+        {
+            "metrics.csv": "84d7e12732a4b5aa75752a84e3414d7e85d3a8f65f6e16553d53b6668c862b29",
+            "steps.csv": "0c25f3cadf145b6c8771a10cff5958735adbde9705875fa1f824cfe9d385b6af",
+        },
+    ),
     "train": (
         ["train", "--generate", "40", "--epochs", "40", "--seed", "3"],
         {

@@ -19,10 +19,13 @@ from belieffit import (
 )
 from belieffit.seeding import derive_rng
 from belieffit.sim import (
+    _column,
+    _drive_offsets,
     _spiral_offset,
     capture_radius_bound,
     min_hole_separation,
     placement_box,
+    wiggle_rows,
 )
 from belieffit.errors import ConfigurationError, InvalidInputError
 
@@ -300,6 +303,61 @@ def test_closed_form_matches_step_loop(
     _assert_matches_reference(out, ref)
     # the kernel's closest approach is the one the position sensor finds in the trace
     assert out.closest_approach == _distances(out.trace, hole.position).min()
+
+
+def _separate_kernel_rollout(start_estimate, peg, hole, spiral, env, rng, sweep):
+    """The single rollout as it was written before it became a block of one
+    of `rollout_block`: its own array pass on unbatched arrays, the tips in a
+    fresh (2, horizon) array."""
+    start_estimate = np.asarray(start_estimate, dtype=float)
+    horizon = env.horizon_low
+    aligned = rng.random() < env.alignment_rate
+    normals = wiggle_rows(rng.standard_normal(6 * horizon), horizon)
+    tips = np.empty((2, horizon))
+    xy = np.multiply(normals, spiral.sigma_wiggle, out=tips)
+    xy += _drive_offsets(horizon, spiral, sweep)
+    xy += start_estimate[:, None]
+    np.maximum(xy, _column(env.workspace_min), out=xy)
+    np.minimum(xy, _column(env.workspace_max), out=xy)
+    delta = np.subtract(xy, hole.position[:, None])
+    delta *= delta
+    dx, dy = delta[0, :], delta[1, :]
+    distance = np.sqrt(np.add(dx, dy, out=dx), out=dx)
+    success = False
+    if aligned and peg.value == hole.hole_type:
+        first = int((distance <= env.capture_radius).argmax())
+        success = bool(distance[first] <= env.capture_radius)
+    n = first + 1 if success else horizon
+    return RolloutOutcome(success, tips.T[:n], float(distance[:n].min()))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    spiral=st.booleans(),
+    start=st.tuples(_COORD, _COORD),
+    hole_offset=st.tuples(*[st.floats(-0.006, 0.006)] * 2),
+    matched=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    sigma_wiggle=st.sampled_from([0.0, 1e-4, SPIRAL.sigma_wiggle, 0.005]),
+    horizon=st.integers(1, 150),
+    align=st.floats(0.05, 1.0),
+)
+def test_block_of_one_matches_separate_kernel(
+    spiral, start, hole_offset, matched, seed, sigma_wiggle, horizon, align
+):
+    params = dataclasses.replace(SPIRAL, sigma_wiggle=sigma_wiggle)
+    env = dataclasses.replace(CFG, horizon_low=horizon, alignment_rate=align)
+    hole = HoleGroundTruth(1, np.clip(start, *WORKSPACE) + hole_offset)
+    peg = PegType(1 if matched else 2)
+    rollout = rollout_low_level if spiral else rollout_random_actions
+    rng, ref_rng = derive_rng(seed, 6), derive_rng(seed, 6)
+    out = rollout(start, peg, hole, params, env, rng)
+    ref = _separate_kernel_rollout(start, peg, hole, params, env, ref_rng, spiral)
+    assert type(out.success) is bool and out.success == ref.success
+    assert out.trace.shape == ref.trace.shape and out.trace.tobytes() == ref.trace.tobytes()
+    assert not out.trace.flags.writeable
+    assert type(out.closest_approach) is float and out.closest_approach == ref.closest_approach
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestCalibration:
