@@ -7,6 +7,7 @@ written sorted and re-validated before exit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -283,7 +284,10 @@ def cmd_replay(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parsing leaves it as it was
+    and returns a new namespace each time."""
     parser = argparse.ArgumentParser(
         prog="belieffit",
         description="Belief-space object fitting: calibration, training, experiments.",

@@ -3,9 +3,15 @@
 The position filter assumes static holes (identity dynamics), so an update is
 a pure measurement correction:
 
-    K  = Sigma (R + Sigma)^-1
+    A  = (R + Sigma)^-1,  K = Sigma A
     mu' = mu + K h
-    Sigma' = (I - K) Sigma
+    Sigma' = K R
+
+Sigma' = K R equals (I - K) Sigma, since I - K = R A, and it has no
+subtraction: (I - K) Sigma cancels when the noise is far below the prior (an
+insertion observes the hole almost exactly).  `kalman_correction` is this
+algebra on Python floats; the policy's step runs it through
+`kalman_posterior`, and the loss in `training` runs it once per prior.
 
 The type filter is an exact discrete Bayes step whose evidence combines the
 binary match observation (via the learned confusion model) with the attempt
@@ -19,6 +25,7 @@ belief objects, whose constructors check the result.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,9 +37,7 @@ from .errors import DegenerateEvidenceError, InvalidInputError
 MATCH_PROB_EPS = 1e-6
 DEGENERATE_ETA = 1e-300
 REGULARIZER = 1e-12
-
-_EYE2 = np.eye(2)
-_EYE2.setflags(write=False)
+_SPLIT = 134217729.0  # 2^27 + 1: splits a double into two 26-bit halves
 
 
 @dataclass(frozen=True)
@@ -100,20 +105,80 @@ class Innovation:
         object.__setattr__(self, "value", value)
 
 
+def _product_error(a: float, b: float, p: float) -> float:
+    """The rounding error a b - p of p = a b, exactly: Dekker's product on
+    Veltkamp's split of each factor.  The product must neither overflow nor
+    underflow."""
+    t = _SPLIT * a
+    ah = t - (t - a)
+    t = _SPLIT * b
+    bh = t - (t - b)
+    al, bl = a - ah, b - bh
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _det(x00: float, x01: float, x10: float, x11: float) -> float:
+    """x00 x11 - x01 x10 from exact products, so that a determinant far below
+    its products is still correct to the last bits."""
+    p, q = x00 * x11, x01 * x10
+    return (p - q) + (_product_error(x00, x11, p) - _product_error(x01, x10, q))
+
+
+def kalman_correction(s0: tuple, r: tuple) -> tuple[tuple, tuple, tuple]:
+    """The Kalman correction of a prior covariance S0 by a measurement
+    covariance R, each a 2x2 matrix given as its entries (m00, m01, m10, m11):
+    A = (R + S0)^-1, the gain K = S0 A and the posterior covariance
+    Sigma1 = K R, symmetrised.
+
+    K and Sigma1 are multiplied out with S0 adj(S0) = |S0| I and
+    adj(R) R = |R| I, where |X| is det X and adj X = |X| X^-1:
+
+        |R + S0| = |S0| + |R| + tr(adj(S0) R)
+        K        = (|S0| I + S0 adj(R)) / |R + S0|
+        Sigma1   = (|S0| R + |R| S0) / |R + S0|
+
+    |S0| and |R| are exact to the last bits.  With R isotropic, as the
+    sensors' noise is, every other sum adds terms of one sign, so nothing
+    cancels however near singular S0 is or however far below it R is; the
+    products S0 A and (S0 A) R cancel in both cases.  The entries are scaled
+    by a power of two first, which is exact, so that the products stay in
+    range.  A determinant of R + S0 that is not positive raises before
+    anything is divided by it."""
+    s00, s01, s10, s11 = s0
+    r00, r01, r10, r11 = r
+    scale = math.ldexp(1.0, -math.frexp(s00 + s11 + r00 + r11)[1])
+    s00, s01, s10, s11 = s00 * scale, s01 * scale, s10 * scale, s11 * scale
+    r00, r01, r10, r11 = r00 * scale, r01 * scale, r10 * scale, r11 * scale
+    d0, dr = _det(s00, s01, s10, s11), _det(r00, r01, r10, r11)
+    det = (d0 + dr) + ((s00 * r11 + s11 * r00) - (s01 * r10 + s10 * r01))
+    if not det > 0.0:
+        raise DegenerateEvidenceError("innovation covariance R + S0 not positive definite")
+    # back in the caller's units: A scales as 1/S0, K not at all, Sigma1 as S0
+    a = scale / det
+    c = 1.0 / (scale * det)
+    off = 0.5 * ((d0 * r01 + dr * s01) + (d0 * r10 + dr * s10)) * c
+    return (
+        ((s11 + r11) * a, -(s01 + r01) * a, -(s10 + r10) * a, (s00 + r00) * a),
+        ((d0 + (s00 * r11 - s01 * r10)) / det, (s01 * r00 - s00 * r01) / det,
+         (s10 * r11 - s11 * r10) / det, (d0 + (s11 * r00 - s10 * r01)) / det),
+        ((d0 * r00 + dr * s00) * c, off, off, (d0 * r11 + dr * s11) * c),
+    )
+
+
 def kalman_posterior(
     mean: np.ndarray, cov: np.ndarray, innovation: np.ndarray, noise_cov: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Measurement correction of a position belief given as (mean, cov)."""
-    s = noise_cov + cov
-    (s00, s01), (s10, s11) = s.tolist()
-    if abs(s00 * s11 - s01 * s10) < DEGENERATE_ETA:
-        s = s + REGULARIZER * _EYE2
-    # Sigma S^-1 without forming S^-1; a closed-form 2x2 inverse loses digits
-    # in I - K when the noise is tiny (an insertion observes the hole exactly)
-    gain = np.linalg.solve(s.T, cov.T).T
-    mean = mean + gain @ innovation
-    cov = (_EYE2 - gain) @ cov
-    return mean, 0.5 * (cov + cov.T)  # symmetrize against floating-point drift
+    (c00, c01), (c10, c11) = cov.tolist()
+    (r00, r01), (r10, r11) = noise_cov.tolist()
+    if abs((c00 + r00) * (c11 + r11) - (c01 + r01) * (c10 + r10)) < DEGENERATE_ETA:
+        # regularising R + S0 is regularising R: (I - K) S0 = K (R + eps I)
+        r00, r11 = r00 + REGULARIZER, r11 + REGULARIZER
+    _, (k00, k01, k10, k11), (p00, p01, _, p11) = kalman_correction(
+        (c00, c01, c10, c11), (r00, r01, r10, r11))
+    (m0, m1), (h0, h1) = mean.tolist(), innovation.tolist()
+    return (np.array((m0 + (k00 * h0 + k01 * h1), m1 + (k10 * h0 + k11 * h1))),
+            np.array(((p00, p01), (p01, p11))))
 
 
 def kalman_update(

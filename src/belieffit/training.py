@@ -13,10 +13,12 @@ The position terms cost O(groups), not O(records): records are grouped by
 prior covariance S0.  With A = (R + S0)^-1 and gain K = S0 A, I - K = R A,
 so a record's posterior error is d = p - mu1 = R A e + S0 A f, where
 e = p - mu0 and f = p - obs, and a group's terms and gradient follow from
-its count and its second moments of e, f and h = obs - mu0.  Unlike
-d = e - K h, this form does not cancel when S0 >> R.  The group algebra runs
-on Python floats, which suits batches that share a few priors, as every
-dataset built here does.  The type term costs O(distinct type columns):
+its count and its second moments of e, f and h = obs - mu0.  The posterior
+covariance is Sigma1 = K R.  Unlike d = e - K h and Sigma1 = S0 - K S0,
+these forms do not cancel when S0 >> R.  A, K and Sigma1 come from the
+filter's own `kalman_correction`; the group algebra runs on Python floats,
+which suits batches that share a few priors, as every dataset built here
+does.  The type term costs O(distinct type columns):
 a record's type and match terms depend only on its (on the peg's class,
 o_match) cell and its prior products, so records with equal ones fold into
 one column weighted by their count.  The floor still applies per record,
@@ -49,7 +51,13 @@ from .errors import (
     InvalidInputError,
     OptimizationFailureError,
 )
-from .filters import MATCH_PROB_EPS, FilterModels, MatchObservationModel, PositionNoiseModel
+from .filters import (
+    MATCH_PROB_EPS,
+    FilterModels,
+    MatchObservationModel,
+    PositionNoiseModel,
+    kalman_correction,
+)
 from .sensors import SensorModel, observe_positions
 from .sim import SpiralParams, block_size, placement_box, rollout_block, wiggle_rows
 
@@ -468,12 +476,17 @@ def _runs(keys: np.ndarray) -> tuple:
 def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     if not records:
         raise InvalidInputError("batch must be non-empty")
-    rows = [r._row for r in records]
-    if len(set(map(len, rows))) > 1:
+    views = [r._row for r in records]
+    if len(set(map(len, views))) > 1:
         raise InvalidInputError("records must share the same number of types")
-    n = len(rows)
-    # every row is a contiguous float64 array, so its bytes are its values
-    rows = np.frombuffer(b"".join(rows)).reshape(n, -1)
+    n = len(views)
+    # every row is a contiguous float64 array, so its bytes are its values;
+    # a join holds a buffer per row until it returns, so it takes a few
+    # hundred rows at a time
+    rows = np.empty((n, len(views[0])))
+    for lo in range(0, n, 256):
+        rows[lo:lo + 256] = np.frombuffer(b"".join(views[lo:lo + 256])).reshape(-1, rows.shape[1])
+    del views
 
     # position: group the records by S0; m[i][j] holds the entries of a
     # group's sum of x_i x_j^T, x = (e, f, h)
@@ -574,7 +587,7 @@ def _value_and_grad(theta: list, pre: _Precomputed) -> tuple[tuple, tuple]:
     its multiply-adds), the logistic's exp, the logs and the products with
     the type arrays."""
     # position, per group: one Kalman correction with A = (R + S0)^-1,
-    # K = S0 A, Sigma1 = S0 - K S0 = M^-1 and d = (I - K) e + K f.  Summed
+    # K = S0 A, Sigma1 = K R = M^-1 and d = (I - K) e + K f.  Summed
     # over the group, Lp = count/2 ln|Sigma1| + 1/2 tr(M D) with
     # D = sum d d^T, and
     # dLp = tr(G dR) with G = count/2 P M P^T + P M C A^T - 1/2 P M D M P^T,
@@ -585,9 +598,8 @@ def _value_and_grad(theta: list, pre: _Precomputed) -> tuple[tuple, tuple]:
     r = tuple((chol @ chol.T).ravel().tolist())
     loss_pos = g00 = g11 = gx = 0.0
     for s0, count, see, sef, sff, seh, sfh in pre.groups:
-        a, _ = _inv(_add(s0, r))
-        k = _mul(s0, a)
-        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        a, k, sigma1 = kalman_correction(s0, r)
+        m, det1 = _inv(sigma1)
         u = _mul(r, a)  # R A = I - K
         cross = _mul(_mul(u, sef), _t(k))
         dd = _add(_mul(_mul(u, see), _t(u)), cross, _t(cross), _mul(_mul(k, sff), _t(k)))

@@ -13,7 +13,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from belieffit.cli import main, validate_metrics_csv, validate_steps_csv
+from belieffit import cli
+from belieffit.cli import build_parser, main, validate_metrics_csv, validate_steps_csv
+from belieffit.experiments import DEFAULT_VARIANTS
+from belieffit.policy import PolicyVariant
 from belieffit.training import DATASET_COLUMNS, read_table, write_csv
 from belieffit import EnvConfig, SensorModel, SpiralParams
 from belieffit.config import (
@@ -599,6 +602,30 @@ class TestExperiment:
             "--variants", "teleportation", "--out", tmp_path / "r",
         )
         assert code == 2
+
+    def test_successive_calls_do_not_share_flags(self, small_config, tmp_path, capsys,
+                                                 monkeypatch):
+        """The parser is built once per process; each call reads its own
+        flags and the defaults, whatever the calls before it passed."""
+        specs = []
+
+        def stop(spec):
+            specs.append(spec)
+            raise InvalidInputError("stopped before the study")
+
+        monkeypatch.setattr(cli, "run_experiment", stop)
+        assert build_parser() is build_parser()
+        assert run_cli("experiment", "assembly", "--config", small_config, "--trials", 2,
+                       "--seed", 5, "--variants", "full_approach", "--step-cap", 7) == 2
+        assert run_cli("replay", "--results", tmp_path, "--trial", 3) == 2
+        assert run_cli("experiment", "assembly") == 2
+        capsys.readouterr()
+        flagged, default = specs
+        assert (flagged.trials, flagged.seed, flagged.step_cap) == (2, 5, 7)
+        assert flagged.variants == (PolicyVariant.FULL_APPROACH,)
+        assert (default.trials, default.seed, default.steps, default.step_cap) == (
+            cli.DEFAULT_TRIALS["assembly"], 0, 5, 30)
+        assert default.variants == DEFAULT_VARIANTS["assembly"]
 
 
 class TestReplay:

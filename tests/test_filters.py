@@ -18,7 +18,7 @@ from belieffit import (
 )
 from belieffit.beliefs import PSD_TOL, SUM_TOL
 from belieffit.errors import DegenerateEvidenceError, InvalidInputError
-from belieffit.filters import kalman_posterior, type_posterior
+from belieffit.filters import kalman_correction, kalman_posterior, type_posterior
 from belieffit.policy import INSERTION_NOISE
 
 
@@ -221,9 +221,10 @@ def _exact_posterior(prior, noise) -> np.ndarray:
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(prior=covariances())
 def test_kalman_matches_joseph_form_at_insertion_noise(prior):
-    """With R = 1e-12 I the gain is 1 - O(1e-8) and I - K cancels.  The
-    standard form must stay PSD and agree with the Joseph form, and both
-    with the exact posterior, far inside PSD_TOL."""
+    """With R = 1e-12 I the gain is I - O(1e-8), where (I - K) S0 would
+    cancel; the filter's K R has no subtraction.  It must stay PSD and agree
+    with the Joseph form, and both with the exact posterior, far inside
+    PSD_TOL."""
     r = INSERTION_NOISE.cov
     _, cov = kalman_posterior(np.zeros(2), prior, np.zeros(2), r)
     gain = np.linalg.solve((prior + r).T, prior.T).T
@@ -233,6 +234,31 @@ def test_kalman_matches_joseph_form_at_insertion_noise(prior):
     assert np.linalg.eigvalsh(cov).min() >= PSD_TOL
     assert np.abs(cov - exact).max() <= 1e-17
     assert np.abs(joseph - exact).max() <= 1e-17
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(prior=covariances())
+def test_kalman_correction_matches_exact_posterior(prior):
+    """The kernel's Sigma1 against rational arithmetic at the insertion
+    noise and at the informative sensor's, relative to the posterior's
+    largest entry.  The priors reach condition numbers of 1e10, where
+    |R + S0| is far below its products."""
+    for noise in (INSERTION_NOISE.cov, 6.4e-5 * np.eye(2)):
+        _, _, cov = kalman_correction(tuple(prior.ravel().tolist()), tuple(noise.ravel().tolist()))
+        exact = _exact_posterior(prior, noise)
+        assert np.abs(np.reshape(cov, (2, 2)) - exact).max() <= 1e-10 * np.abs(exact).max()
+
+
+@pytest.mark.parametrize("prior_scale, noise_scale",
+                         [(1e-150, 1e-150), (1e150, 1e150), (1e-4, 1e300), (1e300, 1e-4)])
+def test_kalman_correction_holds_far_from_unit_scale(prior_scale, noise_scale):
+    """Products of entries near 1e150 overflow and near 1e-150 underflow;
+    the kernel's covariance still matches rational arithmetic there."""
+    prior = prior_scale * np.array([[4.0, 1.0], [1.0, 3.0]])
+    noise = noise_scale * np.array([[2.0, -0.5], [-0.5, 1.0]])
+    _, _, cov = kalman_correction(tuple(prior.ravel().tolist()), tuple(noise.ravel().tolist()))
+    exact = _exact_posterior(prior, noise)
+    assert np.abs(np.reshape(cov, (2, 2)) - exact).max() <= 1e-10 * np.abs(exact).max()
 
 
 _TYPE_COUNT = st.integers(2, 9)

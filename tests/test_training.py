@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ from belieffit.errors import (
     InvalidInputError,
     OptimizationFailureError,
 )
-from belieffit.filters import MATCH_PROB_EPS
+from belieffit.filters import MATCH_PROB_EPS, kalman_correction
 from belieffit.seeding import derive_rng
 from belieffit.training import (
     LOG_FLOOR,
@@ -127,16 +128,16 @@ def finite_difference_grad(params, records, alpha, step=1e-6, keep=EVERY_TERM):
 
 
 def loop_position_nll(theta, records):
-    """Mean position term record by record, with the pass's own 2x2 helpers
-    and d = R A e + K f: the reference for the grouped moment sums."""
+    """Mean position term record by record, with the pass's own Kalman
+    kernel and 2x2 helpers and d = R A e + K f: the reference for the
+    grouped moment sums."""
     r = LearnedParams(theta).position_cov.ravel().tolist()
     terms = []
     for record in records:
         s0 = record.sigma0.ravel().tolist()
-        a, _ = _inv(_add(s0, r))
-        k = _mul(s0, a)
+        a, k, sigma1 = kalman_correction(s0, r)
         u = _mul(r, a)
-        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        m, det1 = _inv(sigma1)
         e0, e1 = (record.position - record.mu0).tolist()
         f0, f1 = (record.position - record.obs).tolist()
         d0 = u[0] * e0 + u[1] * e1 + k[0] * f0 + k[1] * f1
@@ -440,10 +441,9 @@ class TestFusedPass:
     @pytest.mark.parametrize("scale", [1e-8, 1e-4, 1e2])
     def test_position_term_precise_at_extreme_priors(self, scale):
         # one group of 40 records, with the prior far tighter (K ~ 0) or far
-        # looser (K ~ I) than the noise.  Sigma1 = S0 - K S0 itself cancels
-        # when K ~ I, in the filter as in the pass, so the filter oracle
-        # bounds the pass only loosely there; the loop reference shares the
-        # pass's Sigma1 and bounds the moment sums alone.
+        # looser (K ~ I) than the noise.  The filter oracle and the pass
+        # share the Kalman kernel; the loop reference shares the pass's
+        # Sigma1 too and bounds the moment sums alone.
         rng = derive_rng(30, 20)
         records = [make_record(rng, matched=bool(i % 2), sigma0_scale=scale)
                    for i in range(40)]
@@ -501,6 +501,44 @@ class TestFusedPass:
         result = fit_parameters(records, init=params, lr=1e-4, epochs=1,
                                 alpha=alpha, history_out=history)
         assert history == [batch_nll(result, records, alpha)]
+
+
+def exact_position_nll(params, records) -> float:
+    """Mean position term in rational arithmetic: Sigma1 = S0 - K S0 and
+    mu1 = mu0 + K (obs - mu0), exactly, from the records' float values; each
+    log-determinant is rounded once, then taken."""
+    r = [Fraction(x) for x in params.position_cov.ravel().tolist()]
+    logs, quads = [], []
+    for record in records:
+        s0 = [Fraction(x) for x in record.sigma0.ravel().tolist()]
+        s = [x + y for x, y in zip(s0, r)]
+        det = s[0] * s[3] - s[1] * s[2]
+        a = [s[3] / det, -s[1] / det, -s[2] / det, s[0] / det]
+        k = [s0[0] * a[0] + s0[1] * a[2], s0[0] * a[1] + s0[1] * a[3],
+             s0[2] * a[0] + s0[3] * a[2], s0[2] * a[1] + s0[3] * a[3]]
+        sigma1 = [s0[0] - (k[0] * s0[0] + k[1] * s0[2]), s0[1] - (k[0] * s0[1] + k[1] * s0[3]),
+                  s0[2] - (k[2] * s0[0] + k[3] * s0[2]), s0[3] - (k[2] * s0[1] + k[3] * s0[3])]
+        p, mu0, obs = ([Fraction(x) for x in v.tolist()]
+                       for v in (record.position, record.mu0, record.obs))
+        h = [obs[0] - mu0[0], obs[1] - mu0[1]]
+        d = [p[0] - mu0[0] - (k[0] * h[0] + k[1] * h[1]),
+             p[1] - mu0[1] - (k[2] * h[0] + k[3] * h[1])]
+        det1 = sigma1[0] * sigma1[3] - sigma1[1] * sigma1[2]
+        quad = (sigma1[3] * d[0] * d[0] - (sigma1[1] + sigma1[2]) * d[0] * d[1]
+                + sigma1[0] * d[1] * d[1]) / det1
+        logs.append(math.log(float(det1)))
+        quads.append(quad)
+    return (0.5 * math.fsum(logs) + 0.5 * float(sum(quads))) / len(records)
+
+
+def test_position_term_exact_at_loose_prior():
+    # the prior 1e2 I is 2.4e7 times the noise: K is I - O(1e-8), where
+    # Sigma1 = S0 - K S0 would cancel to about 5e-9 of the loss
+    rng = derive_rng(30, 20)
+    records = [make_record(rng, matched=bool(i % 2), sigma0_scale=1e2) for i in range(40)]
+    params = LearnedParams.from_values(4.1e-6 * np.eye(2), 0.8, 0.2)
+    got = selected_nll(params.theta, records, ALPHA, (True, False, False))[0]
+    assert got == pytest.approx(exact_position_nll(params, records), rel=1e-12, abs=0.0)
 
 
 # --------------------------------------------------------------------------
@@ -574,9 +612,8 @@ def reference_value_and_grad(theta, pre):
     r = tuple(params.position_cov.ravel().tolist())
     loss_pos = g00 = g11 = gx = 0.0
     for s0, count, see, sef, sff, seh, sfh in pre.groups:
-        a, _ = _inv(_add(s0, r))
-        k = _mul(s0, a)
-        m, det1 = _inv(tuple(s - x for s, x in zip(s0, _mul(k, s0))))
+        a, k, sigma1 = kalman_correction(s0, r)
+        m, det1 = _inv(sigma1)
         u = _mul(r, a)
         cross = _mul(_mul(u, sef), _t(k))
         dd = _add(_mul(_mul(u, see), _t(u)), cross, _t(cross), _mul(_mul(k, sff), _t(k)))
