@@ -42,15 +42,16 @@ def _frozen_array(value, shape) -> np.ndarray:
     return arr
 
 
-def check_position(mean: np.ndarray, cov: np.ndarray) -> None:
+def check_position(mean, cov) -> None:
     """Raise InvalidInputError unless (mean, cov) is a valid 2D Gaussian:
     finite, symmetric within SYMMETRY_TOL, smallest eigenvalue >= PSD_TOL.
 
-    Works on the six entries; the eigenvalue is the closed form for a
+    Works on the six entries as Python floats, the mean as (m0, m1) and the
+    covariance as ((a, b), (c, d)); the eigenvalue is the closed form for a
     symmetric 2x2 matrix read from its lower triangle, as `eigvalsh` does.
     """
-    m0, m1 = mean.tolist()
-    (a, b), (c, d) = cov.tolist()
+    m0, m1 = mean
+    (a, b), (c, d) = cov
     if not (math.isfinite(m0) and math.isfinite(m1)):
         raise InvalidInputError("belief mean must be finite")
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c) and math.isfinite(d)):
@@ -108,7 +109,7 @@ class GaussianBelief2:
     def __post_init__(self):
         mean = _frozen_array(self.mean, (2,))
         cov = _frozen_array(self.cov, (2, 2))
-        check_position(mean, cov)
+        check_position(mean.tolist(), cov.tolist())
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 

@@ -40,25 +40,29 @@ from .training import (
 DEFAULT_TRIALS = {"position_estimation": 100, "matching_insertion": 150, "assembly": 100}
 
 
+def _require_increasing(keys: list, path: Path) -> None:
+    """Each row's key must be strictly greater than the one before it, so
+    rows are sorted and none is repeated."""
+    if any(a >= b for a, b in zip(keys, keys[1:])):
+        raise ConfigurationError(f"rows out of order or repeated in {path}")
+
+
 def validate_metrics_csv(path: Path) -> None:
-    """Schema gate run before exit: header, ordering, finite values."""
+    """Schema gate run before exit: header, strictly increasing keys, finite
+    values."""
 
     def key(row):
         if not np.isfinite(float(row[5])):
             raise ValueError("non-finite metric value")
         return (row[0], row[1], int(row[2]), int(row[3]), row[4])
 
-    keys = read_table(path, METRIC_COLUMNS, "metrics", key)
-    if keys != sorted(keys):
-        raise ConfigurationError(f"rows out of order in {path}")
+    _require_increasing(read_table(path, METRIC_COLUMNS, "metrics", key), path)
 
 
 def validate_steps_csv(path: Path) -> None:
-    keys = read_table(
+    _require_increasing(read_table(
         path, STEP_COLUMNS, "steps", lambda r: (r[0], r[1], int(r[2]), int(r[3]), int(r[5]))
-    )
-    if keys != sorted(keys):
-        raise ConfigurationError(f"rows out of order in {path}")
+    ), path)
 
 
 def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:

@@ -112,6 +112,9 @@ class ExperimentSpec:
             raise ConfigurationError(f"steps and step cap must lie in [1, {MAX_HORIZON}]")
         if not self.variants:
             object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
+        for i, variant in enumerate(self.variants):  # a repeat would write every row twice
+            if variant in self.variants[:i]:
+                raise ConfigurationError(f"variant {variant.value!r} named twice")
 
     @property
     def models(self) -> PolicyModels:
@@ -133,13 +136,9 @@ def _step_rows(spec: ExperimentSpec, variant: PolicyVariant, trial: int, peg_ind
     """The `STEP_COLUMNS` rows of one episode's records."""
     episode = (spec.kind, variant.value, trial, peg_index, peg.value)
     rows = []
-    for rec in records:
-        (cov_xx, cov_xy), (_, cov_yy) = rec.cov.tolist()
-        rows.append((
-            *episode, rec.t, rec.chosen, *rec.start_estimate.tolist(), int(rec.beta),
-            *rec.mean.tolist(), cov_xx, cov_xy, cov_yy, "|".join(map(repr, rec.xi)),
-            int(rec.fitted), rec.pos_error, status.value, spec.seed,
-        ))
+    for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, fitted, error, _ in records:
+        rows.append((*episode, t, chosen, *start, int(beta), *mean, xx, xy, yy,
+                     "|".join(map(repr, xi)), int(fitted), error, status.value, spec.seed))
     return rows
 
 

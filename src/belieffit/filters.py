@@ -10,17 +10,17 @@ a pure measurement correction:
 Sigma' = K R equals (I - K) Sigma, since I - K = R A, and it has no
 subtraction: (I - K) Sigma cancels when the noise is far below the prior (an
 insertion observes the hole almost exactly).  `kalman_correction` is this
-algebra on Python floats; the policy's step runs it through
-`kalman_posterior`, and the loss in `training` runs it once per prior.
+algebra on Python floats; `position_posterior` runs it on a belief's
+entries, and the loss in `training` runs it once per prior.
 
 The type filter is an exact discrete Bayes step whose evidence combines the
 binary match observation (via the learned confusion model) with the attempt
 outcome (via the task transition model: a matched attempt succeeds with rate
 alpha, a mismatched one never does).
 
-`kalman_posterior` and `type_posterior` compute on plain arrays and are what
-the policy's step calls; `kalman_update` and `histogram_update` wrap them for
-belief objects, whose constructors check the result.
+`position_posterior` and `type_posterior` compute on Python floats and are
+what the policy's step calls; `kalman_update` and `histogram_update` run
+them for belief objects, whose constructors check the result.
 """
 
 from __future__ import annotations
@@ -165,27 +165,28 @@ def kalman_correction(s0: tuple, r: tuple) -> tuple[tuple, tuple, tuple]:
     )
 
 
-def kalman_posterior(
-    mean: np.ndarray, cov: np.ndarray, innovation: np.ndarray, noise_cov: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measurement correction of a position belief given as (mean, cov)."""
-    (c00, c01), (c10, c11) = cov.tolist()
-    (r00, r01), (r10, r11) = noise_cov.tolist()
+def position_posterior(mean, cov, innovation, noise) -> tuple[tuple, tuple]:
+    """Measurement correction of a position belief on Python floats: the
+    mean (m0, m1), the covariance and the noise as ((x00, x01), (x10, x11))
+    and the innovation (h0, h1) in, the posterior mean and covariance out as
+    tuples of the same shapes.  A degenerate R + S0 is regularised first."""
+    (c00, c01), (c10, c11) = cov
+    (r00, r01), (r10, r11) = noise
     if abs((c00 + r00) * (c11 + r11) - (c01 + r01) * (c10 + r10)) < DEGENERATE_ETA:
         # regularising R + S0 is regularising R: (I - K) S0 = K (R + eps I)
         r00, r11 = r00 + REGULARIZER, r11 + REGULARIZER
     _, (k00, k01, k10, k11), (p00, p01, _, p11) = kalman_correction(
         (c00, c01, c10, c11), (r00, r01, r10, r11))
-    (m0, m1), (h0, h1) = mean.tolist(), innovation.tolist()
-    return (np.array((m0 + (k00 * h0 + k01 * h1), m1 + (k10 * h0 + k11 * h1))),
-            np.array(((p00, p01), (p01, p11))))
+    (m0, m1), (h0, h1) = mean, innovation
+    return (m0 + (k00 * h0 + k01 * h1), m1 + (k10 * h0 + k11 * h1)), ((p00, p01), (p01, p11))
 
 
 def kalman_update(
     prior: GaussianBelief2, innovation: Innovation, noise: PositionNoiseModel
 ) -> GaussianBelief2:
     """Measurement correction of a position belief."""
-    mean, cov = kalman_posterior(prior.mean, prior.cov, innovation.value, noise.cov)
+    mean, cov = position_posterior(
+        prior.mean.tolist(), prior.cov.tolist(), innovation.value.tolist(), noise.cov.tolist())
     return GaussianBelief2(mean=mean, cov=cov)
 
 

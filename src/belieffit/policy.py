@@ -28,8 +28,11 @@ through `run_tasks` too.
 
 `run_steps` holds a trial's beliefs as one `BeliefArrays` and steps it in
 place; `run_episode` and `run_assembly_task` run it from detected or given
-beliefs.  `high_level_step`, `select_hole` and `init_beliefs` are the same
-step, choice and start for a list of belief objects.
+beliefs.  A step works on Python floats from the chosen row to its
+`StepRecord`: it reads the row once, updates it with
+`filters.position_posterior` and `filters.type_posterior` and writes it
+back once.  `high_level_step`, `select_hole` and `init_beliefs` are the
+same step, choice and start for a list of belief objects.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import logging
 import math
 from collections.abc import Generator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +56,6 @@ from .beliefs import (
     TypeBelief,
     check_position,
     check_types,
-    init_type_belief_uniform,
     normalized,
     sample_gaussian,
 )
@@ -61,7 +64,7 @@ from .filters import (
     FilterModels,
     PositionNoiseModel,
     UNINFORMATIVE_MATCH_MODEL,
-    kalman_posterior,
+    position_posterior,
     type_posterior,
 )
 from .sensors import SensorModel, observe_position, sense_match
@@ -73,11 +76,11 @@ logger = logging.getLogger(__name__)
 # (numerically) noise-free observation of it.
 INSERTION_NOISE = PositionNoiseModel(1e-12 * np.eye(2))
 
-# A rollout request: the start estimate, the hole's position and whether the
-# peg matches the hole.  Its outcome: success, the closest approach [m] and
-# the last tip, which is the inserting tip after a success.
-Request = tuple[np.ndarray, np.ndarray, bool]
-Outcome = tuple[bool, float, np.ndarray]
+# A rollout request: the start estimate (x, y), the hole's position and
+# whether the peg matches the hole.  Its outcome: success, the closest
+# approach [m] and the last tip (x, y), the inserting tip after a success.
+Request = tuple[tuple[float, float], np.ndarray, bool]
+Outcome = tuple[bool, float, list[float]]
 # a resumable computation that yields rollout requests and returns a result
 Task = Generator[Request, Outcome, object]
 
@@ -136,17 +139,17 @@ class PolicyModels:
     filters: FilterModels
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One step: the chosen hole, the rollout's start and outcome, and the
-    chosen hole's belief after the update as mean, cov, xi and fitted."""
+    chosen hole's belief after the update as mean, cov, xi and fitted, all
+    Python floats: start and mean (x, y), cov ((xx, xy), (yx, yy))."""
 
     t: int
     chosen: int
-    start_estimate: np.ndarray
+    start_estimate: tuple[float, float]
     beta: bool
-    mean: np.ndarray
-    cov: np.ndarray
+    mean: tuple[float, float]
+    cov: tuple[tuple[float, float], tuple[float, float]]
     xi: tuple[float, ...]
     fitted: bool
     pos_error: float
@@ -221,26 +224,29 @@ def select_hole(beliefs: list[HoleBelief], peg: PegType, alpha: float) -> int:
 
 
 def _updated_position(
-    mean: np.ndarray,
-    cov: np.ndarray,
+    mean: tuple[float, float],
+    cov: tuple,
     rule: PositionUpdate,
     outcome: Outcome,
     hole: HoleGroundTruth,
     models: PolicyModels,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Position posterior: an insertion observes the inserting tip, a
-    failure reads the position sensor."""
-    success, closest, tip = outcome
+) -> tuple[tuple, tuple]:
+    """Position posterior on floats: an insertion observes the inserting
+    tip, a failure reads the position sensor."""
+    success, closest, (o0, o1) = outcome
     if success:
         if rule is PositionUpdate.REPLACE:
-            return tip, cov
-        return kalman_posterior(mean, cov, tip - mean, INSERTION_NOISE.cov)
-    observed = observe_position(closest, hole.position, models.sensor, rng)
-    innovation = observed - mean
+            return (o0, o1), cov
+        noise = INSERTION_NOISE.cov
+    else:
+        o0, o1 = observe_position(closest, hole.position, models.sensor, rng).tolist()
+        noise = models.filters.position.cov
+    m0, m1 = mean
+    h0, h1 = o0 - m0, o1 - m1
     if rule is PositionUpdate.REPLACE:
-        return mean + innovation, cov
-    return kalman_posterior(mean, cov, innovation, models.filters.position.cov)
+        return (m0 + h0, m1 + h1), cov
+    return position_posterior(mean, cov, (h0, h1), noise.tolist())
 
 
 def _updated_type(
@@ -263,11 +269,10 @@ def _updated_type(
         # normalizer, leaving the transition term.
         o_match, match_model = False, UNINFORMATIVE_MATCH_MODEL
     try:
-        posterior = type_posterior(prior, o_match, beta, peg, alpha, match_model)
-        return normalized(posterior), False
+        return normalized(type_posterior(prior, o_match, beta, peg, alpha, match_model)), False
     except DegenerateEvidenceError:
         logger.warning("degenerate type evidence; resetting belief to uniform")
-        return init_type_belief_uniform(len(prior)).probs.tolist(), True
+        return [1.0 / len(prior)] * len(prior), True
 
 
 def _distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -290,17 +295,22 @@ def _step(
 
     The package's one belief update: the chosen hole's row changes as the
     variant's `FEEDBACK` row says, each posterior is checked once before it
-    is written, and every other row is left alone.  Random draws come in a
-    fixed order: start sample, rollout (drawn by `run_tasks`), position
-    sensor (after a failure), match sensor.
+    is written, and every other row is left alone.  The row is read once
+    into Python floats, updated on them and written back once.  Random
+    draws come in a fixed order: start sample, rollout (drawn by
+    `run_tasks`), position sensor (after a failure), match sensor.
     """
     config: EnvConfig = world.config
     feedback = FEEDBACK[variant]
     chosen = _select(state.xi, state.fitted, peg, config.alpha)
     hole = world.holes[chosen]
-    mean, cov = state.means[chosen], state.covs[chosen]
+    mean = tuple(state.means[chosen].tolist())
+    (c00, c01), (c10, c11) = state.covs[chosen].tolist()
+    cov = (c00, c01), (c10, c11)
 
-    start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()
+    start = mean
+    if feedback.sample_start:
+        start = tuple(sample_gaussian(state.means[chosen], state.covs[chosen], rng).tolist())
     outcome = yield start, hole.position, peg.value == hole.hole_type
     beta = outcome[0]
 
@@ -317,19 +327,8 @@ def _step(
         state.xi[chosen] = xi
     if beta:  # the chosen hole is unfitted, so beta is its new flag
         state.fitted[chosen] = True
-    mean = state.means[chosen].copy()
-    return StepRecord(
-        t=t,
-        chosen=chosen,
-        start_estimate=start,
-        beta=beta,
-        mean=mean,
-        cov=state.covs[chosen].copy(),
-        xi=tuple(xi),
-        fitted=beta,
-        pos_error=_distance(mean, hole.position),
-        evidence_reset=evidence_reset,
-    )
+    return StepRecord(t, chosen, start, beta, mean, cov, tuple(xi), beta,
+                      _distance(state.means[chosen], hole.position), evidence_reset)
 
 
 def run_tasks(tasks: list[tuple[Task, np.random.Generator]], spiral: SpiralParams,
@@ -379,7 +378,7 @@ def run_tasks(tasks: list[tuple[Task, np.random.Generator]], spiral: SpiralParam
             out = rollout_block(starts, holes, normals_xy, aligned, matched, spiral, env,
                                 sweep=True, tips=tips)
             for i, success, closest, tip in zip(block, out.success.tolist(),
-                                                out.closest.tolist(), out.tip):
+                                                out.closest.tolist(), out.tip.tolist()):
                 outcomes[i] = success, closest, tip
     return results
 

@@ -529,6 +529,25 @@ class TestExperiment:
             with pytest.raises(InvalidInputError, match="line 2: non-finite"):
                 validate(path)
 
+    @pytest.mark.parametrize(
+        "name, validate", [("metrics.csv", validate_metrics_csv), ("steps.csv", validate_steps_csv)]
+    )
+    def test_validators_reject_repeated_rows(self, small_config, tmp_path, name, validate):
+        """Keys must strictly increase: a row written twice, in place or
+        with another value, is rejected."""
+        out = tmp_path / "res"
+        run_cli(
+            "experiment", "position_estimation", "--config", small_config,
+            "--trials", 2, "--seed", 9, "--out", out,
+        )
+        header, *rows = (out / name).read_text().splitlines()
+        path = tmp_path / name
+        # the same row again, and the same key with another seed
+        for repeated in (rows[1], rows[1].rsplit(",", 1)[0] + ",10"):
+            path.write_text("\n".join([header, *rows[:2], repeated, *rows[2:]]) + "\n")
+            with pytest.raises(ConfigurationError, match="out of order or repeated"):
+                validate(path)
+
     def test_byte_identical_reruns(self, small_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         for out in (out1, out2):
@@ -602,6 +621,15 @@ class TestExperiment:
             "--variants", "teleportation", "--out", tmp_path / "r",
         )
         assert code == 2
+
+    def test_repeated_variant_is_exit_2(self, small_config, tmp_path, capsys):
+        code = run_cli(
+            "experiment", "assembly", "--config", small_config, "--trials", 2,
+            "--variants", "full_approach, failure_only,full_approach", "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert "'full_approach' named twice" in assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
 
     def test_successive_calls_do_not_share_flags(self, small_config, tmp_path, capsys,
                                                  monkeypatch):

@@ -7,6 +7,7 @@ from belieffit import (
     EnvConfig,
     FilterModels,
     MatchObservationModel,
+    PolicyVariant,
     PositionNoiseModel,
     SensorModel,
     SpiralParams,
@@ -120,6 +121,11 @@ class TestValidation:
     def test_unknown_kind(self):
         with pytest.raises(ConfigurationError):
             make_spec("warp_drive")
+
+    def test_repeated_variant(self):
+        with pytest.raises(ConfigurationError, match="'failure_only' named twice"):
+            make_spec("assembly", variants=(
+                PolicyVariant.FAILURE_ONLY, PolicyVariant.FULL_APPROACH, PolicyVariant.FAILURE_ONLY))
 
     def test_zero_trials(self):
         with pytest.raises(ConfigurationError):

@@ -18,7 +18,7 @@ from belieffit import (
 )
 from belieffit.beliefs import PSD_TOL, SUM_TOL
 from belieffit.errors import DegenerateEvidenceError, InvalidInputError
-from belieffit.filters import kalman_correction, kalman_posterior, type_posterior
+from belieffit.filters import kalman_correction, position_posterior, type_posterior
 from belieffit.policy import INSERTION_NOISE
 
 
@@ -226,7 +226,7 @@ def test_kalman_matches_joseph_form_at_insertion_noise(prior):
     with the Joseph form, and both with the exact posterior, far inside
     PSD_TOL."""
     r = INSERTION_NOISE.cov
-    _, cov = kalman_posterior(np.zeros(2), prior, np.zeros(2), r)
+    cov = np.array(position_posterior((0.0, 0.0), prior.tolist(), (0.0, 0.0), r.tolist())[1])
     gain = np.linalg.solve((prior + r).T, prior.T).T
     rest = np.eye(2) - gain
     joseph = rest @ prior @ rest.T + gain @ r @ gain.T

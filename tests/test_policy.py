@@ -1,7 +1,9 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from belieffit import (
     EnvConfig,
@@ -28,9 +30,34 @@ from belieffit import (
     select_hole,
     spawn_world,
 )
-from belieffit.errors import InvalidInputError, NoActionError
-from belieffit.policy import FEEDBACK, TypeEvidence
+from belieffit.beliefs import (
+    BeliefArrays,
+    check_position,
+    check_types,
+    init_type_belief_uniform,
+    normalized,
+    sample_gaussian,
+)
+from belieffit.errors import DegenerateEvidenceError, InvalidInputError, NoActionError
+from belieffit.filters import (
+    DEGENERATE_ETA,
+    REGULARIZER,
+    UNINFORMATIVE_MATCH_MODEL,
+    kalman_correction,
+    type_posterior,
+)
+from belieffit.policy import (
+    FEEDBACK,
+    INSERTION_NOISE,
+    PositionUpdate,
+    StepRecord,
+    TypeEvidence,
+    _distance,
+    _select,
+    _step,
+)
 from belieffit.seeding import derive_rng
+from belieffit.sensors import observe_position, sense_match
 
 CFG = EnvConfig()
 
@@ -383,3 +410,172 @@ class TestAssembly:
             for rec in episode.records:
                 assert rec.chosen not in fitted
             fitted.update(np.flatnonzero(episode.final_state.fitted).tolist())
+
+
+# --------------------------------------------------------------------------
+# The step on Python floats against the step on numpy arrays that it
+# replaced: `reference_step` is that step with the rollout's outcome given
+# instead of yielded for.
+
+
+def reference_kalman_posterior(mean, cov, innovation, noise_cov):
+    """Measurement correction of a position belief given as arrays."""
+    (c00, c01), (c10, c11) = cov.tolist()
+    (r00, r01), (r10, r11) = noise_cov.tolist()
+    if abs((c00 + r00) * (c11 + r11) - (c01 + r01) * (c10 + r10)) < DEGENERATE_ETA:
+        r00, r11 = r00 + REGULARIZER, r11 + REGULARIZER
+    _, (k00, k01, k10, k11), (p00, p01, _, p11) = kalman_correction(
+        (c00, c01, c10, c11), (r00, r01, r10, r11))
+    (m0, m1), (h0, h1) = mean.tolist(), innovation.tolist()
+    return (np.array((m0 + (k00 * h0 + k01 * h1), m1 + (k10 * h0 + k11 * h1))),
+            np.array(((p00, p01), (p01, p11))))
+
+
+def reference_updated_position(mean, cov, rule, outcome, hole, models, rng):
+    success, closest, tip = outcome
+    if success:
+        if rule is PositionUpdate.REPLACE:
+            return tip, cov
+        return reference_kalman_posterior(mean, cov, tip - mean, INSERTION_NOISE.cov)
+    observed = observe_position(closest, hole.position, models.sensor, rng)
+    innovation = observed - mean
+    if rule is PositionUpdate.REPLACE:
+        return mean + innovation, cov
+    return reference_kalman_posterior(mean, cov, innovation, models.filters.position.cov)
+
+
+def reference_updated_type(prior, evidence, beta, peg, hole, alpha, models, rng):
+    if evidence is TypeEvidence.MATCH_AND_OUTCOME:
+        o_match = sense_match(hole.hole_type, peg, models.sensor, rng)
+        match_model = models.filters.match
+    else:
+        o_match, match_model = False, UNINFORMATIVE_MATCH_MODEL
+    try:
+        posterior = type_posterior(prior, o_match, beta, peg, alpha, match_model)
+        return normalized(posterior), False
+    except DegenerateEvidenceError:
+        return init_type_belief_uniform(len(prior)).probs.tolist(), True
+
+
+def reference_step(state, t, peg, world, variant, models, rng, outcome):
+    config = world.config
+    feedback = FEEDBACK[variant]
+    chosen = _select(state.xi, state.fitted, peg, config.alpha)
+    hole = world.holes[chosen]
+    mean, cov = state.means[chosen], state.covs[chosen]
+    start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()
+    beta = outcome[0]
+    if feedback.position is not PositionUpdate.NONE:
+        mean, cov = reference_updated_position(
+            mean, cov, feedback.position, outcome, hole, models, rng)
+        check_position(mean, cov)
+        state.means[chosen], state.covs[chosen] = mean, cov
+    xi, evidence_reset = state.xi[chosen].tolist(), False
+    if feedback.types is not TypeEvidence.NONE:
+        xi, evidence_reset = reference_updated_type(
+            xi, feedback.types, beta, peg, hole, config.alpha, models, rng)
+        check_types(xi)
+        state.xi[chosen] = xi
+    if beta:
+        state.fitted[chosen] = True
+    mean = state.means[chosen].copy()
+    return (t, chosen, start, beta, mean, state.covs[chosen].copy(), tuple(xi), beta,
+            _distance(mean, hole.position), evidence_reset)
+
+
+def float_step(state, t, peg, world, variant, models, rng, outcome):
+    """`_step` resumed with `outcome`; its request's start must be the
+    record's."""
+    task = _step(state, t, peg, world, variant, models, rng)
+    start, _, _ = next(task)
+    with pytest.raises(StopIteration) as stop:
+        task.send(outcome)
+    record = stop.value.value
+    assert isinstance(record, StepRecord) and record.start_estimate == start
+    return record
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+HOLES = (HoleGroundTruth(2, (0.02, -0.01)), HoleGroundTruth(1, (-0.1, 0.12)))
+RADIUS = SensorModel().position.informative_radius
+# rank one with a zero determinant in floats, and entries so large that R
+# vanishes beside them: R + S0 is singular and takes the REGULARIZER branch
+SINGULAR = (2.0 ** 60 * np.array([[9.0, -12.0], [-12.0, 16.0]]))
+# asymmetric within SYMMETRY_TOL, as a belief object may hold it
+ASYMMETRIC = np.array([[1e-4, 1e-5], [1e-5 + 5e-13, 1e-4]])
+_PRIOR_COV = st.one_of(
+    st.tuples(st.floats(1e-10, 1e-2), st.floats(1e-10, 1e-2), st.floats(-1.0, 1.0)).map(
+        lambda v: np.array([[v[0], v[2] * math.sqrt(v[0] * v[1])],
+                            [v[2] * math.sqrt(v[0] * v[1]), v[1]]])),
+    st.sampled_from([SINGULAR, 1e200 * np.eye(2), np.zeros((2, 2)), ASYMMETRIC]),
+)
+_TYPE_WEIGHT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(1e-6, 1.0))
+_XI = st.lists(_TYPE_WEIGHT, min_size=3, max_size=3).map(
+    lambda w: [x / sum(w) for x in w] if sum(w) else [0.0, 1.0, 0.0])
+# near the hole, and so far that an innovation rounds
+_OFFSET = st.one_of(st.floats(-0.02, 0.02), st.floats(-1e3, 1e3))
+
+
+@st.composite
+def step_cases(draw):
+    variant = draw(st.sampled_from(list(PolicyVariant)))
+    alpha = draw(st.sampled_from([0.34, 1.0]))
+    position_noise = draw(st.sampled_from([6.4e-5, 1e-12]))
+    models = dataclasses.replace(default_models(), filters=FilterModels(
+        PositionNoiseModel(position_noise * np.eye(2)), MatchObservationModel(0.85, 0.15)))
+    state = BeliefArrays(
+        means=np.array([h.position + (draw(_OFFSET), draw(_OFFSET)) for h in HOLES]),
+        covs=np.array([draw(_PRIOR_COV) for _ in HOLES]),
+        xi=np.array([draw(_XI) for _ in HOLES]),
+        fitted=np.array([False, draw(st.booleans())]),
+    )
+    success = draw(st.booleans())
+    closest = draw(st.one_of(st.floats(0.0, RADIUS), st.floats(RADIUS, 0.1, exclude_min=True)))
+    tip = (draw(_OFFSET), draw(_OFFSET))
+    peg = PegType(draw(st.sampled_from([1, 2, 3])))
+    world = World(HOLES, dataclasses.replace(CFG, n_holes=2, alpha=alpha))
+    return variant, models, state, (success, closest, tip), peg, world, draw(st.integers(0, 99))
+
+
+def _case(variant, cov, outcome):
+    """Peg 2 on hole 0, whose prior covariance is `cov`."""
+    state = BeliefArrays(np.zeros((2, 2)), np.array([cov, cov]),
+                         np.array([[0.2, 0.5, 0.3], [0.5, 0.2, 0.3]]), np.zeros(2, bool))
+    return (variant, default_models(), state, outcome, PegType(2),
+            World(HOLES, dataclasses.replace(CFG, n_holes=2)), 0)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(case=step_cases())
+# a Kalman update of the singular prior after a failure far from the hole
+@example(case=_case(PolicyVariant.FULL_APPROACH, SINGULAR, (False, 0.5, (0.0, 0.0))))
+# an insertion that replaces the mean and keeps every covariance entry
+@example(case=_case(PolicyVariant.FRAME_BY_FRAME, ASYMMETRIC, (True, 0.0, (0.01, 0.02))))
+def test_float_step_is_bitwise_the_array_step(case):
+    """Every record field, every belief row and the generator's state after
+    one step equal those of the array step, including its failures."""
+    variant, models, state, (success, closest, tip), peg, world, seed = case
+    runs = []
+    for step, outcome in ((reference_step, (success, closest, np.array(tip))),
+                          (float_step, (success, closest, list(tip)))):
+        copy, rng = state.copy(), derive_rng(seed, 3)
+        try:
+            result = step(copy, 3, peg, world, variant, models, rng, outcome)
+        except (InvalidInputError, DegenerateEvidenceError) as exc:
+            result = type(exc)
+        runs.append((result, copy, rng.bit_generator.state))
+    (ref, ref_state, ref_rng), (new, new_state, new_rng) = runs
+    assert ref_rng == new_rng
+    for name in ("means", "covs", "xi", "fitted"):
+        assert _bits(getattr(ref_state, name)) == _bits(getattr(new_state, name)), name
+    if isinstance(ref, type):
+        assert new is ref
+        return
+    assert len(new) == len(ref)
+    for field, a, b in zip(StepRecord._fields, ref, new):
+        assert _bits(a) == _bits(b), field
+    floats = [*new.start_estimate, *new.mean, *new.cov[0], *new.cov[1], *new.xi, new.pos_error]
+    assert all(type(x) is float for x in floats)
