@@ -14,9 +14,7 @@ from .beliefs import (
     TypeBelief,
     fit_probability,
     init_position_belief,
-    init_type_belief_random,
     init_type_belief_uniform,
-    normalize_probs,
 )
 from .filters import (
     FilterModels,

@@ -306,11 +306,6 @@ def normalized(weights: list[float]) -> list[float]:
     return [p / total for p in floored]
 
 
-def normalize_probs(raw) -> np.ndarray:
-    """`normalized` for any 1-D array-like of weights."""
-    return np.array(normalized(np.asarray(raw, dtype=float).tolist()))
-
-
 def init_position_belief(detection, sigma_init: float) -> GaussianBelief2:
     """Isotropic Gaussian centered on a vision detection."""
     detection = np.asarray(detection, dtype=float)
@@ -326,13 +321,6 @@ def init_type_belief_uniform(n_types: int) -> TypeBelief:
     if n_types < 2:
         raise InvalidInputError("need at least two hole types")
     return TypeBelief(np.full(n_types, 1.0 / n_types))
-
-
-def init_type_belief_random(n_types: int, rng: np.random.Generator) -> TypeBelief:
-    """Prior from unit-interval draws normalized to sum one."""
-    if n_types < 2:
-        raise InvalidInputError("need at least two hole types")
-    return TypeBelief(normalize_probs(rng.uniform(0.0, 1.0, n_types)))
 
 
 def fit_probability(belief: HoleBelief, peg: PegType, alpha: float) -> float:

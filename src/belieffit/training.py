@@ -38,7 +38,7 @@ import csv
 import functools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -83,29 +83,19 @@ class _Row:
     xi0 = slice(14, None)
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
 class InteractionRecord:
     """One data point: initial beliefs, sensor readings, and outcome.
 
-    The constructor checks every value and packs it into one read-only float
-    row, laid out as `_Row`; `position`, `mu0`, `obs` and `xi0` are
-    read-only views of that row, so a batch packs with one array call and
-    the row cannot drift from the fields.  `sigma0` stays the caller's
-    array, so records can share a prior.  Each field is set once, here:
-    `dataclasses.replace` calls this constructor, so it checks and packs
-    again.  Records compare by identity: arrays have no single truth value.
+    A record is one read-only float row, laid out as `_Row`, and every field
+    is read from it: `position`, `mu0`, `obs` and `xi0` are views of the
+    row, `sigma0` is the (2, 2) view of its `_Row.sigma0` entries, the types
+    are ints and the flags bools.  The constructor checks every value and
+    packs it, so a batch packs with one array call and no field can differ
+    from what the loss reads.  Records compare by identity: arrays have no
+    single truth value.
     """
 
-    peg_type: int
-    hole_type: int
-    position: np.ndarray
-    mu0: np.ndarray
-    sigma0: np.ndarray
-    xi0: np.ndarray
-    obs: np.ndarray
-    o_match: bool
-    beta: bool
-    _row: np.ndarray = field(init=False, repr=False, compare=False)
+    __slots__ = ("_row",)
 
     def __init__(self, peg_type: int, hole_type: int, position, mu0, sigma0, xi0, obs,
                  o_match: bool, beta: bool):
@@ -133,16 +123,36 @@ class InteractionRecord:
         row = np.array([*values, a, b, c, d, peg_type, hole_type, bool(beta), bool(o_match),
                         *probs])
         row.setflags(write=False)
-        object.__setattr__(self, "peg_type", peg_type)
-        object.__setattr__(self, "hole_type", hole_type)
-        object.__setattr__(self, "position", row[_Row.p])
-        object.__setattr__(self, "mu0", row[_Row.mu0])
-        object.__setattr__(self, "sigma0", sigma0)
-        object.__setattr__(self, "xi0", row[_Row.xi0])
-        object.__setattr__(self, "obs", row[_Row.obs])
-        object.__setattr__(self, "o_match", o_match)
-        object.__setattr__(self, "beta", beta)
         object.__setattr__(self, "_row", row)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot set or delete {name!r}: a record is read-only")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # pickle and copy: the record on its row again
+        return _record, (self._row,)
+
+    def __repr__(self):
+        return f"InteractionRecord(_row={self._row.tolist()})"
+
+    position = property(lambda self: self._row[_Row.p])
+    mu0 = property(lambda self: self._row[_Row.mu0])
+    obs = property(lambda self: self._row[_Row.obs])
+    xi0 = property(lambda self: self._row[_Row.xi0])
+    sigma0 = property(lambda self: self._row[_Row.sigma0].reshape(2, 2))
+    peg_type = property(lambda self: int(self._row[_Row.peg]))
+    hole_type = property(lambda self: int(self._row[_Row.hole]))
+    o_match = property(lambda self: bool(self._row[_Row.o_match]))
+    beta = property(lambda self: bool(self._row[_Row.beta]))
+
+
+def _record(row: np.ndarray) -> InteractionRecord:
+    """The record on a checked packed row, made read-only."""
+    row.setflags(write=False)
+    record = object.__new__(InteractionRecord)
+    object.__setattr__(record, "_row", row)
+    return record
 
 
 def _sigmoid(x):
@@ -217,7 +227,7 @@ def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarr
           beta: np.ndarray, where=lambda i: "", out=None) -> list[InteractionRecord]:
     """The records that `InteractionRecord` would build from n rows, packed
     as one read-only block with a row per record: `out`, (n, 14 + C), if
-    given.
+    given.  Each record holds only its row of the block.
 
     Takes the types as lists of ints, the vectors as (n, 2) arrays, one
     shared `sigma0`, and `xi0` (n, C) or one (C,) shared by every row.  The
@@ -260,23 +270,7 @@ def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarr
     rows[:, _Row.o_match] = o_match
     rows[:, _Row.xi0] = xi0
     rows.setflags(write=False)
-    put = object.__setattr__
-    records = []
-    for peg, hole, row, match, success in zip(peg_types, hole_types, rows,
-                                             o_match.tolist(), beta.tolist()):
-        record = object.__new__(InteractionRecord)
-        put(record, "peg_type", peg)
-        put(record, "hole_type", hole)
-        put(record, "position", row[_Row.p])
-        put(record, "mu0", row[_Row.mu0])
-        put(record, "sigma0", sigma0)
-        put(record, "xi0", row[_Row.xi0])
-        put(record, "obs", row[_Row.obs])
-        put(record, "o_match", match)
-        put(record, "beta", success)
-        put(record, "_row", row)
-        records.append(record)
-    return records
+    return list(map(_record, rows))
 
 
 def generate_dataset(
@@ -351,10 +345,12 @@ def generate_dataset(
 
 
 def save_dataset(records: list[InteractionRecord], path) -> None:
+    # a row starts with p, mu0 and obs, in the file's order
+    peg, hole, vectors, match, beta = _Row.peg, _Row.hole, slice(6), _Row.o_match, _Row.beta
     write_csv(
         path, DATASET_COLUMNS,
-        ([r.peg_type, r.hole_type, *r.position.tolist(), *r.mu0.tolist(),
-          *r.obs.tolist(), int(r.o_match), int(r.beta)] for r in records),
+        ([int(v[peg]), int(v[hole]), *v[vectors], int(v[match]), int(v[beta])]
+         for v in (r._row.tolist() for r in records)),
     )
 
 

@@ -24,13 +24,13 @@ from belieffit import (
     SensorModel,
     SpiralParams,
     generate_dataset,
-    init_type_belief_random,
     rollout_low_level,
     rollout_random_actions,
     sense_match,
     sense_position,
 )
 from belieffit import sim
+from belieffit.beliefs import normalized
 from belieffit.errors import InvalidInputError
 from belieffit.training import _pack
 
@@ -58,7 +58,7 @@ def reference_dataset(config, sensor_model, n_interactions, rng, spiral):
         p = rng.uniform(lo, hi)
         hole = HoleGroundTruth(hole_type=hole_type, position=p)
         mu0 = p + rng.uniform(-config.detector_error_bound, config.detector_error_bound, 2)
-        xi0 = init_type_belief_random(config.n_types, rng).probs
+        xi0 = normalized(rng.uniform(0.0, 1.0, config.n_types).tolist())
         outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
         innovation = sense_position(outcome.trace, p, mu0, sensor_model, rng)
         o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)

@@ -11,11 +11,11 @@ from belieffit import (
     TypeBelief,
     fit_probability,
     init_position_belief,
-    init_type_belief_random,
     init_type_belief_uniform,
-    normalize_probs,
 )
-from belieffit.beliefs import PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types
+from belieffit.beliefs import (
+    PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types, normalized,
+)
 from belieffit.errors import ConfigurationError, InvalidInputError
 
 
@@ -54,21 +54,9 @@ class TestTypeBeliefInit:
         with pytest.raises(InvalidInputError):
             init_type_belief_uniform(1)
 
-    def test_random_normalizes_to_one(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            tb = init_type_belief_random(4, rng)
-            assert tb.probs.sum() == pytest.approx(1.0, abs=1e-9)
-            assert np.all(tb.probs >= 0.0)
-
     def test_normalize_is_divide_by_sum(self):
-        assert np.allclose(normalize_probs([1.0, 1.0, 2.0]), [0.25, 0.25, 0.5])
-        assert np.allclose(normalize_probs([0.2, 0.2, 0.6]), [0.2, 0.2, 0.6])
-
-    def test_random_matches_divide_by_sum_oracle(self):
-        draws = np.random.default_rng(123).uniform(0.0, 1.0, 3)
-        tb = init_type_belief_random(3, np.random.default_rng(123))
-        assert np.allclose(tb.probs, draws / draws.sum(), atol=1e-9)
+        assert np.allclose(normalized([1.0, 1.0, 2.0]), [0.25, 0.25, 0.5])
+        assert np.allclose(normalized([0.2, 0.2, 0.6]), [0.2, 0.2, 0.6])
 
 
 class TestFitProbability:

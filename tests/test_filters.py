@@ -14,9 +14,8 @@ from belieffit import (
     histogram_update,
     init_type_belief_uniform,
     kalman_update,
-    normalize_probs,
 )
-from belieffit.beliefs import PSD_TOL, SUM_TOL
+from belieffit.beliefs import PSD_TOL, SUM_TOL, normalized
 from belieffit.errors import DegenerateEvidenceError, InvalidInputError
 from belieffit.filters import kalman_correction, position_posterior, type_posterior
 from belieffit.policy import INSERTION_NOISE
@@ -115,7 +114,7 @@ class TestHistogramUpdate:
         assert np.allclose(post.probs, [0.2481, 0.3759, 0.3759], atol=1e-4)
 
     def test_degenerate_prior_is_fixed_point(self):
-        prior = TypeBelief(normalize_probs([1.0, 0.0, 0.0]))
+        prior = TypeBelief(normalized([1.0, 0.0, 0.0]))
         post = histogram_update(
             prior, True, False, PegType(1), 0.34, MatchObservationModel(0.85, 0.15)
         )
@@ -283,7 +282,7 @@ def type_priors(draw):
     weights = [w if w >= 1e-3 else 0.0 for w in weights]
     if not any(weights):
         weights[0] = 1.0
-    return TypeBelief(normalize_probs(weights)), n_types
+    return TypeBelief(normalized(weights)), n_types
 
 
 def _posterior_or_none(prior, update):

@@ -1,6 +1,10 @@
+import copy
 import dataclasses
+import gc
 import itertools
 import math
+import pickle
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -90,6 +94,16 @@ def make_record(
         o_match=o_match,
         beta=beta,
     )
+
+
+RECORD_FIELDS = ("peg_type", "hole_type", "position", "mu0", "sigma0", "xi0", "obs",
+                 "o_match", "beta")
+
+
+def rebuilt(record, **changes):
+    """The record built again by its constructor from its public fields,
+    with `changes` in place of some of them."""
+    return InteractionRecord(**{name: getattr(record, name) for name in RECORD_FIELDS} | changes)
 
 
 def value_and_grad(theta, pre):
@@ -319,7 +333,7 @@ class TestFitParameters:
     def test_impossible_outcome_is_degenerate_evidence(self):
         # a success on a peg whose type has no prior mass annihilates the
         # type belief, as in histogram_update
-        record = dataclasses.replace(
+        record = rebuilt(
             make_record(derive_rng(8, 20)), peg_type=1, xi0=[0.0, 0.5, 0.5], beta=True
         )
         with pytest.raises(DegenerateEvidenceError, match="zero probability"):
@@ -737,7 +751,7 @@ class TestRecordValidation:
     def test_sigma0_must_be_spd(self, sigma0):
         record = make_record(derive_rng(9, 20))
         with pytest.raises(InvalidInputError, match="symmetric positive definite"):
-            dataclasses.replace(record, sigma0=sigma0)
+            rebuilt(record, sigma0=sigma0)
 
     @pytest.mark.parametrize(
         "xi0",
@@ -751,7 +765,7 @@ class TestRecordValidation:
     def test_xi0_must_lie_on_simplex(self, xi0):
         record = make_record(derive_rng(9, 20))
         with pytest.raises(InvalidInputError, match="simplex"):
-            dataclasses.replace(record, xi0=xi0)
+            rebuilt(record, xi0=xi0)
 
     @pytest.mark.parametrize("field", ["position", "mu0", "obs"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -759,28 +773,59 @@ class TestRecordValidation:
         record = make_record(derive_rng(9, 20))
         for value in ([bad, 0.0], [0.0, bad]):
             with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
-                dataclasses.replace(record, **{field: value})
+                rebuilt(record, **{field: value})
 
     @pytest.mark.parametrize("field", ["position", "mu0", "obs"])
     def test_vectors_must_be_2_vectors(self, field):
         record = make_record(derive_rng(9, 20))
         with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
-            dataclasses.replace(record, **{field: [0.0, 0.0, 0.0]})
+            rebuilt(record, **{field: [0.0, 0.0, 0.0]})
 
     @pytest.mark.parametrize("types", [{"peg_type": 4}, {"peg_type": 0},
                                        {"hole_type": 4}, {"hole_type": 0}])
     def test_types_must_be_in_range(self, types):
         record = make_record(derive_rng(9, 20), n_types=3)
         with pytest.raises(InvalidInputError, match="types out of range"):
-            dataclasses.replace(record, **types)
+            rebuilt(record, **types)
 
-    @pytest.mark.parametrize("field", ["position", "mu0", "obs", "xi0"])
+    @pytest.mark.parametrize("field", ["position", "mu0", "obs", "xi0", "sigma0"])
     def test_vectors_are_read_only(self, field):
-        record = make_record(derive_rng(9, 20))
+        # an anisotropic prior, so that flipping it moves its entries
+        record = rebuilt(make_record(derive_rng(9, 20)), sigma0=[[2e-4, 1e-5], [1e-5, 1e-4]])
         with pytest.raises(ValueError, match="read-only"):
             getattr(record, field)[0] = 0.5
-        moved = dataclasses.replace(record, **{field: getattr(record, field)[::-1]})
-        assert np.array_equal(getattr(moved, field), getattr(record, field)[::-1])
+        moved = rebuilt(record, **{field: np.flip(getattr(record, field))})
+        assert np.array_equal(getattr(moved, field), np.flip(getattr(record, field)))
+
+    @pytest.mark.parametrize("name", [*RECORD_FIELDS, "_row", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, name):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+
+    def test_record_does_not_follow_the_callers_sigma0(self):
+        # the loss reads the record's row, so its `sigma0` must not be an
+        # array that the caller can still write into
+        sigma0 = 1e-4 * np.eye(2)
+        rng = derive_rng(9, 21)
+        records = [rebuilt(make_record(rng, matched=bool(i % 2)), sigma0=sigma0) for i in range(4)]
+        params = LearnedParams.from_values(5e-5 * np.eye(2), 0.8, 0.2)
+        before = batch_nll(params, records, ALPHA)
+        sigma0[0, 0] = 5.0
+        for record in records:
+            assert record.sigma0.tolist() == [[1e-4, 0.0], [0.0, 1e-4]]
+        assert batch_nll(params, records, ALPHA) == before
+
+    def test_pickled_and_copied_records_keep_a_read_only_row(self):
+        record = make_record(derive_rng(9, 20))
+        for twin in (pickle.loads(pickle.dumps(record)), copy.copy(record),
+                     copy.deepcopy(record)):
+            assert type(twin) is InteractionRecord
+            assert twin._row.tobytes() == record._row.tobytes()
+            assert not twin._row.flags.writeable
+            assert np.shares_memory(twin.position, twin._row)
 
     def test_tiny_spd_prior_accepted(self):
         record = make_record(derive_rng(9, 20), sigma0_scale=1e-200)
@@ -789,8 +834,8 @@ class TestRecordValidation:
     def test_comparison_returns_a_bool(self):
         # array fields have no single truth value, so records compare by identity
         record = make_record(derive_rng(9, 20))
-        copy = dataclasses.replace(record)
-        assert (record == copy) is False and (record != copy) is True
+        twin = rebuilt(record)
+        assert (record == twin) is False and (record != twin) is True
         assert (record == record) is True
 
 
@@ -856,6 +901,23 @@ class TestDataset:
             assert ra.peg_type == rb.peg_type and ra.beta == rb.beta
             assert np.array_equal(ra.obs, rb.obs)
             assert np.array_equal(ra.xi0, rb.xi0)
+
+    def test_records_hold_little_beyond_their_rows(self):
+        # a generated record at C = 3 packs into a 17-entry row of 136
+        # bytes; the record object and its view of the block may add at
+        # most twice that again
+        assert self.CFG.n_types == 3
+        generate_dataset(self.CFG, SensorModel(), 2, derive_rng(11, 20), SPIRAL)  # warm caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            records = generate_dataset(self.CFG, SensorModel(), 2000, derive_rng(11, 21), SPIRAL)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert records[0]._row.nbytes == 136
+        assert held <= 3 * 136 * len(records)
 
     def test_workspace_too_small_for_placement(self):
         cfg = dataclasses.replace(
