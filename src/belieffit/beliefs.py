@@ -225,7 +225,6 @@ class HoleGroundTruth:
 
     hole_type: int
     position: np.ndarray
-    fitted: bool = False
 
     def __post_init__(self):
         if int(self.hole_type) < 1:

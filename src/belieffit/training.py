@@ -89,39 +89,31 @@ class InteractionRecord:
     A record is one read-only float row, laid out as `_Row`, and every field
     is read from it: `position`, `mu0`, `obs` and `xi0` are views of the
     row, `sigma0` is the (2, 2) view of its `_Row.sigma0` entries, the types
-    are ints and the flags bools.  The constructor checks every value and
-    packs it, so a batch packs with one array call and no field can differ
-    from what the loss reads.  Records compare by identity: arrays have no
-    single truth value.
+    are ints and the flags bools.  The constructor checks the values with
+    `_check_values` and `_check_prior` and packs them, so no field can
+    differ from what the loss reads.  Records compare by identity: arrays
+    have no single truth value.
     """
 
     __slots__ = ("_row",)
 
     def __init__(self, peg_type: int, hole_type: int, position, mu0, sigma0, xi0, obs,
                  o_match: bool, beta: bool):
-        # checks on Python floats, cheap for large datasets; NaN and inf fail
-        # each test
         values = []
-        for name, vector in (("position", position), ("mu0", mu0), ("obs", obs)):
+        for vector in (position, mu0, obs):
             arr = np.asarray(vector, dtype=float)
-            if arr.shape != (2,) or not all(map(math.isfinite, pair := arr.tolist())):
-                raise InvalidInputError(f"{name} must be a finite 2-vector")
-            values += pair
+            # a vector of another shape fails `_check_values` as not finite
+            values += arr.tolist() if arr.shape == (2,) else [math.nan, math.nan]
         sigma0 = np.asarray(sigma0, dtype=float)
         xi0 = np.asarray(xi0, dtype=float)
         if sigma0.shape != (2, 2) or xi0.ndim != 1:
             raise InvalidInputError("bad initial belief shapes")
-        if not (1 <= peg_type <= xi0.size and 1 <= hole_type <= xi0.size):
-            raise InvalidInputError("types out of range")
-        # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue
-        (a, b), (c, d) = sigma0.tolist()
-        if not (abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0):
-            raise InvalidInputError("sigma0 must be symmetric positive definite")
+        (a, b), (c, d) = entries = sigma0.tolist()
+        head = [*values, a, b, c, d, peg_type, hole_type, bool(beta), bool(o_match)]
         probs = xi0.tolist()
-        if not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= SUM_TOL):
-            raise InvalidInputError("xi0 must lie on the probability simplex")
-        row = np.array([*values, a, b, c, d, peg_type, hole_type, bool(beta), bool(o_match),
-                        *probs])
+        _check_values(head, len(probs))
+        _check_prior(entries, probs)
+        row = np.array(head + probs)
         row.setflags(write=False)
         object.__setattr__(self, "_row", row)
 
@@ -145,6 +137,33 @@ class InteractionRecord:
     hole_type = property(lambda self: int(self._row[_Row.hole]))
     o_match = property(lambda self: bool(self._row[_Row.o_match]))
     beta = property(lambda self: bool(self._row[_Row.beta]))
+
+
+def _check_values(v, size: int) -> None:
+    """Check the values of a record's row `v`, laid out as `_Row` up to its
+    type prior: position, mu0 and obs finite, both types integers in
+    1..size.  Python floats keep the checks cheap; NaN and inf fail each
+    test."""
+    for name, k in (("position", 0), ("mu0", 2), ("obs", 4)):  # the starts of `_Row`'s slices
+        if not (math.isfinite(v[k]) and math.isfinite(v[k + 1])):
+            raise InvalidInputError(f"{name} must be a finite 2-vector")
+    for t in (v[_Row.peg], v[_Row.hole]):
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise InvalidInputError("types must be integers")
+        if not 1 <= t <= size:
+            raise InvalidInputError("types out of range")
+
+
+def _check_prior(sigma0: list, probs: list) -> None:
+    """Check a record's initial beliefs, `sigma0` as nested lists of floats
+    and `probs` the type prior as a list: sigma0 symmetric positive
+    definite and the prior on the simplex."""
+    # (a + d)/2 - hypot((a - d)/2, b) is the smaller eigenvalue
+    (a, b), (c, d) = sigma0
+    if not (abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0):
+        raise InvalidInputError("sigma0 must be symmetric positive definite")
+    if not (min(probs) >= 0.0 and abs(sum(probs) - 1.0) <= SUM_TOL):
+        raise InvalidInputError("xi0 must lie on the probability simplex")
 
 
 def _record(row: np.ndarray) -> InteractionRecord:
@@ -222,57 +241,6 @@ class LearnedParams:
 # --------------------------------------------------------------------------
 
 
-def _pack(peg_types: list, hole_types: list, position: np.ndarray, mu0: np.ndarray,
-          sigma0: np.ndarray, xi0: np.ndarray, obs: np.ndarray, o_match: np.ndarray,
-          beta: np.ndarray, where=lambda i: "", out=None) -> list[InteractionRecord]:
-    """The records that `InteractionRecord` would build from n rows, packed
-    as one read-only block with a row per record: `out`, (n, 14 + C), if
-    given.  Each record holds only its row of the block.
-
-    Takes the types as lists of ints, the vectors as (n, 2) arrays, one
-    shared `sigma0`, and `xi0` (n, C) or one (C,) shared by every row.  The
-    checks run on arrays; a rejected block raises the constructor's error
-    for the first record it would reject, prefixed by `where(index)`.
-    """
-    n = len(peg_types)
-    if not n:
-        return []
-    xi0 = np.broadcast_to(xi0, (n, np.shape(xi0)[-1]))
-    size = xi0.shape[1]
-    (a, b), (c, d) = sigma0.tolist()
-    total = xi0[:, 0].copy()  # left to right, as `sum` adds a record's list
-    for k in range(1, size):
-        total += xi0[:, k]
-    checks = (  # in the constructor's order
-        (np.isfinite(position).all(axis=1), "position must be a finite 2-vector"),
-        (np.isfinite(mu0).all(axis=1), "mu0 must be a finite 2-vector"),
-        (np.isfinite(obs).all(axis=1), "obs must be a finite 2-vector"),
-        ([1 <= p <= size and 1 <= h <= size for p, h in zip(peg_types, hole_types)],
-         "types out of range"),
-        ([abs(b - c) <= SYMMETRY_TOL and 0.5 * (a + d) - math.hypot(0.5 * (a - d), b) > 0] * n,
-         "sigma0 must be symmetric positive definite"),
-        ((xi0 >= 0.0).all(axis=1) & (np.abs(total - 1.0) <= SUM_TOL),
-         "xi0 must lie on the probability simplex"),
-    )
-    passed = np.array([ok for ok, _ in checks])
-    if not passed.all():
-        i = int(passed.all(axis=0).argmin())
-        raise InvalidInputError(where(i) + checks[int(passed[:, i].argmin())][1])
-
-    rows = np.empty((n, _Row.o_match + 1 + size)) if out is None else out
-    rows[:, _Row.p] = position
-    rows[:, _Row.mu0] = mu0
-    rows[:, _Row.obs] = obs
-    rows[:, _Row.sigma0] = (a, b, c, d)
-    rows[:, _Row.peg] = peg_types
-    rows[:, _Row.hole] = hole_types
-    rows[:, _Row.beta] = beta
-    rows[:, _Row.o_match] = o_match
-    rows[:, _Row.xi0] = xi0
-    rows.setflags(write=False)
-    return list(map(_record, rows))
-
-
 def generate_dataset(
     config: EnvConfig,
     sensor_model: SensorModel,
@@ -287,9 +255,12 @@ def generate_dataset(
     `rollout_random_actions`.  A record takes its draws in the order that
     rollout and `sense_position`, then `sense_match`, would take them, with
     draws of one kind that follow each other merged into one call; then one
-    array pass per block of records computes the rollouts, readings and
-    records.  The records' packed rows are allocated before the first draw,
-    so a size the host cannot hold raises MemoryError at once.
+    array pass per block of records computes the rollouts and readings and
+    writes them into the block's rows.  The records' packed rows are
+    allocated before the first draw, so a size the host cannot hold raises
+    MemoryError at once.  Every value comes from the checked config and the
+    draws, so the rows pass the record checks by construction; only the
+    readings are checked, since a sensor can overflow.
     """
     if n_interactions < 2:
         raise InvalidInputError("need at least two interactions for class balance")
@@ -298,11 +269,9 @@ def generate_dataset(
     bound = config.detector_error_bound
     n_types = config.n_types
     horizon = config.horizon_low
-    sigma0 = config.sigma_init * np.eye(2)
     match = sensor_model.match
     normals = np.empty(6 * horizon + 2)
-    rows = np.empty((n_interactions, _Row.o_match + 1 + n_types))
-    records = []
+    rows = np.empty((n_interactions, _Row.xi0.start + n_types))
     for first in range(0, n_interactions, block_size(horizon)):
         n = min(block_size(horizon), n_interactions - first)
         hole_types, peg_types = [], []
@@ -330,7 +299,6 @@ def generate_dataset(
         # rng.uniform(low, high) computes low + (high - low) * u
         p = lo + (hi - lo) * uniforms[:, 0:2]
         mu0 = p + (-bound + (bound - -bound) * uniforms[:, 2:4])
-        xi0 = normalized_rows(uniforms[:, 4:4 + n_types])
         aligned = uniforms[:, 4 + n_types] < config.alignment_rate
         matched = np.array(peg_types) == np.array(hole_types)
         success, closest, *_ = rollout_block(mu0, p, normals_xy, aligned, matched, spiral,
@@ -338,10 +306,18 @@ def generate_dataset(
         innovation = observe_positions(closest, p, sensor_model, sensor_normals) - mu0
         if not np.isfinite(innovation).all():
             raise InvalidInputError("innovation must be a finite 2-vector")
-        o_match = verdicts < np.where(matched, match.tpr, match.fpr)
-        records += _pack(peg_types, hole_types, p, mu0, sigma0, xi0, innovation + mu0,
-                         o_match, success, out=rows[first:first + n])
-    return records
+        block = rows[first:first + n]
+        block[:, _Row.p] = p
+        block[:, _Row.mu0] = mu0
+        block[:, _Row.obs] = innovation + mu0
+        block[:, _Row.peg] = peg_types
+        block[:, _Row.hole] = hole_types
+        block[:, _Row.beta] = success
+        block[:, _Row.o_match] = verdicts < np.where(matched, match.tpr, match.fpr)
+        block[:, _Row.xi0] = normalized_rows(uniforms[:, 4:4 + n_types])
+    rows[:, _Row.sigma0] = (config.sigma_init, 0.0, 0.0, config.sigma_init)
+    rows.setflags(write=False)
+    return list(map(_record, rows))
 
 
 def save_dataset(records: list[InteractionRecord], path) -> None:
@@ -363,12 +339,13 @@ def write_csv(path, header, rows) -> None:
         writer.writerows(rows)
 
 
-def read_table(path, columns: tuple, what: str, parse, lines: list | None = None) -> list:
-    """`parse(cells)` of each row of a CSV file whose header must be `columns`;
-    each row's line number is appended to `lines` if given.
+def read_table(path, columns: tuple, what: str, parse) -> list:
+    """`parse(cells)` of each row of a CSV file whose header must be `columns`.
 
-    A wrong header, a row of the wrong length, or a cell that `parse` rejects
-    with ValueError raises InvalidInputError naming the file and line.
+    A wrong header, a row of the wrong length, or a row that `parse` rejects
+    with ValueError (InvalidInputError among them) raises InvalidInputError
+    naming the file and line.  The rows are parsed in file order, so the
+    error names the first bad line.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -381,8 +358,6 @@ def read_table(path, columns: tuple, what: str, parse, lines: list | None = None
                 if len(row) != len(columns):
                     raise InvalidInputError(f"expected {len(columns)} cells, got {len(row)}")
                 out.append(parse(row))
-                if lines is not None:
-                    lines.append(reader.line_num)
             return out
         except UnicodeDecodeError as exc:  # read ahead in blocks: no line to name
             raise InvalidInputError(f"cannot decode {path}: {exc}") from None
@@ -393,24 +368,31 @@ def read_table(path, columns: tuple, what: str, parse, lines: list | None = None
 def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
     """Load records; initial beliefs not stored in the CSV are reconstructed
     as the configured isotropic position prior and a uniform type prior.
-    Every cell is parsed first, then the records are packed as one block."""
 
-    def parse(row):
-        return (int(row[0]), int(row[1]), [float(cell) for cell in row[2:8]],
-                _flag(row[8]), _flag(row[9]))
+    The prior is checked once; each line's values are checked as it is
+    parsed, by the constructor's `_check_values`, so an error names the
+    first bad line.  The records share one packed block of rows.
+    """
+    size = config.n_types
+    entries = (config.sigma_init * np.eye(2)).tolist()
+    probs = [1.0 / size] * size
+    _check_prior(entries, probs)
+    (a, b), (c, d) = entries
 
-    lines = []
-    rows = read_table(path, DATASET_COLUMNS, "dataset", parse, lines)
-    if not rows:
+    def parse(cells):  # the row up to its type prior, laid out as `_Row`
+        peg, hole = int(cells[0]), int(cells[1])
+        head = [*map(float, cells[2:8]), a, b, c, d, peg, hole, _flag(cells[9]), _flag(cells[8])]
+        _check_values(head, size)
+        return head
+
+    table = read_table(path, DATASET_COLUMNS, "dataset", parse)
+    if not table:
         return []
-    peg_types, hole_types, vectors, o_match, beta = zip(*rows)
-    vectors = np.array(vectors)
-    return _pack(
-        peg_types, hole_types, vectors[:, 0:2], vectors[:, 2:4],
-        config.sigma_init * np.eye(2), np.full(config.n_types, 1.0 / config.n_types),
-        vectors[:, 4:6], np.array(o_match), np.array(beta),
-        where=lambda i: f"{path} line {lines[i]}: ",
-    )
+    rows = np.empty((len(table), _Row.xi0.start + size))
+    rows[:, :_Row.xi0.start] = table
+    rows[:, _Row.xi0] = probs
+    rows.setflags(write=False)
+    return list(map(_record, rows))
 
 
 def _flag(cell: str) -> bool:

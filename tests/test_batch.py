@@ -4,7 +4,8 @@
 stream order, then run one array pass per block.  The references below are
 those loops as they were written before: one rollout, one sensor read and
 one checked record constructor at a time.  Every record row, every radius
-and the generator's state after the call must be bitwise equal.
+and the generator's state after the call must be bitwise equal.  A loaded
+dataset is checked line by line against the same constructor.
 """
 
 import copy
@@ -32,7 +33,7 @@ from belieffit import (
 from belieffit import sim
 from belieffit.beliefs import normalized
 from belieffit.errors import InvalidInputError
-from belieffit.training import _pack
+from belieffit.training import DATASET_COLUMNS, load_dataset, write_csv
 
 R_MAX = SpiralParams().r_max
 SKEWED_SENSOR = SensorModel(position=PositionSensorSpec(
@@ -155,67 +156,63 @@ def test_generation_spans_several_default_blocks():
     assert batched.bit_generator.state == rng.bit_generator.state
 
 
-# the first and third are valid: an asymmetry within SYMMETRY_TOL passes
-_SIGMA0 = [np.eye(2) * 1e-4, np.array([[1.0, 2.0], [2.0, 1.0]]),
-           np.array([[1.0, 5e-13], [0.0, 1.0]]), np.array([[1.0, 1e-3], [0.0, 1.0]])]
-_FAULTS = ["position", "mu0", "obs", "peg_type", "hole_type"]
-
-
-@st.composite
-def xi0_rows(draw, size):
-    """A type prior on the simplex, off it by a little or a lot, or with a
-    negative entry."""
-    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=size, max_size=size)))
-    probs = weights / weights.sum()
-    probs[0] += draw(st.sampled_from([0.0] * 8 + [5e-10, -1e-9, 2e-9, 0.5, -2.0, math.nan]))
-    return probs
+_FAULTS = ["position", "mu0", "obs", "peg_type", "hole_type", "o_match", "beta"]
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)
-@given(data=st.data(), size=st.integers(1, 9), n=st.integers(1, 6))
-def test_pack_accepts_and_rejects_as_the_constructor(data, size, n):
-    rows = []
-    for _ in range(n):
+@given(data=st.data(), size=st.integers(2, 9), n=st.integers(1, 6),
+       sigma_init=st.sampled_from([1e-4, 2.5e-3, 1.0]))
+def test_load_accepts_and_rejects_as_the_constructor(tmp_path_factory, data, size, n,
+                                                     sigma_init):
+    """Each CSV line is checked as the constructor checks a record: a file
+    loads as the constructor's rows or fails naming its first bad line."""
+    lines, expected, message = [], [], None
+    for line in range(2, n + 2):
         row = {name: np.array(data.draw(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))))
                for name in ("position", "mu0", "obs")}
         row["peg_type"], row["hole_type"] = data.draw(st.integers(1, size)), data.draw(
             st.integers(1, size))
-        fault = data.draw(st.sampled_from([None] * 12 + _FAULTS))
+        row["o_match"], row["beta"] = data.draw(st.booleans()), data.draw(st.booleans())
+        flags = {"o_match": str(int(row["o_match"])), "beta": str(int(row["beta"]))}
+        fault = ([None] * 12 + _FAULTS)[data.draw(st.integers(0, 11 + len(_FAULTS)))]
         if fault in ("peg_type", "hole_type"):
             row[fault] = data.draw(st.sampled_from([-1, 0, size + 1, 10**30]))
+        elif fault in flags:
+            flags[fault] = data.draw(st.sampled_from(["2", "-1", "true", "", " 1"]))
         elif fault:
             row[fault][data.draw(st.integers(0, 1))] = data.draw(
                 st.sampled_from([math.nan, math.inf, -math.inf]))
-        row["xi0"] = data.draw(xi0_rows(size))
-        row["o_match"], row["beta"] = data.draw(st.booleans()), data.draw(st.booleans())
-        rows.append(row)
-    sigma0 = data.draw(st.sampled_from([_SIGMA0[0]] * 4 + _SIGMA0[1:]))
+        lines.append([row["peg_type"], row["hole_type"], *row["position"], *row["mu0"],
+                      *row["obs"], flags["o_match"], flags["beta"]])
+        if message is None and fault in flags:
+            message = f"line {line}: a flag must be 0 or 1, got {flags[fault]!r}"
+        elif message is None:
+            try:
+                expected.append(InteractionRecord(
+                    sigma0=sigma_init * np.eye(2), xi0=np.full(size, 1.0 / size), **row))
+            except InvalidInputError as exc:
+                message = f"line {line}: {exc}"
+    path = tmp_path_factory.mktemp("dataset") / "data.csv"
+    write_csv(path, DATASET_COLUMNS, lines)
 
-    def column(name):
-        return [row[name] for row in rows]
-
-    def build(make):
-        try:
-            return make()
-        except InvalidInputError as exc:
-            return str(exc)
-
-    expected = build(lambda: [InteractionRecord(sigma0=sigma0, **row) for row in rows])
-    got = build(lambda: _pack(
-        column("peg_type"), column("hole_type"), np.array(column("position")),
-        np.array(column("mu0")), sigma0, np.array(column("xi0")), np.array(column("obs")),
-        np.array(column("o_match")), np.array(column("beta")),
-    ))
-    if isinstance(expected, str):
-        assert got == expected
+    config = EnvConfig(n_types=size, sigma_init=sigma_init)
+    if message is None:
+        assert_same_records(load_dataset(path, config), expected)
     else:
-        assert_same_records(got, expected)
+        with pytest.raises(InvalidInputError) as exc:
+            load_dataset(path, config)
+        assert str(exc.value) == f"{path} {message}"
 
 
-def test_pack_names_the_first_rejected_row():
-    xi0 = np.full(3, 1 / 3)
-    position = np.zeros((3, 2))
-    with pytest.raises(InvalidInputError, match="^row 1: types out of range$"):
-        _pack([1, 4, 1], [1, 1, 1], position, position, np.eye(2), xi0,
-              np.array([[0.0, 0.0], [0.0, 0.0], [math.nan, 0.0]]),
-              np.ones(3, bool), np.zeros(3, bool), where=lambda i: f"row {i}: ")
+def test_load_names_the_first_bad_line(tmp_path):
+    # an out-of-range type on line 3 comes before an unparsable cell on line 5
+    path = tmp_path / "data.csv"
+    write_csv(path, DATASET_COLUMNS, [
+        [1, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0],
+        [4, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0],
+        [1, 2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0, 0],
+        [1, 1, "x", 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0],
+    ])
+    with pytest.raises(InvalidInputError) as exc:
+        load_dataset(path, EnvConfig(n_types=3))
+    assert str(exc.value) == f"{path} line 3: types out of range"

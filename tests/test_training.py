@@ -788,6 +788,20 @@ class TestRecordValidation:
         with pytest.raises(InvalidInputError, match="types out of range"):
             rebuilt(record, **types)
 
+    @pytest.mark.parametrize("types", [{"peg_type": 1.5}, {"hole_type": True},
+                                       {"peg_type": 2.0}, {"hole_type": np.True_}])
+    def test_types_must_be_integers(self, types):
+        # a row would store 1.5 or 1.0 and read back as type 1
+        record = make_record(derive_rng(9, 20), n_types=3)
+        with pytest.raises(InvalidInputError, match="^types must be integers$"):
+            rebuilt(record, **types)
+
+    def test_numpy_integer_types_are_accepted(self):
+        record = rebuilt(make_record(derive_rng(9, 20), n_types=3),
+                         peg_type=np.int64(3), hole_type=np.int32(2))
+        assert (record.peg_type, record.hole_type) == (3, 2)
+        assert type(record.peg_type) is int and type(record.hole_type) is int
+
     @pytest.mark.parametrize("field", ["position", "mu0", "obs", "xi0", "sigma0"])
     def test_vectors_are_read_only(self, field):
         # an anisotropic prior, so that flipping it moves its entries
