@@ -15,9 +15,9 @@ from belieffit import (
     MatchObservationModel,
     PegType,
     PositionNoiseModel,
+    TypeBelief,
     histogram_update,
     init_position_belief,
-    init_type_belief_uniform,
     kalman_update,
 )
 
@@ -28,7 +28,7 @@ true_position = np.array([0.050, -0.020])
 detection = true_position + np.array([0.012, -0.010])
 
 position = init_position_belief(detection, sigma_init=1e-4)
-types = init_type_belief_uniform(3)
+types = TypeBelief(np.full(3, 1 / 3))  # uninformative prior over 3 types
 
 print("true position :", true_position)
 print("detection     :", detection)

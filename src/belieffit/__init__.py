@@ -14,7 +14,6 @@ from .beliefs import (
     TypeBelief,
     fit_probability,
     init_position_belief,
-    init_type_belief_uniform,
 )
 from .filters import (
     FilterModels,

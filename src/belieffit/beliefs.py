@@ -132,12 +132,6 @@ class TypeBelief:
     def n_types(self) -> int:
         return int(self.probs.size)
 
-    def prob_of(self, hole_type: int) -> float:
-        """Mass on a 1-based hole type."""
-        if not 1 <= hole_type <= self.n_types:
-            raise InvalidInputError(f"type {hole_type} out of range 1..{self.n_types}")
-        return float(self.probs[hole_type - 1])
-
 
 @dataclass(frozen=True)
 class PegType:
@@ -315,13 +309,6 @@ def init_position_belief(detection, sigma_init: float) -> GaussianBelief2:
     return GaussianBelief2(mean=detection, cov=sigma_init * np.eye(2))
 
 
-def init_type_belief_uniform(n_types: int) -> TypeBelief:
-    """Uninformative prior over hole types."""
-    if n_types < 2:
-        raise InvalidInputError("need at least two hole types")
-    return TypeBelief(np.full(n_types, 1.0 / n_types))
-
-
 def fit_probability(belief: HoleBelief, peg: PegType, alpha: float) -> float:
     """Predicted probability that the next attempt on this hole succeeds.
 
@@ -331,4 +318,7 @@ def fit_probability(belief: HoleBelief, peg: PegType, alpha: float) -> float:
     """
     if belief.fitted:
         return 0.0
-    return alpha * belief.type_belief.prob_of(peg.value)
+    n_types = belief.type_belief.n_types
+    if not 1 <= peg.value <= n_types:
+        raise InvalidInputError(f"type {peg.value} out of range 1..{n_types}")
+    return alpha * float(belief.type_belief.probs[peg.value - 1])

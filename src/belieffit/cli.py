@@ -227,30 +227,19 @@ def cmd_experiment(args) -> int:
     validate_metrics_csv(metrics_path)
     validate_steps_csv(steps_path)
 
+    value = {(r.variant, r.metric, r.step): r.value for r in metric_rows}
     print(f"experiment        : {args.kind} ({trials} trials, seed {args.seed})")
-    for variant in spec.variants:
-        rows = [r for r in metric_rows if r.variant == variant.value]
+    for name in (variant.value for variant in spec.variants):
         if args.kind == "position_estimation":
-            first = next(r for r in rows if r.metric == "pos_error_mean" and r.step == 0)
-            last = next(
-                r for r in rows
-                if r.metric == "pos_error_mean" and r.step == spec.steps
-            )
-            print(f"  {variant.value}: mean error {first.value:.4f} m -> {last.value:.4f} m")
+            first, last = (value[name, "pos_error_mean", t] for t in (0, spec.steps))
+            print(f"  {name}: mean error {first:.4f} m -> {last:.4f} m")
         elif args.kind == "matching_insertion":
-            final = next(
-                r for r in rows
-                if r.metric == "success_rate" and r.step == env.horizon_high
-            )
-            print(f"  {variant.value}: success within {env.horizon_high} steps = {final.value:.3f}")
+            final = value[name, "success_rate", env.horizon_high]
+            print(f"  {name}: success within {env.horizon_high} steps = {final:.3f}")
         else:
-            iv = next(r for r in rows if r.metric == "intervention_rate")
-            cm = next(
-                r for r in rows
-                if r.metric == "cum_attempts_mean" and r.step == env.n_holes
-            )
-            print(f"  {variant.value}: interventions {iv.value:.3f}, "
-                  f"mean cumulative attempts {cm.value:.1f}")
+            iv = value[name, "intervention_rate", 0]
+            cm = value[name, "cum_attempts_mean", env.n_holes]
+            print(f"  {name}: interventions {iv:.3f}, mean cumulative attempts {cm:.1f}")
     print(f"wrote {metrics_path} and {steps_path}")
     return 0
 

@@ -7,15 +7,18 @@ draws only from its own streams, so its rows do not depend on how many trials
 a run has.  A trial's detected beliefs are built once, and each variant
 steps its own copy of them.
 
-A study builds every (variant, trial) task and `policy.run_tasks` drives
-them together in lockstep rounds; since each task draws only from its own
-stream, its rows equal those of the task run alone.  Step rows are tuples
-in `STEP_COLUMNS` order, which the CLI writes as they are.
+One function, `_study`, runs every study: it builds each (variant, trial)
+task, `policy.run_tasks` drives them together in lockstep rounds, and it
+turns each task's episodes into step rows; since each task draws only from
+its own stream, its rows equal those of the task run alone.  Step rows are
+tuples in `STEP_COLUMNS` order, which the CLI writes as they are.  Each
+study's runner computes its metric rows from `_study`'s results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import product
 from operator import attrgetter, itemgetter
 
 import numpy as np
@@ -24,10 +27,8 @@ from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType
 from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
-    AssemblyResult,
     PolicyModels,
     PolicyVariant,
-    StepRecord,
     TerminalStatus,
     assembly_task,
     initial_state,
@@ -123,52 +124,77 @@ class ExperimentSpec:
         )
 
 
-def _variant_key(variant: PolicyVariant) -> int:
-    return list(PolicyVariant).index(variant)
-
-
 def _episode_rng(spec: ExperimentSpec, trial: int, variant: PolicyVariant) -> np.random.Generator:
-    return derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, _variant_key(variant))
+    variant_key = list(PolicyVariant).index(variant)
+    return derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, variant_key)
 
 
-def _step_rows(spec: ExperimentSpec, variant: PolicyVariant, trial: int, peg_index: int,
-               peg: PegType, records: list[StepRecord], status: TerminalStatus) -> list[tuple]:
-    """The `STEP_COLUMNS` rows of one episode's records."""
-    episode = (spec.kind, variant.value, trial, peg_index, peg.value)
-    rows = []
-    for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, fitted, error, _ in records:
-        rows.append((*episode, t, chosen, *start, int(beta), *mean, xx, xy, yy,
-                     "|".join(map(repr, xi)), int(fitted), error, status.value, spec.seed))
-    return rows
+def _study(spec: ExperimentSpec, setup, task, episodes) -> tuple[list[list], list[tuple]]:
+    """Every (variant, trial) task of a study, run together in lockstep.
+
+    `setup(trial)` builds a trial's set-up once, and `task(variant, set_up,
+    rng)` a variant's task on it, drawing from the variant's episode
+    stream.  The task list is allocated before the first world is spawned,
+    so a trial count that no list can hold fails at once.  `episodes(set_up,
+    result)` gives a task's episodes as (peg, records, status) in peg order.
+    Returns, per variant, each trial's (set-up, result), and the step rows
+    of every episode.
+    """
+    n = len(spec.variants) * spec.trials
+    try:
+        tasks = [None] * n
+    except (MemoryError, OverflowError):  # OverflowError: more entries than an index holds
+        raise MemoryError(f"{n} study tasks") from None
+    setups = [setup(trial) for trial in range(spec.trials)]
+    keys = list(product(spec.variants, enumerate(setups)))
+    for i, (variant, (trial, set_up)) in enumerate(keys):
+        rng = _episode_rng(spec, trial, variant)
+        tasks[i] = task(variant, set_up, rng), rng
+    results = run_tasks(tasks, spec.spiral, spec.env)
+    step_rows = []
+    for (variant, (trial, set_up)), result in zip(keys, results):
+        for peg_index, (peg, records, status) in enumerate(episodes(set_up, result)):
+            episode = (spec.kind, variant.value, trial, peg_index, peg.value)
+            for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, fitted, error, _ in records:
+                step_rows.append((*episode, t, chosen, *start, int(beta), *mean, xx, xy, yy,
+                                  "|".join(map(repr, xi)), int(fitted), error, status.value,
+                                  spec.seed))
+    by_variant = [list(zip(setups, results[i:i + spec.trials])) for i in range(0, n, spec.trials)]
+    return by_variant, step_rows
 
 
-def _single_hole_setup(
-    spec: ExperimentSpec, trial: int, matched: bool
-) -> tuple[World, PegType, BeliefArrays]:
+def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
+    """`_study` on one-hole worlds: each trial's world, peg and detected
+    beliefs, and each variant's episode on its own copy of the beliefs,
+    whose result is (records, status)."""
     kind_id = KIND_IDS[spec.kind]
     env1 = replace(spec.env, n_holes=1)
-    world = spawn_world(
-        env1, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial), spec.spiral
-    )
-    hole_type = world.holes[0].hole_type
-    peg = PegType(hole_type if matched else hole_type % env1.n_types + 1)
-    state = initial_state(world, derive_rng(spec.seed, kind_id, STREAM_DETECT, trial))
-    return world, peg, state
+
+    def setup(trial: int) -> tuple[World, PegType, BeliefArrays]:
+        world = spawn_world(env1, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial), spec.spiral)
+        hole_type = world.holes[0].hole_type
+        peg = PegType(hole_type if matched else hole_type % env1.n_types + 1)
+        detector = derive_rng(spec.seed, kind_id, STREAM_DETECT, trial)
+        return world, peg, initial_state(world, detector)
+
+    def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
+        world, peg, state = set_up
+        return steps_task(state.copy(), world, peg, variant, spec.models, horizon, rng)
+
+    return _study(spec, setup, task, lambda set_up, result: [(set_up[1], *result)])
 
 
-def _single_hole_episodes(spec: ExperimentSpec, matched: bool, horizon: int):
-    """Every (variant, trial) episode of a single-hole study, run together,
-    each on its own copy of the trial's detected beliefs.  Returns the
-    setups and, per variant, each trial's (records, status)."""
-    setups = [_single_hole_setup(spec, trial, matched) for trial in range(spec.trials)]
-    tasks = []
-    for variant in spec.variants:
-        for trial, (world, peg, state) in enumerate(setups):
-            rng = _episode_rng(spec, trial, variant)
-            tasks.append((steps_task(state.copy(), world, peg, variant, spec.models, horizon,
-                                     rng), rng))
-    results = run_tasks(tasks, spec.spiral, spec.env)
-    return setups, [results[i:i + spec.trials] for i in range(0, len(results), spec.trials)]
+def _row(spec: ExperimentSpec, variant: PolicyVariant, step: int, metric: str,
+         value: float) -> ResultRow:
+    return ResultRow(spec.kind, variant.value, -1, step, metric, value, spec.seed)
+
+
+def _mean_std_rows(spec: ExperimentSpec, variant: PolicyVariant, name: str, steps,
+                   values: np.ndarray) -> list[ResultRow]:
+    """`{name}_mean` and `{name}_std` over trials at each step, where
+    `values[:, j]` holds every trial's value at `steps[j]`."""
+    return [_row(spec, variant, step, f"{name}_{stat}", float(getattr(column, stat)()))
+            for step, column in zip(steps, values.T) for stat in ("mean", "std")]
 
 
 def run_position_estimation(spec: ExperimentSpec):
@@ -178,102 +204,62 @@ def run_position_estimation(spec: ExperimentSpec):
     sequence of estimate errors; only the position-update rule differs
     between variants.
     """
+    by_variant, step_rows = _single_hole_study(spec, matched=False, horizon=spec.steps)
     metric_rows: list[ResultRow] = []
-    step_rows: list[tuple] = []
-    setups, episodes = _single_hole_episodes(spec, matched=False, horizon=spec.steps)
-    for variant, results in zip(spec.variants, episodes):
-        errors = []
-        for trial, ((world, peg, state), (records, status)) in enumerate(zip(setups, results)):
-            initial_error = float(np.linalg.norm(state.means[0] - world.holes[0].position))
-            errors.append([initial_error] + [r.pos_error for r in records])
-            step_rows += _step_rows(spec, variant, trial, 0, peg, records, status)
-        errors = np.array(errors)
-        for t in range(spec.steps + 1):
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, t, "pos_error_mean",
-                          float(errors[:, t].mean()), spec.seed)
-            )
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, t, "pos_error_std",
-                          float(errors[:, t].std()), spec.seed)
-            )
+    for variant, trials in zip(spec.variants, by_variant):
+        errors = [[float(np.linalg.norm(state.means[0] - world.holes[0].position))]
+                  + [r.pos_error for r in records]
+                  for (world, _, state), (records, _) in trials]
+        metric_rows += _mean_std_rows(spec, variant, "pos_error", range(spec.steps + 1),
+                                      np.array(errors))
     return metric_rows, step_rows
 
 
 def run_matching_insertion(spec: ExperimentSpec):
     """Success-within-t curves on a task whose single hole matches the peg."""
     horizon = spec.env.horizon_high
+    by_variant, step_rows = _single_hole_study(spec, matched=True, horizon=horizon)
     metric_rows: list[ResultRow] = []
-    step_rows: list[tuple] = []
-    setups, episodes = _single_hole_episodes(spec, matched=True, horizon=horizon)
-    for variant, results in zip(spec.variants, episodes):
-        steps_to_success = []
-        for trial, ((_, peg, _), (records, status)) in enumerate(zip(setups, results)):
-            steps_to_success.append(
-                len(records) if status is TerminalStatus.SUCCESS else None
-            )
-            step_rows += _step_rows(spec, variant, trial, 0, peg, records, status)
+    for variant, trials in zip(spec.variants, by_variant):
+        steps_to_success = [len(records) for _, (records, status) in trials
+                            if status is TerminalStatus.SUCCESS]
         for t in range(1, horizon + 1):
-            rate = sum(1 for s in steps_to_success if s is not None and s <= t)
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, t, "success_rate",
-                          rate / spec.trials, spec.seed)
-            )
+            rate = sum(1 for s in steps_to_success if s <= t)
+            metric_rows.append(_row(spec, variant, t, "success_rate", rate / spec.trials))
     return metric_rows, step_rows
 
 
 def run_assembly(spec: ExperimentSpec):
     """Multi-peg task: cumulative attempts and intervention rates."""
     kind_id = KIND_IDS[spec.kind]
-    metric_rows: list[ResultRow] = []
-    step_rows: list[tuple] = []
     n_pegs = spec.env.n_holes
-    setups = []
-    for trial in range(spec.trials):
-        world = spawn_world(
-            spec.env, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial), spec.spiral
-        )
-        peg_rng = derive_rng(spec.seed, kind_id, STREAM_PEGS, trial)
-        types = [h.hole_type for h in world.holes]
-        setups.append((world, [PegType(types[i]) for i in peg_rng.permutation(len(types))]))
-    tasks = []
-    for variant in spec.variants:
-        for trial, (world, pegs) in enumerate(setups):
-            rng = _episode_rng(spec, trial, variant)
-            tasks.append((assembly_task(world, pegs, variant, spec.models, rng,
-                                        step_cap=spec.step_cap), rng))
-    results = run_tasks(tasks, spec.spiral, spec.env)
-    for v, variant in enumerate(spec.variants):
-        assemblies: list[AssemblyResult] = results[v * spec.trials:(v + 1) * spec.trials]
-        for trial, result in enumerate(assemblies):
-            for peg_index, episode in enumerate(result.episodes):
-                step_rows += _step_rows(spec, variant, trial, peg_index, episode.peg,
-                                        episode.records, episode.status)
 
+    def setup(trial: int) -> tuple[World, list[PegType]]:
+        world = spawn_world(spec.env, derive_rng(spec.seed, kind_id, STREAM_WORLD, trial),
+                            spec.spiral)
+        order = derive_rng(spec.seed, kind_id, STREAM_PEGS, trial).permutation(n_pegs)
+        return world, [PegType(world.holes[i].hole_type) for i in order]
+
+    def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
+        return assembly_task(*set_up, variant, spec.models, rng, step_cap=spec.step_cap)
+
+    by_variant, step_rows = _study(spec, setup, task, lambda _, result: [
+        (e.peg, e.records, e.status) for e in result.episodes])
+    metric_rows: list[ResultRow] = []
+    for variant, trials in zip(spec.variants, by_variant):
+        assemblies = [result for _, result in trials]
         interventions = sum(a.interventions for a in assemblies)
-        metric_rows.append(
-            ResultRow(spec.kind, variant.value, -1, 0, "intervention_rate",
-                      interventions / (spec.trials * n_pegs), spec.seed)
-        )
+        metric_rows.append(_row(spec, variant, 0, "intervention_rate",
+                                interventions / (spec.trials * n_pegs)))
         cumulative = np.array([a.cumulative_attempts for a in assemblies])
-        for n in range(1, n_pegs + 1):
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, n, "cum_attempts_mean",
-                          float(cumulative[:, n - 1].mean()), spec.seed)
-            )
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, n, "cum_attempts_std",
-                          float(cumulative[:, n - 1].std()), spec.seed)
-            )
+        metric_rows += _mean_std_rows(spec, variant, "cum_attempts", range(1, n_pegs + 1),
+                                      cumulative)
         totals = cumulative[:, -1]
         n_bins = int(np.ceil(spec.step_cap * n_pegs / ATTEMPT_HIST_BIN))
         for b in range(n_bins):
             lo, hi = b * ATTEMPT_HIST_BIN, (b + 1) * ATTEMPT_HIST_BIN
             count = int(np.sum((totals >= lo) & (totals < hi)))
-            metric_rows.append(
-                ResultRow(spec.kind, variant.value, -1, b, "attempts_hist",
-                          float(count), spec.seed)
-            )
+            metric_rows.append(_row(spec, variant, b, "attempts_hist", float(count)))
     return metric_rows, step_rows
 
 

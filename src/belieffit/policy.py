@@ -38,6 +38,7 @@ same step, choice and start for a list of belief objects.
 from __future__ import annotations
 
 import enum
+import itertools
 import logging
 import math
 from collections.abc import Generator
@@ -176,17 +177,19 @@ class EpisodeLog:
 
 @dataclass
 class AssemblyResult:
-    attempts_per_peg: list[int]
-    interventions: int
     episodes: list[EpisodeLog]
 
     @property
+    def attempts_per_peg(self) -> list[int]:
+        return [e.attempts for e in self.episodes]
+
+    @property
+    def interventions(self) -> int:
+        return sum(e.status is TerminalStatus.INTERVENTION for e in self.episodes)
+
+    @property
     def cumulative_attempts(self) -> list[int]:
-        out, total = [], 0
-        for a in self.attempts_per_peg:
-            total += a
-            out.append(total)
-        return out
+        return list(itertools.accumulate(self.attempts_per_peg))
 
 
 def initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
@@ -470,19 +473,13 @@ def assembly_task(
 
     state = initial_state(world, rng)
     episodes: list[EpisodeLog] = []
-    interventions = 0
     for peg in pegs:
         records, status = yield from steps_task(state, world, peg, variant, models, step_cap, rng)
         if status is TerminalStatus.STEP_CAP:
             status = TerminalStatus.INTERVENTION
-            interventions += 1
             _intervene(state, world, peg)
         episodes.append(EpisodeLog(peg, records, status, state.copy()))
-    return AssemblyResult(
-        attempts_per_peg=[e.attempts for e in episodes],
-        interventions=interventions,
-        episodes=episodes,
-    )
+    return AssemblyResult(episodes)
 
 
 def run_assembly_task(

@@ -185,6 +185,15 @@ def block_size(horizon: int) -> int:
     return max(1, BLOCK_BYTES // (16 * horizon))
 
 
+def sized_empty(shape) -> np.ndarray:
+    """`np.empty(shape)` for a checked positive size: a size that numpy
+    cannot index raises MemoryError, as one the host cannot hold does."""
+    try:
+        return np.empty(shape)
+    except ValueError as exc:  # "Maximum allowed dimension exceeded", "array is too big"
+        raise MemoryError(str(exc)) from None
+
+
 def wiggle_rows(normals: np.ndarray, horizon: int) -> np.ndarray:
     """The rows x and y, one entry per step, of the wiggle normals at the
     head of a rollout's normal block; each step's z normal is unread."""
@@ -299,7 +308,7 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
     horizon = config.horizon_low
     bound = config.detector_error_bound
-    radii = np.empty(trials)
+    radii = sized_empty(trials)
     normals = np.empty(6 * horizon)
     for lo in range(0, trials, block_size(horizon)):
         n = min(block_size(horizon), trials - lo)

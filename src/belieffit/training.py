@@ -59,7 +59,7 @@ from .filters import (
     kalman_correction,
 )
 from .sensors import SensorModel, observe_positions
-from .sim import SpiralParams, block_size, placement_box, rollout_block, wiggle_rows
+from .sim import SpiralParams, block_size, placement_box, rollout_block, sized_empty, wiggle_rows
 
 LOG_FLOOR = 1e-6
 
@@ -257,10 +257,11 @@ def generate_dataset(
     draws of one kind that follow each other merged into one call; then one
     array pass per block of records computes the rollouts and readings and
     writes them into the block's rows.  The records' packed rows are
-    allocated before the first draw, so a size the host cannot hold raises
-    MemoryError at once.  Every value comes from the checked config and the
-    draws, so the rows pass the record checks by construction; only the
-    readings are checked, since a sensor can overflow.
+    allocated before the first draw, so a size the host or numpy cannot
+    hold raises MemoryError at once.  Every value comes from the checked
+    config and the draws, so the rows pass the record checks by
+    construction; only the readings are checked, since a sensor can
+    overflow.
     """
     if n_interactions < 2:
         raise InvalidInputError("need at least two interactions for class balance")
@@ -271,7 +272,7 @@ def generate_dataset(
     horizon = config.horizon_low
     match = sensor_model.match
     normals = np.empty(6 * horizon + 2)
-    rows = np.empty((n_interactions, _Row.xi0.start + n_types))
+    rows = sized_empty((n_interactions, _Row.xi0.start + n_types))
     for first in range(0, n_interactions, block_size(horizon)):
         n = min(block_size(horizon), n_interactions - first)
         hole_types, peg_types = [], []

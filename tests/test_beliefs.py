@@ -11,7 +11,6 @@ from belieffit import (
     TypeBelief,
     fit_probability,
     init_position_belief,
-    init_type_belief_uniform,
 )
 from belieffit.beliefs import (
     PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types, normalized,
@@ -46,13 +45,13 @@ class TestInitPositionBelief:
 class TestTypeBeliefInit:
     @pytest.mark.parametrize("n", [2, 3, 5])
     def test_uniform(self, n):
-        tb = init_type_belief_uniform(n)
+        tb = TypeBelief(np.full(n, 1 / n))
         assert np.allclose(tb.probs, 1.0 / n)
         assert tb.probs.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_uniform_rejects_single_class(self):
         with pytest.raises(InvalidInputError):
-            init_type_belief_uniform(1)
+            TypeBelief(np.full(1, 1.0))
 
     def test_normalize_is_divide_by_sum(self):
         assert np.allclose(normalized([1.0, 1.0, 2.0]), [0.25, 0.25, 0.5])
@@ -82,6 +81,12 @@ class TestFitProbability:
     def test_fitted_hole_scores_zero(self):
         b = self._belief([1.0, 0.0, 0.0], fitted=True)
         assert fit_probability(b, PegType(1), 0.34) == 0.0
+
+    def test_peg_type_beyond_the_belief_is_rejected(self):
+        b = self._belief([0.5, 0.5])
+        assert fit_probability(b, PegType(2), 0.34) == pytest.approx(0.17)
+        with pytest.raises(InvalidInputError, match="type 3 out of range 1..2"):
+            fit_probability(b, PegType(3), 0.34)
 
     def test_monotone_in_peg_mass_and_linear_in_alpha(self):
         rng = np.random.default_rng(5)
@@ -219,7 +224,7 @@ class TestBeliefArrays:
             expected = init_position_belief(det, 1e-4)
             assert np.array_equal(state.means[i], expected.mean)
             assert np.array_equal(state.covs[i], expected.cov)
-            assert np.array_equal(state.xi[i], init_type_belief_uniform(3).probs)
+            assert np.array_equal(state.xi[i], TypeBelief(np.full(3, 1 / 3)).probs)
         assert not state.fitted.any()
 
     @pytest.mark.parametrize(
@@ -235,5 +240,5 @@ class TestBeliefArrays:
         with pytest.raises(InvalidInputError):
             BeliefArrays.of([
                 HoleBelief(init_position_belief((0, 0), 1e-4), TypeBelief([0.5, 0.5])),
-                HoleBelief(init_position_belief((0, 0), 1e-4), init_type_belief_uniform(3)),
+                HoleBelief(init_position_belief((0, 0), 1e-4), TypeBelief(np.full(3, 1 / 3))),
             ])

@@ -354,20 +354,32 @@ def run_in_2_gib(tmp_path, *argv):
                           capture_output=True, text=True, timeout=60)
 
 
-def test_out_of_memory_is_exit_2(tmp_path):
-    """`calibrate` holds every trial's critical radius, so 10**10 trials ask
-    for 75 GiB."""
-    child = run_in_2_gib(tmp_path, "calibrate", "--trials", 10**10)
+def assert_out_of_memory(child):
     assert child.returncode == 2
     assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
+
+
+def test_out_of_memory_is_exit_2(tmp_path):
+    """`calibrate` holds every trial's critical radius, so 10**10 trials ask
+    for 75 GiB, and 10**20 for more than numpy can index.  A study allocates
+    its (variant, trial) task list before it spawns the first world, so
+    10**12 trials ask for terabytes, and 10**20 for more entries than a
+    list holds; it writes nothing."""
+    for argv in (("calibrate", "--trials", 10**10), ("calibrate", "--trials", 10**20),
+                 ("experiment", "assembly", "--trials", 10**12),
+                 ("experiment", "assembly", "--trials", 10**20),
+                 ("experiment", "position_estimation", "--trials", 10**12),
+                 ("experiment", "matching_insertion", "--trials", 10**20)):
+        assert_out_of_memory(run_in_2_gib(tmp_path, *argv))
+        assert not any(tmp_path.iterdir()), argv
 
 
 def test_generated_dataset_out_of_memory_is_exit_2(tmp_path):
     """`train --generate` allocates its records' packed rows before the
-    first draw: 10**10 records of 17 floats ask for 1.2 TiB."""
-    child = run_in_2_gib(tmp_path, "train", "--generate", 10**10)
-    assert child.returncode == 2
-    assert child.stderr.startswith("error: out of memory") and child.stderr.count("\n") == 1
+    first draw: 10**10 records of 17 floats ask for 1.2 TiB, and 10**20 for
+    more than numpy can index."""
+    for count in (10**10, 10**20):
+        assert_out_of_memory(run_in_2_gib(tmp_path, "train", "--generate", count))
 
 
 class TestTrain:
@@ -557,6 +569,32 @@ class TestExperiment:
             ) == 0
         assert (out1 / "metrics.csv").read_bytes() == (out2 / "metrics.csv").read_bytes()
         assert (out1 / "steps.csv").read_bytes() == (out2 / "steps.csv").read_bytes()
+
+    @pytest.mark.parametrize("kind, lines", [
+        ("position_estimation", [
+            "  full_approach: mean error 0.0146 m -> 0.0043 m",
+            "  frame_by_frame: mean error 0.0146 m -> 0.0083 m",
+        ]),
+        ("matching_insertion", [
+            "  full_approach: success within 10 steps = 1.000",
+            "  frame_by_frame: success within 10 steps = 1.000",
+            "  sampled_initial: success within 10 steps = 1.000",
+            "  fixed_initial: success within 10 steps = 0.000",
+        ]),
+        ("assembly", [
+            "  full_approach: interventions 0.000, mean cumulative attempts 18.0",
+            "  failure_plus_position: interventions 0.000, mean cumulative attempts 24.7",
+            "  failure_only: interventions 0.667, mean cumulative attempts 111.7",
+        ]),
+    ])
+    def test_summary(self, tmp_path, capsys, kind, lines):
+        """Each kind's stdout summary at default flags, 3 trials, seed 0."""
+        assert run_cli("experiment", kind, "--trials", 3, "--seed", 0, "--out", tmp_path) == 0
+        assert capsys.readouterr().out == "".join(f"{line}\n" for line in [
+            f"experiment        : {kind} (3 trials, seed 0)",
+            *lines,
+            f"wrote {tmp_path / 'metrics.csv'} and {tmp_path / 'steps.csv'}",
+        ])
 
     def test_config_sensor_truth_is_the_filters_default(self, tmp_path, capsys):
         """Without `--params` the filters hold the config's own sensor truth."""

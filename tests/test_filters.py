@@ -12,7 +12,6 @@ from belieffit import (
     PositionNoiseModel,
     TypeBelief,
     histogram_update,
-    init_type_belief_uniform,
     kalman_update,
 )
 from belieffit.beliefs import PSD_TOL, SUM_TOL, normalized
@@ -107,7 +106,7 @@ class TestKalmanUpdate:
 
 class TestHistogramUpdate:
     def test_uninformative_sensor_failure_update(self):
-        prior = init_type_belief_uniform(3)
+        prior = TypeBelief(np.full(3, 1 / 3))
         post = histogram_update(
             prior, False, False, PegType(1), 0.34, MatchObservationModel(0.5, 0.5)
         )
@@ -121,7 +120,7 @@ class TestHistogramUpdate:
         assert np.allclose(post.probs, [1.0, 0.0, 0.0], atol=1e-9)
 
     def test_success_collapses_to_peg_type(self):
-        prior = init_type_belief_uniform(3)
+        prior = TypeBelief(np.full(3, 1 / 3))
         post = histogram_update(
             prior, True, True, PegType(2), 0.34, MatchObservationModel(0.85, 0.15)
         )
@@ -166,7 +165,7 @@ class TestHistogramUpdate:
             )
 
     def test_pure_function(self):
-        prior = init_type_belief_uniform(3)
+        prior = TypeBelief(np.full(3, 1 / 3))
         args = (True, False, PegType(1), 0.4, MatchObservationModel(0.7, 0.2))
         first = histogram_update(prior, *args)
         second = histogram_update(prior, *args)

@@ -24,7 +24,6 @@ from belieffit import (
     high_level_step,
     init_beliefs,
     init_position_belief,
-    init_type_belief_uniform,
     run_assembly_task,
     run_episode,
     select_hole,
@@ -34,7 +33,6 @@ from belieffit.beliefs import (
     BeliefArrays,
     check_position,
     check_types,
-    init_type_belief_uniform,
     normalized,
     sample_gaussian,
 )
@@ -207,7 +205,7 @@ class TestHighLevelStep:
         )
         assert rec.beta
         assert new_beliefs[0].fitted
-        assert new_beliefs[0].type_belief.prob_of(1) == pytest.approx(1.0, abs=1e-9)
+        assert new_beliefs[0].type_belief.probs[0] == pytest.approx(1.0, abs=1e-9)
         # insertion pins the position estimate to the final tip position
         assert rec.pos_error <= CFG.capture_radius + 1e-9
 
@@ -238,7 +236,7 @@ class TestBeliefUpdate:
         beliefs = [
             HoleBelief(
                 position=init_position_belief((0.004, 0.0), 1e-10),
-                type_belief=init_type_belief_uniform(3),
+                type_belief=TypeBelief(np.full(3, 1 / 3)),
             ),
             belief_with_masses([1, 2, 2], mean=(0.1, 0.1)),
         ]
@@ -265,7 +263,7 @@ class TestBeliefUpdate:
             assert new_beliefs[0].fitted
         _, new_beliefs = self._step(PolicyVariant.FULL_APPROACH, success=True)
         assert FEEDBACK[PolicyVariant.FULL_APPROACH].types is TypeEvidence.MATCH_AND_OUTCOME
-        assert new_beliefs[0].type_belief.prob_of(1) == pytest.approx(1.0, abs=1e-9)
+        assert new_beliefs[0].type_belief.probs[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_failure_keeps_fitted_false(self):
         for variant in PolicyVariant:
@@ -454,7 +452,7 @@ def reference_updated_type(prior, evidence, beta, peg, hole, alpha, models, rng)
         posterior = type_posterior(prior, o_match, beta, peg, alpha, match_model)
         return normalized(posterior), False
     except DegenerateEvidenceError:
-        return init_type_belief_uniform(len(prior)).probs.tolist(), True
+        return TypeBelief(np.full(len(prior), 1 / len(prior))).probs.tolist(), True
 
 
 def reference_step(state, t, peg, world, variant, models, rng, outcome):

@@ -1,6 +1,7 @@
 """Rules on the package's source that no behaviour test sees."""
 
 import ast
+import sys
 from pathlib import Path
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "belieffit").glob("*.py"))
@@ -16,3 +17,21 @@ def test_runtime_checks_raise_instead_of_assert():
         if isinstance(node, ast.Assert)
     ]
     assert len(SOURCES) > 1 and not asserts, asserts
+
+
+def test_imports_are_stdlib_numpy_or_the_package():
+    # pyproject declares numpy as the only dependency, so an import of any
+    # other installed package (scipy, say) works here and fails for a user
+    allowed = sys.stdlib_module_names | {"numpy", "belieffit"}
+    foreign = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # not relative
+                names = [node.module]
+            else:
+                continue
+            foreign += [f"{path.name}:{node.lineno} {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert len(SOURCES) > 1 and not foreign, foreign
