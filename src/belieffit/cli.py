@@ -124,8 +124,6 @@ def cmd_train(args) -> int:
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
     sensors = cfg.sensors_from(doc)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.dataset:
         path = Path(args.dataset)
@@ -137,7 +135,7 @@ def cmd_train(args) -> int:
         records = generate_dataset(
             env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
         )
-    # the oracles reject a batch they cannot estimate from before any file is written
+    # the oracles reject a batch they cannot estimate from before the fit
     cov_oracle = mle_covariance_oracle(
         np.array([r.obs for r in records]).reshape(-1, 2),
         np.array([r.position for r in records]).reshape(-1, 2),
@@ -145,9 +143,6 @@ def cmd_train(args) -> int:
     tpr_oracle, fpr_oracle = mle_confusion_oracle(
         [(r.peg_type == r.hole_type, r.o_match) for r in records]
     )
-    if not args.dataset:
-        save_dataset(records, out_dir / "dataset.csv")
-
     matched = sum(1 for r in records if r.peg_type == r.hole_type)
     print(f"records           : {len(records)} ({matched} matched / "
           f"{len(records) - matched} mismatched)")
@@ -157,6 +152,12 @@ def cmd_train(args) -> int:
         records, init=None, lr=args.lr, epochs=args.epochs,
         alpha=env.alpha, history_out=history,
     )
+    models = params.to_filter_models()
+    # written only once the fit has succeeded: a failed run leaves --out as it was
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.dataset:
+        save_dataset(records, out_dir / "dataset.csv")
     write_csv(
         out_dir / "loss.csv", ("epoch", "mean_nll"),
         [(e + 1, history[e]) for e in range(len(history))],
@@ -183,7 +184,6 @@ def cmd_train(args) -> int:
     print(f"learned (tpr,fpr) : ({params.tpr}, {params.fpr})")
     print(f"oracle  (tpr,fpr) : ({tpr_oracle}, {fpr_oracle})")
 
-    models = params.to_filter_models()
     params_path = out_dir / "learned_params.json"
     params_path.write_text(
         json.dumps(cfg.learned_to_doc(models), indent=2, sort_keys=True) + "\n"
@@ -217,11 +217,7 @@ def cmd_experiment(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     metrics_path = out_dir / "metrics.csv"
-    write_csv(
-        metrics_path, METRIC_COLUMNS,
-        [(r.experiment, r.variant, r.trial, r.step, r.metric, r.value, r.seed)
-         for r in metric_rows],
-    )
+    write_csv(metrics_path, METRIC_COLUMNS, metric_rows)
     steps_path = out_dir / "steps.csv"
     write_csv(steps_path, STEP_COLUMNS, step_rows)
     validate_metrics_csv(metrics_path)

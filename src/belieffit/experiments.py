@@ -11,15 +11,16 @@ One function, `_study`, runs every study: it builds each (variant, trial)
 task, `policy.run_tasks` drives them together in lockstep rounds, and it
 turns each task's episodes into step rows; since each task draws only from
 its own stream, its rows equal those of the task run alone.  Step rows are
-tuples in `STEP_COLUMNS` order, which the CLI writes as they are.  Each
-study's runner computes its metric rows from `_study`'s results.
+tuples in `STEP_COLUMNS` order and metric rows `ResultRow`s; the CLI writes
+both as they are.  Each study's runner makes its metric rows with `_row`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from itertools import product
-from operator import attrgetter, itemgetter
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +69,6 @@ DEFAULT_VARIANTS = {
 
 ATTEMPT_HIST_BIN = 6
 
-METRIC_COLUMNS = ("experiment", "variant", "trial", "step", "metric", "value", "seed")
 STEP_COLUMNS = (
     "experiment", "variant", "trial", "peg_index", "peg_type", "step",
     "chosen_hole", "start_x", "start_y", "beta", "mu_x", "mu_y",
@@ -76,8 +76,9 @@ STEP_COLUMNS = (
 )
 
 
-@dataclass(frozen=True)
-class ResultRow:
+class ResultRow(NamedTuple):
+    """One `metrics.csv` row, its fields in the file's column order."""
+
     experiment: str
     variant: str
     trial: int
@@ -86,9 +87,8 @@ class ResultRow:
     value: float
     seed: int
 
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise InvalidInputError("metric values must be finite")
+
+METRIC_COLUMNS = ResultRow._fields
 
 
 @dataclass(frozen=True)
@@ -186,6 +186,9 @@ def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
 
 def _row(spec: ExperimentSpec, variant: PolicyVariant, step: int, metric: str,
          value: float) -> ResultRow:
+    """A metric's aggregate (trial -1) row; every metric row is made here."""
+    if not np.isfinite(value):
+        raise InvalidInputError("metric values must be finite")
     return ResultRow(spec.kind, variant.value, -1, step, metric, value, spec.seed)
 
 
@@ -223,9 +226,9 @@ def run_matching_insertion(spec: ExperimentSpec):
     for variant, trials in zip(spec.variants, by_variant):
         steps_to_success = [len(records) for _, (records, status) in trials
                             if status is TerminalStatus.SUCCESS]
-        for t in range(1, horizon + 1):
-            rate = sum(1 for s in steps_to_success if s <= t)
-            metric_rows.append(_row(spec, variant, t, "success_rate", rate / spec.trials))
+        succeeded_by = np.cumsum(np.bincount(steps_to_success, minlength=horizon + 1)).tolist()
+        metric_rows += [_row(spec, variant, t, "success_rate", succeeded_by[t] / spec.trials)
+                        for t in range(1, horizon + 1)]
     return metric_rows, step_rows
 
 
@@ -247,19 +250,18 @@ def run_assembly(spec: ExperimentSpec):
         (e.peg, e.records, e.status) for e in result.episodes])
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
-        assemblies = [result for _, result in trials]
-        interventions = sum(a.interventions for a in assemblies)
+        interventions = sum(a.interventions for _, a in trials)
         metric_rows.append(_row(spec, variant, 0, "intervention_rate",
                                 interventions / (spec.trials * n_pegs)))
-        cumulative = np.array([a.cumulative_attempts for a in assemblies])
+        cumulative = np.array([a.cumulative_attempts for _, a in trials])
         metric_rows += _mean_std_rows(spec, variant, "cum_attempts", range(1, n_pegs + 1),
                                       cumulative)
-        totals = cumulative[:, -1]
-        n_bins = int(np.ceil(spec.step_cap * n_pegs / ATTEMPT_HIST_BIN))
-        for b in range(n_bins):
-            lo, hi = b * ATTEMPT_HIST_BIN, (b + 1) * ATTEMPT_HIST_BIN
-            count = int(np.sum((totals >= lo) & (totals < hi)))
-            metric_rows.append(_row(spec, variant, b, "attempts_hist", float(count)))
+        # bins [6k, 6k + 6) of total attempts, the top one closed at the cap
+        n_bins = -(-spec.step_cap * n_pegs // ATTEMPT_HIST_BIN)
+        counts = np.bincount(np.minimum(cumulative[:, -1] // ATTEMPT_HIST_BIN, n_bins - 1),
+                             minlength=n_bins)
+        metric_rows += [_row(spec, variant, b, "attempts_hist", float(count))
+                        for b, count in enumerate(counts.tolist())]
     return metric_rows, step_rows
 
 
@@ -272,6 +274,6 @@ RUNNERS = {
 
 def run_experiment(spec: ExperimentSpec):
     metric_rows, step_rows = RUNNERS[spec.kind](spec)
-    metric_rows.sort(key=attrgetter("experiment", "variant", "trial", "step", "metric"))
+    metric_rows.sort(key=itemgetter(0, 1, 2, 3, 4))  # experiment, variant, trial, step, metric
     step_rows.sort(key=itemgetter(0, 1, 2, 3, 5))  # experiment, variant, trial, peg_index, step
     return metric_rows, step_rows

@@ -54,10 +54,11 @@ class PositionSensorSpec:
         bias.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "bias", bias)
-        # Cholesky factors of the informative and uninformative noise laws
-        object.__setattr__(
-            self, "_factors", (np.linalg.cholesky(cov), np.linalg.cholesky(inflated))
-        )
+        try:  # Cholesky factors of the informative and uninformative noise laws
+            factors = (np.linalg.cholesky(cov), np.linalg.cholesky(inflated))
+        except np.linalg.LinAlgError:  # a nearly singular cov can pass eigvalsh
+            raise InvalidInputError("sensor covariance must be positive definite") from None
+        object.__setattr__(self, "_factors", factors)
 
     def noise_factor(self, closest_approach: float) -> np.ndarray:
         """Cholesky factor of the noise covariance for a trace whose closest

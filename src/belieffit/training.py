@@ -193,8 +193,10 @@ class LearnedParams:
 
     @classmethod
     def from_values(cls, position_cov, tpr: float, fpr: float) -> "LearnedParams":
-        cov = np.asarray(position_cov, dtype=float)
-        chol = np.linalg.cholesky(cov)
+        try:
+            chol = np.linalg.cholesky(np.asarray(position_cov, dtype=float))
+        except np.linalg.LinAlgError:
+            raise InvalidInputError("position covariance must be positive definite") from None
         eps = MATCH_PROB_EPS
 
         def logit(p):
@@ -322,13 +324,11 @@ def generate_dataset(
 
 
 def save_dataset(records: list[InteractionRecord], path) -> None:
-    # a row starts with p, mu0 and obs, in the file's order
-    peg, hole, vectors, match, beta = _Row.peg, _Row.hole, slice(6), _Row.o_match, _Row.beta
-    write_csv(
-        path, DATASET_COLUMNS,
-        ([int(v[peg]), int(v[hole]), *v[vectors], int(v[match]), int(v[beta])]
-         for v in (r._row.tolist() for r in records)),
-    )
+    # each row up to its type prior, which may differ in length; p, mu0 and obs lead
+    head = np.array([r._row[:_Row.xi0.start] for r in records]).reshape(-1, _Row.xi0.start)
+    ints = [_Row.peg, _Row.hole, _Row.o_match, _Row.beta]
+    peg, hole, match, beta = head[:, ints].astype(int).T.tolist()
+    write_csv(path, DATASET_COLUMNS, zip(peg, hole, *head[:, :6].T.tolist(), match, beta))
 
 
 def write_csv(path, header, rows) -> None:

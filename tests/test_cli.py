@@ -453,7 +453,7 @@ class TestTrain:
                        "--seed", 3, "--out", out)
         assert code == 2
         assert oracle in assert_one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_missing_dataset_is_exit_2(self, small_config, tmp_path, capsys):
         code = run_cli(
@@ -461,6 +461,18 @@ class TestTrain:
             "--out", tmp_path / "t",
         )
         assert code == 2
+        assert not (tmp_path / "t").exists()
+
+    def test_diverging_run_leaves_a_finished_run_as_it_was(self, small_config, tmp_path, capsys):
+        out = tmp_path / "train"
+        argv = ("train", "--config", small_config, "--generate", 40, "--epochs", 40,
+                "--out", out)
+        assert run_cli(*argv, "--lr", "0.05", "--seed", 3) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        capsys.readouterr()
+        assert run_cli(*argv, "--lr", "200", "--seed", 4) == 1
+        assert "parameters diverged" in assert_one_line_error(capsys)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
     @staticmethod
     def train_on_edited_dataset(small_config, tmp_path, capsys, column, cell):

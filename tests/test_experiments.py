@@ -15,9 +15,11 @@ from belieffit import (
 from belieffit.errors import ConfigurationError, InvalidInputError
 from belieffit.experiments import (
     DEFAULT_VARIANTS,
+    METRIC_COLUMNS,
     STEP_COLUMNS,
     ExperimentSpec,
     ResultRow,
+    _row,
     run_experiment,
 )
 
@@ -81,21 +83,35 @@ class TestMatchingInsertion:
             assert all(b >= a for a, b in zip(curve, curve[1:]))
             assert all(0.0 <= v <= 1.0 for v in curve)
 
+    def test_no_success_gives_a_curve_of_zeros(self):
+        spec = make_spec("matching_insertion", trials=3)
+        env = dataclasses.replace(spec.env, alignment_rate=1e-12, capture_radius=1e-12)
+        metric_rows, step_rows = run_experiment(dataclasses.replace(spec, env=env))
+        assert {row[STEP_COLUMNS.index("status")] for row in step_rows} == {"step_cap"}
+        curve = [r.value for r in metric_rows if r.metric == "success_rate"]
+        assert curve == [0.0] * (4 * spec.env.horizon_high)
+
 
 class TestAssembly:
     def test_metrics_present_and_consistent(self):
-        spec = make_spec("assembly", trials=3, step_cap=8)
-        metric_rows, step_rows = run_experiment(spec)
-        for variant in DEFAULT_VARIANTS["assembly"]:
-            rows = [r for r in metric_rows if r.variant == variant.value]
-            iv = [r for r in rows if r.metric == "intervention_rate"]
-            assert len(iv) == 1 and 0.0 <= iv[0].value <= 1.0
-            cums = [r for r in rows if r.metric == "cum_attempts_mean"]
-            assert [r.step for r in cums] == [1, 2, 3, 4, 5]
-            assert all(b.value >= a.value for a, b in zip(cums, cums[1:]))
-            hist = [r for r in rows if r.metric == "attempts_hist"]
-            assert sum(r.value for r in hist) == spec.trials
-        assert step_rows  # replay data present
+        # a step cap times 5 pegs that is a multiple of the bin width puts a
+        # trial whose every peg hit the cap on the top bin's closed edge: the
+        # CLI's defaults (cap 30) at seed 1, and cap 6, each have one
+        for spec in (make_spec("assembly", trials=3, step_cap=8),
+                     dataclasses.replace(make_spec("assembly", trials=5), seed=1),
+                     make_spec("assembly", trials=5, step_cap=6)):
+            metric_rows, step_rows = run_experiment(spec)
+            for variant in DEFAULT_VARIANTS["assembly"]:
+                rows = [r for r in metric_rows if r.variant == variant.value]
+                iv = [r for r in rows if r.metric == "intervention_rate"]
+                assert len(iv) == 1 and 0.0 <= iv[0].value <= 1.0
+                cums = [r for r in rows if r.metric == "cum_attempts_mean"]
+                assert [r.step for r in cums] == [1, 2, 3, 4, 5]
+                assert all(b.value >= a.value for a, b in zip(cums, cums[1:]))
+                hist = [r for r in rows if r.metric == "attempts_hist"]
+                assert [r.step for r in hist] == list(range(-(-spec.step_cap * 5 // 6)))
+                assert sum(r.value for r in hist) == spec.trials
+            assert step_rows  # replay data present
 
 
 class TestDeterminism:
@@ -137,5 +153,13 @@ class TestValidation:
             run_experiment(spec)
 
     def test_result_row_finite(self):
-        with pytest.raises(InvalidInputError):
-            ResultRow("assembly", "full_approach", 0, 0, "x", float("nan"), 0)
+        # `_row` makes every metric row, so it is where a value is checked
+        for value in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidInputError, match="metric values must be finite"):
+                _row(make_spec("assembly"), PolicyVariant.FULL_APPROACH, 0, "x", value)
+
+    def test_result_row_fields_are_the_metrics_header(self):
+        row = _row(make_spec("assembly"), PolicyVariant.FULL_APPROACH, 2, "x", 0.5)
+        assert METRIC_COLUMNS == ResultRow._fields == (
+            "experiment", "variant", "trial", "step", "metric", "value", "seed")
+        assert row == ("assembly", "full_approach", -1, 2, "x", 0.5, 77)

@@ -1,7 +1,10 @@
 import dataclasses
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from belieffit import (
     EnvConfig,
@@ -18,8 +21,13 @@ from belieffit import (
 from belieffit.seeding import derive_rng
 from belieffit.sensors import observe_position
 from belieffit.errors import InvalidInputError
+from belieffit.training import LearnedParams
 
 CFG = EnvConfig()
+# eigvalsh puts this covariance's smaller eigenvalue at +8.5e-14, yet its
+# Cholesky factorization fails
+NEAR_SINGULAR = [[24639257.383021973, -78795.78371805446],
+                 [-78795.78371805446, 251.98712100879558]]
 HOLE = HoleGroundTruth(hole_type=1, position=(0.0, 0.0))
 
 
@@ -152,3 +160,39 @@ class TestSpecValidation:
     def test_covariance_must_be_pd(self):
         with pytest.raises(InvalidInputError):
             PositionSensorSpec(cov=np.zeros((2, 2)))
+
+    def test_covariance_cholesky_rejects_is_invalid(self):
+        with pytest.raises(InvalidInputError, match="sensor covariance must be positive definite"):
+            PositionSensorSpec(cov=NEAR_SINGULAR)
+        with pytest.raises(InvalidInputError,
+                           match="position covariance must be positive definite"):
+            LearnedParams.from_values(NEAR_SINGULAR, 0.8, 0.2)
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _near_singular(draw):
+    """[[a, b], [b, d]] with b within a few ulps of ±sqrt(a d), over
+    many magnitudes: the covariances where eigvalsh and Cholesky disagree."""
+    a, d = (10.0 ** draw(st.floats(-12, 12)) for _ in range(2))
+    shrink = 1.0 - draw(st.integers(-4, 8)) * 2.0 ** -52
+    return a, draw(st.sampled_from((-1.0, 1.0))) * np.sqrt(a * d) * shrink, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(st.tuples(_FINITE, _FINITE, _FINITE), _near_singular()))
+@example(tuple(NEAR_SINGULAR[0] + NEAR_SINGULAR[1][1:]))
+def test_finite_symmetric_covariance_constructs_or_is_invalid(entries):
+    a, b, d = entries
+    cov = [[a, b], [b, d]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for build in (lambda: PositionSensorSpec(cov=cov),
+                      lambda: LearnedParams.from_values(cov, 0.8, 0.2)):
+            try:
+                build()
+            except InvalidInputError:
+                pass
+    assert not caught, [str(w.message) for w in caught]

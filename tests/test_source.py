@@ -35,3 +35,17 @@ def test_imports_are_stdlib_numpy_or_the_package():
             foreign += [f"{path.name}:{node.lineno} {name}" for name in names
                         if name.partition(".")[0] not in allowed]
     assert len(SOURCES) > 1 and not foreign, foreign
+
+
+def test_no_module_imports_another_modules_private_names():
+    # an underscore name belongs to its module: `experiments._row`, for
+    # one, stays the only maker of the metric rows whose values it checks
+    private = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").partition(".")[0] == "belieffit"
+            ):
+                private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert len(SOURCES) > 1 and not private, private

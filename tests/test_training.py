@@ -46,6 +46,7 @@ from belieffit.errors import (
 from belieffit.filters import MATCH_PROB_EPS, kalman_correction
 from belieffit.seeding import derive_rng
 from belieffit.training import (
+    DATASET_COLUMNS,
     LOG_FLOOR,
     _add,
     _inv,
@@ -56,6 +57,7 @@ from belieffit.training import (
     _sigmoid,
     _t,
     _value_and_grad,
+    write_csv,
 )
 
 ALPHA = 0.34
@@ -984,6 +986,31 @@ class TestDataset:
                 assert getattr(back, field).tobytes() == getattr(orig, field).tobytes()
             assert (back.peg_type, back.hole_type, back.o_match, back.beta) == (
                 orig.peg_type, orig.hole_type, orig.o_match, orig.beta)
+
+    @staticmethod
+    def save_row_by_row(records, path):
+        """`save_dataset` as it was written first, each record converted
+        from its whole row: the reference for the column-wise writer."""
+        peg, hole, vectors, match, beta = _Row.peg, _Row.hole, slice(6), _Row.o_match, _Row.beta
+        write_csv(
+            path, DATASET_COLUMNS,
+            ([int(v[peg]), int(v[hole]), *v[vectors], int(v[match]), int(v[beta])]
+             for v in (r._row.tolist() for r in records)),
+        )
+
+    def test_save_writes_what_the_row_by_row_writer_wrote(self, tmp_path):
+        generated = generate_dataset(self.CFG, SensorModel(), 40, derive_rng(12, 20), SPIRAL)
+        save_dataset(generated, tmp_path / "generated.csv")
+        loaded = load_dataset(tmp_path / "generated.csv", self.CFG)
+        rng = np.random.default_rng(12)
+        mixed = [make_record(rng, n_types=c, matched=bool(c % 2), beta=c == 4)
+                 for c in (2, 5, 3, 8, 4)] + generated[:3] + loaded[-3:]
+        for name, records in (("generated", generated), ("loaded", loaded),
+                              ("mixed", mixed), ("empty", [])):
+            save_dataset(records, tmp_path / f"{name}.csv")
+            self.save_row_by_row(records, tmp_path / f"{name}_ref.csv")
+            assert ((tmp_path / f"{name}.csv").read_bytes()
+                    == (tmp_path / f"{name}_ref.csv").read_bytes()), name
 
     @pytest.mark.parametrize(
         "body, problem",
