@@ -151,14 +151,18 @@ def _study(spec: ExperimentSpec, setup, task, episodes) -> tuple[list[list], lis
         rng = _episode_rng(spec, trial, variant)
         tasks[i] = task(variant, set_up, rng), rng
     results = run_tasks(tasks, spec.spiral, spec.env)
-    step_rows = []
+    step_rows, xi_texts = [], {}
     for (variant, (trial, set_up)), result in zip(keys, results):
         for peg_index, (peg, records, status) in enumerate(episodes(set_up, result)):
             episode = (spec.kind, variant.value, trial, peg_index, peg.value)
             for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, fitted, error, _ in records:
+                xi_text = xi_texts.get(xi)
+                if xi_text is None:
+                    xi_text = "|".join(map(repr, xi))
+                    if 0.0 not in xi:  # 0.0 == -0.0, so a zero's text is not cached
+                        xi_texts[xi] = xi_text
                 step_rows.append((*episode, t, chosen, *start, int(beta), *mean, xx, xy, yy,
-                                  "|".join(map(repr, xi)), int(fitted), error, status.value,
-                                  spec.seed))
+                                  xi_text, int(fitted), error, status.value, spec.seed))
     by_variant = [list(zip(setups, results[i:i + spec.trials])) for i in range(0, n, spec.trials)]
     return by_variant, step_rows
 

@@ -39,6 +39,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -193,8 +194,19 @@ class LearnedParams:
 
     @classmethod
     def from_values(cls, position_cov, tpr: float, fpr: float) -> "LearnedParams":
+        """theta for a symmetric positive definite 2x2 `position_cov` and
+        rates in (0, 1); a rate within `MATCH_PROB_EPS` of 0 or 1 gives the
+        nearest that the scaled logistic reaches."""
+        cov = np.asarray(position_cov, dtype=float)
+        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
+            raise InvalidInputError("noise covariance must be a finite 2x2 matrix")
+        if abs(cov[0, 1] - cov[1, 0]) > SYMMETRY_TOL:  # Cholesky reads the lower triangle only
+            raise InvalidInputError("noise covariance must be symmetric")
+        for name, p in (("tpr", tpr), ("fpr", fpr)):
+            if not 0.0 < p < 1.0:  # NaN fails too
+                raise InvalidInputError(f"{name}={p} outside (0, 1)")
         try:
-            chol = np.linalg.cholesky(np.asarray(position_cov, dtype=float))
+            chol = np.linalg.cholesky(cov)
         except np.linalg.LinAlgError:
             raise InvalidInputError("position covariance must be positive definite") from None
         eps = MATCH_PROB_EPS
@@ -331,13 +343,59 @@ def save_dataset(records: list[InteractionRecord], path) -> None:
     write_csv(path, DATASET_COLUMNS, zip(peg, hole, *head[:, :6].T.tolist(), match, beta))
 
 
+CSV_BLOCK_ROWS = 128  # rows formatted at a time, which bounds the text held
+
+
+def _needs_quotes(text: str) -> bool:
+    return "," in text or '"' in text or "\n" in text
+
+
+def _column_texts(column: tuple) -> list:
+    """Each cell's text as `csv.writer` writes it: `str` of the cell,
+    quoted where its QUOTE_MINIMAL quotes it.
+
+    A column of `int`s, or of `float`s none of which is zero, is formatted
+    once per distinct value; a float's `str` is its `repr`.  A zero would
+    share its text with the zero of the other sign, since 0.0 == -0.0.
+    """
+    kinds = set(map(type, column))
+    if kinds == {int} or kinds == {float}:
+        distinct = dict.fromkeys(column)
+        if int in kinds or 0.0 not in distinct:
+            return list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, column))
+    texts = list(map(str, column))
+    if _needs_quotes("".join(texts)):
+        texts = ['"' + t.replace('"', '""') + '"' if _needs_quotes(t) else t for t in texts]
+    return texts
+
+
+def _write_lines(fh, rows: list, width: int) -> None:
+    """Rows of `width` cells as CSV lines, formatted column by column."""
+    texts = list(map(_column_texts, zip(*rows, strict=True)))
+    if len(texts) != width:
+        raise ValueError(f"a CSV row needs {width} cells, got {len(texts)}")
+    if width == 1:  # a line of one empty cell would read as no cell at all
+        texts[0] = ['""' if text == "" else text for text in texts[0]]
+    fh.write("\n".join([*map(",".join, zip(*texts)), ""]))
+
+
 def write_csv(path, header, rows) -> None:
-    """The package's CSV writer: `read_table` reads what it writes.  A float
-    cell is written as its shortest round-trip repr."""
+    """The package's CSV writer: `read_table` reads what it writes.
+
+    For cells that are strings, numbers or bools, the file's bytes are
+    those of `csv.writer(fh, lineterminator="\\n")` writing the header and
+    then the rows: a float cell is its shortest round-trip repr, and a cell
+    is quoted only where it holds a comma, a quote or a line feed (Python
+    3.11's csv leaves a lone CR bare).  A row whose cell count is not the
+    header's raises ValueError.  Rows are read and written `CSV_BLOCK_ROWS`
+    at a time, and each block is formatted column by column, most numbers
+    once per distinct value (`_column_texts`).
+    """
+    rows, width = iter(rows), len(header)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        _write_lines(fh, [header], width)
+        while block := list(islice(rows, CSV_BLOCK_ROWS)):
+            _write_lines(fh, block, width)
 
 
 def read_table(path, columns: tuple, what: str, parse) -> list:

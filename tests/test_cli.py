@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from belieffit import cli
 from belieffit.cli import build_parser, main, validate_metrics_csv, validate_steps_csv
 from belieffit.experiments import DEFAULT_VARIANTS
 from belieffit.policy import PolicyVariant
-from belieffit.training import DATASET_COLUMNS, read_table, write_csv
+from belieffit.training import CSV_BLOCK_ROWS, DATASET_COLUMNS, read_table, write_csv
 from belieffit import EnvConfig, SensorModel, SpiralParams
 from belieffit.config import (
     _block_of,
@@ -261,6 +262,71 @@ def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
     assert parsed == [(0.1, 3)]
 
 
+def write_csv_reference(path, header, rows):
+    """`write_csv` as it was when `csv.writer` wrote each row: the reference
+    for the column-wise writer."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+_TEXTS = st.text(st.sampled_from(["a", "0", " ", "é", "|", ",", '"', "\r", "\n"]), max_size=4)
+_FLOATS = st.one_of(st.floats(), st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 1e-5, 1e16, 0.1]))
+_CELLS = {
+    "text": _TEXTS,
+    "int": st.integers(),
+    "bool": st.booleans(),
+    "np.int64": st.integers(-2**63, 2**63 - 1).map(np.int64),
+    "np.float64": _FLOATS.map(np.float64),
+    "float": _FLOATS,
+}
+_CELLS["mixed"] = st.one_of(*_CELLS.values())
+
+
+@st.composite
+def _tables(draw):
+    """A header and rows whose columns each draw their cells from a small
+    pool of one kind (or of all kinds), so that cells repeat, as in the
+    package's files; row counts reach across block boundaries."""
+    width = draw(st.integers(1, 5))
+    pools = [draw(st.lists(_CELLS[draw(st.sampled_from(sorted(_CELLS)))], min_size=1, max_size=6))
+             for _ in range(width)]
+    n = draw(st.one_of(st.integers(0, 6), st.sampled_from(
+        [CSV_BLOCK_ROWS - 1, CSV_BLOCK_ROWS, CSV_BLOCK_ROWS + 1, 2 * CSV_BLOCK_ROWS + 5])))
+    pick = draw(st.randoms(use_true_random=True))
+    return draw(st.tuples(*[_TEXTS] * width)), [tuple(map(pick.choice, pools)) for _ in range(n)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(table=_tables())
+@example(table=(("a",), [("",), ("b",), ("",)]))  # a line of one empty cell
+@example(table=(("x", "y"), [(0.0, 1), (-0.0, 0), (0.0, -1)]))  # zeros of both signs
+@example(table=(("x",), [(1.0,)] * CSV_BLOCK_ROWS + [(-0.0,), (1,)]))  # kinds change at a block
+def test_write_csv_writes_what_csv_writer_wrote(tmp_path_factory, table):
+    header, rows = table
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "cells.csv", header, iter(rows))
+    write_csv_reference(folder / "reference.csv", header, rows)
+    assert (folder / "cells.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+    # csv.writer quotes a cell with a comma, a quote or a line feed, but
+    # Python 3.11's leaves a lone CR bare, and csv.reader ends a line there
+    if not any("\r" in cell for cell in header) and not any(
+            isinstance(cell, str) and "\r" in cell for row in rows for cell in row):
+        texts = [tuple(map(str, row)) for row in rows]
+        assert read_table(folder / "cells.csv", header, "cells", tuple) == texts
+
+
+@pytest.mark.parametrize(
+    "rows", [[(1, 2), (3,)], [(1, 2, 3)], [(1, 2), (3, 4, 5)], [(1, 2)] * CSV_BLOCK_ROWS + [(3,)]],
+    ids=["short", "long", "long_after_one_that_fits", "short_in_second_block"],
+)
+def test_write_csv_rejects_a_row_of_another_length(tmp_path, rows):
+    with pytest.raises(ValueError):
+        write_csv(tmp_path / "cells.csv", ("a", "b"), rows)
+
+
 # One override per key drawn: a scalar of any JSON type, or a list or object
 # of them.  Integers stay small so that each run is quick; huge ones are
 # among the examples below.
@@ -341,7 +407,7 @@ def test_fuzzed_sensors_block_reads_or_raises_configuration_error(tmp_path_facto
 def run_in_2_gib(tmp_path, *argv):
     """`main(argv)` in a child process under a 2 GiB address-space limit,
     where an allocation the host cannot hold fails at once instead of
-    swapping."""
+    swapping.  The child prints every warning it raises."""
     limit = 2 << 30
     script = (
         "import resource, sys\n"
@@ -350,7 +416,7 @@ def run_in_2_gib(tmp_path, *argv):
         f"sys.exit(main({[str(a) for a in argv]!r}))\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    return subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+    return subprocess.run([sys.executable, "-W", "always", "-c", script], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=60)
 
 
@@ -380,6 +446,60 @@ def test_generated_dataset_out_of_memory_is_exit_2(tmp_path):
     more than numpy can index."""
     for count in (10**10, 10**20):
         assert_out_of_memory(run_in_2_gib(tmp_path, "train", "--generate", count))
+
+
+# Each template runs quickly at its own sizes; the fuzz replaces any of its
+# count flags and sets integer config keys.
+_FUZZ_TEMPLATES = [
+    (("calibrate",), {"--trials": 8}),
+    (("train", "--epochs", 2), {"--generate": 4}),
+    (("experiment", "assembly"), {"--trials": 1, "--step-cap": 30}),
+    (("experiment", "position_estimation"), {"--trials": 1, "--steps": 5}),
+    (("experiment", "matching_insertion"), {"--trials": 1}),
+]
+_INT_KEYS = [(block, key) for block in ("env", "spiral")
+             for key, value in default_config()[block].items() if type(value) is int]
+# a count that runs in well under a second, or one that no 2 GiB can hold
+_COUNTS = st.one_of(st.integers(-3, 20), st.integers(10**9, 10**12))
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """A template's command and count flags, at least one replaced, and a
+    config that sets up to two integer keys."""
+    command, flags = draw(st.sampled_from(_FUZZ_TEMPLATES))
+    flags = {**flags, **draw(st.dictionaries(st.sampled_from(sorted(flags)), _COUNTS,
+                                             min_size=1))}
+    doc = {}
+    for (block, key), value in draw(
+            st.dictionaries(st.sampled_from(_INT_KEYS), _COUNTS, max_size=2)).items():
+        doc.setdefault(block, {})[key] = value
+    return command, flags, doc
+
+
+@settings(derandomize=True, max_examples=6, deadline=None)
+@given(case=_fuzz_cases())
+# the caps that run in about half a second
+@example(case=(("experiment", "assembly"), {"--trials": 1}, {"env": {"n_types": 1000}}))
+@example(case=(("calibrate",), {"--trials": 8}, {"env": {"horizon_low": 100_000}}))
+def test_fuzzed_counts_run_or_exit_2_with_one_line(tmp_path_factory, case):
+    """Integers up to 10**12 on every integer config key and on `--trials`,
+    `--generate`, `--steps` and `--step-cap`, each case in a child process
+    under 2 GiB: it exits 0 with nothing on stderr, or 2 with one `error:`
+    line, and prints no warning.
+
+    Counts from 21 to 10**9 are not drawn.  Each is accepted work that
+    takes from seconds to hours, and a trial count whose task list fits in
+    2 GiB but whose worlds do not runs until memory runs out."""
+    command, flags, doc = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    (folder / "config.json").write_text(json.dumps(doc))
+    out = () if command[0] == "calibrate" else ("--out", "out")
+    child = run_in_2_gib(folder, *command, *[a for flag in flags.items() for a in flag],
+                         "--config", "config.json", *out)
+    assert child.returncode in (0, 2), child.stderr
+    assert child.stderr == "" or (
+        child.stderr.startswith("error: ") and child.stderr.count("\n") == 1), child.stderr
 
 
 class TestTrain:

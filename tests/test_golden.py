@@ -21,6 +21,7 @@ import hashlib
 import pytest
 
 from belieffit.cli import main
+from belieffit.training import CSV_BLOCK_ROWS
 
 CASES = {
     "position_estimation": (
@@ -67,6 +68,15 @@ CASES = {
             "steps.csv": "d5cbe98534f3db5d4909a4f88e162e4f6835b02a62fb45d0e27b14a393317995",
         },
     ),
+    # 2889 step rows, recorded when `csv.writer` wrote each row; `write_csv`
+    # now formats them in blocks of rows
+    "assembly_blocks": (
+        ["experiment", "assembly", "--trials", "20", "--seed", "2"],
+        {
+            "metrics.csv": "c9996815de5f9275f657eccc5f1e729a98f0f1573dcff85b7abbdef0471b5b13",
+            "steps.csv": "00b4ffa13508f0f45b87be1f33c54bed59b5fe09e06bfa5c7d9ec3dcd403ed8f",
+        },
+    ),
     "train": (
         ["train", "--generate", "40", "--epochs", "40", "--seed", "3"],
         {
@@ -93,6 +103,8 @@ def test_outputs_match_golden_hashes(tmp_path, capsys, case):
     capsys.readouterr()
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
     assert got == expected
+    if case == "assembly_blocks":  # the rows fill more than two of the writer's blocks
+        assert (tmp_path / "steps.csv").read_bytes().count(b"\n") > 2 * CSV_BLOCK_ROWS + 1
 
 
 def test_calibrated_config_matches_golden_hash(tmp_path, capsys):

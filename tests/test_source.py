@@ -49,3 +49,24 @@ def test_no_module_imports_another_modules_private_names():
                 private += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
                             if alias.name.startswith("_")]
     assert len(SOURCES) > 1 and not private, private
+
+
+def test_csv_files_are_written_only_by_write_csv():
+    # every CSV goes through `training.write_csv`, the one formatter, whose
+    # bytes tests/test_cli.py pins to csv.writer's
+    writers = ("writer", "DictWriter")
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for f in ast.walk(tree)
+                   if isinstance(f, ast.FunctionDef) and f.name == "write_csv"
+                   for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if id(node) in allowed:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in writers
+                    and isinstance(node.value, ast.Name) and node.value.id == "csv") or (
+                    isinstance(node, ast.ImportFrom) and node.module == "csv"
+                    and any(alias.name in writers for alias in node.names)):
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 1 and not found, found

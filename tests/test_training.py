@@ -299,6 +299,30 @@ class TestGradient:
         assert forward == pytest.approx(backward, abs=1e-12)
 
 
+class TestLearnedParamsFromValues:
+    @pytest.mark.parametrize("cov", [
+        np.diag([1e-4, 2e-4, 3.0]),  # once read as its top-left block
+        [1e-4, 1e-4],
+        [[1e-4, 0.0], [0.0, float("nan")]],
+        [[1e-4, 0.0], [0.0, float("inf")]],
+    ])
+    def test_covariance_must_be_a_finite_2x2_matrix(self, cov):
+        with pytest.raises(InvalidInputError, match="must be a finite 2x2 matrix"):
+            LearnedParams.from_values(cov, 0.8, 0.2)
+
+    def test_covariance_must_be_symmetric(self):
+        # Cholesky reads the lower triangle: this was once taken as 1e-4 I
+        with pytest.raises(InvalidInputError, match="must be symmetric"):
+            LearnedParams.from_values([[1e-4, 5.0], [0.0, 1e-4]], 0.8, 0.2)
+
+    @pytest.mark.parametrize("name", ["tpr", "fpr"])
+    @pytest.mark.parametrize("rate", [1.5, 1.0, 0.0, -0.1, float("nan"), float("inf")])
+    def test_rates_must_lie_in_the_open_unit_interval(self, name, rate):
+        rates = {"tpr": 0.8, "fpr": 0.2, name: rate}
+        with pytest.raises(InvalidInputError, match=rf"{name}=.* outside \(0, 1\)"):
+            LearnedParams.from_values(1e-4 * np.eye(2), **rates)
+
+
 class TestFitParameters:
     def test_smoke_on_small_dataset(self):
         rng = derive_rng(5, 20)
