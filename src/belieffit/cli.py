@@ -310,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", default=None,
                    help="comma-separated variant names (default: per-kind set)")
-    p.add_argument("--steps", type=int, default=5,
+    p.add_argument("--steps", type=int, default=ExperimentSpec.steps,
                    help="interaction steps for position_estimation")
-    p.add_argument("--step-cap", type=int, default=30,
+    p.add_argument("--step-cap", type=int, default=ExperimentSpec.step_cap,
                    help="per-peg attempt cap for assembly")
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_experiment)

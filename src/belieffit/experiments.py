@@ -9,10 +9,11 @@ steps its own copy of them.
 
 One function, `_study`, runs every study: it builds each (variant, trial)
 task, `policy.run_tasks` drives them together in lockstep rounds, and it
-turns each task's episodes into step rows; since each task draws only from
-its own stream, its rows equal those of the task run alone.  Step rows are
-tuples in `STEP_COLUMNS` order and metric rows `ResultRow`s; the CLI writes
-both as they are.  Each study's runner makes its metric rows with `_row`.
+turns the episodes of each task's `AssemblyResult` into step rows; since
+each task draws only from its own stream, its rows equal those of the task
+run alone.  Step rows are tuples in `STEP_COLUMNS` order and metric rows
+`ResultRow`s; the CLI writes both as they are.  Each study's runner makes
+its metric rows with `_row`.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType
 from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
+    AssemblyResult,
     PolicyModels,
     PolicyVariant,
     TerminalStatus,
@@ -129,16 +131,15 @@ def _episode_rng(spec: ExperimentSpec, trial: int, variant: PolicyVariant) -> np
     return derive_rng(spec.seed, KIND_IDS[spec.kind], STREAM_EPISODE, trial, variant_key)
 
 
-def _study(spec: ExperimentSpec, setup, task, episodes) -> tuple[list[list], list[tuple]]:
+def _study(spec: ExperimentSpec, setup, task) -> tuple[list[list], list[tuple]]:
     """Every (variant, trial) task of a study, run together in lockstep.
 
     `setup(trial)` builds a trial's set-up once, and `task(variant, set_up,
-    rng)` a variant's task on it, drawing from the variant's episode
-    stream.  The task list is allocated before the first world is spawned,
-    so a trial count that no list can hold fails at once.  `episodes(set_up,
-    result)` gives a task's episodes as (peg, records, status) in peg order.
-    Returns, per variant, each trial's (set-up, result), and the step rows
-    of every episode.
+    rng)` a variant's task on it, drawing from the variant's episode stream
+    and returning an `AssemblyResult` whose episodes are in peg order.  The
+    task list is allocated before the first world is spawned, so a trial
+    count that no list can hold fails at once.  Returns, per variant, each
+    trial's (set-up, result), and the step rows of every episode.
     """
     n = len(spec.variants) * spec.trials
     try:
@@ -153,24 +154,25 @@ def _study(spec: ExperimentSpec, setup, task, episodes) -> tuple[list[list], lis
     results = run_tasks(tasks, spec.spiral, spec.env)
     step_rows, xi_texts = [], {}
     for (variant, (trial, set_up)), result in zip(keys, results):
-        for peg_index, (peg, records, status) in enumerate(episodes(set_up, result)):
+        for peg_index, (peg, records, status) in enumerate(result.episodes):
             episode = (spec.kind, variant.value, trial, peg_index, peg.value)
-            for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, fitted, error, _ in records:
+            for t, chosen, start, beta, mean, ((xx, xy), (_, yy)), xi, error, _ in records:
                 xi_text = xi_texts.get(xi)
                 if xi_text is None:
                     xi_text = "|".join(map(repr, xi))
                     if 0.0 not in xi:  # 0.0 == -0.0, so a zero's text is not cached
                         xi_texts[xi] = xi_text
-                step_rows.append((*episode, t, chosen, *start, int(beta), *mean, xx, xy, yy,
-                                  xi_text, int(fitted), error, status.value, spec.seed))
+                beta = int(beta)  # also the chosen hole's new fitted flag
+                step_rows.append((*episode, t, chosen, *start, beta, *mean, xx, xy, yy,
+                                  xi_text, beta, error, status.value, spec.seed))
     by_variant = [list(zip(setups, results[i:i + spec.trials])) for i in range(0, n, spec.trials)]
     return by_variant, step_rows
 
 
 def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
     """`_study` on one-hole worlds: each trial's world, peg and detected
-    beliefs, and each variant's episode on its own copy of the beliefs,
-    whose result is (records, status)."""
+    beliefs, and each variant's one episode on its own copy of the
+    beliefs."""
     kind_id = KIND_IDS[spec.kind]
     env1 = replace(spec.env, n_holes=1)
 
@@ -183,9 +185,11 @@ def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
 
     def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
         world, peg, state = set_up
-        return steps_task(state.copy(), world, peg, variant, spec.models, horizon, rng)
+        episode = yield from steps_task(state.copy(), world, peg, variant, spec.models, horizon,
+                                        rng)
+        return AssemblyResult([episode])
 
-    return _study(spec, setup, task, lambda set_up, result: [(set_up[1], *result)])
+    return _study(spec, setup, task)
 
 
 def _row(spec: ExperimentSpec, variant: PolicyVariant, step: int, metric: str,
@@ -215,8 +219,8 @@ def run_position_estimation(spec: ExperimentSpec):
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
         errors = [[float(np.linalg.norm(state.means[0] - world.holes[0].position))]
-                  + [r.pos_error for r in records]
-                  for (world, _, state), (records, _) in trials]
+                  + [r.pos_error for r in result.episodes[0].records]
+                  for (world, _, state), result in trials]
         metric_rows += _mean_std_rows(spec, variant, "pos_error", range(spec.steps + 1),
                                       np.array(errors))
     return metric_rows, step_rows
@@ -228,8 +232,8 @@ def run_matching_insertion(spec: ExperimentSpec):
     by_variant, step_rows = _single_hole_study(spec, matched=True, horizon=horizon)
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
-        steps_to_success = [len(records) for _, (records, status) in trials
-                            if status is TerminalStatus.SUCCESS]
+        steps_to_success = [result.episodes[0].attempts for _, result in trials
+                            if result.episodes[0].status is TerminalStatus.SUCCESS]
         succeeded_by = np.cumsum(np.bincount(steps_to_success, minlength=horizon + 1)).tolist()
         metric_rows += [_row(spec, variant, t, "success_rate", succeeded_by[t] / spec.trials)
                         for t in range(1, horizon + 1)]
@@ -250,8 +254,7 @@ def run_assembly(spec: ExperimentSpec):
     def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
         return assembly_task(*set_up, variant, spec.models, rng, step_cap=spec.step_cap)
 
-    by_variant, step_rows = _study(spec, setup, task, lambda _, result: [
-        (e.peg, e.records, e.status) for e in result.episodes])
+    by_variant, step_rows = _study(spec, setup, task)
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
         interventions = sum(a.interventions for _, a in trials)

@@ -19,15 +19,16 @@ observation and keeps the covariance.
 
 The step is resumable: `_step` is a generator that yields its rollout
 request (start estimate, hole position, whether the peg matches) and is
-resumed with the outcome.  `steps_task` and `assembly_task` chain steps into
-an episode and a multi-peg task, and `run_tasks` drives any number of
-independent tasks in rounds, one `rollout_block` pass per round, so a study
-runs all its (variant, trial) tasks together.  `run_steps`,
-`run_episode`, `run_assembly_task` and `high_level_step` run one task
-through `run_tasks` too.
+resumed with the outcome.  `steps_task` chains steps into one peg's episode
+and returns its `EpisodeLog`; `assembly_task` chains episodes into a
+multi-peg task and returns their `AssemblyResult`.  `run_tasks` drives any
+number of independent tasks in rounds, one `rollout_block` pass per round,
+so a study runs all its (variant, trial) tasks together.  `run_episode`,
+`run_assembly_task` and `high_level_step` run one task through `run_tasks`
+too.
 
-`run_steps` holds a trial's beliefs as one `BeliefArrays` and steps it in
-place; `run_episode` and `run_assembly_task` run it from detected or given
+A task holds a trial's beliefs as one `BeliefArrays` and steps it in place;
+`run_episode` and `run_assembly_task` run it from detected or given
 beliefs.  A step works on Python floats from the chosen row to its
 `StepRecord`: it reads the row once, updates it with
 `filters.position_posterior` and `filters.type_posterior` and writes it
@@ -141,9 +142,9 @@ class PolicyModels:
 
 
 class StepRecord(NamedTuple):
-    """One step: the chosen hole, the rollout's start and outcome, and the
-    chosen hole's belief after the update as mean, cov, xi and fitted, all
-    Python floats: start and mean (x, y), cov ((xx, xy), (yx, yy))."""
+    """One step: the chosen hole, the rollout's start and outcome beta (the
+    hole's new fitted flag) and the hole's belief after the update as mean,
+    cov and xi, all Python floats: start, mean (x, y), cov ((xx, xy), (yx, yy))."""
 
     t: int
     chosen: int
@@ -152,7 +153,6 @@ class StepRecord(NamedTuple):
     mean: tuple[float, float]
     cov: tuple[tuple[float, float], tuple[float, float]]
     xi: tuple[float, ...]
-    fitted: bool
     pos_error: float
     evidence_reset: bool = False
 
@@ -163,12 +163,12 @@ class TerminalStatus(str, enum.Enum):
     INTERVENTION = "intervention"
 
 
-@dataclass(frozen=True)
-class EpisodeLog:
+class EpisodeLog(NamedTuple):
+    """One peg's episode: its steps' records and how it ended."""
+
     peg: PegType
     records: list[StepRecord]
     status: TerminalStatus
-    final_state: BeliefArrays  # every hole's belief when the episode ended
 
     @property
     def attempts(self) -> int:
@@ -330,7 +330,7 @@ def _step(
         state.xi[chosen] = xi
     if beta:  # the chosen hole is unfitted, so beta is its new flag
         state.fitted[chosen] = True
-    return StepRecord(t, chosen, start, beta, mean, cov, tuple(xi), beta,
+    return StepRecord(t, chosen, start, beta, mean, cov, tuple(xi),
                       _distance(state.means[chosen], hole.position), evidence_reset)
 
 
@@ -405,7 +405,7 @@ def high_level_step(
     task = _step(BeliefArrays.of(beliefs), 0, peg, world, variant, models, rng)
     record = _run(task, world, models, rng)
     position = GaussianBelief2(record.mean, record.cov)
-    chosen = HoleBelief(position, TypeBelief(record.xi), record.fitted)
+    chosen = HoleBelief(position, TypeBelief(record.xi), record.beta)
     return [chosen if i == record.chosen else b for i, b in enumerate(beliefs)], record
 
 
@@ -418,7 +418,8 @@ def steps_task(
     horizon: int,
     rng: np.random.Generator,
 ) -> Task:
-    """`run_steps` as a task for `run_tasks`; it returns (records, status)."""
+    """Steps `state` in place for one peg until a fit or the horizon, as a
+    task for `run_tasks` that returns the peg's `EpisodeLog`."""
     if horizon < 1:
         raise InvalidInputError("episode horizon must be >= 1")
     records: list[StepRecord] = []
@@ -426,21 +427,8 @@ def steps_task(
         record = yield from _step(state, t, peg, world, variant, models, rng)
         records.append(record)
         if record.beta:
-            return records, TerminalStatus.SUCCESS
-    return records, TerminalStatus.STEP_CAP
-
-
-def run_steps(
-    state: BeliefArrays,
-    world: World,
-    peg: PegType,
-    variant: PolicyVariant,
-    models: PolicyModels,
-    horizon: int,
-    rng: np.random.Generator,
-) -> tuple[list[StepRecord], TerminalStatus]:
-    """Steps `state` in place for one peg until a fit or the horizon."""
-    return _run(steps_task(state, world, peg, variant, models, horizon, rng), world, models, rng)
+            return EpisodeLog(peg, records, TerminalStatus.SUCCESS)
+    return EpisodeLog(peg, records, TerminalStatus.STEP_CAP)
 
 
 def run_episode(
@@ -454,8 +442,7 @@ def run_episode(
 ) -> EpisodeLog:
     """Attempt loop for one peg: steps until a fit or the horizon."""
     state = initial_state(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
-    records, status = run_steps(state, world, peg, variant, models, horizon, rng)
-    return EpisodeLog(peg, records, status, state)
+    return _run(steps_task(state, world, peg, variant, models, horizon, rng), world, models, rng)
 
 
 def assembly_task(
@@ -464,7 +451,7 @@ def assembly_task(
     variant: PolicyVariant,
     models: PolicyModels,
     rng: np.random.Generator,
-    step_cap: int = 30,
+    step_cap: int,
 ) -> Task:
     """`run_assembly_task` as a task for `run_tasks`."""
     world_types = sorted(h.hole_type for h in world.holes)
@@ -474,11 +461,11 @@ def assembly_task(
     state = initial_state(world, rng)
     episodes: list[EpisodeLog] = []
     for peg in pegs:
-        records, status = yield from steps_task(state, world, peg, variant, models, step_cap, rng)
-        if status is TerminalStatus.STEP_CAP:
-            status = TerminalStatus.INTERVENTION
+        episode = yield from steps_task(state, world, peg, variant, models, step_cap, rng)
+        if episode.status is TerminalStatus.STEP_CAP:
+            episode = episode._replace(status=TerminalStatus.INTERVENTION)
             _intervene(state, world, peg)
-        episodes.append(EpisodeLog(peg, records, status, state.copy()))
+        episodes.append(episode)
     return AssemblyResult(episodes)
 
 

@@ -347,12 +347,12 @@ CSV_BLOCK_ROWS = 128  # rows formatted at a time, which bounds the text held
 
 
 def _needs_quotes(text: str) -> bool:
-    return "," in text or '"' in text or "\n" in text
+    return "," in text or '"' in text or "\n" in text or "\r" in text
 
 
 def _column_texts(column: tuple) -> list:
-    """Each cell's text as `csv.writer` writes it: `str` of the cell,
-    quoted where its QUOTE_MINIMAL quotes it.
+    """Each cell's text: `str` of the cell, quoted where it holds a comma,
+    a quote, a line feed or a carriage return.
 
     A column of `int`s, or of `float`s none of which is zero, is formatted
     once per distinct value; a float's `str` is its `repr`.  A zero would
@@ -384,12 +384,13 @@ def write_csv(path, header, rows) -> None:
 
     For cells that are strings, numbers or bools, the file's bytes are
     those of `csv.writer(fh, lineterminator="\\n")` writing the header and
-    then the rows: a float cell is its shortest round-trip repr, and a cell
-    is quoted only where it holds a comma, a quote or a line feed (Python
-    3.11's csv leaves a lone CR bare).  A row whose cell count is not the
-    header's raises ValueError.  Rows are read and written `CSV_BLOCK_ROWS`
-    at a time, and each block is formatted column by column, most numbers
-    once per distinct value (`_column_texts`).
+    then the rows, except where a cell holds a carriage return: a float
+    cell is its shortest round-trip repr, and a cell is quoted where it
+    holds a comma, a quote, a line feed or a carriage return.  Python
+    3.11's csv leaves a lone CR bare, and `csv.reader` would end the line
+    there.  A row whose cell count is not the header's raises ValueError.
+    Rows are read and written `CSV_BLOCK_ROWS` at a time, each block column
+    by column, most numbers once per distinct value (`_column_texts`).
     """
     rows, width = iter(rows), len(header)
     with open(path, "w", newline="") as fh:

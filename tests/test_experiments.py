@@ -114,6 +114,37 @@ class TestAssembly:
             assert step_rows  # replay data present
 
 
+@pytest.mark.parametrize("kind, cap_ending", [
+    ("position_estimation", "step_cap"), ("matching_insertion", "step_cap"),
+    ("assembly", "intervention"),
+])
+def test_step_rows_account_for_each_episode(kind, cap_ending):
+    # caps small enough that episodes end at the cap as well as by a fit
+    spec = make_spec(kind, trials=4, steps=3, step_cap=3)
+    spec = dataclasses.replace(spec, env=dataclasses.replace(spec.env, horizon_high=2))
+    cap = {"position_estimation": spec.steps, "matching_insertion": spec.env.horizon_high,
+           "assembly": spec.step_cap}[kind]
+    col = {name: STEP_COLUMNS.index(name) for name in STEP_COLUMNS}
+    episodes = {}
+    for row in run_experiment(spec)[1]:
+        key = row[col["variant"]], row[col["trial"]], row[col["peg_index"]]
+        episodes.setdefault(key, []).append(row)
+    assert len(episodes) == len(spec.variants) * spec.trials * (5 if kind == "assembly" else 1)
+    endings = set()
+    for rows in episodes.values():
+        assert [row[col["step"]] for row in rows] == list(range(1, len(rows) + 1))
+        (status,) = {row[col["status"]] for row in rows}
+        betas = [row[col["beta"]] for row in rows]
+        assert [row[col["fitted"]] for row in rows] == betas
+        assert not any(betas[:-1])
+        assert (status == "success") == (betas[-1] == 1)
+        if status != "success":
+            assert (status, len(rows)) == (cap_ending, cap)
+        endings.add(status)
+    # a mismatched peg never fits
+    assert endings == ({"step_cap"} if kind == "position_estimation" else {"success", cap_ending})
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("kind", ["position_estimation", "matching_insertion"])
     def test_identical_reruns(self, kind):

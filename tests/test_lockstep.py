@@ -3,13 +3,12 @@
 A study builds every (variant, trial) task and `policy.run_tasks` drives
 them together: one round draws each live task's rollout numbers from its own
 stream and runs one `rollout_block` pass over the round.  The reference runs
-the same tasks one at a time, in the order the study builds them, through
-`run_steps` or `run_assembly_task`, with one `rollout_low_level` a step.
+the same tasks one at a time, in the order the study builds them, with one
+`rollout_low_level` a step.
 Every metric row, every step row and every task's generator state after the
 study must be equal.
 """
 
-import functools
 from unittest import mock
 
 import numpy as np
@@ -65,25 +64,18 @@ def one_rollout_at_a_time(tasks, spiral, env):
 
 
 def alone(spec):
-    """The study with each task run alone, in task order, through
-    `run_steps` or `run_assembly_task` with one rollout at a time, and each
-    task's generator state after it."""
+    """The study with each task run alone, in task order, with one rollout
+    at a time, and each task's generator state after it."""
     states = []
 
     def run_tasks(tasks, spiral, env):
         results = []
-        for (run, args), rng in tasks:
-            results.append(run(*args))
+        for task, rng in tasks:
+            results += one_rollout_at_a_time([(task, rng)], spiral, env)
             states.append(rng.bit_generator.state)
         return results
 
-    def assembly_task(*args, step_cap):
-        return functools.partial(policy.run_assembly_task, step_cap=step_cap), args
-
-    with mock.patch.object(experiments, "run_tasks", run_tasks), \
-            mock.patch.object(experiments, "steps_task", lambda *args: (policy.run_steps, args)), \
-            mock.patch.object(experiments, "assembly_task", assembly_task), \
-            mock.patch.object(policy, "run_tasks", one_rollout_at_a_time):
+    with mock.patch.object(experiments, "run_tasks", run_tasks):
         return run_experiment(spec), states
 
 

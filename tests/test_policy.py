@@ -378,8 +378,10 @@ class TestAssembly:
         assert result.cumulative_attempts[-1] == sum(result.attempts_per_peg)
         assert 0 <= result.interventions <= len(pegs)
         assert len(result.episodes) == len(pegs)
-        # every hole ends fitted, by success or intervention
-        assert result.episodes[-1].final_state.fitted.all()
+        # every hole ends fitted, by success or intervention: the holes
+        # fitted by success are distinct, and the interventions fit the rest
+        fits = [r.chosen for e in result.episodes for r in e.records if r.beta]
+        assert len(set(fits)) == len(fits) == len(pegs) - result.interventions
 
     def test_informed_agent_with_no_cap_never_intervenes(self):
         world, models = self._world_and_models(
@@ -407,7 +409,12 @@ class TestAssembly:
         for episode in result.episodes:
             for rec in episode.records:
                 assert rec.chosen not in fitted
-            fitted.update(np.flatnonzero(episode.final_state.fitted).tolist())
+                if rec.beta:
+                    fitted.add(rec.chosen)
+            if episode.status is TerminalStatus.INTERVENTION:
+                # `_intervene` fits the lowest-index unfitted hole of the peg's type
+                fitted.add(next(i for i, h in enumerate(world.holes)
+                                if i not in fitted and h.hole_type == episode.peg.value))
 
 
 # --------------------------------------------------------------------------
@@ -477,7 +484,7 @@ def reference_step(state, t, peg, world, variant, models, rng, outcome):
     if beta:
         state.fitted[chosen] = True
     mean = state.means[chosen].copy()
-    return (t, chosen, start, beta, mean, state.covs[chosen].copy(), tuple(xi), beta,
+    return (t, chosen, start, beta, mean, state.covs[chosen].copy(), tuple(xi),
             _distance(mean, hole.position), evidence_reset)
 
 
