@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -240,18 +241,20 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+# the steps.csv cells that replay reads as numbers: the trial, the type
+# belief's entries and the start, mean and error of the step line
+_TRIAL, _XI = STEP_COLUMNS.index("trial"), STEP_COLUMNS.index("xi")
+_NUMBERS = operator.itemgetter(*map(STEP_COLUMNS.index, (
+    "start_x", "start_y", "mu_x", "mu_y", "pos_error")))
+
+
 def _replay_row(cells) -> tuple:
-    """Trial, episode key, episode heading and step line of one steps.csv row."""
-    row = dict(zip(STEP_COLUMNS, cells))
-    trial = int(row["trial"])
-    xi = ", ".join(f"{float(x):.3f}" for x in row["xi"].split("|"))
-    heading = (f"[{row['experiment']}] trial {trial} variant {row['variant']} "
-               f"peg#{row['peg_index']} (type {row['peg_type']}) -> {row['status']}")
-    line = (f"  t={row['step']:>3} hole={row['chosen_hole']} "
-            f"start=({float(row['start_x']):+.4f},{float(row['start_y']):+.4f}) "
-            f"beta={row['beta']} mu=({float(row['mu_x']):+.4f},{float(row['mu_y']):+.4f}) "
-            f"err={float(row['pos_error']):.4f} xi=[{xi}] fitted={row['fitted']}")
-    return trial, (row["variant"], row["peg_index"]), heading, line
+    """Trial, cells, type belief and (start_x, start_y, mu_x, mu_y,
+    pos_error) of one steps.csv row, parsed in the order the step line
+    reads them."""
+    trial = int(cells[_TRIAL])
+    xi = list(map(float, cells[_XI].split("|")))
+    return trial, cells, xi, list(map(float, _NUMBERS(cells)))
 
 
 def cmd_replay(args) -> int:
@@ -259,17 +262,23 @@ def cmd_replay(args) -> int:
     if not steps_path.exists():
         print(f"error: no steps.csv under {args.results}", file=sys.stderr)
         return 2
-    rows = read_table(steps_path, STEP_COLUMNS, "steps", _replay_row)
-    rows = [r for r in rows if r[0] == args.trial]
+    # every row is parsed, so a malformed one exits 2 whatever its trial;
+    # only the asked trial's rows are kept and formatted
+    rows = [r for r in read_table(steps_path, STEP_COLUMNS, "steps", _replay_row)
+            if r[0] == args.trial]
     if not rows:
         print(f"error: no records for trial {args.trial}", file=sys.stderr)
         return 2
     current = None
-    for _, key, heading, line in rows:
-        if key != current:
-            current = key
-            print(heading)
-        print(line)
+    for trial, cells, xi, (sx, sy, mx, my, err) in rows:
+        row = dict(zip(STEP_COLUMNS, cells))
+        if (row["variant"], row["peg_index"]) != current:
+            current = row["variant"], row["peg_index"]
+            print(f"[{row['experiment']}] trial {trial} variant {row['variant']} "
+                  f"peg#{row['peg_index']} (type {row['peg_type']}) -> {row['status']}")
+        print(f"  t={row['step']:>3} hole={row['chosen_hole']} start=({sx:+.4f},{sy:+.4f}) "
+              f"beta={row['beta']} mu=({mx:+.4f},{my:+.4f}) err={err:.4f} "
+              f"xi=[{', '.join(f'{x:.3f}' for x in xi)}] fitted={row['fitted']}")
     return 0
 
 
@@ -336,6 +345,10 @@ def main(argv=None) -> int:
         return 2
     except MemoryError as exc:  # a size flag asked for more than the host has
         print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a path that cannot be read or written as asked
+        where = "" if exc.filename is None else f"{exc.filename}: "
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
 
 

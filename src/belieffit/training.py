@@ -492,10 +492,6 @@ class _Precomputed(NamedTuple):
     count: list  # 4 floats: records per cell
 
 
-# the derivative of each cell's likelihood in its rate
-_SIGN = (-1.0, 1.0, -1.0, 1.0)
-
-
 def _runs(keys: np.ndarray) -> tuple:
     """Runs of exactly equal columns of `keys`, one row per key: an index
     that makes equal columns adjacent, the keys in that order, and the
@@ -587,24 +583,6 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
                         cells=cells, weight=weight, count=(cells @ weight).tolist())
 
 
-def _mul(x: tuple, y: tuple) -> tuple:
-    """Product of two 2x2 matrices given as entry tuples."""
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
-            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
-
-
-def _t(x: tuple) -> tuple:
-    """Transpose of a 2x2 matrix given as an entry tuple."""
-    return x[0], x[2], x[1], x[3]
-
-
-def _add(*xs: tuple) -> tuple:
-    """Sum of 2x2 matrices given as entry tuples."""
-    return tuple(map(sum, zip(*xs)))
-
-
 def _inv(x: tuple) -> tuple:
     """Inverse and determinant of a 2x2 matrix given as an entry tuple; a
     determinant that is not positive (say, underflowed to 0) raises before
@@ -620,10 +598,14 @@ def _inv(x: tuple) -> tuple:
 def _value_and_grad(theta: list, pre: _Precomputed) -> tuple[tuple, tuple]:
     """Batch-sum loss terms at theta, a list of 5 floats, as (position,
     type, match), and the gradient of each: position's in theta[0:3], type's
-    and match's in theta[3:5], zero elsewhere.  The pass runs on Python
-    floats except where numpy rounds otherwise: R's 2x2 product (BLAS fuses
-    its multiply-adds), the logistic's exp, the logs and the products with
-    the type arrays."""
+    and match's in theta[3:5], zero elsewhere.
+
+    The pass is straight-line code on Python floats, each 2x2 product
+    written out entry by entry as x00 y00 + x01 y10, and each 2x2 sum of k
+    terms as ((0.0 + x) + y) + ..., so a -0.0 entry sums as `sum()` sums
+    it.  numpy runs only where it rounds otherwise: R's 2x2 product (BLAS
+    fuses its multiply-adds), the logistic's exp, the logs and the products
+    with the type arrays."""
     # position, per group: one Kalman correction with A = (R + S0)^-1,
     # K = S0 A, Sigma1 = K R = M^-1 and d = (I - K) e + K f.  Summed
     # over the group, Lp = count/2 ln|Sigma1| + 1/2 tr(M D) with
@@ -633,50 +615,93 @@ def _value_and_grad(theta: list, pre: _Precomputed) -> tuple[tuple, tuple]:
     # and G11 matter
     ea, b, ec = math.exp(theta[0]), theta[1], math.exp(theta[2])
     chol = np.array([[ea, 0.0], [b, ec]])
-    r = tuple((chol @ chol.T).ravel().tolist())
+    r = r00, r01, r10, r11 = (chol @ chol.T).ravel().tolist()
     loss_pos = g00 = g11 = gx = 0.0
     for s0, count, see, sef, sff, seh, sfh in pre.groups:
         a, k, sigma1 = kalman_correction(s0, r)
         m, det1 = _inv(sigma1)
-        u = _mul(r, a)  # R A = I - K
-        cross = _mul(_mul(u, sef), _t(k))
-        dd = _add(_mul(_mul(u, see), _t(u)), cross, _t(cross), _mul(_mul(k, sff), _t(k)))
-        dh = _add(_mul(u, seh), _mul(k, sfh))
-        p = _mul(a, s0)
-        pm = _mul(p, m)
-        g = [0.5 * count * x + y - 0.5 * w for x, y, w in zip(
-            _mul(pm, _t(p)), _mul(_mul(pm, dh), _t(a)), _mul(_mul(pm, dd), _t(pm)))]
-        loss_pos += 0.5 * count * math.log(det1) + 0.5 * (
-            m[0] * dd[0] + m[1] * dd[2] + m[2] * dd[1] + m[3] * dd[3])
-        g00 += g[0]
-        g11 += g[3]
-        gx += g[1] + g[2]
+        a00, a01, a10, a11 = a
+        k00, k01, k10, k11 = k
+        m00, m01, m10, m11 = m
+        # U = R A = I - K
+        u00, u01 = r00 * a00 + r01 * a10, r00 * a01 + r01 * a11
+        u10, u11 = r10 * a00 + r11 * a10, r10 * a01 + r11 * a11
+        # D = U See U^T + X + X^T + K Sff K^T with X = U Sef K^T
+        x00, x01, x10, x11 = see
+        w00, w01 = u00 * x00 + u01 * x10, u00 * x01 + u01 * x11
+        w10, w11 = u10 * x00 + u11 * x10, u10 * x01 + u11 * x11
+        z00, z01 = w00 * u00 + w01 * u01, w00 * u10 + w01 * u11
+        z10, z11 = w10 * u00 + w11 * u01, w10 * u10 + w11 * u11
+        x00, x01, x10, x11 = sef
+        w00, w01 = u00 * x00 + u01 * x10, u00 * x01 + u01 * x11
+        w10, w11 = u10 * x00 + u11 * x10, u10 * x01 + u11 * x11
+        c00, c01 = w00 * k00 + w01 * k01, w00 * k10 + w01 * k11
+        c10, c11 = w10 * k00 + w11 * k01, w10 * k10 + w11 * k11
+        x00, x01, x10, x11 = sff
+        w00, w01 = k00 * x00 + k01 * x10, k00 * x01 + k01 * x11
+        w10, w11 = k10 * x00 + k11 * x10, k10 * x01 + k11 * x11
+        d00 = 0.0 + z00 + c00 + c00 + (w00 * k00 + w01 * k01)
+        d01 = 0.0 + z01 + c01 + c10 + (w00 * k10 + w01 * k11)
+        d10 = 0.0 + z10 + c10 + c01 + (w10 * k00 + w11 * k01)
+        d11 = 0.0 + z11 + c11 + c11 + (w10 * k10 + w11 * k11)
+        # C = U Seh + K Sfh
+        x00, x01, x10, x11 = seh
+        y00, y01, y10, y11 = sfh
+        h00 = 0.0 + (u00 * x00 + u01 * x10) + (k00 * y00 + k01 * y10)
+        h01 = 0.0 + (u00 * x01 + u01 * x11) + (k00 * y01 + k01 * y11)
+        h10 = 0.0 + (u10 * x00 + u11 * x10) + (k10 * y00 + k11 * y10)
+        h11 = 0.0 + (u10 * x01 + u11 * x11) + (k10 * y01 + k11 * y11)
+        # P = A S0 and PM = P M
+        x00, x01, x10, x11 = s0
+        p00, p01 = a00 * x00 + a01 * x10, a00 * x01 + a01 * x11
+        p10, p11 = a10 * x00 + a11 * x10, a10 * x01 + a11 * x11
+        q00, q01 = p00 * m00 + p01 * m10, p00 * m01 + p01 * m11
+        q10, q11 = p10 * m00 + p11 * m10, p10 * m01 + p11 * m11
+        # G = count/2 PM P^T + (PM C) A^T - 1/2 (PM D) PM^T
+        half = 0.5 * count
+        w00, w01 = q00 * h00 + q01 * h10, q00 * h01 + q01 * h11
+        w10, w11 = q10 * h00 + q11 * h10, q10 * h01 + q11 * h11
+        y00, y01 = q00 * d00 + q01 * d10, q00 * d01 + q01 * d11
+        y10, y11 = q10 * d00 + q11 * d10, q10 * d01 + q11 * d11
+        g00 += (half * (q00 * p00 + q01 * p01) + (w00 * a00 + w01 * a01)
+                - 0.5 * (y00 * q00 + y01 * q01))
+        g11 += (half * (q10 * p10 + q11 * p11) + (w10 * a10 + w11 * a11)
+                - 0.5 * (y10 * q10 + y11 * q11))
+        gx += ((half * (q00 * p10 + q01 * p11) + (w00 * a10 + w01 * a11)
+                - 0.5 * (y00 * q10 + y01 * q11))
+               + (half * (q10 * p00 + q11 * p01) + (w10 * a00 + w11 * a01)
+                  - 0.5 * (y10 * q00 + y11 * q01)))
+        loss_pos += half * math.log(det1) + 0.5 * (m00 * d00 + m01 * d10 + m10 * d01 + m11 * d11)
     g_pos = (2.0 * ea * ea * g00 + ea * b * gx, ea * gx + 2.0 * b * g11, 2.0 * ec * ec * g11)
 
     # type, per type column, and match, per cell.  A record's dLc/dh_k is
     # tx_k / eta - [k = c] / h_c above the floor and 0 below it, and equal
     # columns give equal terms: summed, the first part is
     # tx @ (weight active / eta), the second follows from each cell's count
-    # of active records.  dlog_h is d ln h / d(its rate); the cells (0, 1)
-    # belong to tpr and (2, 3) to fpr
+    # of active records.  The cells' likelihoods are h = (1 - tpr, tpr,
+    # 1 - fpr, fpr); d ln h / d(its rate) is -1/h on (0, 2) and 1/h on
+    # (1, 3), and the cells (0, 1) belong to tpr and (2, 3) to fpr
     scale = 1.0 - 2.0 * MATCH_PROB_EPS
-    st, sf = float(_sigmoid(theta[3])), float(_sigmoid(theta[4]))
+    st = 1.0 / (1.0 + float(np.exp(-theta[3])))
+    sf = 1.0 / (1.0 + float(np.exp(-theta[4])))
     tpr, fpr = MATCH_PROB_EPS + scale * st, MATCH_PROB_EPS + scale * sf
-    h = np.array([1.0 - tpr, tpr, 1.0 - fpr, fpr])
+    ntpr, nfpr = 1.0 - tpr, 1.0 - fpr
+    h = np.array([ntpr, tpr, nfpr, fpr])
     eta = h @ pre.tx
     xi1_true = h @ pre.tx_true
     xi1_true /= eta
     active = (xi1_true >= LOG_FLOOR) * pre.weight
     loss_type = -float(pre.weight @ np.log(np.maximum(xi1_true, LOG_FLOOR)))
-    log_h = np.log(np.maximum(h, LOG_FLOOR)).tolist()
-    loss_match = -sum(k * x for k, x in zip(pre.count, log_h))
-    dlog_h = [s / x for s, x in zip(_SIGN, h.tolist())]
-    d_type = [s * x - y * d for s, x, y, d in zip(
-        _SIGN, (pre.tx @ (active / eta)).tolist(), (pre.cells @ active).tolist(), dlog_h)]
-    d_match = [-k * d for k, d in zip(pre.count, dlog_h)]
-    chain = (scale * st * (1.0 - st), scale * sf * (1.0 - sf))
-    g_type = (chain[0] * (d_type[0] + d_type[1]), chain[1] * (d_type[2] + d_type[3]))
-    g_match = (chain[0] * (d_match[0] + d_match[1]), chain[1] * (d_match[2] + d_match[3]))
+    n0, n1, n2, n3 = pre.count
+    l0, l1, l2, l3 = np.log(np.maximum(h, LOG_FLOOR)).tolist()
+    loss_match = -(0.0 + n0 * l0 + n1 * l1 + n2 * l2 + n3 * l3)
+    dl0, dl1, dl2, dl3 = -1.0 / ntpr, 1.0 / tpr, -1.0 / nfpr, 1.0 / fpr
+    t0, t1, t2, t3 = (pre.tx @ (active / eta)).tolist()
+    c0, c1, c2, c3 = (pre.cells @ active).tolist()
+    chain_t, chain_f = scale * st * (1.0 - st), scale * sf * (1.0 - sf)
+    g_type = (chain_t * ((-1.0 * t0 - c0 * dl0) + (t1 - c1 * dl1)),
+              chain_f * ((-1.0 * t2 - c2 * dl2) + (t3 - c3 * dl3)))
+    g_match = (chain_t * (-n0 * dl0 + -n1 * dl1), chain_f * (-n2 * dl2 + -n3 * dl3))
     return (loss_pos, loss_type, loss_match), (g_pos, g_type, g_match)
 
 
@@ -717,8 +742,10 @@ def fit_parameters(
     covariance, mildly informative confusion rates).  Divergence past 10x the
     initial loss aborts with an error.  Each epoch makes one pass over the
     batch: the loss at the new parameters, recorded in `history_out`, comes
-    with the gradient for the next step.  The steps run on lists of 5 Python
-    floats, in the order of operations of Adam on numpy 5-vectors.
+    with the gradient for the next step.  A step is one loop over the 5
+    coordinates that updates the moment and parameter lists of Python
+    floats in place, in the order of operations of Adam on numpy 5-vectors,
+    so every bit is theirs; `init.theta` is copied, not updated.
     """
     if epochs < 1:
         raise InvalidInputError("need at least one epoch")
@@ -729,16 +756,18 @@ def fit_parameters(
         init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)
     theta = init.theta.tolist()
     beta1, beta2, eps = 0.9, 0.999, 1e-8
+    rest1, rest2 = 1 - beta1, 1 - beta2
     m = [0.0] * 5
     v = [0.0] * 5
     initial_loss, g = _mean_loss_and_grad(theta, pre)
     bound = 10.0 * max(abs(initial_loss), 1.0)
     for epoch in range(1, epochs + 1):
-        m = [beta1 * x + (1 - beta1) * y for x, y in zip(m, g)]
-        v = [beta2 * x + (1 - beta2) * y * y for x, y in zip(v, g)]
         c1, c2 = 1 - beta1 ** epoch, 1 - beta2 ** epoch  # bias corrections
         step = lr * 0.5 * (1.0 + math.cos(math.pi * (epoch - 1) / epochs))
-        theta = [t - step * (x / c1) / (math.sqrt(y / c2) + eps) for t, x, y in zip(theta, m, v)]
+        for i, y in enumerate(g):
+            mi = m[i] = beta1 * m[i] + rest1 * y
+            vi = v[i] = beta2 * v[i] + rest2 * y * y
+            theta[i] -= step * (mi / c1) / (math.sqrt(vi / c2) + eps)
         if not all(map(math.isfinite, theta)) or max(map(abs, theta[:3])) > 150.0:
             raise OptimizationFailureError(
                 f"parameters diverged at epoch {epoch} (|theta| too large)"

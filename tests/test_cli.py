@@ -211,6 +211,32 @@ def test_negative_seed_is_exit_2(small_config, tmp_path, capsys, argv):
     assert "seed must be non-negative" in assert_one_line_error(capsys)
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("train", "--dataset", "{dir}", "--epochs", 2), "{dir}"),
+        (("replay", "--results", "{results}", "--trial", 0), "{results}/steps.csv"),
+        (("calibrate", "--trials", 20, "--target-alpha", 0.2, "--out", "{dir}"), "{dir}"),
+        (("experiment", "position_estimation", "--trials", 1, "--out", "{file}"), "{file}"),
+        (("train", "--generate", 6, "--epochs", 2, "--out", "{file}"), "{file}"),
+    ],
+    ids=["train_dataset_dir", "replay_steps_dir", "calibrate_out_dir", "experiment_out_file",
+         "train_out_file"],
+)
+def test_unusable_path_is_exit_2_naming_it(small_config, tmp_path, capsys, argv, named):
+    # a path that exists but is the wrong kind of file: a read or write of
+    # it fails in the OS, and the CLI names the path instead of a traceback
+    paths = {"dir": tmp_path / "a_dir", "file": tmp_path / "a_file",
+             "results": tmp_path / "res"}
+    paths["dir"].mkdir()
+    paths["file"].write_text("kept\n")
+    (paths["results"] / "steps.csv").mkdir(parents=True)
+    config = ("--config", small_config) if argv[0] != "replay" else ()
+    assert run_cli(*(str(a).format(**paths) for a in argv), *config) == 2
+    assert named.format(**paths) in assert_one_line_error(capsys)
+    assert paths["file"].read_text() == "kept\n"
+
+
 class TestCalibrate:
     def test_writes_deterministic_config(self, small_config, tmp_path, capsys):
         out1 = tmp_path / "cal1.json"
@@ -870,13 +896,10 @@ class TestReplay:
         capsys.readouterr()
         assert run_cli("replay", "--results", out, "--trial", 99) == 2
 
-    @pytest.mark.parametrize(
-        "column, cell, problem",
-        [("trial", "abc", "abc"), ("mu_x", "", "could not convert"), (None, None, "cells")],
-    )
-    def test_malformed_steps_csv_is_exit_2(
-        self, small_config, tmp_path, capsys, column, cell, problem
-    ):
+    @staticmethod
+    def assert_bad_cell_rejected(small_config, tmp_path, capsys, column, cell, problem, trial):
+        """Replay of `trial` exits 2 naming line 3, trial 0's first row,
+        once `column` of that row holds `cell` (None: its last cell cut)."""
         out = tmp_path / "res"
         run_cli(
             "experiment", "position_estimation", "--config", small_config,
@@ -885,6 +908,7 @@ class TestReplay:
         path = out / "steps.csv"
         lines = path.read_text().splitlines()
         cells = lines[2].split(",")
+        assert cells[lines[0].split(",").index("trial")] == "0"
         if column is None:
             del cells[-1]  # a short row: the last cell is missing
         else:
@@ -892,11 +916,59 @@ class TestReplay:
         lines[2] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
         capsys.readouterr()
-        code = run_cli("replay", "--results", out, "--trial", 0)
+        code = run_cli("replay", "--results", out, "--trial", trial)
         assert code == 2
         err = assert_one_line_error(capsys)
         assert "line 3" in err and problem in err
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [("trial", "abc", "abc"), ("mu_x", "", "could not convert"), (None, None, "cells")],
+    )
+    def test_malformed_steps_csv_is_exit_2(
+        self, small_config, tmp_path, capsys, column, cell, problem
+    ):
+        self.assert_bad_cell_rejected(small_config, tmp_path, capsys, column, cell, problem, 0)
+
+    @pytest.mark.parametrize(
+        "column, cell, problem",
+        [("trial", "abc", "abc"), ("mu_x", "", "could not convert"),
+         ("xi", "0.5|x", "could not convert"), ("pos_error", "1e", "1e"),
+         (None, None, "cells")],
+    )
+    def test_malformed_row_of_another_trial_is_exit_2(
+        self, small_config, tmp_path, capsys, column, cell, problem
+    ):
+        # replay formats only the asked trial's rows but parses every row
+        self.assert_bad_cell_rejected(small_config, tmp_path, capsys, column, cell, problem, 1)
+
+    def test_replay_prints_each_step_of_the_trial(self, small_config, tmp_path, capsys):
+        # the asked trial's rows in file order, a heading before each new
+        # (variant, peg), formatted as below from the file's cells
+        out = tmp_path / "res"
+        run_cli(
+            "experiment", "assembly", "--config", small_config,
+            "--trials", 3, "--seed", 11, "--step-cap", 8, "--out", out,
+        )
+        with open(out / "steps.csv", newline="") as fh:
+            rows = [row for row in csv.DictReader(fh) if row["trial"] == "1"]
+        expected, current = [], None
+        for row in rows:
+            if (row["variant"], row["peg_index"]) != current:
+                current = row["variant"], row["peg_index"]
+                expected.append(
+                    f"[{row['experiment']}] trial 1 variant {row['variant']} "
+                    f"peg#{row['peg_index']} (type {row['peg_type']}) -> {row['status']}")
+            xi = ", ".join(f"{float(x):.3f}" for x in row["xi"].split("|"))
+            expected.append(
+                f"  t={row['step']:>3} hole={row['chosen_hole']} "
+                f"start=({float(row['start_x']):+.4f},{float(row['start_y']):+.4f}) "
+                f"beta={row['beta']} mu=({float(row['mu_x']):+.4f},{float(row['mu_y']):+.4f}) "
+                f"err={float(row['pos_error']):.4f} xi=[{xi}] fitted={row['fitted']}")
+        capsys.readouterr()
+        assert run_cli("replay", "--results", out, "--trial", 1) == 0
+        assert rows and capsys.readouterr().out == "\n".join(expected) + "\n"
 
     def test_fitted_holes_never_rechosen_in_logs(self, small_config, tmp_path):
         out = tmp_path / "res"

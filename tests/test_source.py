@@ -70,3 +70,26 @@ def test_csv_files_are_written_only_by_write_csv():
                     and any(alias.name in writers for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
     assert len(SOURCES) > 1 and not found, found
+
+
+def test_every_private_function_and_class_has_a_caller_in_the_package():
+    # an underscore name is the package's own: one that nothing in `src/`
+    # references outside its definition is dead code, or a helper that only
+    # tests use and that belongs beside them
+    defined, used = [], set()
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        inside = {}  # each node's id: the names of the definitions that hold it
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((f"{path.name}:{node.lineno} {node.name}", node.name))
+                for child in ast.walk(node):
+                    inside.setdefault(id(child), set()).add(node.name)
+        for node in ast.walk(tree):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name not in inside.get(id(node), ()):
+                used.add(name)
+    unused = [where for where, name in defined if name not in used]
+    assert len(defined) > 1 and not unused, unused

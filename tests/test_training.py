@@ -48,14 +48,11 @@ from belieffit.seeding import derive_rng
 from belieffit.training import (
     DATASET_COLUMNS,
     LOG_FLOOR,
-    _add,
     _inv,
-    _mul,
     _precompute,
     _Precomputed,
     _Row,
     _sigmoid,
-    _t,
     _value_and_grad,
     write_csv,
 )
@@ -145,8 +142,8 @@ def finite_difference_grad(params, records, alpha, step=1e-6, keep=EVERY_TERM):
 
 def loop_position_nll(theta, records):
     """Mean position term record by record, with the pass's own Kalman
-    kernel and 2x2 helpers and d = R A e + K f: the reference for the
-    grouped moment sums."""
+    kernel and inverse, the reference's 2x2 product and d = R A e + K f:
+    the reference for the grouped moment sums."""
     r = LearnedParams(theta).position_cov.ravel().tolist()
     terms = []
     for record in records:
@@ -343,6 +340,26 @@ class TestFitParameters:
             lr=0.05, epochs=300, alpha=ALPHA, history_out=history,
         )
         assert np.mean(history[-20:]) < history[0]
+
+    def test_repeated_fits_are_bitwise_equal_and_leave_inputs_alone(self):
+        # the steps update their lists in place: neither init.theta nor a
+        # record's row may change, and a second fit must start where the
+        # first did
+        rng = derive_rng(6, 21)
+        records = [make_record(rng, matched=bool(i % 2), sigma0_scale=scale)
+                   for i, scale in enumerate([1e-4, 1e-2] * 20)]
+        init = LearnedParams.from_values([[4e-4, 1e-5], [1e-5, 3e-4]], 0.6, 0.4)
+        init_bytes = init.theta.tobytes()
+        row_bytes = [r._row.tobytes() for r in records]
+        outcomes = []
+        for _ in range(2):
+            history: list = []
+            theta = fit_parameters(records, init=init, lr=0.05, epochs=40, alpha=ALPHA,
+                                   history_out=history).theta
+            outcomes.append((theta.tobytes(), np.array(history).tobytes()))
+            assert init.theta.tobytes() == init_bytes
+            assert [r._row.tobytes() for r in records] == row_bytes
+        assert outcomes[0] == outcomes[1] and outcomes[0][0] != init_bytes
 
     def test_divergence_detected(self):
         rng = derive_rng(7, 20)
@@ -641,6 +658,24 @@ def reference_precompute(records, alpha):
     weight = np.diff(cuts).astype(float)
     return _Precomputed(n=n, groups=tuple(groups), tx=tx, tx_true=tx_true,
                         cells=cells, weight=weight, count=cells @ weight)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    """Product of two 2x2 matrices given as entry tuples."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+def _t(x: tuple) -> tuple:
+    """Transpose of a 2x2 matrix given as an entry tuple."""
+    return x[0], x[2], x[1], x[3]
+
+
+def _add(*xs: tuple) -> tuple:
+    """Sum of 2x2 matrices given as entry tuples."""
+    return tuple(map(sum, zip(*xs)))
 
 
 REFERENCE_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
