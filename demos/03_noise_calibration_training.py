@@ -26,8 +26,10 @@ config = EnvConfig()
 sensors = SensorModel()
 
 records = generate_dataset(config, sensors, 3000, derive_rng(21, 0), SpiralParams())
-matched = sum(1 for r in records if r.peg_type == r.hole_type)
-successes = sum(1 for r in records if r.beta)
+# a Dataset: one packed block of records, whose field names are its columns
+is_match = records.peg_type == records.hole_type
+matched = int(is_match.sum())
+successes = int(records.beta.sum())
 print(f"dataset: {len(records)} interactions, {matched} matched, "
       f"{successes} ended in insertion")
 
@@ -40,11 +42,9 @@ params = fit_parameters(
 print(f"mean NLL: {history[0]:.3f} -> {history[-1]:.3f} over {len(history)} epochs")
 print()
 
-cov_oracle = mle_covariance_oracle(
-    np.array([r.obs for r in records]), np.array([r.position for r in records])
-)
+cov_oracle = mle_covariance_oracle(records.obs, records.position)
 tpr_oracle, fpr_oracle = mle_confusion_oracle(
-    [(r.peg_type == r.hole_type, r.o_match) for r in records]
+    list(zip(is_match.tolist(), records.o_match.tolist()))
 )
 
 print("position noise covariance [m^2]:")

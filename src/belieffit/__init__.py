@@ -52,6 +52,7 @@ from .sim import (
     vision_detect,
 )
 from .training import (
+    Dataset,
     InteractionRecord,
     LearnedParams,
     batch_nll,

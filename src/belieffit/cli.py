@@ -7,9 +7,11 @@ written sorted and re-validated before exit.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import operator
+import os
 import sys
 from pathlib import Path
 
@@ -66,6 +68,15 @@ def validate_steps_csv(path: Path) -> None:
     ), path)
 
 
+def _require_out(path, directory: bool) -> None:
+    """Fail before any work when `--out` names an existing path of the wrong
+    kind: anything but a directory for a run directory, or a directory for
+    a file.  The error is the one the write would raise at the end."""
+    if path is not None and os.path.exists(path) and os.path.isdir(path) != directory:
+        code = errno.ENOTDIR if directory else errno.EISDIR
+        raise OSError(code, os.strerror(code), path)
+
+
 def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
     """The variants a `--variants` flag names; none leaves the spec's default."""
     if not raw:
@@ -83,6 +94,7 @@ def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
 
 
 def cmd_calibrate(args) -> int:
+    _require_out(args.out, directory=False)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
@@ -121,6 +133,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _require_out(args.out, directory=True)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
@@ -136,15 +149,12 @@ def cmd_train(args) -> int:
         records = generate_dataset(
             env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
         )
-    # the oracles reject a batch they cannot estimate from before the fit
-    cov_oracle = mle_covariance_oracle(
-        np.array([r.obs for r in records]).reshape(-1, 2),
-        np.array([r.position for r in records]).reshape(-1, 2),
-    )
-    tpr_oracle, fpr_oracle = mle_confusion_oracle(
-        [(r.peg_type == r.hole_type, r.o_match) for r in records]
-    )
-    matched = sum(1 for r in records if r.peg_type == r.hole_type)
+    # the oracles reject a batch they cannot estimate from before the fit;
+    # they read the dataset's columns
+    cov_oracle = mle_covariance_oracle(records.obs, records.position)
+    is_match = (records.peg_type == records.hole_type).tolist()
+    tpr_oracle, fpr_oracle = mle_confusion_oracle(list(zip(is_match, records.o_match.tolist())))
+    matched = sum(is_match)
     print(f"records           : {len(records)} ({matched} matched / "
           f"{len(records) - matched} mismatched)")
 
@@ -194,6 +204,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_experiment(args) -> int:
+    _require_out(args.out, directory=True)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)

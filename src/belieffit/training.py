@@ -37,7 +37,10 @@ from __future__ import annotations
 import csv
 import functools
 import math
+import operator
+import os
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import islice
 from typing import NamedTuple
@@ -112,7 +115,7 @@ class InteractionRecord:
         (a, b), (c, d) = entries = sigma0.tolist()
         head = [*values, a, b, c, d, peg_type, hole_type, bool(beta), bool(o_match)]
         probs = xi0.tolist()
-        _check_values(head, len(probs))
+        _check_values(values, (peg_type, hole_type), len(probs))
         _check_prior(entries, probs)
         row = np.array(head + probs)
         row.setflags(write=False)
@@ -140,15 +143,15 @@ class InteractionRecord:
     beta = property(lambda self: bool(self._row[_Row.beta]))
 
 
-def _check_values(v, size: int) -> None:
-    """Check the values of a record's row `v`, laid out as `_Row` up to its
-    type prior: position, mu0 and obs finite, both types integers in
-    1..size.  Python floats keep the checks cheap; NaN and inf fail each
-    test."""
+def _check_values(v, types, size: int) -> None:
+    """Check a record's values: `v` the six floats of its position, mu0 and
+    obs, laid out as in `_Row`, finite, and `types` its peg and hole types,
+    integers in 1..size.  Python floats keep the checks cheap; NaN and inf
+    fail each test."""
     for name, k in (("position", 0), ("mu0", 2), ("obs", 4)):  # the starts of `_Row`'s slices
         if not (math.isfinite(v[k]) and math.isfinite(v[k + 1])):
             raise InvalidInputError(f"{name} must be a finite 2-vector")
-    for t in (v[_Row.peg], v[_Row.hole]):
+    for t in types:
         if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
             raise InvalidInputError("types must be integers")
         if not 1 <= t <= size:
@@ -173,6 +176,46 @@ def _record(row: np.ndarray) -> InteractionRecord:
     record = object.__new__(InteractionRecord)
     object.__setattr__(record, "_row", row)
     return record
+
+
+class Dataset(Sequence):
+    """Records on one packed block: a read-only sequence whose record i is
+    the `InteractionRecord` on row i of `rows` (n, 14 + C), laid out as
+    `_Row`, made only when it is indexed or iterated.  A slice is the
+    dataset on those rows.  `generate_dataset` and `load_dataset` make it
+    from rows that passed the record checks; the fit and `save_dataset`
+    read the block, and each field name is also the column of that field
+    over the records, as `position` (n, 2) or `peg_type` (n,)."""
+
+    __slots__ = ("_rows",)
+
+    def __init__(self, rows: np.ndarray):
+        rows.setflags(write=False)
+        self._rows = rows
+
+    def __len__(self):
+        return len(self._rows)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Dataset(self._rows[i])
+        return _record(self._rows[operator.index(i)])
+
+    def __iter__(self):
+        return map(_record, self._rows)
+
+    def __reduce__(self):  # pickle and copy: the dataset on its block again
+        return Dataset, (self._rows,)
+
+    position = property(lambda self: self._rows[:, _Row.p])
+    mu0 = property(lambda self: self._rows[:, _Row.mu0])
+    obs = property(lambda self: self._rows[:, _Row.obs])
+    xi0 = property(lambda self: self._rows[:, _Row.xi0])
+    sigma0 = property(lambda self: self._rows[:, _Row.sigma0].reshape(-1, 2, 2))
+    peg_type = property(lambda self: self._rows[:, _Row.peg].astype(int))
+    hole_type = property(lambda self: self._rows[:, _Row.hole].astype(int))
+    o_match = property(lambda self: self._rows[:, _Row.o_match] == 1.0)
+    beta = property(lambda self: self._rows[:, _Row.beta] == 1.0)
 
 
 def _sigmoid(x):
@@ -261,16 +304,19 @@ def generate_dataset(
     n_interactions: int,
     rng: np.random.Generator,
     spiral: SpiralParams,
-) -> list[InteractionRecord]:
-    """Balanced interaction dataset from exploration rollouts.
+) -> Dataset:
+    """Balanced interaction dataset from exploration rollouts, as a
+    `Dataset` on one packed block.
 
     The first ceil(n/2) records are matched pairs, the rest mismatched; each
     record holds one reading of each virtual sensor plus the outcome of a
     `rollout_random_actions`.  A record takes its draws in the order that
     rollout and `sense_position`, then `sense_match`, would take them, with
-    draws of one kind that follow each other merged into one call; then one
-    array pass per block of records computes the rollouts and readings and
-    writes them into the block's rows.  The records' packed rows are
+    draws of one kind that follow each other merged into one call; the
+    per-record loop makes only those draws, copying the wiggle's x and y
+    rows and the sensor's normals out of fixed views of the draw buffer.
+    Then one array pass per block of records computes the rollouts and
+    readings and writes them into the block's rows.  The packed rows are
     allocated before the first draw, so a size the host or numpy cannot
     hold raises MemoryError at once.  Every value comes from the checked
     config and the draws, so the rows pass the record checks by
@@ -285,31 +331,30 @@ def generate_dataset(
     n_types = config.n_types
     horizon = config.horizon_low
     match = sensor_model.match
+    integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
     normals = np.empty(6 * horizon + 2)
+    wiggle, tail = wiggle_rows(normals, horizon), normals[6 * horizon:]
     rows = sized_empty((n_interactions, _Row.xi0.start + n_types))
     for first in range(0, n_interactions, block_size(horizon)):
         n = min(block_size(horizon), n_interactions - first)
-        hole_types, peg_types = [], []
+        hole_types, peg_types, verdicts = [0] * n, [0] * n, [0.0] * n
         # per record: the hole position, the detector offset, the type
         # weights and the alignment draw; the normal block and the position
         # sensor's normals; the match sensor's uniform
         uniforms = np.empty((n, 5 + n_types))
         normals_xy = np.empty((n, 2, horizon))
         sensor_normals = np.empty((n, 2))
-        verdicts = np.empty(n)
-        for k in range(n):
-            hole_type = int(rng.integers(1, n_types + 1))
-            peg_type = hole_type
+        for k, (u, xy, s) in enumerate(zip(uniforms, normals_xy, sensor_normals)):
+            hole_type = peg_type = int(integers(1, n_types + 1))
             if first + k >= n_matched:  # one of the other types, in order
-                peg_type = int(rng.integers(0, n_types - 1)) + 1
+                peg_type = int(integers(0, n_types - 1)) + 1
                 peg_type += peg_type >= hole_type
-            hole_types.append(hole_type)
-            peg_types.append(peg_type)
-            rng.random(out=uniforms[k])
-            rng.standard_normal(out=normals)
-            normals_xy[k] = wiggle_rows(normals, horizon)
-            sensor_normals[k] = normals[6 * horizon:]
-            verdicts[k] = rng.random()
+            hole_types[k], peg_types[k] = hole_type, peg_type
+            random(out=u)
+            standard_normal(out=normals)
+            xy[...] = wiggle
+            s[...] = tail
+            verdicts[k] = random()
 
         # rng.uniform(low, high) computes low + (high - low) * u
         p = lo + (hi - lo) * uniforms[:, 0:2]
@@ -328,16 +373,20 @@ def generate_dataset(
         block[:, _Row.peg] = peg_types
         block[:, _Row.hole] = hole_types
         block[:, _Row.beta] = success
-        block[:, _Row.o_match] = verdicts < np.where(matched, match.tpr, match.fpr)
+        block[:, _Row.o_match] = np.array(verdicts) < np.where(matched, match.tpr, match.fpr)
         block[:, _Row.xi0] = normalized_rows(uniforms[:, 4:4 + n_types])
     rows[:, _Row.sigma0] = (config.sigma_init, 0.0, 0.0, config.sigma_init)
-    rows.setflags(write=False)
-    return list(map(_record, rows))
+    return Dataset(rows)
 
 
-def save_dataset(records: list[InteractionRecord], path) -> None:
+def save_dataset(records, path) -> None:
+    """Write a `Dataset` or a list of records as CSV, one line per record in
+    `DATASET_COLUMNS`; a dataset's columns are read from its block."""
     # each row up to its type prior, which may differ in length; p, mu0 and obs lead
-    head = np.array([r._row[:_Row.xi0.start] for r in records]).reshape(-1, _Row.xi0.start)
+    if isinstance(records, Dataset):
+        head = records._rows[:, :_Row.xi0.start]
+    else:
+        head = np.array([r._row[:_Row.xi0.start] for r in records]).reshape(-1, _Row.xi0.start)
     ints = [_Row.peg, _Row.hole, _Row.o_match, _Row.beta]
     peg, hole, match, beta = head[:, ints].astype(int).T.tolist()
     write_csv(path, DATASET_COLUMNS, zip(peg, hole, *head[:, :6].T.tolist(), match, beta))
@@ -356,11 +405,15 @@ def _column_texts(column: tuple) -> list:
 
     A column of `int`s, or of `float`s none of which is zero, is formatted
     once per distinct value; a float's `str` is its `repr`.  A zero would
-    share its text with the zero of the other sign, since 0.0 == -0.0.
+    share its text with the zero of the other sign, since 0.0 == -0.0.  A
+    column of numbers in which no value repeats, as a dataset's positions,
+    is formatted cell by cell, which skips the lookups.
     """
     kinds = set(map(type, column))
     if kinds == {int} or kinds == {float}:
         distinct = dict.fromkeys(column)
+        if len(distinct) == len(column):
+            return list(map(repr, column))
         if int in kinds or 0.0 not in distinct:
             return list(map(dict(zip(distinct, map(repr, distinct))).__getitem__, column))
     texts = list(map(str, column))
@@ -425,34 +478,71 @@ def read_table(path, columns: tuple, what: str, parse) -> list:
             raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
 
 
-def load_dataset(path, config: EnvConfig) -> list[InteractionRecord]:
-    """Load records; initial beliefs not stored in the CSV are reconstructed
-    as the configured isotropic position prior and a uniform type prior.
+def load_dataset(path, config: EnvConfig) -> Dataset:
+    """Load a dataset CSV as a `Dataset` on one packed block; the initial
+    beliefs, which the CSV does not store, are the configured isotropic
+    position prior and a uniform type prior.
 
-    The prior is checked once; each line's values are checked as it is
-    parsed, by the constructor's `_check_values`, so an error names the
-    first bad line.  The records share one packed block of rows.
+    The prior is checked once.  The lines of a regular file are read
+    `CSV_BLOCK_ROWS` at a time and converted by `_dataset_rows`, which
+    checks each row's values with the constructor's `_check_values`.  A
+    file that fails is read again by `read_table`, a line at a time
+    through the same conversions and checks, so the error names its first
+    bad line; a pipe, which can be read only once, is read that way from
+    the start.
     """
     size = config.n_types
     entries = (config.sigma_init * np.eye(2)).tolist()
     probs = [1.0 / size] * size
     _check_prior(entries, probs)
+
+    def line(cells):
+        return _dataset_rows([cells], size)
+
+    if not os.path.isfile(path):
+        blocks = read_table(path, DATASET_COLUMNS, "dataset", line)
+    else:
+        blocks = []
+        try:
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                if tuple(next(reader, ())) != DATASET_COLUMNS:
+                    raise InvalidInputError("unexpected dataset columns")
+                while lines := list(islice(reader, CSV_BLOCK_ROWS)):
+                    blocks.append(_dataset_rows(lines, size))
+        except (ValueError, csv.Error):  # a decode error is a ValueError too
+            read_table(path, DATASET_COLUMNS, "dataset", line)
+            raise
+    rows = np.concatenate(blocks) if blocks else np.empty((0, _Row.xi0.start + size))
     (a, b), (c, d) = entries
-
-    def parse(cells):  # the row up to its type prior, laid out as `_Row`
-        peg, hole = int(cells[0]), int(cells[1])
-        head = [*map(float, cells[2:8]), a, b, c, d, peg, hole, _flag(cells[9]), _flag(cells[8])]
-        _check_values(head, size)
-        return head
-
-    table = read_table(path, DATASET_COLUMNS, "dataset", parse)
-    if not table:
-        return []
-    rows = np.empty((len(table), _Row.xi0.start + size))
-    rows[:, :_Row.xi0.start] = table
+    rows[:, _Row.sigma0] = (a, b, c, d)
     rows[:, _Row.xi0] = probs
-    rows.setflags(write=False)
-    return list(map(_record, rows))
+    return Dataset(rows)
+
+
+def _dataset_rows(lines: list, size: int) -> np.ndarray:
+    """The packed rows of dataset lines given as lists of cells, up to the
+    prior columns, which are left for the caller to fill.
+
+    Each column is converted as a whole, in the order of a line's cells
+    except that `beta` comes before `o_match`; then `_check_values` checks
+    each row.  So on one line, the error raised is that of the first cell
+    or check that fails, as a line-at-a-time parse would raise it."""
+    columns = list(zip(*lines, strict=True))
+    if len(columns) != len(DATASET_COLUMNS):
+        raise InvalidInputError(f"expected {len(DATASET_COLUMNS)} cells, got {len(columns)}")
+    peg, hole = list(map(int, columns[0])), list(map(int, columns[1]))
+    vectors = [list(map(float, column)) for column in columns[2:8]]
+    beta, match = list(map(_flag, columns[9])), list(map(_flag, columns[8]))
+    for values, types in zip(zip(*vectors), zip(peg, hole)):
+        _check_values(values, types, size)
+    rows = np.empty((len(lines), _Row.xi0.start + size))
+    rows[:, :6] = np.array(vectors).T  # p, mu0 and obs lead
+    rows[:, _Row.peg] = peg
+    rows[:, _Row.hole] = hole
+    rows[:, _Row.beta] = beta
+    rows[:, _Row.o_match] = match
+    return rows
 
 
 def _flag(cell: str) -> bool:
@@ -507,9 +597,8 @@ def _runs(keys: np.ndarray) -> tuple:
     return order, ks, [0, *(np.flatnonzero(changed) + 1).tolist(), n]
 
 
-def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
-    if not records:
-        raise InvalidInputError("batch must be non-empty")
+def _gathered_rows(records: list) -> np.ndarray:
+    """The packed rows of a list of records gathered into one block."""
     views = [r._row for r in records]
     if len(set(map(len, views))) > 1:
         raise InvalidInputError("records must share the same number of types")
@@ -520,7 +609,16 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     rows = np.empty((n, len(views[0])))
     for lo in range(0, n, 256):
         rows[lo:lo + 256] = np.frombuffer(b"".join(views[lo:lo + 256])).reshape(-1, rows.shape[1])
-    del views
+    return rows
+
+
+def _precompute(records, alpha: float) -> _Precomputed:
+    """The batch's theta-free terms, read from the block of a `Dataset` or
+    from the rows of a list of records gathered into one."""
+    if not records:
+        raise InvalidInputError("batch must be non-empty")
+    rows = records._rows if isinstance(records, Dataset) else _gathered_rows(records)
+    n = len(rows)
 
     # position: group the records by S0; m[i][j] holds the entries of a
     # group's sum of x_i x_j^T, x = (e, f, h)
@@ -562,7 +660,7 @@ def _precompute(records: list[InteractionRecord], alpha: float) -> _Precomputed:
     keys[1] = t_other * other
     keys[2] = t_peg * xi0[idx, peg]
     keys[3] = np.where(on_peg, 0, 2) + rows[:, _Row.o_match]
-    del rows, xi0  # the packed rows are split: free them before sorting
+    del rows, xi0  # the rows are split: a gathered block is freed before sorting
     _, keys, cuts = _runs(keys)
     true_x, tx_other, tx_peg, cell = keys[:, cuts[:-1]]
     if not np.all(tx_peg + tx_other > 0.0):
@@ -715,25 +813,27 @@ def _mean_loss_and_grad(theta: list, pre: _Precomputed) -> tuple[float, list]:
             [x / n for x in g_pos] + [t / n + m / n for t, m in zip(g_type, g_match)])
 
 
-def batch_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> float:
-    """Mean one-step filtering NLL of the records under `params`."""
+def batch_nll(params: LearnedParams, records, alpha: float) -> float:
+    """Mean one-step filtering NLL of the records, a `Dataset` or a list,
+    under `params`."""
     return _mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[0]
 
 
-def grad_nll(params: LearnedParams, records: list[InteractionRecord], alpha: float) -> np.ndarray:
+def grad_nll(params: LearnedParams, records, alpha: float) -> np.ndarray:
     """Analytic gradient of the mean NLL w.r.t. theta."""
     return np.array(_mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[1])
 
 
 def fit_parameters(
-    records: list[InteractionRecord],
+    records,
     init: LearnedParams | None,
     lr: float = 0.01,
     epochs: int = 2000,
     alpha: float = 0.34,
     history_out: list | None = None,
 ) -> LearnedParams:
-    """Full-batch Adam with cosine-annealed step size on the mean NLL.
+    """Full-batch Adam with cosine-annealed step size on the mean NLL of
+    `records`, a `Dataset` or a list of records.
 
     Annealing matters here: Adam normalizes per-coordinate step sizes, and
     the Cholesky off-diagonal lives on a much smaller natural scale than the

@@ -237,6 +237,27 @@ def test_unusable_path_is_exit_2_naming_it(small_config, tmp_path, capsys, argv,
     assert paths["file"].read_text() == "kept\n"
 
 
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (("train", "--generate", 20), "file"),
+        (("experiment", "assembly", "--trials", 200), "file"),
+        (("calibrate", "--trials", 40), "dir"),
+    ],
+    ids=["train_out_file", "experiment_out_file", "calibrate_out_dir"],
+)
+def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys, argv, kind):
+    # a run directory that is a file, or a config file that is a directory,
+    # exits 2 before the command prints or computes anything
+    out = tmp_path / kind
+    out.mkdir() if kind == "dir" else out.write_text("kept\n")
+    assert run_cli(*argv, "--config", small_config, "--out", out) == 2
+    captured = capsys.readouterr()
+    reason = "Is a directory" if kind == "dir" else "Not a directory"
+    assert captured.out == "" and captured.err == f"error: {out}: {reason}\n"
+    assert (list(out.iterdir()) == []) if kind == "dir" else out.read_text() == "kept\n"
+
+
 class TestCalibrate:
     def test_writes_deterministic_config(self, small_config, tmp_path, capsys):
         out1 = tmp_path / "cal1.json"
@@ -608,6 +629,16 @@ class TestTrain:
         assert code == 2
         assert oracle in assert_one_line_error(capsys)
         assert not out.exists()
+
+    def test_header_only_dataset_is_exit_2(self, small_config, tmp_path, capsys):
+        # it loads as an empty dataset, which the covariance oracle rejects
+        path = tmp_path / "empty.csv"
+        write_csv(path, DATASET_COLUMNS, [])
+        code = run_cli("train", "--config", small_config, "--dataset", path,
+                       "--out", tmp_path / "t")
+        assert code == 2
+        assert "covariance oracle" in assert_one_line_error(capsys)
+        assert not (tmp_path / "t").exists()
 
     def test_missing_dataset_is_exit_2(self, small_config, tmp_path, capsys):
         code = run_cli(

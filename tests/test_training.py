@@ -3,7 +3,9 @@ import dataclasses
 import gc
 import itertools
 import math
+import os
 import pickle
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from belieffit import (
+    Dataset,
     EnvConfig,
     GaussianBelief2,
     Innovation,
@@ -46,6 +49,7 @@ from belieffit.errors import (
 from belieffit.filters import MATCH_PROB_EPS, kalman_correction
 from belieffit.seeding import derive_rng
 from belieffit.training import (
+    CSV_BLOCK_ROWS,
     DATASET_COLUMNS,
     LOG_FLOOR,
     _inv,
@@ -977,22 +981,35 @@ class TestDataset:
             assert np.array_equal(ra.obs, rb.obs)
             assert np.array_equal(ra.xi0, rb.xi0)
 
-    def test_records_hold_little_beyond_their_rows(self):
-        # a generated record at C = 3 packs into a 17-entry row of 136
-        # bytes; the record object and its view of the block may add at
-        # most twice that again
-        assert self.CFG.n_types == 3
-        generate_dataset(self.CFG, SensorModel(), 2, derive_rng(11, 20), SPIRAL)  # warm caches
+    @staticmethod
+    def held_bytes(make):
+        """What `make()` returns, and the bytes still allocated once it has
+        returned, by tracemalloc."""
         gc.collect()
         tracemalloc.start()
         try:
-            records = generate_dataset(self.CFG, SensorModel(), 2000, derive_rng(11, 21), SPIRAL)
+            made = make()
             gc.collect()
-            held = tracemalloc.get_traced_memory()[0]
+            return made, tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
+
+    def test_records_hold_little_beyond_their_rows(self, tmp_path):
+        # a record at C = 3 packs into a 17-entry row of 136 bytes, and a
+        # generated or loaded dataset holds its block and little else
+        assert self.CFG.n_types == 3
+        generate_dataset(self.CFG, SensorModel(), 2, derive_rng(11, 20), SPIRAL)  # warm caches
+        records, held = self.held_bytes(
+            lambda: generate_dataset(self.CFG, SensorModel(), 2000, derive_rng(11, 21), SPIRAL))
         assert records[0]._row.nbytes == 136
-        assert held <= 3 * 136 * len(records)
+        assert held <= 1.1 * 136 * len(records)
+
+        path = tmp_path / "data.csv"
+        save_dataset(records, path)
+        load_dataset(path, self.CFG)  # warm caches
+        loaded, held = self.held_bytes(lambda: load_dataset(path, self.CFG))
+        assert len(loaded) == 2000 and loaded[-1]._row.nbytes == 136
+        assert held <= 1.1 * 136 * len(loaded)
 
     def test_workspace_too_small_for_placement(self):
         cfg = dataclasses.replace(
@@ -1063,13 +1080,151 @@ class TestDataset:
         loaded = load_dataset(tmp_path / "generated.csv", self.CFG)
         rng = np.random.default_rng(12)
         mixed = [make_record(rng, n_types=c, matched=bool(c % 2), beta=c == 4)
-                 for c in (2, 5, 3, 8, 4)] + generated[:3] + loaded[-3:]
+                 for c in (2, 5, 3, 8, 4)] + [*generated[:3], *loaded[-3:]]
         for name, records in (("generated", generated), ("loaded", loaded),
                               ("mixed", mixed), ("empty", [])):
             save_dataset(records, tmp_path / f"{name}.csv")
             self.save_row_by_row(records, tmp_path / f"{name}_ref.csv")
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}_ref.csv").read_bytes()), name
+
+    @pytest.fixture(scope="class")
+    def datasets(self, tmp_path_factory):
+        """A generated dataset of 60 records and the dataset loaded from
+        its CSV."""
+        generated = generate_dataset(self.CFG, SensorModel(), 60, derive_rng(13, 20), SPIRAL)
+        path = tmp_path_factory.mktemp("dataset") / "data.csv"
+        save_dataset(generated, path)
+        return {"generated": generated, "loaded": load_dataset(path, self.CFG)}
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_dataset_fits_as_its_list_of_records(self, datasets, source):
+        dataset = datasets[source]
+        records = list(dataset)
+        assert type(dataset) is Dataset and type(records[0]) is InteractionRecord
+        init = LearnedParams.from_values(4e-4 * np.eye(2), tpr=0.6, fpr=0.4)
+        for params in (init, LearnedParams(np.array([-4.0, 1e-3, -4.5, 1.0, -1.0]))):
+            assert batch_nll(params, dataset, ALPHA) == batch_nll(params, records, ALPHA)
+            assert (grad_nll(params, dataset, ALPHA).tobytes()
+                    == grad_nll(params, records, ALPHA).tobytes())
+        fits = []
+        for batch in (dataset, records):
+            history = []
+            theta = fit_parameters(batch, init, lr=0.05, epochs=60, alpha=ALPHA,
+                                   history_out=history).theta
+            fits.append((theta.tobytes(), history))
+        assert fits[0] == fits[1]
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_dataset_saves_as_its_list_of_records(self, datasets, source, tmp_path):
+        save_dataset(datasets[source], tmp_path / "block.csv")
+        save_dataset(list(datasets[source]), tmp_path / "list.csv")
+        assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_indexing_and_iteration_give_each_rows_record(self, datasets, source):
+        dataset = datasets[source]
+        rows = dataset._rows
+        assert len(dataset) == len(rows) == 60 and not rows.flags.writeable
+        iterated = list(dataset)
+        for i in range(-len(dataset), len(dataset)):
+            record = dataset[i]
+            assert type(record) is InteractionRecord
+            assert np.shares_memory(record._row, rows)
+            assert record._row.tobytes() == rows[i].tobytes() == iterated[i]._row.tobytes()
+        for index in (slice(None), slice(3, 9), slice(-5, None), slice(None, None, -7),
+                      slice(50, 10)):
+            part = dataset[index]
+            assert type(part) is Dataset
+            assert not len(part) or np.shares_memory(part._rows, rows)
+            assert [r._row.tobytes() for r in part] == [r._row.tobytes() for r in iterated[index]]
+        for index in (60, -61, 1.0, [0, 1]):
+            with pytest.raises((IndexError, TypeError)):
+                dataset[index]
+        assert dataset[np.int64(2)]._row.tobytes() == rows[2].tobytes()
+
+    @pytest.mark.parametrize("source", ["generated", "loaded"])
+    def test_dataset_columns_are_the_records_fields(self, datasets, source):
+        dataset = datasets[source]
+        records = list(dataset)
+        for name in ("position", "mu0", "obs", "xi0", "sigma0", "peg_type", "hole_type",
+                     "o_match", "beta"):
+            column = getattr(dataset, name)
+            expected = np.array([getattr(r, name) for r in records])
+            assert column.dtype == expected.dtype and np.array_equal(column, expected), name
+
+    def test_pickled_and_copied_datasets_keep_a_read_only_block(self, datasets):
+        dataset = datasets["generated"]
+        for twin in (pickle.loads(pickle.dumps(dataset)), copy.copy(dataset),
+                     copy.deepcopy(dataset)):
+            assert type(twin) is Dataset
+            assert twin._rows.tobytes() == dataset._rows.tobytes()
+            assert not twin._rows.flags.writeable
+
+    def test_header_only_file_loads_as_an_empty_dataset(self, tmp_path):
+        path = tmp_path / "data.csv"
+        write_csv(path, DATASET_COLUMNS, [])
+        loaded = load_dataset(path, self.CFG)
+        assert type(loaded) is Dataset and len(loaded) == 0 and list(loaded) == []
+        assert loaded._rows.shape == (0, _Row.xi0.start + self.CFG.n_types)
+        with pytest.raises(InvalidInputError, match="non-empty"):
+            batch_nll(LearnedParams(np.zeros(5)), loaded, ALPHA)
+
+    def test_every_block_of_a_long_file_is_loaded(self, tmp_path):
+        # lines are read CSV_BLOCK_ROWS at a time: the blocks join in order
+        generated = generate_dataset(self.CFG, SensorModel(), 2 * CSV_BLOCK_ROWS + 3,
+                                     derive_rng(14, 20), SPIRAL)
+        save_dataset(generated, tmp_path / "data.csv")
+        loaded = load_dataset(tmp_path / "data.csv", self.CFG)
+        assert loaded._rows[:, :_Row.xi0.start].tobytes() == (
+            generated._rows[:, :_Row.xi0.start].tobytes())
+        assert np.array_equal(loaded.xi0, np.full((len(generated), 3), 1 / 3))
+
+    @pytest.mark.parametrize("later", [b"1,1,0,0,0,0,0,0,1\n", b"1,1,0,\x00,0,0,0,0,1,1\n",
+                                       b"1,1,0,0,0,0,0,0,1,2\n"],
+                             ids=["short_row", "nul", "flag"])
+    @pytest.mark.parametrize("bad", [CSV_BLOCK_ROWS + 1, CSV_BLOCK_ROWS + 2, 2 * CSV_BLOCK_ROWS])
+    def test_a_long_file_names_its_first_bad_line(self, tmp_path, bad, later):
+        # line `bad` holds a type out of range, a later line another fault;
+        # the error names line `bad` whichever block either falls in
+        generated = generate_dataset(self.CFG, SensorModel(), 2 * CSV_BLOCK_ROWS + 3,
+                                     derive_rng(15, 20), SPIRAL)
+        path = tmp_path / "data.csv"
+        save_dataset(generated, path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[bad - 1] = b"4" + lines[bad - 1][1:]
+        lines[bad + 1] = later
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(InvalidInputError) as exc:
+            load_dataset(path, self.CFG)
+        assert str(exc.value) == f"{path} line {bad}: types out of range"
+
+    @pytest.mark.parametrize("bad", [None, 4])
+    def test_a_pipe_loads_as_its_file_and_names_its_first_bad_line(self, tmp_path, bad):
+        # a pipe can be read only once: it loads a line at a time, with the
+        # file's rows and the file's error
+        generated = generate_dataset(self.CFG, SensorModel(), 6, derive_rng(16, 20), SPIRAL)
+        path, fifo = tmp_path / "data.csv", tmp_path / "pipe"
+        save_dataset(generated, path)
+        if bad:
+            lines = path.read_bytes().splitlines(keepends=True)
+            lines[bad - 1] = b"4" + lines[bad - 1][1:]
+            path.write_bytes(b"".join(lines))
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),), daemon=True)
+        writer.start()
+        try:
+            if bad:
+                with pytest.raises(InvalidInputError) as exc:
+                    load_dataset(fifo, self.CFG)
+                assert str(exc.value) == f"{fifo} line {bad}: types out of range"
+            else:
+                loaded = load_dataset(fifo, self.CFG)
+                assert type(loaded) is Dataset
+                assert loaded._rows.tobytes() == load_dataset(path, self.CFG)._rows.tobytes()
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
 
     @pytest.mark.parametrize(
         "body, problem",
