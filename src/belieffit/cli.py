@@ -59,22 +59,33 @@ def validate_metrics_csv(path: Path) -> None:
             raise ValueError("non-finite metric value")
         return (row[0], row[1], int(row[2]), int(row[3]), row[4])
 
-    _require_increasing(read_table(path, METRIC_COLUMNS, "metrics", key), path)
+    _require_increasing(read_table(
+        path, METRIC_COLUMNS, "metrics", lambda rows: list(map(key, rows))), path)
 
 
 def validate_steps_csv(path: Path) -> None:
-    _require_increasing(read_table(
-        path, STEP_COLUMNS, "steps", lambda r: (r[0], r[1], int(r[2]), int(r[3]), int(r[5]))
-    ), path)
+    _require_increasing(read_table(path, STEP_COLUMNS, "steps", lambda rows: [
+        (r[0], r[1], int(r[2]), int(r[3]), int(r[5])) for r in rows]), path)
 
 
 def _require_out(path, directory: bool) -> None:
-    """Fail before any work when `--out` names an existing path of the wrong
-    kind: anything but a directory for a run directory, or a directory for
-    a file.  The error is the one the write would raise at the end."""
-    if path is not None and os.path.exists(path) and os.path.isdir(path) != directory:
-        code = errno.ENOTDIR if directory else errno.EISDIR
-        raise OSError(code, os.strerror(code), path)
+    """Fail before any work when `--out` cannot be written as asked: an
+    existing path of the wrong kind (anything but a directory for a run
+    directory, a directory for a file), a path under a file, or a file
+    whose directory is missing.  The error is the one the write would
+    raise at the end."""
+    if path is None:
+        return
+    found = path  # `path` or its nearest existing ancestor, "" if none exists
+    while found and not os.path.exists(found):
+        found = os.path.dirname(found)
+    if found and os.path.isdir(found) != (directory or found != path):
+        code = errno.EISDIR if os.path.isdir(found) else errno.ENOTDIR
+    elif not directory and found not in (path, os.path.dirname(path)):
+        code = errno.ENOENT  # a file whose directory is missing
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
 
 
 def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
@@ -140,11 +151,7 @@ def cmd_train(args) -> int:
     sensors = cfg.sensors_from(doc)
 
     if args.dataset:
-        path = Path(args.dataset)
-        if not path.exists():
-            print(f"error: dataset not found: {path}", file=sys.stderr)
-            return 2
-        records = load_dataset(path, env)
+        records = load_dataset(args.dataset, env)
     else:
         records = generate_dataset(
             env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
@@ -269,14 +276,10 @@ def _replay_row(cells) -> tuple:
 
 
 def cmd_replay(args) -> int:
-    steps_path = Path(args.results) / "steps.csv"
-    if not steps_path.exists():
-        print(f"error: no steps.csv under {args.results}", file=sys.stderr)
-        return 2
     # every row is parsed, so a malformed one exits 2 whatever its trial;
     # only the asked trial's rows are kept and formatted
-    rows = [r for r in read_table(steps_path, STEP_COLUMNS, "steps", _replay_row)
-            if r[0] == args.trial]
+    rows = read_table(Path(args.results) / "steps.csv", STEP_COLUMNS, "steps", lambda lines: [
+        r for r in map(_replay_row, lines) if r[0] == args.trial])
     if not rows:
         print(f"error: no records for trial {args.trial}", file=sys.stderr)
         return 2

@@ -61,11 +61,8 @@ def _merge(base: dict, override: dict, where: str = "") -> dict:
 
 
 def _read_json(path: str | Path, what: str) -> dict:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigurationError(f"{what} file not found: {path}")
     try:
-        doc = json.loads(path.read_text())
+        doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
         raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from None
     if not isinstance(doc, dict):

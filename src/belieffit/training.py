@@ -38,7 +38,6 @@ import csv
 import functools
 import math
 import operator
-import os
 import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -453,66 +452,66 @@ def write_csv(path, header, rows) -> None:
 
 
 def read_table(path, columns: tuple, what: str, parse) -> list:
-    """`parse(cells)` of each row of a CSV file whose header must be `columns`.
+    """The package's CSV reader: `parse` of each block of rows of a CSV file
+    or pipe whose header must be `columns`, joined in file order.
 
-    A wrong header, a row of the wrong length, or a row that `parse` rejects
-    with ValueError (InvalidInputError among them) raises InvalidInputError
-    naming the file and line.  The rows are parsed in file order, so the
-    error names the first bad line.
+    The file is read once, `CSV_BLOCK_ROWS` rows at a time; `parse` takes
+    a list of rows, each a list of cells, and returns a list.  A wrong
+    header, a row of the wrong length, or a row that `parse` rejects with
+    ValueError (InvalidInputError among them) raises InvalidInputError
+    naming the file and the physical line that row ends on: a block that
+    fails, or that a csv.Error or a decode error cuts short, is parsed
+    again a row at a time, so the error names its first bad line.
     """
+    width, out, line = len(columns), [], None  # `line`: that of a row parsed alone
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])
             if tuple(header) != columns:
                 raise InvalidInputError(f"unexpected {what} columns: {header}")
-            out = []
-            for row in reader:
-                if len(row) != len(columns):
-                    raise InvalidInputError(f"expected {len(columns)} cells, got {len(row)}")
-                out.append(parse(row))
-            return out
-        except UnicodeDecodeError as exc:  # read ahead in blocks: no line to name
+            while True:
+                rows, lines, cut = [], [], None
+                try:
+                    for row in islice(reader, CSV_BLOCK_ROWS):
+                        rows.append(row)
+                        lines.append(reader.line_num)
+                except (csv.Error, UnicodeDecodeError) as exc:
+                    cut = exc
+                if not rows and cut is None:
+                    return out
+                if cut is None and set(map(len, rows)) == {width}:
+                    try:
+                        out += parse(rows)
+                        continue
+                    except ValueError:
+                        pass
+                for line, row in zip(lines, rows):
+                    if len(row) != width:
+                        raise InvalidInputError(f"expected {width} cells, got {len(row)}")
+                    out += parse([row])
+                if cut is not None:
+                    line = reader.line_num  # where the read stopped
+                    raise cut
+        except UnicodeDecodeError as exc:  # read ahead in chunks: no line to name
             raise InvalidInputError(f"cannot decode {path}: {exc}") from None
         except (ValueError, csv.Error) as exc:
-            raise InvalidInputError(f"{path} line {reader.line_num}: {exc}") from None
+            raise InvalidInputError(f"{path} line {line or reader.line_num}: {exc}") from None
 
 
 def load_dataset(path, config: EnvConfig) -> Dataset:
-    """Load a dataset CSV as a `Dataset` on one packed block; the initial
-    beliefs, which the CSV does not store, are the configured isotropic
-    position prior and a uniform type prior.
-
-    The prior is checked once.  The lines of a regular file are read
-    `CSV_BLOCK_ROWS` at a time and converted by `_dataset_rows`, which
-    checks each row's values with the constructor's `_check_values`.  A
-    file that fails is read again by `read_table`, a line at a time
-    through the same conversions and checks, so the error names its first
-    bad line; a pipe, which can be read only once, is read that way from
-    the start.
+    """Load a dataset CSV, from a file or a pipe, as a `Dataset` on one
+    packed block; the initial beliefs, which the CSV does not store, are
+    the configured isotropic position prior and a uniform type prior.  The
+    prior is checked once; `read_table` reads the lines, and
+    `_dataset_rows` converts each block of them.
     """
     size = config.n_types
     entries = (config.sigma_init * np.eye(2)).tolist()
     probs = [1.0 / size] * size
     _check_prior(entries, probs)
-
-    def line(cells):
-        return _dataset_rows([cells], size)
-
-    if not os.path.isfile(path):
-        blocks = read_table(path, DATASET_COLUMNS, "dataset", line)
-    else:
-        blocks = []
-        try:
-            with open(path, newline="") as fh:
-                reader = csv.reader(fh)
-                if tuple(next(reader, ())) != DATASET_COLUMNS:
-                    raise InvalidInputError("unexpected dataset columns")
-                while lines := list(islice(reader, CSV_BLOCK_ROWS)):
-                    blocks.append(_dataset_rows(lines, size))
-        except (ValueError, csv.Error):  # a decode error is a ValueError too
-            read_table(path, DATASET_COLUMNS, "dataset", line)
-            raise
+    blocks = read_table(path, DATASET_COLUMNS, "dataset",
+                        lambda lines: [_dataset_rows(lines, size)])
     rows = np.concatenate(blocks) if blocks else np.empty((0, _Row.xi0.start + size))
     (a, b), (c, d) = entries
     rows[:, _Row.sigma0] = (a, b, c, d)
@@ -528,9 +527,7 @@ def _dataset_rows(lines: list, size: int) -> np.ndarray:
     except that `beta` comes before `o_match`; then `_check_values` checks
     each row.  So on one line, the error raised is that of the first cell
     or check that fails, as a line-at-a-time parse would raise it."""
-    columns = list(zip(*lines, strict=True))
-    if len(columns) != len(DATASET_COLUMNS):
-        raise InvalidInputError(f"expected {len(DATASET_COLUMNS)} cells, got {len(columns)}")
+    columns = list(zip(*lines))
     peg, hole = list(map(int, columns[0])), list(map(int, columns[1]))
     vectors = [list(map(float, column)) for column in columns[2:8]]
     beta, match = list(map(_flag, columns[9])), list(map(_flag, columns[8]))

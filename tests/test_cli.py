@@ -56,7 +56,8 @@ class TestConfig:
         assert doc["env"]["n_holes"] == 5
 
     def test_missing_file_rejected(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="cannot read config file "
+                           "/nonexistent/config.json: .*No such file or directory"):
             load_config("/nonexistent/config.json")
 
     def test_override_merge(self, tmp_path):
@@ -243,19 +244,27 @@ def test_unusable_path_is_exit_2_naming_it(small_config, tmp_path, capsys, argv,
         (("train", "--generate", 20), "file"),
         (("experiment", "assembly", "--trials", 200), "file"),
         (("calibrate", "--trials", 40), "dir"),
+        (("train", "--generate", 20, "--epochs", 2), "file/sub"),
+        (("calibrate", "--trials", 40), "file/cal.json"),
+        (("calibrate", "--trials", 40), "nodir/cal.json"),
     ],
-    ids=["train_out_file", "experiment_out_file", "calibrate_out_dir"],
+    ids=["train_out_file", "experiment_out_file", "calibrate_out_dir", "train_out_under_file",
+         "calibrate_out_under_file", "calibrate_out_in_missing_dir"],
 )
 def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys, argv, kind):
-    # a run directory that is a file, or a config file that is a directory,
-    # exits 2 before the command prints or computes anything
+    # a run directory that is a file or under one, or a config file that is
+    # a directory, under a file or in a missing directory, exits 2 before
+    # the command prints or computes anything
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dir").mkdir()
     out = tmp_path / kind
-    out.mkdir() if kind == "dir" else out.write_text("kept\n")
     assert run_cli(*argv, "--config", small_config, "--out", out) == 2
     captured = capsys.readouterr()
-    reason = "Is a directory" if kind == "dir" else "Not a directory"
+    reason = {"dir": "Is a directory", "nodir/cal.json": "No such file or directory"}.get(
+        kind, "Not a directory")
     assert captured.out == "" and captured.err == f"error: {out}: {reason}\n"
-    assert (list(out.iterdir()) == []) if kind == "dir" else out.read_text() == "kept\n"
+    assert list((tmp_path / "dir").iterdir()) == []
+    assert (tmp_path / "file").read_text() == "kept\n" and not (tmp_path / "nodir").exists()
 
 
 class TestCalibrate:
@@ -305,7 +314,8 @@ def test_write_csv_writes_numpy_floats_as_numbers(tmp_path):
     path = tmp_path / "cells.csv"
     write_csv(path, ("a", "b", "c", "d"), [(np.float64(0.1), 0.1, np.int64(3), "x|y")])
     assert path.read_text() == "a,b,c,d\n0.1,0.1,3,x|y\n"
-    parsed = read_table(path, ("a", "b", "c", "d"), "cells", lambda r: (float(r[0]), int(r[2])))
+    parsed = read_table(path, ("a", "b", "c", "d"), "cells",
+                        lambda rows: [(float(r[0]), int(r[2])) for r in rows])
     assert parsed == [(0.1, 3)]
 
 
@@ -370,7 +380,8 @@ def test_write_csv_round_trips_through_read_table(tmp_path_factory, table):
     header, rows = table
     path = tmp_path_factory.mktemp("csv") / "cells.csv"
     write_csv(path, header, iter(rows))
-    assert read_table(path, header, "cells", tuple) == [tuple(map(str, row)) for row in rows]
+    parsed = read_table(path, header, "cells", lambda cells: list(map(tuple, cells)))
+    assert parsed == [tuple(map(str, row)) for row in rows]
 
 
 @pytest.mark.parametrize(
@@ -647,6 +658,8 @@ class TestTrain:
         )
         assert code == 2
         assert not (tmp_path / "t").exists()
+        assert assert_one_line_error(capsys) == (
+            f"error: {tmp_path / 'nope.csv'}: No such file or directory\n")
 
     def test_diverging_run_leaves_a_finished_run_as_it_was(self, small_config, tmp_path, capsys):
         out = tmp_path / "train"
@@ -741,6 +754,21 @@ class TestExperiment:
     @pytest.mark.parametrize(
         "name, validate", [("metrics.csv", validate_metrics_csv), ("steps.csv", validate_steps_csv)]
     )
+    def test_validators_read_a_pipe(self, small_config, tmp_path, pipe_of, name, validate):
+        # the one reader reads a pipe in one pass, as it reads a file
+        out = tmp_path / "res"
+        run_cli(
+            "experiment", "position_estimation", "--config", small_config,
+            "--trials", 2, "--seed", 9, "--out", out,
+        )
+        lines = (out / name).read_bytes().splitlines(keepends=True)
+        validate(pipe_of(b"".join(lines)))
+        with pytest.raises(ConfigurationError, match="out of order"):
+            validate(pipe_of(b"".join([lines[0], lines[-1], *lines[1:-1]])))
+
+    @pytest.mark.parametrize(
+        "name, validate", [("metrics.csv", validate_metrics_csv), ("steps.csv", validate_steps_csv)]
+    )
     def test_validators_reject_repeated_rows(self, small_config, tmp_path, name, validate):
         """Keys must strictly increase: a row written twice, in place or
         with another value, is rejected."""
@@ -812,6 +840,10 @@ class TestExperiment:
             "--params", tmp_path / "missing.json", "--out", tmp_path / "r",
         )
         assert code == 2
+        path = tmp_path / "missing.json"
+        assert assert_one_line_error(capsys) == (
+            f"error: cannot read params file {path}: "
+            f"[Errno 2] No such file or directory: '{path}'\n")
 
     @pytest.mark.parametrize(
         "content, problem",
@@ -917,6 +949,12 @@ class TestReplay:
         run_cli("replay", "--results", out, "--trial", 0)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_missing_steps_csv_is_exit_2_naming_it(self, tmp_path, capsys):
+        assert run_cli("replay", "--results", tmp_path / "res", "--trial", 0) == 2
+        assert assert_one_line_error(capsys) == (
+            f"error: {tmp_path / 'res' / 'steps.csv'}: No such file or directory\n")
+        assert capsys.readouterr().out == ""
 
     def test_unknown_trial_is_exit_2(self, small_config, tmp_path, capsys):
         out = tmp_path / "res"

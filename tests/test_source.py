@@ -51,24 +51,37 @@ def test_no_module_imports_another_modules_private_names():
     assert len(SOURCES) > 1 and not private, private
 
 
-def test_csv_files_are_written_only_by_write_csv():
-    # every CSV goes through `training.write_csv`, the one formatter, whose
-    # bytes tests/test_cli.py pins to csv.writer's
-    writers = ("writer", "DictWriter")
+def csv_uses_outside(function: str, names: tuple) -> list:
+    """Each use of `csv.<name>`, or import of it from csv, for `names`,
+    outside the package's function `function`."""
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = {id(node) for f in ast.walk(tree)
-                   if isinstance(f, ast.FunctionDef) and f.name == "write_csv"
+                   if isinstance(f, ast.FunctionDef) and f.name == function
                    for node in ast.walk(f)}
         for node in ast.walk(tree):
             if id(node) in allowed:
                 continue
-            if (isinstance(node, ast.Attribute) and node.attr in writers
+            if (isinstance(node, ast.Attribute) and node.attr in names
                     and isinstance(node.value, ast.Name) and node.value.id == "csv") or (
                     isinstance(node, ast.ImportFrom) and node.module == "csv"
-                    and any(alias.name in writers for alias in node.names)):
+                    and any(alias.name in names for alias in node.names)):
                 found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_csv_files_are_written_only_by_write_csv():
+    # every CSV goes through `training.write_csv`, the one formatter, whose
+    # bytes tests/test_cli.py pins to csv.writer's
+    found = csv_uses_outside("write_csv", ("writer", "DictWriter"))
+    assert len(SOURCES) > 1 and not found, found
+
+
+def test_csv_files_are_read_only_by_read_table():
+    # every CSV goes through `training.read_table`, the one reader, which
+    # reads a file or a pipe once and names the first bad line
+    found = csv_uses_outside("read_table", ("reader", "DictReader"))
     assert len(SOURCES) > 1 and not found, found
 
 

@@ -36,6 +36,7 @@ from belieffit import (
     mle_confusion_oracle,
     mle_covariance_oracle,
     save_dataset,
+    training,
 )
 from belieffit.errors import (
     BeliefFitError,
@@ -1225,6 +1226,46 @@ class TestDataset:
         finally:
             writer.join(timeout=10)
         assert not writer.is_alive()
+
+    def test_a_rejected_file_is_opened_once(self, tmp_path, monkeypatch):
+        # the error names the first bad line from the one read
+        path = tmp_path / "data.csv"
+        write_csv(path, DATASET_COLUMNS, [[1, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0],
+                                          [4, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0]])
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(training, "open", counting_open, raising=False)
+        with pytest.raises(InvalidInputError) as exc:
+            load_dataset(path, self.CFG)
+        assert str(exc.value) == f"{path} line 3: types out of range"
+        assert opened == [path]
+
+    @pytest.mark.parametrize("source", ["file", "pipe"])
+    @pytest.mark.parametrize("bad", [None, 6, CSV_BLOCK_ROWS + 6],
+                             ids=["none", "same_block", "later_block"])
+    def test_a_quoted_line_break_moves_the_named_line(self, tmp_path, pipe_of, source, bad):
+        # row 2's p_x cell, quoted, holds "0.1\n", which float reads as 0.1:
+        # the row ends a line lower, and so does each row after it, in its
+        # block and in the next
+        rows = [[1, 1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1, 0] for _ in range(CSV_BLOCK_ROWS + 9)]
+        rows[1][2] = "0.1\n"
+        if bad:
+            rows[bad - 1][0] = 4
+        path = tmp_path / "data.csv"
+        write_csv(path, DATASET_COLUMNS, rows)
+        assert b'"0.1\n"' in path.read_bytes()
+        read = path if source == "file" else pipe_of(path.read_bytes())
+        if bad:
+            with pytest.raises(InvalidInputError) as exc:
+                load_dataset(read, self.CFG)
+            assert str(exc.value) == f"{read} line {bad + 2}: types out of range"
+        else:
+            loaded = load_dataset(read, self.CFG)
+            assert len(loaded) == len(rows) and loaded.position[:3, 0].tolist() == [0.0, 0.1, 0.0]
 
     @pytest.mark.parametrize(
         "body, problem",
