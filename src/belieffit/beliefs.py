@@ -4,8 +4,9 @@ A hole's position is tracked by a 2D Gaussian, its type by a discrete
 distribution over the C possible types, and a boolean records whether a peg
 has already been fitted into it.  The belief types here are immutable values
 whose constructors check their invariants; a trial in progress holds its
-beliefs as `BeliefArrays` instead, and the policy checks each posterior it
-writes there with the same `check_position` and `check_types`.
+beliefs as `BeliefArrays` instead.  `fit_probability` scores every hole of
+those arrays for the policy's choice, and the policy checks each posterior
+it writes there with the same `check_position` and `check_types`.
 """
 
 from __future__ import annotations
@@ -159,8 +160,8 @@ class BeliefArrays:
     """One trial's beliefs as arrays, row h for hole h: means (H, 2),
     covariances (H, 2, 2), type distributions (H, C) and fitted flags (H,).
 
-    The policy's step updates the chosen row in place after checking the
-    posterior; `to_beliefs` builds belief objects from copies of the rows.
+    The policy's step scores the holes with `fit_probability` and updates
+    the chosen row in place after checking the posterior.
     """
 
     means: np.ndarray
@@ -205,12 +206,6 @@ class BeliefArrays:
         return BeliefArrays(
             self.means.copy(), self.covs.copy(), self.xi.copy(), self.fitted.copy()
         )
-
-    def to_beliefs(self) -> list[HoleBelief]:
-        return [
-            HoleBelief(GaussianBelief2(mean, cov), TypeBelief(xi), bool(fitted))
-            for mean, cov, xi, fitted in zip(self.means, self.covs, self.xi, self.fitted)
-        ]
 
 
 @dataclass(frozen=True)
@@ -309,16 +304,15 @@ def init_position_belief(detection, sigma_init: float) -> GaussianBelief2:
     return GaussianBelief2(mean=detection, cov=sigma_init * np.eye(2))
 
 
-def fit_probability(belief: HoleBelief, peg: PegType, alpha: float) -> float:
-    """Predicted probability that the next attempt on this hole succeeds.
+def fit_probability(state: BeliefArrays, peg: PegType, alpha: float) -> list[float]:
+    """Predicted probability that the next attempt on each hole succeeds.
 
-    A success needs the types to match (belief mass xi[peg]) and the rollout
-    to come through (rate alpha).  An already-fitted hole pays no reward, so
-    its score is zero.
+    A success needs the types to match (belief mass xi[h, peg]) and the
+    rollout to come through (rate alpha).  An already-fitted hole pays no
+    reward, so its score is zero.
     """
-    if belief.fitted:
-        return 0.0
-    n_types = belief.type_belief.n_types
+    n_types = state.xi.shape[1]
     if not 1 <= peg.value <= n_types:
         raise InvalidInputError(f"type {peg.value} out of range 1..{n_types}")
-    return alpha * float(belief.type_belief.probs[peg.value - 1])
+    return [0.0 if fitted else alpha * p
+            for fitted, p in zip(state.fitted.tolist(), state.xi[:, peg.value - 1].tolist())]

@@ -64,7 +64,8 @@ def _read_json(path: str | Path, what: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        raise ConfigurationError(f"cannot read {what} file {path}: {exc}") from None
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
+        raise ConfigurationError(f"cannot read {what} file {path}: {reason}") from None
     if not isinstance(doc, dict):
         raise ConfigurationError(f"{what} file {path} must hold a JSON object")
     return doc

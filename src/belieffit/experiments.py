@@ -34,7 +34,7 @@ from .policy import (
     PolicyVariant,
     TerminalStatus,
     assembly_task,
-    initial_state,
+    init_beliefs,
     run_tasks,
     steps_task,
 )
@@ -181,7 +181,7 @@ def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
         hole_type = world.holes[0].hole_type
         peg = PegType(hole_type if matched else hole_type % env1.n_types + 1)
         detector = derive_rng(spec.seed, kind_id, STREAM_DETECT, trial)
-        return world, peg, initial_state(world, detector)
+        return world, peg, init_beliefs(world, detector)
 
     def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
         world, peg, state = set_up

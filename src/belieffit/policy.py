@@ -28,12 +28,14 @@ so a study runs all its (variant, trial) tasks together.  `run_episode`,
 too.
 
 A task holds a trial's beliefs as one `BeliefArrays` and steps it in place;
-`run_episode` and `run_assembly_task` run it from detected or given
-beliefs.  A step works on Python floats from the chosen row to its
-`StepRecord`: it reads the row once, updates it with
-`filters.position_posterior` and `filters.type_posterior` and writes it
-back once.  `high_level_step`, `select_hole` and `init_beliefs` are the
-same step, choice and start for a list of belief objects.
+`init_beliefs` detects them, and `run_episode` and `run_assembly_task` run
+a task from detected or given beliefs.  A step chooses its hole with
+`select_hole`, which scores every hole with `beliefs.fit_probability`, and
+reads the position sensor with `sensors.sense_position` after a failure.
+It works on Python floats from the chosen row to its `StepRecord`: it
+reads the row once, updates it with `filters.position_posterior` and
+`filters.type_posterior` and writes it back once.  `high_level_step` is
+the same step on a list of belief objects.
 """
 
 from __future__ import annotations
@@ -58,6 +60,7 @@ from .beliefs import (
     TypeBelief,
     check_position,
     check_types,
+    fit_probability,
     normalized,
     sample_gaussian,
 )
@@ -69,7 +72,7 @@ from .filters import (
     position_posterior,
     type_posterior,
 )
-from .sensors import SensorModel, observe_position, sense_match
+from .sensors import SensorModel, sense_match, sense_position
 from .sim import SpiralParams, World, block_size, rollout_block, vision_detect, wiggle_rows
 
 logger = logging.getLogger(__name__)
@@ -192,38 +195,25 @@ class AssemblyResult:
         return list(itertools.accumulate(self.attempts_per_peg))
 
 
-def initial_state(world: World, rng: np.random.Generator) -> BeliefArrays:
+def init_beliefs(world: World, rng: np.random.Generator) -> BeliefArrays:
     """Initial beliefs from one pass of the vision detector."""
     config = world.config
     return BeliefArrays.detected(vision_detect(world, rng), config.sigma_init, config.n_types)
 
 
-def init_beliefs(world: World, rng: np.random.Generator) -> list[HoleBelief]:
-    """Initial beliefs from one pass of the vision detector."""
-    return initial_state(world, rng).to_beliefs()
-
-
-def _select(xi: np.ndarray, fitted: np.ndarray, peg: PegType, alpha: float) -> int:
-    """Greedy argmax of alpha * xi[:, peg] over unfitted holes; ties go to
+def select_hole(state: BeliefArrays, peg: PegType, alpha: float) -> int:
+    """Greedy argmax of `fit_probability` over unfitted holes; ties go to
     the lowest index, and with every unfitted score zero, to the first
-    unfitted hole."""
-    flags = fitted.tolist()
+    unfitted hole.  With every hole fitted there is nothing to choose, so
+    NoActionError comes before the peg type is checked."""
+    flags = state.fitted.tolist()
     if all(flags):
         raise NoActionError("every hole is already fitted")
-    if not 1 <= peg.value <= xi.shape[1]:
-        raise InvalidInputError(f"type {peg.value} out of range 1..{xi.shape[1]}")
-    # a fitted hole pays no reward
-    scores = [0.0 if f else alpha * p for f, p in zip(flags, xi[:, peg.value - 1].tolist())]
+    scores = fit_probability(state, peg, alpha)
     best = scores.index(max(scores))
     if flags[best]:  # all-zero scores with fitted holes in front
         best = flags.index(False)
     return best
-
-
-def select_hole(beliefs: list[HoleBelief], peg: PegType, alpha: float) -> int:
-    """Greedy argmax of predicted fit probability; ties go to the lowest index."""
-    state = BeliefArrays.of(beliefs)
-    return _select(state.xi, state.fitted, peg, alpha)
 
 
 def _updated_position(
@@ -243,7 +233,7 @@ def _updated_position(
             return (o0, o1), cov
         noise = INSERTION_NOISE.cov
     else:
-        o0, o1 = observe_position(closest, hole.position, models.sensor, rng).tolist()
+        o0, o1 = sense_position(closest, hole.position, models.sensor, rng).tolist()
         noise = models.filters.position.cov
     m0, m1 = mean
     h0, h1 = o0 - m0, o1 - m1
@@ -305,7 +295,7 @@ def _step(
     """
     config: EnvConfig = world.config
     feedback = FEEDBACK[variant]
-    chosen = _select(state.xi, state.fitted, peg, config.alpha)
+    chosen = select_hole(state, peg, config.alpha)
     hole = world.holes[chosen]
     mean = tuple(state.means[chosen].tolist())
     (c00, c01), (c10, c11) = state.covs[chosen].tolist()
@@ -441,7 +431,7 @@ def run_episode(
     beliefs: list[HoleBelief] | None = None,
 ) -> EpisodeLog:
     """Attempt loop for one peg: steps until a fit or the horizon."""
-    state = initial_state(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
+    state = init_beliefs(world, rng) if beliefs is None else BeliefArrays.of(beliefs)
     return _run(steps_task(state, world, peg, variant, models, horizon, rng), world, models, rng)
 
 
@@ -458,7 +448,7 @@ def assembly_task(
     if sorted(p.value for p in pegs) != world_types:
         raise InvalidInputError("pegs must be a permutation of the world's hole types")
 
-    state = initial_state(world, rng)
+    state = init_beliefs(world, rng)
     episodes: list[EpisodeLog] = []
     for peg in pegs:
         episode = yield from steps_task(state, world, peg, variant, models, step_cap, rng)

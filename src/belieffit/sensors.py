@@ -1,14 +1,18 @@
-"""Parametric virtual sensors that read a rollout trace.
+"""Parametric virtual sensors that read a rollout.
 
 These stand in for learned trace encoders: the position sensor returns a
-noisy innovation toward the true hole position, the match sensor a noisy
+noisy observation of the true hole position, the match sensor a noisy
 binary same-type verdict.  Their ground-truth noise parameters live here and
 are distinct values from the filter-side learned parameters; training exists
 precisely to recover these from interaction data.
 
-A trace that never came close to the hole carries less position signal, so
-the position sensor inflates its noise by `uninformative_scale` when the
-closest approach exceeds `informative_radius`.
+The position sensor reads a rollout through its closest approach to the
+hole, which the rollout kernel reports.  A trace that never came close to
+the hole carries less position signal, so the sensor inflates its noise by
+`uninformative_scale` when the closest approach exceeds
+`informative_radius`.  `sense_position` reads one rollout, as the policy's
+step does after a failed attempt; `observe_positions` reads a block of
+them, as dataset generation does.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import numpy as np
 
 from .beliefs import PegType
 from .errors import InvalidInputError
-from .filters import FilterModels, Innovation, MatchObservationModel, PositionNoiseModel
+from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
 
 
 @dataclass(frozen=True)
@@ -90,7 +94,7 @@ class SensorModel:
         )
 
 
-def observe_position(
+def sense_position(
     closest_approach: float,
     true_position: np.ndarray,
     model: SensorModel,
@@ -104,29 +108,13 @@ def observe_position(
 
 def observe_positions(closest_approach: np.ndarray, true_positions: np.ndarray,
                       model: SensorModel, normals: np.ndarray) -> np.ndarray:
-    """`observe_position` of n traces at once, given the closest approach
+    """`sense_position` of n traces at once, given the closest approach
     (n,), the hole (n, 2) and the two standard normals (n, 2) of each; numpy
     multiplies each stacked factor and column as it does a single pair."""
     factors = np.stack(model.position._factors)
     regime = (closest_approach > model.position.informative_radius).astype(np.intp)
     noise = (factors[regime] @ normals[:, :, None])[:, :, 0]
     return true_positions + model.position.bias + noise
-
-
-def sense_position(
-    trace: np.ndarray,
-    true_position,
-    current_mean,
-    model: SensorModel,
-    rng: np.random.Generator,
-) -> Innovation:
-    """Noisy innovation (observed position minus current estimate mean)
-    after a trace of tip positions, an (n, 2) array."""
-    true_position = np.asarray(true_position, dtype=float)
-    current_mean = np.asarray(current_mean, dtype=float)
-    closest = float(np.sqrt(((trace - true_position) ** 2).sum(axis=1)).min())
-    observed = observe_position(closest, true_position, model, rng)
-    return Innovation(observed - current_mean)
 
 
 def sense_match(

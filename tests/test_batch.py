@@ -28,12 +28,12 @@ from belieffit import (
     rollout_low_level,
     rollout_random_actions,
     sense_match,
-    sense_position,
 )
 from belieffit import sim
 from belieffit.beliefs import normalized
 from belieffit.errors import InvalidInputError
 from belieffit.training import DATASET_COLUMNS, load_dataset, write_csv
+from sensing import sense_trace
 
 R_MAX = SpiralParams().r_max
 SKEWED_SENSOR = SensorModel(position=PositionSensorSpec(
@@ -61,7 +61,7 @@ def reference_dataset(config, sensor_model, n_interactions, rng, spiral):
         mu0 = p + rng.uniform(-config.detector_error_bound, config.detector_error_bound, 2)
         xi0 = normalized(rng.uniform(0.0, 1.0, config.n_types).tolist())
         outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
-        innovation = sense_position(outcome.trace, p, mu0, sensor_model, rng)
+        innovation = sense_trace(outcome.trace, p, mu0, sensor_model, rng)
         o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)
         records.append(InteractionRecord(
             peg_type=peg_type, hole_type=hole_type, position=p, mu0=mu0, sigma0=sigma0,

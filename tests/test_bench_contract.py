@@ -9,6 +9,7 @@ read and the keyword constructor that `fit_10k` builds its records with.
 The tracer and the workloads are loaded from their files and not changed.
 """
 
+import csv
 import importlib
 import importlib.util
 import math
@@ -33,6 +34,7 @@ from belieffit import (
     rollout_random_actions,
     save_dataset,
 )
+from belieffit import cli
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -48,6 +50,27 @@ def load_bench(name):
 def test_every_traced_layer_is_a_public_function(layer):
     home, name = layer.split(".")
     assert callable(getattr(importlib.import_module(f"belieffit.{home}"), name, None))
+
+
+def test_traced_assembly_counts_the_steps_it_ran(tmp_path, capsys):
+    # the step's hole choice, the studies' initial beliefs and the sensor
+    # reads are the traced names themselves, so a traced run counts each
+    # one as `steps.csv` does
+    with load_bench("tracer").Tracer() as tracer:
+        code = cli.main(["experiment", "assembly", "--trials", "3", "--seed", "2",
+                         "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert code == 0
+    calls = {layer: stats["calls"] for layer, stats in tracer.layer_stats().items()}
+    with open(tmp_path / "steps.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    kalman = {"full_approach", "failure_plus_position"}
+    assert calls["policy.select_hole"] == calls["beliefs.fit_probability"] == len(rows)
+    assert calls["sensors.sense_position"] == sum(
+        r["variant"] in kalman and r["beta"] == "0" for r in rows)
+    assert calls["sensors.sense_match"] == sum(r["variant"] == "full_approach" for r in rows)
+    assert calls["policy.init_beliefs"] == len({(r["variant"], r["trial"]) for r in rows}) == 9
+    assert calls["sensors.sense_position"] > 0
 
 
 @pytest.mark.parametrize("rollout", [rollout_low_level, rollout_random_actions])

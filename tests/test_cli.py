@@ -842,8 +842,7 @@ class TestExperiment:
         assert code == 2
         path = tmp_path / "missing.json"
         assert assert_one_line_error(capsys) == (
-            f"error: cannot read params file {path}: "
-            f"[Errno 2] No such file or directory: '{path}'\n")
+            f"error: cannot read params file {path}: No such file or directory\n")
 
     @pytest.mark.parametrize(
         "content, problem",

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from belieffit import (
     EnvConfig,
     FilterModels,
+    GaussianBelief2,
     HoleBelief,
     HoleGroundTruth,
     MatchObservationModel,
@@ -51,11 +52,10 @@ from belieffit.policy import (
     StepRecord,
     TypeEvidence,
     _distance,
-    _select,
     _step,
 )
 from belieffit.seeding import derive_rng
-from belieffit.sensors import observe_position, sense_match
+from belieffit.sensors import sense_match, sense_position
 
 CFG = EnvConfig()
 
@@ -91,7 +91,7 @@ class TestSelectHole:
             belief_with_masses([0.7, 0.2, 0.1]),
             belief_with_masses([0.1, 0.5, 0.4]),
         ]
-        assert select_hole(beliefs, PegType(1), 0.34) == 1
+        assert select_hole(BeliefArrays.of(beliefs), PegType(1), 0.34) == 1
 
     def test_tie_break_lowest_index(self):
         beliefs = [
@@ -99,7 +99,7 @@ class TestSelectHole:
             belief_with_masses([0.5, 0.4, 0.1]),
             belief_with_masses([0.1, 0.5, 0.4]),
         ]
-        assert select_hole(beliefs, PegType(1), 0.34) == 0
+        assert select_hole(BeliefArrays.of(beliefs), PegType(1), 0.34) == 0
 
     def test_fitted_hole_excluded(self):
         beliefs = [
@@ -107,26 +107,36 @@ class TestSelectHole:
             belief_with_masses([0.9, 0.05, 0.05], fitted=True),
             belief_with_masses([0.3, 0.4, 0.3]),
         ]
-        assert select_hole(beliefs, PegType(1), 0.34) == 2
+        assert select_hole(BeliefArrays.of(beliefs), PegType(1), 0.34) == 2
 
     def test_alpha_scaling_does_not_change_choice(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             masses = rng.uniform(0.05, 1.0, (4, 3))
-            beliefs = [belief_with_masses(m) for m in masses]
-            picks = {select_hole(beliefs, PegType(2), a) for a in (0.05, 0.34, 1.0)}
+            state = BeliefArrays.of([belief_with_masses(m) for m in masses])
+            picks = {select_hole(state, PegType(2), a) for a in (0.05, 0.34, 1.0)}
             assert len(picks) == 1
 
     def test_all_fitted_raises(self):
         beliefs = [belief_with_masses([1, 1, 1], fitted=True)]
         with pytest.raises(NoActionError):
-            select_hole(beliefs, PegType(1), 0.34)
+            select_hole(BeliefArrays.of(beliefs), PegType(1), 0.34)
+
+    def test_all_fitted_is_checked_before_the_peg_type(self):
+        state = BeliefArrays.of([belief_with_masses([1, 1, 1], fitted=True)] * 2)
+        with pytest.raises(NoActionError):
+            select_hole(state, PegType(4), 0.34)
+        state.fitted[1] = False
+        with pytest.raises(InvalidInputError, match="type 4 out of range 1..3"):
+            select_hole(state, PegType(4), 0.34)
 
 
 class TestHighLevelStep:
     def test_locality_of_updates(self):
         world = spawn_world(CFG, derive_rng(0, 1), SpiralParams())
-        beliefs = init_beliefs(world, derive_rng(0, 2))
+        state = init_beliefs(world, derive_rng(0, 2))
+        beliefs = [HoleBelief(GaussianBelief2(mean, cov), TypeBelief(xi))
+                   for mean, cov, xi in zip(state.means, state.covs, state.xi)]
         new_beliefs, rec = high_level_step(
             beliefs, PegType(1), world, PolicyVariant.FULL_APPROACH,
             default_models(), derive_rng(0, 3),
@@ -442,7 +452,7 @@ def reference_updated_position(mean, cov, rule, outcome, hole, models, rng):
         if rule is PositionUpdate.REPLACE:
             return tip, cov
         return reference_kalman_posterior(mean, cov, tip - mean, INSERTION_NOISE.cov)
-    observed = observe_position(closest, hole.position, models.sensor, rng)
+    observed = sense_position(closest, hole.position, models.sensor, rng)
     innovation = observed - mean
     if rule is PositionUpdate.REPLACE:
         return mean + innovation, cov
@@ -465,7 +475,7 @@ def reference_updated_type(prior, evidence, beta, peg, hole, alpha, models, rng)
 def reference_step(state, t, peg, world, variant, models, rng, outcome):
     config = world.config
     feedback = FEEDBACK[variant]
-    chosen = _select(state.xi, state.fitted, peg, config.alpha)
+    chosen = select_hole(state, peg, config.alpha)
     hole = world.holes[chosen]
     mean, cov = state.means[chosen], state.covs[chosen]
     start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()

@@ -19,9 +19,9 @@ from belieffit import (
     sense_position,
 )
 from belieffit.seeding import derive_rng
-from belieffit.sensors import observe_position
 from belieffit.errors import InvalidInputError
 from belieffit.training import LearnedParams
+from sensing import sense_trace
 
 CFG = EnvConfig()
 # eigvalsh puts this covariance's smaller eigenvalue at +8.5e-14, yet its
@@ -45,7 +45,7 @@ FAR_TRACE = make_trace((0.08, 0.08))        # never gets near it
 class TestSensePosition:
     def test_noiseless_sensor_returns_exact_error(self):
         model = SensorModel(position=PositionSensorSpec(cov=1e-20 * np.eye(2)))
-        innov = sense_position(
+        innov = sense_trace(
             CLOSE_TRACE, (0.0, 0.0), (0.012, -0.003), model, derive_rng(0, 11)
         )
         assert np.allclose(innov.value, [-0.012, 0.003], atol=1e-8)
@@ -57,7 +57,7 @@ class TestSensePosition:
         true_p = np.array([0.0, 0.0])
         mu = np.array([0.01, 0.01])
         samples = np.array(
-            [sense_position(CLOSE_TRACE, true_p, mu, model, rng).value for _ in range(n)]
+            [sense_trace(CLOSE_TRACE, true_p, mu, model, rng).value for _ in range(n)]
         )
         residual = samples - (true_p - mu)
         sigma = np.sqrt(np.diag(model.position.cov))
@@ -67,7 +67,7 @@ class TestSensePosition:
         model = SensorModel(
             position=PositionSensorSpec(cov=1e-20 * np.eye(2), bias=(0.004, -0.002))
         )
-        innov = sense_position(CLOSE_TRACE, (0.0, 0.0), (0.0, 0.0), model, derive_rng(2, 11))
+        innov = sense_trace(CLOSE_TRACE, (0.0, 0.0), (0.0, 0.0), model, derive_rng(2, 11))
         assert np.allclose(innov.value, [0.004, -0.002], atol=1e-8)
 
     def test_uninformative_trace_scales_covariance(self):
@@ -80,7 +80,7 @@ class TestSensePosition:
         n = 10_000
         samples = np.array(
             [
-                sense_position(FAR_TRACE, (0.0, 0.0), (0.0, 0.0), model, rng).value
+                sense_trace(FAR_TRACE, (0.0, 0.0), (0.0, 0.0), model, rng).value
                 for _ in range(n)
             ]
         )
@@ -92,14 +92,14 @@ class TestSensePosition:
     @pytest.mark.parametrize("approach", [0.0, 0.02])
     def test_numpy_scalar_approach_reads_like_a_float(self, approach):
         model = SensorModel(position=PositionSensorSpec(uninformative_scale=4.0))
-        got = observe_position(np.float64(approach), np.zeros(2), model, derive_rng(5, 11))
-        want = observe_position(approach, np.zeros(2), model, derive_rng(5, 11))
+        got = sense_position(np.float64(approach), np.zeros(2), model, derive_rng(5, 11))
+        want = sense_position(approach, np.zeros(2), model, derive_rng(5, 11))
         assert np.array_equal(got, want)
 
     def test_same_inputs_same_output(self):
         model = SensorModel()
-        a = sense_position(CLOSE_TRACE, (0.0, 0.0), (0.01, 0.0), model, derive_rng(4, 11))
-        b = sense_position(CLOSE_TRACE, (0.0, 0.0), (0.01, 0.0), model, derive_rng(4, 11))
+        a = sense_trace(CLOSE_TRACE, (0.0, 0.0), (0.01, 0.0), model, derive_rng(4, 11))
+        b = sense_trace(CLOSE_TRACE, (0.0, 0.0), (0.01, 0.0), model, derive_rng(4, 11))
         assert np.array_equal(a.value, b.value)
 
 
