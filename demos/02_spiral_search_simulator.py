@@ -27,7 +27,9 @@ config = EnvConfig()
 spiral = SpiralParams()
 
 world = spawn_world(config, derive_rng(7, 0), spiral)
-detections = vision_detect(world, derive_rng(7, 1))
+positions = np.array([hole.position for hole in world.holes])
+detections = vision_detect(positions, config.detector_error_bound,
+                           derive_rng(7, 1).random((world.n_holes, 2)))
 print("hole  type  true position [cm]      detection [cm]   error [cm]")
 for i, (hole, det) in enumerate(zip(world.holes, detections)):
     err = np.linalg.norm(det - hole.position) * 100

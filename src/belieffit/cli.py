@@ -30,6 +30,7 @@ from .policy import PolicyVariant
 from .seeding import STREAM_CALIBRATE, STREAM_DATASET, derive_rng
 from .sim import tune_capture_radius
 from .training import (
+    check_fit_settings,
     fit_parameters,
     generate_dataset,
     load_dataset,
@@ -145,6 +146,7 @@ def cmd_calibrate(args) -> int:
 
 def cmd_train(args) -> int:
     _require_out(args.out, directory=True)
+    check_fit_settings(args.lr, args.epochs)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)

@@ -196,9 +196,11 @@ class AssemblyResult:
 
 
 def init_beliefs(world: World, rng: np.random.Generator) -> BeliefArrays:
-    """Initial beliefs from one pass of the vision detector."""
+    """Initial beliefs from one pass of the vision detector, two uniforms a hole."""
     config = world.config
-    return BeliefArrays.detected(vision_detect(world, rng), config.sigma_init, config.n_types)
+    positions = np.array([hole.position for hole in world.holes])
+    detections = vision_detect(positions, config.detector_error_bound, rng.random(positions.shape))
+    return BeliefArrays.detected(detections, config.sigma_init, config.n_types)
 
 
 def select_hole(state: BeliefArrays, peg: PegType, alpha: float) -> int:
@@ -233,7 +235,8 @@ def _updated_position(
             return (o0, o1), cov
         noise = INSERTION_NOISE.cov
     else:
-        o0, o1 = sense_position(closest, hole.position, models.sensor, rng).tolist()
+        normals = rng.standard_normal(2)
+        o0, o1 = sense_position(closest, hole.position, models.sensor, normals).tolist()
         noise = models.filters.position.cov
     m0, m1 = mean
     h0, h1 = o0 - m0, o1 - m1
@@ -255,7 +258,7 @@ def _updated_type(
     """Type posterior from the outcome, plus a fresh match verdict when the
     evidence includes it; degenerate evidence resets to uniform (and logs)."""
     if evidence is TypeEvidence.MATCH_AND_OUTCOME:
-        o_match = sense_match(hole.hole_type, peg, models.sensor, rng)
+        o_match = sense_match(peg.value == hole.hole_type, models.sensor, rng.random())
         match_model = models.filters.match
     else:
         # Outcome evidence only: a uniform confusion factor cancels in the

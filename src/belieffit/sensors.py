@@ -10,9 +10,10 @@ The position sensor reads a rollout through its closest approach to the
 hole, which the rollout kernel reports.  A trace that never came close to
 the hole carries less position signal, so the sensor inflates its noise by
 `uninformative_scale` when the closest approach exceeds
-`informative_radius`.  `sense_position` reads one rollout, as the policy's
-step does after a failed attempt; `observe_positions` reads a block of
-them, as dataset generation does.
+`informative_radius`.  Each sensor is a pure function of the truth and of
+draws that its caller takes, two standard normals a position reading and
+one uniform a match verdict; one expression reads one trace, as the
+policy's step does, or a block of them, as dataset generation does.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beliefs import PegType
 from .errors import InvalidInputError
 from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
 
@@ -59,15 +59,16 @@ class PositionSensorSpec:
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "bias", bias)
         try:  # Cholesky factors of the informative and uninformative noise laws
-            factors = (np.linalg.cholesky(cov), np.linalg.cholesky(inflated))
+            factors = np.stack((np.linalg.cholesky(cov), np.linalg.cholesky(inflated)))
         except np.linalg.LinAlgError:  # a nearly singular cov can pass eigvalsh
             raise InvalidInputError("sensor covariance must be positive definite") from None
         object.__setattr__(self, "_factors", factors)
 
-    def noise_factor(self, closest_approach: float) -> np.ndarray:
+    def noise_factor(self, closest_approach) -> np.ndarray:
         """Cholesky factor of the noise covariance for a trace whose closest
-        tip came `closest_approach` [m] from the hole."""
-        return self._factors[int(closest_approach > self.informative_radius)]
+        tip came `closest_approach` [m] from the hole, or one stacked factor
+        per trace for an array of approaches."""
+        return self._factors[(closest_approach > self.informative_radius) * 1]
 
 
 @dataclass(frozen=True)
@@ -78,6 +79,8 @@ class MatchSensorSpec:
     def __post_init__(self):
         if not 0.0 < self.fpr < self.tpr < 1.0:
             raise InvalidInputError("need 0 < fpr < tpr < 1 for a useful sensor")
+        # the false- and true-positive rates, indexed by whether the types match
+        object.__setattr__(self, "_rates", np.array((self.fpr, self.tpr)))
 
 
 @dataclass(frozen=True)
@@ -94,34 +97,18 @@ class SensorModel:
         )
 
 
-def sense_position(
-    closest_approach: float,
-    true_position: np.ndarray,
-    model: SensorModel,
-    rng: np.random.Generator,
-) -> np.ndarray:
+def sense_position(closest_approach, true_position: np.ndarray, model: SensorModel,
+                   normals: np.ndarray) -> np.ndarray:
     """Noisy observed hole position after a trace whose closest tip came
-    `closest_approach` from the hole (the rollout kernel reports it)."""
-    noise = model.position.noise_factor(closest_approach) @ rng.standard_normal(2)
+    `closest_approach` from the hole (the rollout kernel reports it), from
+    two standard normals; or n at once from approaches (n,), holes (n, 2)
+    and normals (n, 2), each stacked factor times its column."""
+    noise = (model.position.noise_factor(closest_approach) @ normals[..., None])[..., 0]
     return true_position + model.position.bias + noise
 
 
-def observe_positions(closest_approach: np.ndarray, true_positions: np.ndarray,
-                      model: SensorModel, normals: np.ndarray) -> np.ndarray:
-    """`sense_position` of n traces at once, given the closest approach
-    (n,), the hole (n, 2) and the two standard normals (n, 2) of each; numpy
-    multiplies each stacked factor and column as it does a single pair."""
-    factors = np.stack(model.position._factors)
-    regime = (closest_approach > model.position.informative_radius).astype(np.intp)
-    noise = (factors[regime] @ normals[:, :, None])[:, :, 0]
-    return true_positions + model.position.bias + noise
-
-
-def sense_match(
-    hole_type: int, peg: PegType, model: SensorModel, rng: np.random.Generator
-) -> bool:
-    """Noisy binary verdict on whether the hole's type matches the peg's."""
-    if hole_type < 1:
-        raise InvalidInputError("hole type must be a positive integer")
-    p = model.match.tpr if hole_type == peg.value else model.match.fpr
-    return bool(rng.random() < p)
+def sense_match(matched, model: SensorModel, uniforms):
+    """Noisy same-type verdict from one uniform: true below the true-positive
+    rate when the peg matches the hole, below the false-positive rate when
+    not; or n verdicts at once from bool and uniform arrays (n,)."""
+    return uniforms < model.match._rates[matched * 1]

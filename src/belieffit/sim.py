@@ -19,6 +19,8 @@ at once as arrays, and independent rollouts run as one array pass.
 and the studies' lockstep rounds (`policy.run_tasks`) draw each rollout's
 numbers in stream order, then hand a block of them to it, and
 `rollout_low_level` and `rollout_random_actions` run it on a block of one.
+`vision_detect` is the detector's one law, from two uniforms a hole that
+its callers draw: `policy.init_beliefs`, dataset generation and calibration.
 """
 
 from __future__ import annotations
@@ -144,10 +146,11 @@ def spawn_world(config: EnvConfig, rng: np.random.Generator, spiral: SpiralParam
     return World(holes=holes, config=config)
 
 
-def vision_detect(world: World, rng: np.random.Generator) -> list[np.ndarray]:
-    """Noisy detections: truth plus independent per-axis uniform error."""
-    b = world.config.detector_error_bound
-    return [hole.position + rng.uniform(-b, b, 2) for hole in world.holes]
+def vision_detect(positions: np.ndarray, bound: float, uniforms: np.ndarray) -> np.ndarray:
+    """Noisy detections of holes at `positions` (n, 2): truth plus a
+    per-axis error uniform on [-bound, bound], from standard uniforms (n, 2)
+    by the arithmetic of `rng.uniform(-bound, bound)`."""
+    return positions + (-bound + (bound - -bound) * uniforms)
 
 
 def _spiral_offset(j, horizon: int, spiral: SpiralParams) -> np.ndarray:
@@ -307,7 +310,6 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
     placement_box(config, spiral)
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
     horizon = config.horizon_low
-    bound = config.detector_error_bound
     radii = sized_empty(trials)
     normals = np.empty(6 * horizon)
     for lo in range(0, trials, block_size(horizon)):
@@ -319,8 +321,7 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
         for k in range(n):
             rng.random(out=uniforms[k])
             normals_xy[k] = wiggle_rows(rng.standard_normal(out=normals), horizon)
-        # rng.uniform(-bound, bound) computes low + (high - low) * u
-        detections = center + (-bound + (bound - -bound) * uniforms[:, :2])
+        detections = vision_detect(center, config.detector_error_bound, uniforms[:, :2])
         aligned = uniforms[:, 2] < config.alignment_rate
         # unmatched, an attempt runs its whole horizon: its closest approach
         # is its smallest tip distance

@@ -61,8 +61,9 @@ from .filters import (
     PositionNoiseModel,
     kalman_correction,
 )
-from .sensors import SensorModel, observe_positions
-from .sim import SpiralParams, block_size, placement_box, rollout_block, sized_empty, wiggle_rows
+from .sensors import SensorModel, sense_match, sense_position
+from .sim import (SpiralParams, block_size, placement_box, rollout_block, sized_empty,
+                  vision_detect, wiggle_rows)
 
 LOG_FLOOR = 1e-6
 
@@ -310,15 +311,15 @@ def generate_dataset(
     The first ceil(n/2) records are matched pairs, the rest mismatched; each
     record holds one reading of each virtual sensor plus the outcome of a
     `rollout_random_actions`.  A record takes its draws in the order that
-    rollout and `sense_position`, then `sense_match`, would take them, with
-    draws of one kind that follow each other merged into one call; the
-    per-record loop makes only those draws, copying the wiggle's x and y
-    rows and the sensor's normals out of fixed views of the draw buffer.
-    Then one array pass per block of records computes the rollouts and
-    readings and writes them into the block's rows.  The packed rows are
-    allocated before the first draw, so a size the host or numpy cannot
-    hold raises MemoryError at once.  Every value comes from the checked
-    config and the draws, so the rows pass the record checks by
+    it would take them alone, with draws of one kind that follow each other
+    merged into one call; the per-record loop makes only those draws,
+    copying the wiggle's x and y rows and the sensor's normals out of fixed
+    views of the draw buffer.  Then one array pass per block hands its
+    draws to `vision_detect`, `rollout_block`, `sense_position` and
+    `sense_match` and writes their results into the block's rows.  The
+    packed rows are allocated before the first draw, so a size the host or
+    numpy cannot hold raises MemoryError at once.  Every value comes from
+    the checked config and the draws, so the rows pass the record checks by
     construction; only the readings are checked, since a sensor can
     overflow.
     """
@@ -326,10 +327,8 @@ def generate_dataset(
         raise InvalidInputError("need at least two interactions for class balance")
     n_matched = (n_interactions + 1) // 2
     lo, hi = placement_box(config, spiral)
-    bound = config.detector_error_bound
     n_types = config.n_types
     horizon = config.horizon_low
-    match = sensor_model.match
     integers, random, standard_normal = rng.integers, rng.random, rng.standard_normal
     normals = np.empty(6 * horizon + 2)
     wiggle, tail = wiggle_rows(normals, horizon), normals[6 * horizon:]
@@ -357,12 +356,12 @@ def generate_dataset(
 
         # rng.uniform(low, high) computes low + (high - low) * u
         p = lo + (hi - lo) * uniforms[:, 0:2]
-        mu0 = p + (-bound + (bound - -bound) * uniforms[:, 2:4])
+        mu0 = vision_detect(p, config.detector_error_bound, uniforms[:, 2:4])
         aligned = uniforms[:, 4 + n_types] < config.alignment_rate
         matched = np.array(peg_types) == np.array(hole_types)
         success, closest, *_ = rollout_block(mu0, p, normals_xy, aligned, matched, spiral,
                                              config, sweep=False)
-        innovation = observe_positions(closest, p, sensor_model, sensor_normals) - mu0
+        innovation = sense_position(closest, p, sensor_model, sensor_normals) - mu0
         if not np.isfinite(innovation).all():
             raise InvalidInputError("innovation must be a finite 2-vector")
         block = rows[first:first + n]
@@ -372,7 +371,7 @@ def generate_dataset(
         block[:, _Row.peg] = peg_types
         block[:, _Row.hole] = hole_types
         block[:, _Row.beta] = success
-        block[:, _Row.o_match] = np.array(verdicts) < np.where(matched, match.tpr, match.fpr)
+        block[:, _Row.o_match] = sense_match(matched, sensor_model, np.array(verdicts))
         block[:, _Row.xi0] = normalized_rows(uniforms[:, 4:4 + n_types])
     rows[:, _Row.sigma0] = (config.sigma_init, 0.0, 0.0, config.sigma_init)
     return Dataset(rows)
@@ -821,6 +820,14 @@ def grad_nll(params: LearnedParams, records, alpha: float) -> np.ndarray:
     return np.array(_mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[1])
 
 
+def check_fit_settings(lr: float, epochs: int) -> None:
+    """`fit_parameters`' rule on its step size and epoch count."""
+    if epochs < 1:
+        raise InvalidInputError("need at least one epoch")
+    if not 0.0 < lr < math.inf:
+        raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
+
+
 def fit_parameters(
     records,
     init: LearnedParams | None,
@@ -844,10 +851,7 @@ def fit_parameters(
     floats in place, in the order of operations of Adam on numpy 5-vectors,
     so every bit is theirs; `init.theta` is copied, not updated.
     """
-    if epochs < 1:
-        raise InvalidInputError("need at least one epoch")
-    if not 0.0 < lr < math.inf:
-        raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
+    check_fit_settings(lr, epochs)
     pre = _precompute(records, alpha)
     if init is None:
         init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)

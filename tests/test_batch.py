@@ -62,7 +62,7 @@ def reference_dataset(config, sensor_model, n_interactions, rng, spiral):
         xi0 = normalized(rng.uniform(0.0, 1.0, config.n_types).tolist())
         outcome = rollout_random_actions(mu0, PegType(peg_type), hole, spiral, config, rng)
         innovation = sense_trace(outcome.trace, p, mu0, sensor_model, rng)
-        o_match = sense_match(hole_type, PegType(peg_type), sensor_model, rng)
+        o_match = sense_match(peg_type == hole_type, sensor_model, rng.random())
         records.append(InteractionRecord(
             peg_type=peg_type, hole_type=hole_type, position=p, mu0=mu0, sigma0=sigma0,
             xi0=xi0, obs=innovation.value + mu0, o_match=o_match, beta=outcome.success,

@@ -155,6 +155,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="finite extent"):
             EnvConfig(workspace_min=(-1.7e308, 0.0), workspace_max=(1.7e308, 1.0))
 
+    @pytest.mark.parametrize("bad", [0, -1])
+    def test_hole_ground_truth_rejects_bad_types(self, bad):
+        # the one check on a hole's type: the sensors take theirs from here
+        with pytest.raises(InvalidInputError, match="hole type must be a positive integer"):
+            HoleGroundTruth(bad, (0.0, 0.0))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hole_ground_truth_rejects_non_finite_position(self, bad):
         for position in ((bad, 0.0), (0.0, bad)):

@@ -34,7 +34,7 @@ from belieffit import (
     rollout_random_actions,
     save_dataset,
 )
-from belieffit import cli
+from belieffit import cli, sim
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -71,6 +71,18 @@ def test_traced_assembly_counts_the_steps_it_ran(tmp_path, capsys):
     assert calls["sensors.sense_match"] == sum(r["variant"] == "full_approach" for r in rows)
     assert calls["policy.init_beliefs"] == len({(r["variant"], r["trial"]) for r in rows}) == 9
     assert calls["sensors.sense_position"] > 0
+
+
+def test_traced_generation_reads_each_sensor_once_a_block(monkeypatch):
+    # generation hands each block's draws to the sensors' own functions, so
+    # the traced sensor layers count its blocks
+    env = EnvConfig()
+    monkeypatch.setattr(sim, "BLOCK_BYTES", 3 * 16 * env.horizon_low)  # 3 records a block
+    with load_bench("tracer").Tracer() as tracer:
+        generate_dataset(env, SensorModel(), 10, np.random.default_rng(4), SpiralParams())
+    calls = {layer: stats["calls"] for layer, stats in tracer.layer_stats().items()}
+    assert sim.block_size(env.horizon_low) == 3
+    assert calls["sensors.sense_position"] == calls["sensors.sense_match"] == 4
 
 
 @pytest.mark.parametrize("rollout", [rollout_low_level, rollout_random_actions])

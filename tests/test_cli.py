@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -265,6 +266,24 @@ def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys,
     assert captured.out == "" and captured.err == f"error: {out}: {reason}\n"
     assert list((tmp_path / "dir").iterdir()) == []
     assert (tmp_path / "file").read_text() == "kept\n" and not (tmp_path / "nodir").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, reason",
+    [(("--epochs", 0), "need at least one epoch"),
+     (("--lr", -1), "learning rate must be positive and finite, got -1.0")],
+    ids=["epochs", "lr"],
+)
+def test_bad_fit_settings_fail_before_the_dataset(small_config, tmp_path, capsys, flags, reason):
+    # `fit_parameters`' own rule, applied before a large dataset is generated
+    with mock.patch.object(cli, "generate_dataset", wraps=cli.generate_dataset) as generate:
+        code = run_cli("train", "--config", small_config, "--generate", 200_000, *flags,
+                       "--out", tmp_path / "o")
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and captured.err == f"error: {reason}\n"
+    generate.assert_not_called()
+    assert not (tmp_path / "o").exists()
 
 
 class TestCalibrate:

@@ -452,7 +452,7 @@ def reference_updated_position(mean, cov, rule, outcome, hole, models, rng):
         if rule is PositionUpdate.REPLACE:
             return tip, cov
         return reference_kalman_posterior(mean, cov, tip - mean, INSERTION_NOISE.cov)
-    observed = sense_position(closest, hole.position, models.sensor, rng)
+    observed = sense_position(closest, hole.position, models.sensor, rng.standard_normal(2))
     innovation = observed - mean
     if rule is PositionUpdate.REPLACE:
         return mean + innovation, cov
@@ -461,7 +461,7 @@ def reference_updated_position(mean, cov, rule, outcome, hole, models, rng):
 
 def reference_updated_type(prior, evidence, beta, peg, hole, alpha, models, rng):
     if evidence is TypeEvidence.MATCH_AND_OUTCOME:
-        o_match = sense_match(hole.hole_type, peg, models.sensor, rng)
+        o_match = sense_match(peg.value == hole.hole_type, models.sensor, rng.random())
         match_model = models.filters.match
     else:
         o_match, match_model = False, UNINFORMATIVE_MATCH_MODEL

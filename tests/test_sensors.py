@@ -17,6 +17,7 @@ from belieffit import (
     rollout_low_level,
     sense_match,
     sense_position,
+    vision_detect,
 )
 from belieffit.seeding import derive_rng
 from belieffit.errors import InvalidInputError
@@ -92,8 +93,9 @@ class TestSensePosition:
     @pytest.mark.parametrize("approach", [0.0, 0.02])
     def test_numpy_scalar_approach_reads_like_a_float(self, approach):
         model = SensorModel(position=PositionSensorSpec(uninformative_scale=4.0))
-        got = sense_position(np.float64(approach), np.zeros(2), model, derive_rng(5, 11))
-        want = sense_position(approach, np.zeros(2), model, derive_rng(5, 11))
+        normals = derive_rng(5, 11).standard_normal(2)
+        got = sense_position(np.float64(approach), np.zeros(2), model, normals)
+        want = sense_position(approach, np.zeros(2), model, normals)
         assert np.array_equal(got, want)
 
     def test_same_inputs_same_output(self):
@@ -108,15 +110,15 @@ class TestSenseMatch:
         model = SensorModel(match=MatchSensorSpec(tpr=1 - 1e-12, fpr=1e-12))
         rng = derive_rng(5, 11)
         for _ in range(100):
-            assert sense_match(1, PegType(1), model, rng)
-            assert not sense_match(2, PegType(1), model, rng)
+            assert sense_match(True, model, rng.random())
+            assert not sense_match(False, model, rng.random())
 
     def test_uninformative_sensor_is_truth_independent(self):
         model = SensorModel(match=MatchSensorSpec(tpr=0.5 + 1e-9, fpr=0.5 - 1e-9))
         rng = derive_rng(6, 11)
         n = 20_000
-        matched = np.mean([sense_match(1, PegType(1), model, rng) for _ in range(n // 2)])
-        mismatched = np.mean([sense_match(2, PegType(1), model, rng) for _ in range(n // 2)])
+        matched = np.mean([sense_match(True, model, rng.random()) for _ in range(n // 2)])
+        mismatched = np.mean([sense_match(False, model, rng.random()) for _ in range(n // 2)])
         se = 3.0 / (2.0 * np.sqrt(n // 2))
         assert abs(matched - 0.5) <= se and abs(mismatched - 0.5) <= se
 
@@ -124,14 +126,52 @@ class TestSenseMatch:
         model = SensorModel(match=MatchSensorSpec(tpr=0.9, fpr=0.2))
         rng = derive_rng(7, 11)
         n = 10_000
-        freq = np.mean([sense_match(3, PegType(3), model, rng) for _ in range(n)])
+        freq = np.mean([sense_match(True, model, rng.random()) for _ in range(n)])
         assert freq == pytest.approx(0.9, abs=0.01)
-        freq = np.mean([sense_match(1, PegType(3), model, rng) for _ in range(n)])
+        freq = np.mean([sense_match(False, model, rng.random()) for _ in range(n)])
         assert freq == pytest.approx(0.2, abs=0.012)
 
-    def test_rejects_bad_types(self):
-        with pytest.raises(InvalidInputError):
-            sense_match(0, PegType(1), SensorModel(), derive_rng(0, 11))
+
+RADIUS = PositionSensorSpec().informative_radius
+# approaches in both noise regimes, and exactly at and either side of the
+# informative radius, where the regime changes
+APPROACHES = st.one_of(
+    st.sampled_from([0.0, RADIUS, np.nextafter(RADIUS, 0.0), np.nextafter(RADIUS, 1.0)]),
+    st.floats(0.0, 0.1),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    closest=st.lists(APPROACHES, min_size=1, max_size=6),
+    cov=st.sampled_from([6.4e-5 * np.eye(2), [[6.4e-5, 2.5e-5], [2.5e-5, 4.1e-5]]]),
+    bias=st.sampled_from([(0.0, 0.0), (1e-3, -2e-3)]),
+    scale=st.sampled_from([1.0, 4.0]),
+    bound=st.sampled_from([0.0, 0.004, 0.02]),
+    seed=st.integers(0, 2 ** 32 - 1),
+)
+def test_a_block_read_is_its_reads_one_at_a_time(closest, cov, bias, scale, bound, seed):
+    # each sensor serves a block and a single reading with one expression;
+    # a reading from a Python float and from a numpy scalar agree too
+    model = SensorModel(position=PositionSensorSpec(cov=cov, bias=bias,
+                                                    uninformative_scale=scale))
+    rng = np.random.default_rng(seed)
+    n = len(closest)
+    closest = np.array(closest)
+    holes = rng.uniform(-0.1, 0.1, (n, 2))
+    normals, uniforms = rng.standard_normal((n, 2)), rng.random((n, 2))
+    matched = rng.random(n) < 0.5
+    positions = sense_position(closest, holes, model, normals)
+    verdicts = sense_match(matched, model, uniforms[:, 0])
+    detections = vision_detect(holes, bound, uniforms)
+    assert positions.shape == detections.shape == (n, 2) and verdicts.shape == (n,)
+    for k in range(n):
+        for c, m, u in ((closest[k], matched[k], uniforms[k, 0]),
+                        (float(closest[k]), bool(matched[k]), float(uniforms[k, 0]))):
+            one = sense_position(c, holes[k], model, normals[k])
+            assert one.shape == (2,) and one.tobytes() == positions[k].tobytes()
+            assert sense_match(m, model, u) == verdicts[k]
+        assert vision_detect(holes[k], bound, uniforms[k]).tobytes() == detections[k].tobytes()
 
 
 class TestSpecValidation:

@@ -11,6 +11,7 @@ from belieffit import (
     RolloutOutcome,
     SpiralParams,
     calibrate_alpha,
+    init_beliefs,
     rollout_low_level,
     rollout_random_actions,
     spawn_world,
@@ -96,11 +97,29 @@ def test_spiral_params_reject_non_finite(field, bad):
         SpiralParams(**{field: bad})
 
 
+def detect(world, rng):
+    """One pass of the detector over the world's holes, as a trial's initial
+    beliefs take it."""
+    return init_beliefs(world, rng).means
+
+
 class TestVisionDetect:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(n=st.integers(1, 8), bound=st.sampled_from([0.0, 0.004, 0.02, 1e3]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_detector_is_rng_uniform_per_hole(self, n, bound, seed):
+        # the same values and the same stream as one rng.uniform(-b, b, 2) a hole
+        positions = np.random.default_rng(seed + 1).uniform(-0.1, 0.1, (n, 2))
+        rng, reference = derive_rng(seed, 2), derive_rng(seed, 2)
+        got = vision_detect(positions, bound, rng.random((n, 2)))
+        want = np.array([p + reference.uniform(-bound, bound, 2) for p in positions])
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+
     def test_noiseless_detector(self):
         cfg = dataclasses.replace(CFG, detector_error_bound=0.0)
         world = spawn_world(cfg, derive_rng(5, 1), SPIRAL)
-        detections = vision_detect(world, derive_rng(5, 2))
+        detections = detect(world, derive_rng(5, 2))
         for det, hole in zip(detections, world.holes):
             assert np.array_equal(det, hole.position)
 
@@ -108,7 +127,7 @@ class TestVisionDetect:
         world = spawn_world(CFG, derive_rng(6, 1), SPIRAL)
         rng = derive_rng(6, 2)
         for _ in range(200):
-            for det, hole in zip(vision_detect(world, rng), world.holes):
+            for det, hole in zip(detect(world, rng), world.holes):
                 assert np.max(np.abs(det - hole.position)) <= CFG.detector_error_bound
 
     def test_detection_error_is_centered(self):
@@ -117,7 +136,7 @@ class TestVisionDetect:
         rng = derive_rng(7, 2)
         n = 10_000
         errs = np.array(
-            [vision_detect(world, rng)[0] - world.holes[0].position for _ in range(n)]
+            [detect(world, rng)[0] - world.holes[0].position for _ in range(n)]
         )
         bound = 3.0 * (cfg.detector_error_bound / np.sqrt(3.0)) / np.sqrt(n)
         assert np.all(np.abs(errs.mean(axis=0)) <= bound)

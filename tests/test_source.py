@@ -1,10 +1,13 @@
-"""Rules on the package's source that no behaviour test sees."""
+"""Rules on the package's source and the test settings that no behaviour
+test sees."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "belieffit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "belieffit").glob("*.py"))
 
 
 def test_runtime_checks_raise_instead_of_assert():
@@ -106,3 +109,38 @@ def test_every_private_function_and_class_has_a_caller_in_the_package():
                 used.add(name)
     unused = [where for where, name in defined if name not in used]
     assert len(defined) > 1 and not unused, unused
+
+
+FAILING_TESTS = """
+import warnings
+
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_property(x):
+    assert x < 0
+
+
+def test_plain():
+    assert False
+
+
+def test_other_deprecation():
+    warnings.warn("something else is deprecated", DeprecationWarning)
+"""
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    # hypothesis's failure report warns through libcst; under the settings'
+    # `error` filter that warning once raised inside pytest's report hook,
+    # so the session ended in an INTERNALERROR and the later tests never
+    # ran.  Every other warning still fails its test.
+    (tmp_path / "test_failing.py").write_text(FAILING_TESTS)
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300,
+    )
+    assert "INTERNALERROR" not in done.stdout + done.stderr, done.stdout + done.stderr
+    assert "3 failed" in done.stdout, done.stdout
