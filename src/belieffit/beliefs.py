@@ -74,6 +74,18 @@ def check_types(probs: list[float]) -> None:
         raise InvalidInputError("type probabilities must sum to 1")
 
 
+def check_type_tag(tag, message: str, n_types: float = math.inf,
+                   range_message: str | None = None) -> int:
+    """`tag` as an int, if it is a type tag: an int or a numpy integer, not a
+    bool, in 1..`n_types`.  Else InvalidInputError with `message`, or with
+    `range_message`, if given, for an integer out of range."""
+    if isinstance(tag, bool) or not isinstance(tag, (int, np.integer)):
+        raise InvalidInputError(message)
+    if not 1 <= tag <= n_types:
+        raise InvalidInputError(range_message or message)
+    return int(tag)
+
+
 def ordered_sum(values: list[float]) -> float:
     """Sum of floats in the order numpy sums a 1-D float array: left to right
     below 8 terms, numpy's own pairwise sum from 8 on."""
@@ -141,9 +153,8 @@ class PegType:
     value: int
 
     def __post_init__(self):
-        if int(self.value) < 1:
-            raise InvalidInputError("peg type must be a positive integer")
-        object.__setattr__(self, "value", int(self.value))
+        value = check_type_tag(self.value, "peg type must be a positive integer")
+        object.__setattr__(self, "value", value)
 
 
 @dataclass(frozen=True)
@@ -183,25 +194,6 @@ class BeliefArrays:
             fitted=np.array([b.fitted for b in beliefs], dtype=bool),
         )
 
-    @classmethod
-    def detected(cls, detections, sigma_init: float, n_types: int) -> BeliefArrays:
-        """Initial beliefs: an isotropic Gaussian of variance `sigma_init` on
-        each detection, a uniform type distribution, nothing fitted."""
-        means = np.array(detections, dtype=float)
-        n = len(means)
-        if not n or means.shape != (n, 2) or not np.isfinite(means).all():
-            raise InvalidInputError("detections must be finite 2-vectors")
-        if not 0.0 < sigma_init < np.inf:
-            raise InvalidInputError("sigma_init must be positive")
-        if n_types < 2:
-            raise InvalidInputError("need at least two hole types")
-        return cls(
-            means=means,
-            covs=np.tile(sigma_init * np.eye(2), (n, 1, 1)),
-            xi=np.full((n, n_types), 1.0 / n_types),
-            fitted=np.zeros(n, dtype=bool),
-        )
-
     def copy(self) -> BeliefArrays:
         return BeliefArrays(
             self.means.copy(), self.covs.copy(), self.xi.copy(), self.fitted.copy()
@@ -216,12 +208,11 @@ class HoleGroundTruth:
     position: np.ndarray
 
     def __post_init__(self):
-        if int(self.hole_type) < 1:
-            raise InvalidInputError("hole type must be a positive integer")
+        hole_type = check_type_tag(self.hole_type, "hole type must be a positive integer")
         position = _frozen_array(self.position, (2,))
         if not all(map(math.isfinite, position.tolist())):
             raise InvalidInputError("hole position must be finite")
-        object.__setattr__(self, "hole_type", int(self.hole_type))
+        object.__setattr__(self, "hole_type", hole_type)
         object.__setattr__(self, "position", position)
 
 
@@ -295,12 +286,10 @@ def normalized(weights: list[float]) -> list[float]:
 
 
 def init_position_belief(detection, sigma_init: float) -> GaussianBelief2:
-    """Isotropic Gaussian centered on a vision detection."""
-    detection = np.asarray(detection, dtype=float)
-    if detection.shape != (2,) or not np.all(np.isfinite(detection)):
-        raise InvalidInputError("detection must be a finite 2-vector")
-    if sigma_init <= 0.0:
-        raise InvalidInputError("sigma_init must be positive")
+    """Isotropic Gaussian centered on a vision detection, which
+    `GaussianBelief2` checks."""
+    if not 0.0 < sigma_init < math.inf:  # a zero variance passes the PSD check
+        raise InvalidInputError("sigma_init must be finite and positive")
     return GaussianBelief2(mean=detection, cov=sigma_init * np.eye(2))
 
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import errno
 import functools
-import json
 import operator
 import os
 import sys
@@ -40,8 +39,6 @@ from .training import (
     save_dataset,
     write_csv,
 )
-
-DEFAULT_TRIALS = {"position_estimation": 100, "matching_insertion": 150, "assembly": 100}
 
 
 def _require_increasing(keys: list, path: Path) -> None:
@@ -205,9 +202,7 @@ def cmd_train(args) -> int:
     print(f"oracle  (tpr,fpr) : ({tpr_oracle}, {fpr_oracle})")
 
     params_path = out_dir / "learned_params.json"
-    params_path.write_text(
-        json.dumps(cfg.learned_to_doc(models), indent=2, sort_keys=True) + "\n"
-    )
+    cfg.save_config(cfg.learned_to_doc(models), params_path)
     print(f"wrote {params_path}")
     return 0
 
@@ -220,14 +215,13 @@ def cmd_experiment(args) -> int:
     sensors = cfg.sensors_from(doc)
     # without trained parameters the filters hold the sensors' truth
     learned = cfg.load_params(args.params) if args.params else sensors.filter_models()
-    trials = args.trials if args.trials is not None else DEFAULT_TRIALS[args.kind]
     spec = ExperimentSpec(
         kind=args.kind,
         env=env,
         spiral=spiral,
         sensors=sensors,
         learned=learned,
-        trials=trials,
+        trials=args.trials,
         seed=args.seed,
         variants=_parse_variants(args.variants),
         steps=args.steps,
@@ -245,7 +239,7 @@ def cmd_experiment(args) -> int:
     validate_steps_csv(steps_path)
 
     value = {(r.variant, r.metric, r.step): r.value for r in metric_rows}
-    print(f"experiment        : {args.kind} ({trials} trials, seed {args.seed})")
+    print(f"experiment        : {args.kind} ({spec.trials} trials, seed {args.seed})")
     for name in (variant.value for variant in spec.variants):
         if args.kind == "position_estimation":
             first, last = (value[name, "pos_error_mean", t] for t in (0, spec.steps))

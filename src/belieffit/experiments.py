@@ -1,11 +1,13 @@
 """Monte-Carlo experiment harness for the three benchmark studies.
 
-Worlds, detections and peg orders are derived from (master seed, trial) only
-and built once per trial, so every variant faces the identical sequence of
-environments; episode noise additionally keys on the variant.  Each trial
-draws only from its own streams, so its rows do not depend on how many trials
-a run has.  A trial's detected beliefs are built once, and each variant
-steps its own copy of them.
+Worlds and peg orders are derived from (master seed, trial) only and built
+once per trial, so every variant faces the identical sequence of worlds;
+episode noise additionally keys on the variant.  In the single-hole studies
+a trial's detected beliefs are built once, from a stream keyed on (master
+seed, trial), and each variant steps its own copy of them.  An `assembly`
+task detects its beliefs from its episode stream, so the variants of one
+trial start from different detections.  Each trial draws only from its own
+streams, so its rows do not depend on how many trials a run has.
 
 One function, `_study`, runs every study: it builds each (variant, trial)
 task, `policy.run_tasks` drives them together in lockstep rounds, and it
@@ -69,6 +71,8 @@ DEFAULT_VARIANTS = {
     ),
 }
 
+DEFAULT_TRIALS = {KIND_POSITION: 100, KIND_MATCHING: 150, KIND_ASSEMBLY: 100}
+
 ATTEMPT_HIST_BIN = 6
 
 STEP_COLUMNS = (
@@ -100,7 +104,7 @@ class ExperimentSpec:
     spiral: SpiralParams
     sensors: SensorModel
     learned: FilterModels
-    trials: int = 100
+    trials: int | None = None
     seed: int = 0
     variants: tuple[PolicyVariant, ...] = ()
     steps: int = 5
@@ -109,6 +113,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KIND_IDS:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
+        if self.trials is None:
+            object.__setattr__(self, "trials", DEFAULT_TRIALS[self.kind])
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
         if not (1 <= self.steps <= MAX_HORIZON and 1 <= self.step_cap <= MAX_HORIZON):

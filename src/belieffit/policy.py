@@ -196,11 +196,20 @@ class AssemblyResult:
 
 
 def init_beliefs(world: World, rng: np.random.Generator) -> BeliefArrays:
-    """Initial beliefs from one pass of the vision detector, two uniforms a hole."""
+    """Initial beliefs from one pass of the vision detector, two uniforms a
+    hole: an isotropic Gaussian of variance `sigma_init` on each detection,
+    a uniform type distribution, nothing fitted.  `EnvConfig`, `World` and
+    `HoleGroundTruth` have checked every input, and the detections of
+    finite positions within a finite bound are finite."""
     config = world.config
     positions = np.array([hole.position for hole in world.holes])
-    detections = vision_detect(positions, config.detector_error_bound, rng.random(positions.shape))
-    return BeliefArrays.detected(detections, config.sigma_init, config.n_types)
+    n = len(positions)
+    return BeliefArrays(
+        means=vision_detect(positions, config.detector_error_bound, rng.random(positions.shape)),
+        covs=np.tile(config.sigma_init * np.eye(2), (n, 1, 1)),
+        xi=np.full((n, config.n_types), 1.0 / config.n_types),
+        fitted=np.zeros(n, dtype=bool),
+    )
 
 
 def select_hole(state: BeliefArrays, peg: PegType, alpha: float) -> int:

@@ -89,6 +89,10 @@ class World:
     holes: tuple[HoleGroundTruth, ...]
     config: EnvConfig
 
+    def __post_init__(self):
+        if not self.holes:
+            raise InvalidInputError("a world needs at least one hole")
+
     @property
     def n_holes(self) -> int:
         return len(self.holes)

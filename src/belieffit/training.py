@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, normalized_rows
+from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, check_type_tag, normalized_rows
 from .errors import (
     DegenerateEvidenceError,
     DegenerateOracleError,
@@ -146,16 +146,13 @@ class InteractionRecord:
 def _check_values(v, types, size: int) -> None:
     """Check a record's values: `v` the six floats of its position, mu0 and
     obs, laid out as in `_Row`, finite, and `types` its peg and hole types,
-    integers in 1..size.  Python floats keep the checks cheap; NaN and inf
+    type tags in 1..size (`check_type_tag`).  Python floats keep the checks cheap; NaN and inf
     fail each test."""
     for name, k in (("position", 0), ("mu0", 2), ("obs", 4)):  # the starts of `_Row`'s slices
         if not (math.isfinite(v[k]) and math.isfinite(v[k + 1])):
             raise InvalidInputError(f"{name} must be a finite 2-vector")
     for t in types:
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise InvalidInputError("types must be integers")
-        if not 1 <= t <= size:
-            raise InvalidInputError("types out of range")
+        check_type_tag(t, "types must be integers", size, "types out of range")
 
 
 def _check_prior(sigma0: list, probs: list) -> None:

@@ -9,8 +9,12 @@ from belieffit import (
     HoleGroundTruth,
     PegType,
     TypeBelief,
+    World,
+    derive_rng,
     fit_probability,
+    init_beliefs,
     init_position_belief,
+    vision_detect,
 )
 from belieffit.beliefs import (
     PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types, normalized,
@@ -34,12 +38,17 @@ class TestInitPositionBelief:
         assert np.trace(b.cov) == pytest.approx(8e-4)
 
     def test_rejects_non_finite_detection(self):
-        with pytest.raises(InvalidInputError):
+        # `GaussianBelief2` checks the detection
+        with pytest.raises(InvalidInputError, match="^belief mean must be finite$"):
             init_position_belief((np.nan, 0.0), 1e-4)
+        with pytest.raises(InvalidInputError, match="shape"):
+            init_position_belief((0.0, 0.0, 0.0), 1e-4)
 
     def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(InvalidInputError):
-            init_position_belief((0.0, 0.0), 0.0)
+        # a zero variance would pass `GaussianBelief2`'s PSD check
+        for sigma in (0.0, -1e-4, np.nan, np.inf):
+            with pytest.raises(InvalidInputError, match="^sigma_init must be finite and positive$"):
+                init_position_belief((0.0, 0.0), sigma)
 
 
 class TestTypeBeliefInit:
@@ -155,11 +164,21 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="finite extent"):
             EnvConfig(workspace_min=(-1.7e308, 0.0), workspace_max=(1.7e308, 1.0))
 
-    @pytest.mark.parametrize("bad", [0, -1])
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2", np.nan, np.inf])
     def test_hole_ground_truth_rejects_bad_types(self, bad):
         # the one check on a hole's type: the sensors take theirs from here
-        with pytest.raises(InvalidInputError, match="hole type must be a positive integer"):
+        with pytest.raises(InvalidInputError, match="^hole type must be a positive integer$"):
             HoleGroundTruth(bad, (0.0, 0.0))
+
+    @pytest.mark.parametrize("bad", [0, -1, 1.5, True, "2", np.nan, np.inf])
+    def test_peg_type_rejects_bad_types(self, bad):
+        with pytest.raises(InvalidInputError, match="^peg type must be a positive integer$"):
+            PegType(bad)
+
+    def test_type_tags_accept_numpy_integers(self):
+        hole, peg = HoleGroundTruth(np.int64(2), (0.0, 0.0)), PegType(np.int32(2))
+        assert type(hole.hole_type) is int and type(peg.value) is int
+        assert hole.hole_type == peg.value == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hole_ground_truth_rejects_non_finite_position(self, bad):
@@ -205,23 +224,33 @@ def test_check_types_names_the_broken_invariant(probs, message):
 
 
 class TestBeliefArrays:
-    def test_detected_matches_the_object_constructors(self):
-        state = BeliefArrays.detected([(0.01, 0.02), (-0.1, 0.05)], 1e-4, 3)
-        for i, det in enumerate([(0.01, 0.02), (-0.1, 0.05)]):
-            expected = init_position_belief(det, 1e-4)
+    def test_init_beliefs_matches_the_object_constructors(self):
+        config = EnvConfig(n_holes=2, n_types=3, sigma_init=2e-4)
+        world = World((HoleGroundTruth(1, (0.01, 0.02)), HoleGroundTruth(3, (-0.1, 0.05))),
+                      config)
+        state = init_beliefs(world, derive_rng(4, 1))
+        detections = vision_detect(np.array([(0.01, 0.02), (-0.1, 0.05)]),
+                                   config.detector_error_bound, derive_rng(4, 1).random((2, 2)))
+        for i, det in enumerate(detections):
+            expected = init_position_belief(det, config.sigma_init)
             assert np.array_equal(state.means[i], expected.mean)
             assert np.array_equal(state.covs[i], expected.cov)
             assert np.array_equal(state.xi[i], TypeBelief(np.full(3, 1 / 3)).probs)
         assert not state.fitted.any()
+        assert [a.dtype for a in (state.means, state.covs, state.xi, state.fitted)] == [
+            np.float64, np.float64, np.float64, np.bool_]
 
-    @pytest.mark.parametrize(
-        "detections, sigma, n_types",
-        [([(np.nan, 0.0)], 1e-4, 3), ([], 1e-4, 3), ([(0.0, 0.0)], 0.0, 3),
-         ([(0.0, 0.0)], 1e-4, 1)],
-    )
-    def test_detected_rejects_bad_input(self, detections, sigma, n_types):
-        with pytest.raises(InvalidInputError):
-            BeliefArrays.detected(detections, sigma, n_types)
+    @pytest.mark.parametrize("build", [
+        pytest.param(lambda: HoleGroundTruth(1, (np.nan, 0.0)), id="non_finite_position"),
+        pytest.param(lambda: World(holes=(), config=EnvConfig()), id="no_holes"),
+        pytest.param(lambda: EnvConfig(sigma_init=0.0), id="zero_sigma_init"),
+        pytest.param(lambda: EnvConfig(n_types=1), id="one_type"),
+    ])
+    def test_init_beliefs_inputs_are_checked_where_built(self, build):
+        # init_beliefs itself checks nothing: every input it reads was
+        # checked by the class that holds it
+        with pytest.raises((InvalidInputError, ConfigurationError)):
+            build()
 
     def test_of_rejects_mixed_type_counts(self):
         with pytest.raises(InvalidInputError):

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from belieffit import cli
 from belieffit.cli import build_parser, main, validate_metrics_csv, validate_steps_csv
-from belieffit.experiments import DEFAULT_VARIANTS
+from belieffit.experiments import DEFAULT_TRIALS, DEFAULT_VARIANTS, ExperimentSpec
 from belieffit.policy import PolicyVariant
 from belieffit.training import CSV_BLOCK_ROWS, DATASET_COLUMNS, read_table, write_csv
 from belieffit import EnvConfig, SensorModel, SpiralParams
@@ -937,8 +937,27 @@ class TestExperiment:
         assert (flagged.trials, flagged.seed, flagged.step_cap) == (2, 5, 7)
         assert flagged.variants == (PolicyVariant.FULL_APPROACH,)
         assert (default.trials, default.seed, default.steps, default.step_cap) == (
-            cli.DEFAULT_TRIALS["assembly"], 0, 5, 30)
+            DEFAULT_TRIALS["assembly"], 0, 5, 30)
         assert default.variants == DEFAULT_VARIANTS["assembly"]
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_TRIALS))
+    def test_default_trials_are_the_librarys(self, kind, tmp_path, monkeypatch):
+        """`experiment KIND` without `--trials` runs as many trials as an
+        `ExperimentSpec` of that kind does by default."""
+        specs = []
+
+        def stop(spec):
+            specs.append(spec)
+            raise InvalidInputError("stopped before the study")
+
+        monkeypatch.setattr(cli, "run_experiment", stop)
+        args = build_parser().parse_args(["experiment", kind, "--out", str(tmp_path / "r")])
+        with pytest.raises(InvalidInputError, match="stopped"):
+            args.func(args)
+        sensors = SensorModel()
+        library = ExperimentSpec(kind=kind, env=EnvConfig(), spiral=SpiralParams(),
+                                 sensors=sensors, learned=sensors.filter_models())
+        assert specs[0].trials == library.trials == DEFAULT_TRIALS[kind]
 
 
 class TestReplay:

@@ -7,11 +7,16 @@ from belieffit import (
     EnvConfig,
     FilterModels,
     MatchObservationModel,
+    PegType,
+    PolicyModels,
     PolicyVariant,
     PositionNoiseModel,
     PositionSensorSpec,
     SensorModel,
     SpiralParams,
+    derive_rng,
+    init_beliefs,
+    spawn_world,
 )
 from belieffit.errors import ConfigurationError, InvalidInputError
 from belieffit.experiments import (
@@ -25,11 +30,17 @@ from belieffit.experiments import (
     _single_hole_study,
     run_experiment,
 )
+from belieffit.policy import run_tasks, steps_task
+from belieffit.sim import capture_radius_bound
 
 # Spread of the mean NEES over steps 1-5 of `position_estimation`'s
 # `full_approach` in the exact setting below, 3000 trials: over seeds
 # 1000-1099 it had mean 1.996 and standard deviation 0.030.
 NEES_SD = 0.030
+# Spread of a reliability bin's z in the exact setting below, 4000 tasks of
+# up to 5 steps: over seeds 1000-1099 the five bins' z had standard
+# deviations 0.974, 0.992, 1.103, 1.068 and 1.197; the band uses the largest.
+RELIABILITY_Z_SD = 1.197
 
 
 def make_spec(kind, trials=4, **kwargs):
@@ -103,6 +114,48 @@ class TestPositionEstimation:
         scaled = np.linalg.solve(np.array(covs), error[:, :, None])[:, :, 0]
         nees = np.einsum("ni,ni->n", error, scaled)
         assert abs(nees.mean() - 2.0) <= 4 * NEES_SD
+
+
+class TestTypeReliability:
+    def test_type_posterior_is_calibrated_where_its_model_is_exact(self):
+        """Among the selections at which the filter gives the peg's type
+        probability p, a share p match the hole, when the filter's model is
+        the world's: one hole of a uniform type, a peg of a uniform type, a
+        capture radius at which every aligned, matched rollout inserts, so
+        that a match inserts at the alignment rate, which is alpha, and the
+        match sensor's truth in the filter.  A selection's p is the prior
+        `xi` before its step.  Selections are binned by fifths of [0, 1],
+        and each bin's z is its match share minus its mean p over a standard
+        error that sums each task's residuals first, since a task's
+        selections share its match.  The band is 4 standard deviations of
+        the bins' z over seeds."""
+        spiral, base = SpiralParams(), EnvConfig(n_holes=1)
+        env = dataclasses.replace(base, alpha=base.alignment_rate,
+                                  capture_radius=capture_radius_bound(base, spiral))
+        sensors = SensorModel()
+        models = PolicyModels(spiral=spiral, sensor=sensors, filters=sensors.filter_models())
+        tasks, matched = [], []
+        for trial in range(4000):
+            world = spawn_world(env, derive_rng(5, 1, trial), spiral)
+            rng = derive_rng(5, 2, trial)
+            peg = PegType(int(rng.integers(1, env.n_types + 1)))
+            matched.append(world.holes[0].hole_type == peg.value)
+            tasks.append((steps_task(init_beliefs(world, rng), world, peg,
+                                     PolicyVariant.FULL_APPROACH, models, 5, rng), rng))
+        task, predicted, hit = [], [], []
+        for i, ((peg, records, _), match) in enumerate(zip(run_tasks(tasks, spiral, env),
+                                                          matched)):
+            priors = [1.0 / env.n_types] + [r.xi[peg.value - 1] for r in records[:-1]]
+            task += [i] * len(priors)
+            predicted += priors
+            hit += [match] * len(priors)
+        task, predicted = np.array(task), np.array(predicted)
+        residual = np.array(hit, dtype=float) - predicted
+        bins = np.minimum((predicted * 5).astype(int), 4)
+        for b in np.unique(bins).tolist():
+            per_task = np.bincount(task[bins == b], weights=residual[bins == b])
+            z = per_task.sum() / np.sqrt(per_task @ per_task)
+            assert abs(z) <= 4 * RELIABILITY_Z_SD, (b, z)
 
 
 class TestMatchingInsertion:
