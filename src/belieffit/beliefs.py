@@ -4,9 +4,10 @@ A hole's position is tracked by a 2D Gaussian, its type by a discrete
 distribution over the C possible types, and a boolean records whether a peg
 has already been fitted into it.  The belief types here are immutable values
 whose constructors check their invariants; a trial in progress holds its
-beliefs as `BeliefArrays` instead.  `fit_probability` scores every hole of
-those arrays for the policy's choice, and the policy checks each posterior
-it writes there with the same `check_position` and `check_types`.
+beliefs as `BeliefArrays` instead, one row of Python floats per hole.
+`fit_probability` scores every hole of those rows for the policy's choice,
+and the policy checks each posterior it writes there with the same
+`check_position` and `check_types`.
 """
 
 from __future__ import annotations
@@ -168,36 +169,46 @@ class HoleBelief:
 
 @dataclass(eq=False)
 class BeliefArrays:
-    """One trial's beliefs as arrays, row h for hole h: means (H, 2),
-    covariances (H, 2, 2), type distributions (H, C) and fitted flags (H,).
+    """One trial's beliefs as Python rows, entry h for hole h: each mean a
+    tuple (m0, m1), each covariance ((c00, c01), (c10, c11)), each type
+    distribution a list of C floats and each fitted flag a bool.
 
-    The policy's step scores the holes with `fit_probability` and updates
-    the chosen row in place after checking the posterior.
+    The constructor takes arrays or nested sequences of shapes (H, 2),
+    (H, 2, 2), (H, C) and (H,) and stores new rows of Python floats and
+    bools, so no numpy scalar reaches a step.  The policy's step scores the
+    holes with `fit_probability` and replaces the chosen hole's rows after
+    checking the posterior.
     """
 
-    means: np.ndarray
-    covs: np.ndarray
-    xi: np.ndarray
-    fitted: np.ndarray
+    means: list[tuple[float, float]]
+    covs: list[tuple[tuple[float, float], tuple[float, float]]]
+    xi: list[list[float]]
+    fitted: list[bool]
+
+    def __post_init__(self):
+        self.means = list(map(tuple, np.asarray(self.means, dtype=float).tolist()))
+        self.covs = [(tuple(r0), tuple(r1))
+                     for r0, r1 in np.asarray(self.covs, dtype=float).tolist()]
+        self.xi = np.asarray(self.xi, dtype=float).tolist()
+        self.fitted = np.asarray(self.fitted, dtype=bool).tolist()
 
     @classmethod
     def of(cls, beliefs: list[HoleBelief]) -> BeliefArrays:
-        """The arrays of belief objects (their constructors checked them)."""
+        """The rows of belief objects (their constructors checked them)."""
         if not beliefs:
             raise InvalidInputError("need at least one hole belief")
         if len({b.type_belief.n_types for b in beliefs}) != 1:
             raise InvalidInputError("every hole belief needs the same number of types")
         return cls(
-            means=np.array([b.position.mean for b in beliefs]),
-            covs=np.array([b.position.cov for b in beliefs]),
-            xi=np.array([b.type_belief.probs for b in beliefs]),
-            fitted=np.array([b.fitted for b in beliefs], dtype=bool),
+            means=[b.position.mean for b in beliefs],
+            covs=[b.position.cov for b in beliefs],
+            xi=[b.type_belief.probs for b in beliefs],
+            fitted=[b.fitted for b in beliefs],
         )
 
     def copy(self) -> BeliefArrays:
-        return BeliefArrays(
-            self.means.copy(), self.covs.copy(), self.xi.copy(), self.fitted.copy()
-        )
+        """A copy with rows of its own, which the constructor builds."""
+        return BeliefArrays(self.means, self.covs, self.xi, self.fitted)
 
 
 @dataclass(frozen=True)
@@ -300,8 +311,8 @@ def fit_probability(state: BeliefArrays, peg: PegType, alpha: float) -> list[flo
     rollout to come through (rate alpha).  An already-fitted hole pays no
     reward, so its score is zero.
     """
-    n_types = state.xi.shape[1]
+    n_types = len(state.xi[0])
     if not 1 <= peg.value <= n_types:
         raise InvalidInputError(f"type {peg.value} out of range 1..{n_types}")
-    return [0.0 if fitted else alpha * p
-            for fitted, p in zip(state.fitted.tolist(), state.xi[:, peg.value - 1].tolist())]
+    k = peg.value - 1
+    return [0.0 if fitted else alpha * xi[k] for fitted, xi in zip(state.fitted, state.xi)]

@@ -27,15 +27,18 @@ so a study runs all its (variant, trial) tasks together.  `run_episode`,
 `run_assembly_task` and `high_level_step` run one task through `run_tasks`
 too.
 
-A task holds a trial's beliefs as one `BeliefArrays` and steps it in place;
-`init_beliefs` detects them, and `run_episode` and `run_assembly_task` run
-a task from detected or given beliefs.  A step chooses its hole with
-`select_hole`, which scores every hole with `beliefs.fit_probability`, and
-reads the position sensor with `sensors.sense_position` after a failure.
-It works on Python floats from the chosen row to its `StepRecord`: it
-reads the row once, updates it with `filters.position_posterior` and
-`filters.type_posterior` and writes it back once.  `high_level_step` is
-the same step on a list of belief objects.
+A task holds a trial's beliefs as one `BeliefArrays`, a row of Python
+floats per hole, and steps it in place; `init_beliefs` detects them, and
+`run_episode` and `run_assembly_task` run a task from detected or given
+beliefs.  A step chooses its hole with `select_hole`, which scores every
+hole with `beliefs.fit_probability`, and reads the position sensor with
+`sensors.sense_position` after a failure.  It works on Python floats from
+the chosen rows to its `StepRecord`: it updates them with
+`filters.position_posterior` and `filters.type_posterior` and replaces
+them, with no numpy conversion on the way; only the sensor's noise, the
+start sample and the record's distance go through numpy, whose rounding
+the outputs hold.  `high_level_step` is the same step on a list of belief
+objects.
 """
 
 from __future__ import annotations
@@ -217,7 +220,7 @@ def select_hole(state: BeliefArrays, peg: PegType, alpha: float) -> int:
     the lowest index, and with every unfitted score zero, to the first
     unfitted hole.  With every hole fitted there is nothing to choose, so
     NoActionError comes before the peg type is checked."""
-    flags = state.fitted.tolist()
+    flags = state.fitted
     if all(flags):
         raise NoActionError("every hole is already fitted")
     scores = fit_probability(state, peg, alpha)
@@ -280,7 +283,7 @@ def _updated_type(
         return [1.0 / len(prior)] * len(prior), True
 
 
-def _distance(a: np.ndarray, b: np.ndarray) -> float:
+def _distance(a: tuple[float, float], b: np.ndarray) -> float:
     """Euclidean distance, computed as `np.linalg.norm(a - b)` computes it."""
     d = a - b
     return math.sqrt(d.dot(d))
@@ -300,22 +303,21 @@ def _step(
 
     The package's one belief update: the chosen hole's row changes as the
     variant's `FEEDBACK` row says, each posterior is checked once before it
-    is written, and every other row is left alone.  The row is read once
-    into Python floats, updated on them and written back once.  Random
-    draws come in a fixed order: start sample, rollout (drawn by
-    `run_tasks`), position sensor (after a failure), match sensor.
+    is written, and every other row is left alone.  The rows hold Python
+    floats, so the step reads them, updates them and replaces them with no
+    conversion.  Random draws come in a fixed order: start sample, rollout
+    (drawn by `run_tasks`), position sensor (after a failure), match
+    sensor.
     """
     config: EnvConfig = world.config
     feedback = FEEDBACK[variant]
     chosen = select_hole(state, peg, config.alpha)
     hole = world.holes[chosen]
-    mean = tuple(state.means[chosen].tolist())
-    (c00, c01), (c10, c11) = state.covs[chosen].tolist()
-    cov = (c00, c01), (c10, c11)
+    mean, cov = state.means[chosen], state.covs[chosen]
 
     start = mean
     if feedback.sample_start:
-        start = tuple(sample_gaussian(state.means[chosen], state.covs[chosen], rng).tolist())
+        start = tuple(map(float, sample_gaussian(mean, cov, rng)))
     outcome = yield start, hole.position, peg.value == hole.hole_type
     beta = outcome[0]
 
@@ -323,7 +325,7 @@ def _step(
         mean, cov = _updated_position(mean, cov, feedback.position, outcome, hole, models, rng)
         check_position(mean, cov)
         state.means[chosen], state.covs[chosen] = mean, cov
-    xi, evidence_reset = state.xi[chosen].tolist(), False
+    xi, evidence_reset = state.xi[chosen], False
     if feedback.types is not TypeEvidence.NONE:
         xi, evidence_reset = _updated_type(
             xi, feedback.types, beta, peg, hole, config.alpha, models, rng
@@ -333,7 +335,7 @@ def _step(
     if beta:  # the chosen hole is unfitted, so beta is its new flag
         state.fitted[chosen] = True
     return StepRecord(t, chosen, start, beta, mean, cov, tuple(xi),
-                      _distance(state.means[chosen], hole.position), evidence_reset)
+                      _distance(mean, hole.position), evidence_reset)
 
 
 def run_tasks(tasks: list[tuple[Task, np.random.Generator]], spiral: SpiralParams,

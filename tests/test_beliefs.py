@@ -236,9 +236,11 @@ class TestBeliefArrays:
             assert np.array_equal(state.means[i], expected.mean)
             assert np.array_equal(state.covs[i], expected.cov)
             assert np.array_equal(state.xi[i], TypeBelief(np.full(3, 1 / 3)).probs)
-        assert not state.fitted.any()
-        assert [a.dtype for a in (state.means, state.covs, state.xi, state.fitted)] == [
-            np.float64, np.float64, np.float64, np.bool_]
+        assert state.fitted == [False, False]
+        for i in range(2):
+            floats = [*state.means[i], *state.covs[i][0], *state.covs[i][1], *state.xi[i]]
+            assert all(type(x) is float for x in floats)
+        assert all(type(flag) is bool for flag in state.fitted)
 
     @pytest.mark.parametrize("build", [
         pytest.param(lambda: HoleGroundTruth(1, (np.nan, 0.0)), id="non_finite_position"),

@@ -6,6 +6,8 @@ import pytest
 from belieffit import (
     EnvConfig,
     FilterModels,
+    GaussianBelief2,
+    HoleBelief,
     MatchObservationModel,
     PegType,
     PolicyModels,
@@ -14,13 +16,19 @@ from belieffit import (
     PositionSensorSpec,
     SensorModel,
     SpiralParams,
+    TypeBelief,
     derive_rng,
     init_beliefs,
     spawn_world,
+    vision_detect,
 )
+from belieffit import experiments, policy
+from belieffit.beliefs import BeliefArrays
 from belieffit.errors import ConfigurationError, InvalidInputError
 from belieffit.experiments import (
     DEFAULT_VARIANTS,
+    KIND_ASSEMBLY,
+    KIND_MATCHING,
     KIND_POSITION,
     METRIC_COLUMNS,
     STEP_COLUMNS,
@@ -282,3 +290,73 @@ class TestValidation:
         assert METRIC_COLUMNS == ResultRow._fields == (
             "experiment", "variant", "trial", "step", "metric", "value", "seed")
         assert row == ("assembly", "full_approach", -1, 2, "x", 0.5, 77)
+
+
+def _row_entries(state: BeliefArrays):
+    """Every float and every flag of a trial's belief rows."""
+    floats = [x for mean, ((c00, c01), (c10, c11)), xi in zip(state.means, state.covs, state.xi)
+              for x in (*mean, c00, c01, c10, c11, *xi)]
+    return floats, state.fitted
+
+
+def _record_entries(record):
+    """Every float and every flag of a step record, each with its type."""
+    floats = [*record.start_estimate, *record.mean, *record.cov[0], *record.cov[1], *record.xi,
+              record.pos_error]
+    return [(type(x), x) for x in (*floats, record.beta, record.evidence_reset)]
+
+
+class TestBeliefRows:
+    """A trial's beliefs are rows of Python floats and bools, whatever built
+    them, so no numpy scalar reaches a step or its record."""
+
+    @pytest.mark.parametrize("kind", [KIND_POSITION, KIND_MATCHING, KIND_ASSEMBLY])
+    def test_every_study_steps_python_rows(self, kind, monkeypatch):
+        original, stepped = policy.steps_task, []
+
+        def recording(state, *args):
+            episode = yield from original(state, *args)
+            stepped.append((state, episode))
+            return episode
+
+        monkeypatch.setattr(experiments, "steps_task", recording)
+        monkeypatch.setattr(policy, "steps_task", recording)
+        spec = make_spec(kind, trials=3, variants=tuple(PolicyVariant))
+        run_experiment(spec)
+        pegs = spec.env.n_holes if kind == KIND_ASSEMBLY else 1
+        assert len(stepped) == len(PolicyVariant) * spec.trials * pegs
+        for state, episode in stepped:
+            floats, flags = _row_entries(state)
+            assert all(type(x) is float for x in floats)
+            assert all(type(flag) is bool for flag in flags)
+            for record in episode.records:
+                entries = _record_entries(record)
+                assert all(t is float for t, _ in entries[:-2])
+                assert all(t is bool for t, _ in entries[-2:])
+
+    def test_rows_from_numpy_arrays_step_as_rows_from_objects(self):
+        spec = make_spec(KIND_ASSEMBLY)
+        env = spec.env
+        world = spawn_world(env, derive_rng(5, 1), spec.spiral)
+        means = vision_detect(np.array([h.position for h in world.holes]),
+                              env.detector_error_bound, derive_rng(5, 2).random((env.n_holes, 2)))
+        covs = np.tile(env.sigma_init * np.eye(2), (env.n_holes, 1, 1))
+        xi = derive_rng(5, 3).dirichlet(np.ones(env.n_types), env.n_holes)
+        fitted = np.arange(env.n_holes) == 2
+        objects = [HoleBelief(GaussianBelief2(m, c), TypeBelief(x), f)
+                   for m, c, x, f in zip(means, covs, xi, fitted)]
+        peg = PegType(world.holes[0].hole_type)
+        for variant in PolicyVariant:
+            states = BeliefArrays(means, covs, xi, fitted), BeliefArrays.of(objects)
+            logs = []
+            for state in states:
+                rng = derive_rng(5, 4, list(PolicyVariant).index(variant))
+                task = steps_task(state, world, peg, variant, spec.models, 10, rng)
+                logs.append(run_tasks([(task, rng)], spec.spiral, env)[0])
+            from_arrays, from_objects = ([_record_entries(r) for r in log.records] for log in logs)
+            assert from_arrays == from_objects
+            assert all(t is float for entries in from_arrays for t, _ in entries[:-2])
+            (floats, flags), rows_of_objects = map(_row_entries, states)
+            assert (floats, flags) == rows_of_objects
+            assert all(type(x) is float for x in floats)
+            assert all(type(flag) is bool for flag in flags)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -472,10 +473,36 @@ def reference_updated_type(prior, evidence, beta, peg, hole, alpha, models, rng)
         return TypeBelief(np.full(len(prior), 1 / len(prior))).probs.tolist(), True
 
 
+class ArrayState(NamedTuple):
+    """A trial's beliefs as numpy arrays, as the step held them before its
+    rows became Python floats: means (H, 2), covs (H, 2, 2), xi (H, C) and
+    fitted (H,)."""
+
+    means: np.ndarray
+    covs: np.ndarray
+    xi: np.ndarray
+    fitted: np.ndarray
+
+
+def reference_select(state, peg, alpha):
+    """`select_hole` on an `ArrayState`."""
+    flags = state.fitted.tolist()
+    if all(flags):
+        raise NoActionError("every hole is already fitted")
+    n_types = state.xi.shape[1]
+    if not 1 <= peg.value <= n_types:
+        raise InvalidInputError(f"type {peg.value} out of range 1..{n_types}")
+    scores = [0.0 if fitted else alpha * p
+              for fitted, p in zip(flags, state.xi[:, peg.value - 1].tolist())]
+    best = scores.index(max(scores))
+    return flags.index(False) if flags[best] else best
+
+
 def reference_step(state, t, peg, world, variant, models, rng, outcome):
+    """`_step` on an `ArrayState`, resumed with `outcome`."""
     config = world.config
     feedback = FEEDBACK[variant]
-    chosen = select_hole(state, peg, config.alpha)
+    chosen = reference_select(state, peg, config.alpha)
     hole = world.holes[chosen]
     mean, cov = state.means[chosen], state.covs[chosen]
     start = sample_gaussian(mean, cov, rng) if feedback.sample_start else mean.copy()
@@ -541,7 +568,7 @@ def step_cases(draw):
     position_noise = draw(st.sampled_from([6.4e-5, 1e-12]))
     models = dataclasses.replace(default_models(), filters=FilterModels(
         PositionNoiseModel(position_noise * np.eye(2)), MatchObservationModel(0.85, 0.15)))
-    state = BeliefArrays(
+    arrays = ArrayState(
         means=np.array([h.position + (draw(_OFFSET), draw(_OFFSET)) for h in HOLES]),
         covs=np.array([draw(_PRIOR_COV) for _ in HOLES]),
         xi=np.array([draw(_XI) for _ in HOLES]),
@@ -552,14 +579,14 @@ def step_cases(draw):
     tip = (draw(_OFFSET), draw(_OFFSET))
     peg = PegType(draw(st.sampled_from([1, 2, 3])))
     world = World(HOLES, dataclasses.replace(CFG, n_holes=2, alpha=alpha))
-    return variant, models, state, (success, closest, tip), peg, world, draw(st.integers(0, 99))
+    return variant, models, arrays, (success, closest, tip), peg, world, draw(st.integers(0, 99))
 
 
 def _case(variant, cov, outcome):
     """Peg 2 on hole 0, whose prior covariance is `cov`."""
-    state = BeliefArrays(np.zeros((2, 2)), np.array([cov, cov]),
-                         np.array([[0.2, 0.5, 0.3], [0.5, 0.2, 0.3]]), np.zeros(2, bool))
-    return (variant, default_models(), state, outcome, PegType(2),
+    arrays = ArrayState(np.zeros((2, 2)), np.array([cov, cov]),
+                        np.array([[0.2, 0.5, 0.3], [0.5, 0.2, 0.3]]), np.zeros(2, bool))
+    return (variant, default_models(), arrays, outcome, PegType(2),
             World(HOLES, dataclasses.replace(CFG, n_holes=2)), 0)
 
 
@@ -571,21 +598,29 @@ def _case(variant, cov, outcome):
 @example(case=_case(PolicyVariant.FRAME_BY_FRAME, ASYMMETRIC, (True, 0.0, (0.01, 0.02))))
 def test_float_step_is_bitwise_the_array_step(case):
     """Every record field, every belief row and the generator's state after
-    one step equal those of the array step, including its failures."""
-    variant, models, state, (success, closest, tip), peg, world, seed = case
+    one step on `BeliefArrays` rows equal those of the step on numpy arrays
+    built from the same values, including its failures; the rows stay
+    Python floats and bools."""
+    variant, models, arrays, (success, closest, tip), peg, world, seed = case
     runs = []
-    for step, outcome in ((reference_step, (success, closest, np.array(tip))),
-                          (float_step, (success, closest, list(tip)))):
-        copy, rng = state.copy(), derive_rng(seed, 3)
+    for step, state, outcome in (
+            (reference_step, ArrayState(*(a.copy() for a in arrays)),
+             (success, closest, np.array(tip))),
+            (float_step, BeliefArrays(*arrays), (success, closest, list(tip)))):
+        rng = derive_rng(seed, 3)
         try:
-            result = step(copy, 3, peg, world, variant, models, rng, outcome)
+            result = step(state, 3, peg, world, variant, models, rng, outcome)
         except (InvalidInputError, DegenerateEvidenceError) as exc:
             result = type(exc)
-        runs.append((result, copy, rng.bit_generator.state))
+        runs.append((result, state, rng.bit_generator.state))
     (ref, ref_state, ref_rng), (new, new_state, new_rng) = runs
     assert ref_rng == new_rng
     for name in ("means", "covs", "xi", "fitted"):
         assert _bits(getattr(ref_state, name)) == _bits(getattr(new_state, name)), name
+    rows = [x for h in range(len(HOLES)) for x in (
+        *new_state.means[h], *new_state.covs[h][0], *new_state.covs[h][1], *new_state.xi[h])]
+    assert all(type(x) is float for x in rows)
+    assert all(type(flag) is bool for flag in new_state.fitted)
     if isinstance(ref, type):
         assert new is ref
         return
