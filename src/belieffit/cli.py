@@ -7,10 +7,8 @@ written sorted and re-validated before exit.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import operator
-import os
 import sys
 from pathlib import Path
 
@@ -26,6 +24,7 @@ from .experiments import (
     run_experiment,
 )
 from .policy import PolicyVariant
+from .runfiles import read_table, require_out, write_csv, write_json
 from .seeding import STREAM_CALIBRATE, STREAM_DATASET, derive_rng
 from .sim import tune_capture_radius
 from .training import (
@@ -35,9 +34,7 @@ from .training import (
     load_dataset,
     mle_confusion_oracle,
     mle_covariance_oracle,
-    read_table,
     save_dataset,
-    write_csv,
 )
 
 
@@ -66,26 +63,6 @@ def validate_steps_csv(path: Path) -> None:
         (r[0], r[1], int(r[2]), int(r[3]), int(r[5])) for r in rows]), path)
 
 
-def _require_out(path, directory: bool) -> None:
-    """Fail before any work when `--out` cannot be written as asked: an
-    existing path of the wrong kind (anything but a directory for a run
-    directory, a directory for a file), a path under a file, or a file
-    whose directory is missing.  The error is the one the write would
-    raise at the end."""
-    if path is None:
-        return
-    found = path  # `path` or its nearest existing ancestor, "" if none exists
-    while found and not os.path.exists(found):
-        found = os.path.dirname(found)
-    if found and os.path.isdir(found) != (directory or found != path):
-        code = errno.EISDIR if os.path.isdir(found) else errno.ENOTDIR
-    elif not directory and found not in (path, os.path.dirname(path)):
-        code = errno.ENOENT  # a file whose directory is missing
-    else:
-        return
-    raise OSError(code, os.strerror(code), path)
-
-
 def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
     """The variants a `--variants` flag names; none leaves the spec's default."""
     if not raw:
@@ -103,7 +80,7 @@ def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
 
 
 def cmd_calibrate(args) -> int:
-    _require_out(args.out, directory=False)
+    require_out(args.out, directory=False)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)
@@ -136,13 +113,13 @@ def cmd_calibrate(args) -> int:
             "trials": result.trials,
             "seed": args.seed,
         }
-        cfg.save_config(doc, args.out)
+        write_json(doc, args.out)
         print(f"wrote {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    _require_out(args.out, directory=True)
+    require_out(args.out, directory=True)
     check_fit_settings(args.lr, args.epochs)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
@@ -202,13 +179,13 @@ def cmd_train(args) -> int:
     print(f"oracle  (tpr,fpr) : ({tpr_oracle}, {fpr_oracle})")
 
     params_path = out_dir / "learned_params.json"
-    cfg.save_config(cfg.learned_to_doc(models), params_path)
+    write_json(cfg.learned_to_doc(models), params_path)
     print(f"wrote {params_path}")
     return 0
 
 
 def cmd_experiment(args) -> int:
-    _require_out(args.out, directory=True)
+    require_out(args.out, directory=True)
     doc = cfg.load_config(args.config)
     env = cfg.env_from(doc)
     spiral = cfg.spiral_from(doc)

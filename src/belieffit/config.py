@@ -1,18 +1,21 @@
-"""JSON configuration: one document holding the environment, the spiral
-controller and the sensor ground truth.
+"""The config and params schema: one JSON document holding the environment,
+the spiral controller and the sensor ground truth, and the params file of
+trained filter parameters.
 
 `default_config()` reads the desk-scale defaults from the config classes, and
 `env_from`, `spiral_from` and `sensors_from` read the blocks back through the
 same classes; files only need the keys they want to override, and a key the
-defaults lack is an error.  The filters' trained parameters are not part of
-the config: `train` writes them to a params file, which `load_params` reads.
+defaults lack is an error.  A float value, and each leaf of a tuple or array
+value, is a JSON int or float, not a bool or a string.  The filters' trained
+parameters are not part of the config: `train` writes them to a params file,
+which `load_params` reads.  The files themselves are read and written by
+`runfiles`.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ import numpy as np
 from .beliefs import EnvConfig
 from .errors import ConfigurationError
 from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
+from .runfiles import read_json
 from .sensors import SensorModel
 from .sim import SpiralParams
 
@@ -60,32 +64,23 @@ def _merge(base: dict, override: dict, where: str = "") -> dict:
     return out
 
 
-def _read_json(path: str | Path, what: str) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
-        reason = getattr(exc, "strerror", None) or exc  # an OSError's text repeats the path
-        raise ConfigurationError(f"cannot read {what} file {path}: {reason}") from None
-    if not isinstance(doc, dict):
-        raise ConfigurationError(f"{what} file {path} must hold a JSON object")
-    return doc
-
-
 def load_config(path: str | Path | None) -> dict:
     """Defaults overlaid with the JSON document at `path` (if given)."""
     doc = default_config()
     if path is not None:
-        doc = _merge(doc, _read_json(path, "config"))
+        doc = _merge(doc, read_json(path, "config"))
     return doc
 
 
 def load_params(path: str | Path) -> FilterModels:
     """Learned filter parameters from a JSON file like `train` writes."""
-    doc = _read_json(path, "params")
+    doc = read_json(path, "params")
     with _reading(f"params file {path}: learned"):
         return FilterModels(
-            position=PositionNoiseModel(np.array(doc["position_cov"], dtype=float)),
-            match=MatchObservationModel(tpr=float(doc["tpr"]), fpr=float(doc["fpr"])),
+            position=PositionNoiseModel(
+                np.array(_numbers("position_cov", doc["position_cov"]), dtype=float)),
+            match=MatchObservationModel(tpr=_number("tpr", doc["tpr"]),
+                                        fpr=_number("fpr", doc["fpr"])),
         )
 
 
@@ -95,10 +90,6 @@ def learned_to_doc(models: FilterModels) -> dict:
         "tpr": float(models.match.tpr),
         "fpr": float(models.match.fpr),
     }
-
-
-def save_config(doc: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 @contextlib.contextmanager
@@ -121,6 +112,21 @@ def _int(block: dict, key: str) -> int:
     raise TypeError(f"{key} must be an integer, got {value!r}")
 
 
+def _number(key: str, value) -> float:
+    """A float key's value, or a leaf of a tuple or array key's: a JSON int
+    or float, not a bool or a string."""
+    if type(value) is int or type(value) is float:
+        return float(value)
+    raise TypeError(f"{key} must be a number, got {value!r}")
+
+
+def _numbers(key: str, value):
+    """An array key's value: its nested lists, each leaf read by `_number`."""
+    if isinstance(value, list):
+        return [_numbers(key, x) for x in value]
+    return _number(key, value)
+
+
 def _from_block(cls, block: dict):
     """The inverse of `_block_of`: a `cls` built from its block, each field
     read as the type of its default."""
@@ -130,13 +136,13 @@ def _from_block(cls, block: dict):
         if dataclasses.is_dataclass(default):
             values[f.name] = _from_block(type(default), block[f.name])
         elif isinstance(default, tuple):
-            values[f.name] = tuple(float(x) for x in block[f.name])
+            values[f.name] = tuple(_number(f.name, x) for x in block[f.name])
         elif isinstance(default, np.ndarray):
-            values[f.name] = np.array(block[f.name], dtype=float)
+            values[f.name] = np.array(_numbers(f.name, block[f.name]), dtype=float)
         elif isinstance(default, int):
             values[f.name] = _int(block, f.name)
         else:
-            values[f.name] = float(block[f.name])
+            values[f.name] = _number(f.name, block[f.name])
     return cls(**values)
 
 

@@ -36,7 +36,8 @@ from pathlib import Path
 from belieffit import config as cfg
 from belieffit.errors import BeliefFitError
 from belieffit.experiments import METRIC_COLUMNS, STEP_COLUMNS
-from belieffit.training import DATASET_COLUMNS, read_table
+from belieffit.runfiles import read_table
+from belieffit.training import DATASET_COLUMNS
 
 STEP_KEY = ("experiment", "variant", "trial", "peg_index", "step")
 STEP_FLIPS = ("beta", "chosen_hole", "status")

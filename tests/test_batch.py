@@ -32,7 +32,8 @@ from belieffit import (
 from belieffit import sim
 from belieffit.beliefs import normalized
 from belieffit.errors import InvalidInputError
-from belieffit.training import DATASET_COLUMNS, load_dataset, write_csv
+from belieffit.runfiles import write_csv
+from belieffit.training import DATASET_COLUMNS, load_dataset
 from sensing import sense_trace
 
 R_MAX = SpiralParams().r_max

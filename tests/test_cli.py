@@ -19,14 +19,14 @@ from belieffit import cli
 from belieffit.cli import build_parser, main, validate_metrics_csv, validate_steps_csv
 from belieffit.experiments import DEFAULT_TRIALS, DEFAULT_VARIANTS, ExperimentSpec
 from belieffit.policy import PolicyVariant
-from belieffit.training import CSV_BLOCK_ROWS, DATASET_COLUMNS, read_table, write_csv
+from belieffit.runfiles import CSV_BLOCK_ROWS, read_table, write_csv, write_json
+from belieffit.training import DATASET_COLUMNS
 from belieffit import EnvConfig, SensorModel, SpiralParams
 from belieffit.config import (
     _block_of,
     default_config,
     env_from,
     load_config,
-    save_config,
     sensors_from,
     spiral_from,
 )
@@ -47,7 +47,7 @@ def assert_one_line_error(capsys):
 def small_config(tmp_path):
     doc = default_config()
     path = tmp_path / "config.json"
-    save_config(doc, path)
+    write_json(doc, path)
     return path
 
 
@@ -141,6 +141,34 @@ class TestConfig:
         path.write_text(json.dumps({"env": {"horizon_low": value}}))
         assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
         assert "horizon_low must be an integer" in assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["0.3", " 0.3 ", True, False, None])
+    @pytest.mark.parametrize(
+        "key, template",
+        [
+            ("alpha", '{"env": {"alpha": %s}}'),
+            ("workspace_max", '{"env": {"workspace_max": [%s, 0.25]}}'),
+            ("cov", '{"sensors": {"position": {"cov": [[%s, 0], [0, 6.4e-5]]}}}'),
+        ],
+        ids=["float", "tuple_leaf", "array_leaf"],
+    )
+    def test_float_key_rejects_other_types(self, tmp_path, capsys, key, template, value):
+        # a string or a bool is not read as the number it spells
+        path = tmp_path / "c.json"
+        path.write_text(template % json.dumps(value))
+        code = run_cli(
+            "experiment", "matching_insertion", "--config", path, "--trials", 1,
+            "--out", tmp_path / "r",
+        )
+        assert code == 2
+        assert f"{key} must be a number, got {value!r}" in assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
+
+    def test_float_key_takes_an_integer(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"alpha": 1}}))
+        alpha = env_from(load_config(path)).alpha
+        assert type(alpha) is float and alpha == 1.0
 
     def test_integer_key_takes_a_whole_float(self, tmp_path, capsys):
         path = tmp_path / "c.json"
@@ -248,24 +276,33 @@ def test_unusable_path_is_exit_2_naming_it(small_config, tmp_path, capsys, argv,
         (("train", "--generate", 20, "--epochs", 2), "file/sub"),
         (("calibrate", "--trials", 40), "file/cal.json"),
         (("calibrate", "--trials", 40), "nodir/cal.json"),
+        (("train", "--generate", 20, "--epochs", 2), ""),
+        (("experiment", "assembly", "--trials", 2), ""),
+        (("calibrate", "--trials", 40), ""),
     ],
     ids=["train_out_file", "experiment_out_file", "calibrate_out_dir", "train_out_under_file",
-         "calibrate_out_under_file", "calibrate_out_in_missing_dir"],
+         "calibrate_out_under_file", "calibrate_out_in_missing_dir", "train_out_empty",
+         "experiment_out_empty", "calibrate_out_empty"],
 )
-def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys, argv, kind):
-    # a run directory that is a file or under one, or a config file that is
-    # a directory, under a file or in a missing directory, exits 2 before
-    # the command prints or computes anything
+def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys, monkeypatch,
+                                                 argv, kind):
+    # a run directory that is a file or under one, a config file that is a
+    # directory, under a file or in a missing directory, or an empty path,
+    # exits 2 before the command prints, computes or writes anything
     (tmp_path / "file").write_text("kept\n")
     (tmp_path / "dir").mkdir()
-    out = tmp_path / kind
+    monkeypatch.chdir(tmp_path)  # where a run directory named "" would land
+    before = sorted(os.listdir(tmp_path))
+    out = tmp_path / kind if kind else ""
     assert run_cli(*argv, "--config", small_config, "--out", out) == 2
     captured = capsys.readouterr()
     reason = {"dir": "Is a directory", "nodir/cal.json": "No such file or directory"}.get(
         kind, "Not a directory")
-    assert captured.out == "" and captured.err == f"error: {out}: {reason}\n"
+    error = f"error: {out}: {reason}\n" if kind else "error: --out must name a path, got ''\n"
+    assert captured.out == "" and captured.err == error
     assert list((tmp_path / "dir").iterdir()) == []
-    assert (tmp_path / "file").read_text() == "kept\n" and not (tmp_path / "nodir").exists()
+    assert sorted(os.listdir(tmp_path)) == before
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize(
@@ -872,8 +909,17 @@ class TestExperiment:
             ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": [1], "fpr": 0.15}',
              "params file"),
             ("[1, 2]", "JSON object"),
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": "0.9", "fpr": 0.15}',
+             "tpr must be a number, got '0.9'"),
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": 0.85, "fpr": false}',
+             "fpr must be a number, got False"),
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": true, "fpr": 0.15}',
+             "tpr must be a number, got True"),
+            ('{"position_cov": [["6.4e-5", 0.0], [0.0, 6.4e-5]], "tpr": 0.85, "fpr": 0.15}',
+             "position_cov must be a number, got '6.4e-5'"),
         ],
-        ids=["missing_key", "not_json", "bad_cov", "bad_rate", "not_object"],
+        ids=["missing_key", "not_json", "bad_cov", "bad_rate", "not_object", "string_rate",
+             "false_rate", "true_rate", "string_cov"],
     )
     def test_malformed_params_file_is_exit_2(
         self, small_config, tmp_path, capsys, content, problem
@@ -886,6 +932,7 @@ class TestExperiment:
         )
         assert code == 2
         assert problem in assert_one_line_error(capsys)
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
         "kind, flag", [("position_estimation", "--steps"), ("assembly", "--step-cap")]

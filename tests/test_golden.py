@@ -21,7 +21,7 @@ import hashlib
 import pytest
 
 from belieffit.cli import main
-from belieffit.training import CSV_BLOCK_ROWS
+from belieffit.runfiles import CSV_BLOCK_ROWS
 
 CASES = {
     "position_estimation": (

@@ -7,7 +7,7 @@ import pytest
 
 from belieffit.cli import main
 from belieffit.experiments import METRIC_COLUMNS, STEP_COLUMNS
-from belieffit.training import read_table, write_csv
+from belieffit.runfiles import read_table, write_csv
 from rundiff import diff_runs, main as rundiff_main, relative_deviation
 
 

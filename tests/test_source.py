@@ -75,17 +75,42 @@ def csv_uses_outside(function: str, names: tuple) -> list:
 
 
 def test_csv_files_are_written_only_by_write_csv():
-    # every CSV goes through `training.write_csv`, the one formatter, whose
+    # every CSV goes through `runfiles.write_csv`, the one formatter, whose
     # bytes tests/test_cli.py pins to csv.writer's
     found = csv_uses_outside("write_csv", ("writer", "DictWriter"))
     assert len(SOURCES) > 1 and not found, found
 
 
 def test_csv_files_are_read_only_by_read_table():
-    # every CSV goes through `training.read_table`, the one reader, which
+    # every CSV goes through `runfiles.read_table`, the one reader, which
     # reads a file or a pipe once and names the first bad line
     found = csv_uses_outside("read_table", ("reader", "DictReader"))
     assert len(SOURCES) > 1 and not found, found
+
+
+FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+JSON_IO = {"load", "loads", "dump", "dumps"}
+
+
+def test_only_runfiles_opens_reads_or_writes_a_file():
+    # a run's files are written and read in one module, so what a run
+    # directory holds is decided there; `mkdir` stays with the commands
+    found = set()
+    for path in SOURCES:
+        if path.name == "runfiles.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                if (isinstance(func, ast.Name) and func.id == "open") or (
+                        isinstance(func, ast.Attribute) and (
+                            func.attr in FILE_METHODS or func.attr in JSON_IO
+                            and isinstance(func.value, ast.Name) and func.value.id == "json")):
+                    found.add(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json" and any(
+                    alias.name in JSON_IO for alias in node.names):
+                found.add(f"{path.name}:{node.lineno}")
+    assert len(SOURCES) > 1 and not found, sorted(found)
 
 
 def test_every_private_function_and_class_has_a_caller_in_the_package():

@@ -35,8 +35,8 @@ from belieffit import (
     load_dataset,
     mle_confusion_oracle,
     mle_covariance_oracle,
+    runfiles,
     save_dataset,
-    training,
 )
 from belieffit.errors import (
     BeliefFitError,
@@ -48,9 +48,9 @@ from belieffit.errors import (
     OptimizationFailureError,
 )
 from belieffit.filters import MATCH_PROB_EPS, kalman_correction
+from belieffit.runfiles import CSV_BLOCK_ROWS, write_csv
 from belieffit.seeding import derive_rng
 from belieffit.training import (
-    CSV_BLOCK_ROWS,
     DATASET_COLUMNS,
     LOG_FLOOR,
     _inv,
@@ -59,7 +59,6 @@ from belieffit.training import (
     _Row,
     _sigmoid,
     _value_and_grad,
-    write_csv,
 )
 
 ALPHA = 0.34
@@ -1238,7 +1237,7 @@ class TestDataset:
             opened.append(file)
             return open(file, *args, **kwargs)
 
-        monkeypatch.setattr(training, "open", counting_open, raising=False)
+        monkeypatch.setattr(runfiles, "open", counting_open, raising=False)
         with pytest.raises(InvalidInputError) as exc:
             load_dataset(path, self.CFG)
         assert str(exc.value) == f"{path} line 3: types out of range"
