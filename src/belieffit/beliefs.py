@@ -36,12 +36,25 @@ MAX_TYPES = 1000
 MAX_LENGTH = 1e100
 
 
-def _frozen_array(value, shape) -> np.ndarray:
+def frozen_array(value, shape: tuple, what: str) -> np.ndarray:
+    """A new read-only float array of `value`, which must have `shape` and
+    finite entries: else "{what} must be a finite 2-vector" (or "2x2 matrix")."""
     arr = np.array(value, dtype=float)
-    if arr.shape != shape:
-        raise InvalidInputError(f"expected array of shape {shape}, got {arr.shape}")
+    if arr.shape != shape or not np.isfinite(arr).all():
+        kind = f"{shape[0]}-vector" if len(shape) == 1 else "x".join(map(str, shape)) + " matrix"
+        raise InvalidInputError(f"{what} must be a finite {kind}")
     arr.setflags(write=False)
     return arr
+
+
+def frozen_cov(value, what: str) -> np.ndarray:
+    """`frozen_array` of a 2x2 matrix, symmetric within SYMMETRY_TOL.  The
+    caller checks definiteness, whose floor differs: a belief may be
+    singular, a noise model may not."""
+    cov = frozen_array(value, (2, 2), what)
+    if abs(cov[0, 1] - cov[1, 0]) > SYMMETRY_TOL:
+        raise InvalidInputError(f"{what} must be symmetric")
+    return cov
 
 
 def check_position(mean, cov) -> None:
@@ -121,8 +134,8 @@ class GaussianBelief2:
     cov: np.ndarray
 
     def __post_init__(self):
-        mean = _frozen_array(self.mean, (2,))
-        cov = _frozen_array(self.cov, (2, 2))
+        mean = frozen_array(self.mean, (2,), "belief mean")
+        cov = frozen_array(self.cov, (2, 2), "belief covariance")
         check_position(mean.tolist(), cov.tolist())
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
@@ -135,11 +148,11 @@ class TypeBelief:
     probs: np.ndarray
 
     def __post_init__(self):
-        probs = np.array(self.probs, dtype=float)
-        if probs.ndim != 1 or probs.size < 2:
+        shape = np.shape(self.probs)
+        if len(shape) != 1 or shape[0] < 2:
             raise InvalidInputError("type belief needs at least two classes")
+        probs = frozen_array(self.probs, shape, "type belief")
         check_types(probs.tolist())
-        probs.setflags(write=False)
         object.__setattr__(self, "probs", probs)
 
     @property
@@ -220,9 +233,7 @@ class HoleGroundTruth:
 
     def __post_init__(self):
         hole_type = check_type_tag(self.hole_type, "hole type must be a positive integer")
-        position = _frozen_array(self.position, (2,))
-        if not all(map(math.isfinite, position.tolist())):
-            raise InvalidInputError("hole position must be finite")
+        position = frozen_array(self.position, (2,), "hole position")
         object.__setattr__(self, "hole_type", hole_type)
         object.__setattr__(self, "position", position)
 

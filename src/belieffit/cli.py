@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import config as cfg
-from .errors import BeliefFitError, ConfigurationError, OptimizationFailureError
+from .errors import (BeliefFitError, ConfigurationError, InvalidInputError,
+                     OptimizationFailureError)
 from .experiments import (
     KIND_IDS,
     METRIC_COLUMNS,
@@ -79,21 +80,24 @@ def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
     return tuple(out)
 
 
+def _config_blocks(path):
+    """The config document at `path` and its env, spiral and sensors blocks,
+    each read and checked, whichever of them the command uses."""
+    doc = cfg.load_config(path)
+    return doc, cfg.env_from(doc), cfg.spiral_from(doc), cfg.sensors_from(doc)
+
+
 def cmd_calibrate(args) -> int:
     require_out(args.out, directory=False)
-    doc = cfg.load_config(args.config)
-    env = cfg.env_from(doc)
-    spiral = cfg.spiral_from(doc)
+    doc, env, spiral, _ = _config_blocks(args.config)
     target = args.target_alpha if args.target_alpha is not None else env.alpha
     rng = derive_rng(args.seed, STREAM_CALIBRATE)
     result = tune_capture_radius(env, spiral, target, args.trials, rng)
     if result.alpha_hat <= 0.0:  # no config may hold it: alpha must lie in (0, 1]
-        print(
-            f"error: measured alpha is 0 over {result.trials} trials "
-            f"at capture radius {result.capture_radius}; rerun with more --trials",
-            file=sys.stderr,
+        raise ConfigurationError(
+            f"measured alpha is 0 over {result.trials} trials "
+            f"at capture radius {result.capture_radius}; rerun with more --trials"
         )
-        return 2
     print(f"target alpha      : {result.target}")
     print(f"measured alpha    : {result.alpha_hat}")
     print(f"capture radius [m]: {result.capture_radius}")
@@ -121,10 +125,7 @@ def cmd_calibrate(args) -> int:
 def cmd_train(args) -> int:
     require_out(args.out, directory=True)
     check_fit_settings(args.lr, args.epochs)
-    doc = cfg.load_config(args.config)
-    env = cfg.env_from(doc)
-    spiral = cfg.spiral_from(doc)
-    sensors = cfg.sensors_from(doc)
+    _, env, spiral, sensors = _config_blocks(args.config)
 
     if args.dataset:
         records = load_dataset(args.dataset, env)
@@ -186,10 +187,7 @@ def cmd_train(args) -> int:
 
 def cmd_experiment(args) -> int:
     require_out(args.out, directory=True)
-    doc = cfg.load_config(args.config)
-    env = cfg.env_from(doc)
-    spiral = cfg.spiral_from(doc)
-    sensors = cfg.sensors_from(doc)
+    _, env, spiral, sensors = _config_blocks(args.config)
     # without trained parameters the filters hold the sensors' truth
     learned = cfg.load_params(args.params) if args.params else sensors.filter_models()
     spec = ExperimentSpec(
@@ -254,8 +252,7 @@ def cmd_replay(args) -> int:
     rows = read_table(Path(args.results) / "steps.csv", STEP_COLUMNS, "steps", lambda lines: [
         r for r in map(_replay_row, lines) if r[0] == args.trial])
     if not rows:
-        print(f"error: no records for trial {args.trial}", file=sys.stderr)
-        return 2
+        raise InvalidInputError(f"no records for trial {args.trial}")
     current = None
     for trial, cells, xi, (sx, sy, mx, my, err) in rows:
         row = dict(zip(STEP_COLUMNS, cells))

@@ -6,7 +6,8 @@ trained filter parameters.
 `env_from`, `spiral_from` and `sensors_from` read the blocks back through the
 same classes; files only need the keys they want to override, and a key the
 defaults lack is an error.  A float value, and each leaf of a tuple or array
-value, is a JSON int or float, not a bool or a string.  The filters' trained
+value, is a JSON int or float, not a bool or a string; a tuple value is a
+JSON list.  The filters' trained
 parameters are not part of the config: `train` writes them to a params file,
 which `load_params` reads.  The files themselves are read and written by
 `runfiles`.
@@ -73,9 +74,13 @@ def load_config(path: str | Path | None) -> dict:
 
 
 def load_params(path: str | Path) -> FilterModels:
-    """Learned filter parameters from a JSON file like `train` writes."""
+    """Learned filter parameters from a JSON file like `train` writes: its
+    keys are `position_cov`, `tpr` and `fpr`, and no other."""
     doc = read_json(path, "params")
     with _reading(f"params file {path}: learned"):
+        unknown = sorted(doc.keys() - {"position_cov", "tpr", "fpr"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
         return FilterModels(
             position=PositionNoiseModel(
                 np.array(_numbers("position_cov", doc["position_cov"]), dtype=float)),
@@ -136,6 +141,8 @@ def _from_block(cls, block: dict):
         if dataclasses.is_dataclass(default):
             values[f.name] = _from_block(type(default), block[f.name])
         elif isinstance(default, tuple):
+            if not isinstance(block[f.name], list):
+                raise TypeError(f"{f.name} must be a list of numbers, got {block[f.name]!r}")
             values[f.name] = tuple(_number(f.name, x) for x in block[f.name])
         elif isinstance(default, np.ndarray):
             values[f.name] = np.array(_numbers(f.name, block[f.name]), dtype=float)

@@ -31,7 +31,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import GaussianBelief2, PegType, TypeBelief, ordered_sum
+from .beliefs import (GaussianBelief2, PegType, TypeBelief, frozen_array, frozen_cov,
+                      ordered_sum)
 from .errors import DegenerateEvidenceError, InvalidInputError
 
 MATCH_PROB_EPS = 1e-6
@@ -47,14 +48,9 @@ class PositionNoiseModel:
     cov: np.ndarray
 
     def __post_init__(self):
-        cov = np.array(self.cov, dtype=float)
-        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
-            raise InvalidInputError("noise covariance must be a finite 2x2 matrix")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise InvalidInputError("noise covariance must be symmetric")
+        cov = frozen_cov(self.cov, "noise covariance")
         if np.min(np.linalg.eigvalsh(cov)) < REGULARIZER:
-            raise InvalidInputError("noise covariance must have eigenvalues >= 1e-12")
-        cov.setflags(write=False)
+            raise InvalidInputError(f"noise covariance must have eigenvalues >= {REGULARIZER}")
         object.__setattr__(self, "cov", cov)
 
 
@@ -98,11 +94,7 @@ class Innovation:
     value: np.ndarray
 
     def __post_init__(self):
-        value = np.array(self.value, dtype=float)
-        if value.shape != (2,) or not np.all(np.isfinite(value)):
-            raise InvalidInputError("innovation must be a finite 2-vector")
-        value.setflags(write=False)
-        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "value", frozen_array(self.value, (2,), "innovation"))
 
 
 def _product_error(a: float, b: float, p: float) -> float:

@@ -69,6 +69,7 @@ from .beliefs import (
 )
 from .errors import DegenerateEvidenceError, InvalidInputError, NoActionError
 from .filters import (
+    REGULARIZER,
     FilterModels,
     PositionNoiseModel,
     UNINFORMATIVE_MATCH_MODEL,
@@ -82,7 +83,7 @@ logger = logging.getLogger(__name__)
 
 # Insertion pins down the hole position; treat the final tip position as a
 # (numerically) noise-free observation of it.
-INSERTION_NOISE = PositionNoiseModel(1e-12 * np.eye(2))
+INSERTION_NOISE = PositionNoiseModel(REGULARIZER * np.eye(2))
 
 # A rollout request: the start estimate (x, y), the hole's position and
 # whether the peg matches the hole.  Its outcome: success, the closest

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .beliefs import frozen_array, frozen_cov
 from .errors import InvalidInputError
 from .filters import FilterModels, MatchObservationModel, PositionNoiseModel
 
@@ -34,16 +35,10 @@ class PositionSensorSpec:
     informative_radius: float = 0.01125
 
     def __post_init__(self):
-        cov = np.array(self.cov, dtype=float)
-        bias = np.array(self.bias, dtype=float)
-        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
-            raise InvalidInputError("sensor covariance must be a finite 2x2 matrix")
-        if np.max(np.abs(cov - cov.T)) > 1e-12:
-            raise InvalidInputError("sensor covariance must be symmetric")
+        cov = frozen_cov(self.cov, "sensor covariance")
         if np.min(np.linalg.eigvalsh(cov)) <= 0.0:
             raise InvalidInputError("sensor covariance must be positive definite")
-        if bias.shape != (2,) or not np.all(np.isfinite(bias)):
-            raise InvalidInputError("sensor bias must be a finite 2-vector")
+        bias = frozen_array(self.bias, (2,), "sensor bias")
         if not 1.0 <= self.uninformative_scale < np.inf:
             raise InvalidInputError("uninformative scale must be finite and >= 1")
         if not 0.0 < self.informative_radius < np.inf:
@@ -54,8 +49,6 @@ class PositionSensorSpec:
             raise InvalidInputError(
                 "sensor covariance times uninformative scale squared must be finite"
             )
-        cov.setflags(write=False)
-        bias.setflags(write=False)
         object.__setattr__(self, "cov", cov)
         object.__setattr__(self, "bias", bias)
         try:  # Cholesky factors of the informative and uninformative noise laws

@@ -40,6 +40,7 @@ from .beliefs import (
     EnvConfig,
     HoleGroundTruth,
     PegType,
+    frozen_array,
 )
 from .errors import ConfigurationError, InvalidInputError
 
@@ -263,9 +264,7 @@ def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
 def _single_rollout(start_estimate, peg: PegType, hole: HoleGroundTruth, spiral: SpiralParams,
                     env: EnvConfig, rng: np.random.Generator, sweep: bool) -> RolloutOutcome:
     """One rollout as a block of one: its draws, then the kernel."""
-    start_estimate = np.asarray(start_estimate, dtype=float)
-    if start_estimate.shape != (2,) or not all(map(math.isfinite, start_estimate.tolist())):
-        raise InvalidInputError("start estimate must be a finite 2-vector")
+    start_estimate = frozen_array(start_estimate, (2,), "start estimate")
     horizon = env.horizon_low
     aligned = rng.random() < env.alignment_rate
     normals = wiggle_rows(rng.standard_normal(6 * horizon), horizon)

@@ -47,7 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import SUM_TOL, SYMMETRY_TOL, EnvConfig, check_type_tag, normalized_rows
+from .beliefs import (SUM_TOL, SYMMETRY_TOL, EnvConfig, check_type_tag, frozen_array,
+                      frozen_cov, normalized_rows)
 from .errors import (
     DegenerateEvidenceError,
     DegenerateOracleError,
@@ -59,6 +60,7 @@ from .filters import (
     MATCH_PROB_EPS,
     FilterModels,
     MatchObservationModel,
+    REGULARIZER,
     PositionNoiseModel,
     kalman_correction,
 )
@@ -228,22 +230,14 @@ class LearnedParams:
     theta: np.ndarray
 
     def __post_init__(self):
-        theta = np.array(self.theta, dtype=float)
-        if theta.shape != (5,) or not np.all(np.isfinite(theta)):
-            raise InvalidInputError("theta must be a finite 5-vector")
-        theta.setflags(write=False)
-        object.__setattr__(self, "theta", theta)
+        object.__setattr__(self, "theta", frozen_array(self.theta, (5,), "theta"))
 
     @classmethod
     def from_values(cls, position_cov, tpr: float, fpr: float) -> "LearnedParams":
         """theta for a symmetric positive definite 2x2 `position_cov` and
         rates in (0, 1); a rate within `MATCH_PROB_EPS` of 0 or 1 gives the
         nearest that the scaled logistic reaches."""
-        cov = np.asarray(position_cov, dtype=float)
-        if cov.shape != (2, 2) or not np.all(np.isfinite(cov)):
-            raise InvalidInputError("noise covariance must be a finite 2x2 matrix")
-        if abs(cov[0, 1] - cov[1, 0]) > SYMMETRY_TOL:  # Cholesky reads the lower triangle only
-            raise InvalidInputError("noise covariance must be symmetric")
+        cov = frozen_cov(position_cov, "noise covariance")
         for name, p in (("tpr", tpr), ("fpr", fpr)):
             if not 0.0 < p < 1.0:  # NaN fails too
                 raise InvalidInputError(f"{name}={p} outside (0, 1)")
@@ -284,8 +278,8 @@ class LearnedParams:
 
     def to_filter_models(self) -> FilterModels:
         cov = self.position_cov
-        if np.min(np.linalg.eigvalsh(cov)) < 1e-12:
-            cov = cov + 1e-12 * np.eye(2)
+        if np.min(np.linalg.eigvalsh(cov)) < REGULARIZER:
+            cov = cov + REGULARIZER * np.eye(2)
         return FilterModels(
             position=PositionNoiseModel(cov),
             match=MatchObservationModel(tpr=self.tpr, fpr=self.fpr),

@@ -7,17 +7,23 @@ from belieffit import (
     GaussianBelief2,
     HoleBelief,
     HoleGroundTruth,
+    Innovation,
+    LearnedParams,
     PegType,
+    PositionNoiseModel,
+    PositionSensorSpec,
+    SpiralParams,
     TypeBelief,
     World,
     derive_rng,
     fit_probability,
     init_beliefs,
     init_position_belief,
+    rollout_low_level,
     vision_detect,
 )
 from belieffit.beliefs import (
-    PSD_TOL, SUM_TOL, BeliefArrays, check_position, check_types, normalized,
+    PSD_TOL, SUM_TOL, SYMMETRY_TOL, BeliefArrays, check_position, check_types, normalized,
 )
 from belieffit.errors import ConfigurationError, InvalidInputError
 
@@ -39,9 +45,9 @@ class TestInitPositionBelief:
 
     def test_rejects_non_finite_detection(self):
         # `GaussianBelief2` checks the detection
-        with pytest.raises(InvalidInputError, match="^belief mean must be finite$"):
+        with pytest.raises(InvalidInputError, match="^belief mean must be a finite 2-vector$"):
             init_position_belief((np.nan, 0.0), 1e-4)
-        with pytest.raises(InvalidInputError, match="shape"):
+        with pytest.raises(InvalidInputError, match="belief mean must be a finite 2-vector"):
             init_position_belief((0.0, 0.0, 0.0), 1e-4)
 
     def test_rejects_nonpositive_sigma(self):
@@ -183,13 +189,80 @@ class TestValidation:
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_hole_ground_truth_rejects_non_finite_position(self, bad):
         for position in ((bad, 0.0), (0.0, bad)):
-            with pytest.raises(InvalidInputError, match="hole position must be finite"):
+            with pytest.raises(InvalidInputError, match="hole position must be a finite 2-vector"):
                 HoleGroundTruth(1, position)
 
     def test_beliefs_are_immutable(self):
         b = init_position_belief((0.0, 0.0), 1e-4)
         with pytest.raises(ValueError):
             b.mean[0] = 1.0
+
+
+def _rollout_from(start):
+    return rollout_low_level(start, PegType(1), HoleGroundTruth(1, (0.0, 0.0)), SpiralParams(),
+                             EnvConfig(), derive_rng(0, 0))
+
+
+# each array a constructor checks through `frozen_array`: the constructor of
+# a bad value, the array's name in the error, its kind, a valid value and
+# the field that stores it (None for an argument that is not stored)
+_FROZEN = [
+    pytest.param(lambda v: GaussianBelief2(v, np.eye(2)), "belief mean", "2-vector",
+                 np.zeros(2), "mean", id="GaussianBelief2.mean"),
+    pytest.param(lambda v: GaussianBelief2(np.zeros(2), v), "belief covariance", "2x2 matrix",
+                 np.eye(2), "cov", id="GaussianBelief2.cov"),
+    pytest.param(TypeBelief, "type belief", "3-vector", np.full(3, 1 / 3), "probs",
+                 id="TypeBelief.probs"),
+    pytest.param(lambda v: HoleGroundTruth(1, v), "hole position", "2-vector", np.zeros(2),
+                 "position", id="HoleGroundTruth.position"),
+    pytest.param(PositionNoiseModel, "noise covariance", "2x2 matrix", 1e-4 * np.eye(2), "cov",
+                 id="PositionNoiseModel.cov"),
+    pytest.param(Innovation, "innovation", "2-vector", np.zeros(2), "value",
+                 id="Innovation.value"),
+    pytest.param(lambda v: PositionSensorSpec(cov=v), "sensor covariance", "2x2 matrix",
+                 6.4e-5 * np.eye(2), "cov", id="PositionSensorSpec.cov"),
+    pytest.param(lambda v: PositionSensorSpec(bias=v), "sensor bias", "2-vector", np.zeros(2),
+                 "bias", id="PositionSensorSpec.bias"),
+    pytest.param(LearnedParams, "theta", "5-vector", np.zeros(5), "theta",
+                 id="LearnedParams.theta"),
+    pytest.param(lambda v: LearnedParams.from_values(v, 0.8, 0.2), "noise covariance",
+                 "2x2 matrix", 1e-4 * np.eye(2), None, id="LearnedParams.from_values"),
+    pytest.param(_rollout_from, "start estimate", "2-vector", np.zeros(2), None,
+                 id="rollout_low_level.start_estimate"),
+]
+
+
+@pytest.mark.parametrize("make, what, kind, good, field", _FROZEN)
+def test_checked_arrays_are_frozen_through_frozen_array(make, what, kind, good, field):
+    # a type belief's shape is its input's, so only its entries can be bad
+    bads = [] if field == "probs" else [np.zeros(good.size + 1)]
+    for entry in (np.nan, np.inf, -np.inf):
+        bad = good.copy()
+        bad.flat[-1] = entry
+        bads.append(bad)
+    for bad in bads:
+        with pytest.raises(InvalidInputError, match=f"^{what} must be a finite {kind}$"):
+            make(bad)
+    if field is not None:
+        stored = getattr(make(good), field)
+        with pytest.raises(ValueError):
+            stored[(0,) * stored.ndim] = 1.0
+
+
+@pytest.mark.parametrize(
+    "make, what",
+    [(PositionNoiseModel, "noise covariance"), (lambda v: PositionSensorSpec(cov=v),
+     "sensor covariance"), (lambda v: LearnedParams.from_values(v, 0.8, 0.2),
+     "noise covariance")],
+    ids=["PositionNoiseModel", "PositionSensorSpec", "LearnedParams.from_values"],
+)
+def test_covariances_are_symmetric_within_symmetry_tol(make, what):
+    cov = 1e-4 * np.eye(2)
+    cov[0, 1] = SYMMETRY_TOL
+    make(cov)
+    cov[0, 1] = 2 * SYMMETRY_TOL
+    with pytest.raises(InvalidInputError, match=f"^{what} must be symmetric$"):
+        make(cov)
 
 
 _ENTRY = st.floats(-1e-3, 1e-3)

@@ -217,6 +217,15 @@ class TestConfig:
         assert code == 2 and not caught
         assert named in assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("value", ["ab", {"a": 1}, 0.25], ids=["string", "object", "number"])
+    def test_tuple_key_must_be_a_list(self, tmp_path, capsys, value):
+        # a string would be read a character at a time, a dict by its keys
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"env": {"workspace_max": value}}))
+        assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
+        assert assert_one_line_error(capsys) == (
+            f"error: env: workspace_max must be a list of numbers, got {value!r}\n")
+
     def test_wrong_typed_value_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"env": {"n_holes": "five"}}))
@@ -354,6 +363,17 @@ class TestCalibrate:
         )
         assert code == 2
         assert "measured alpha is 0" in assert_one_line_error(capsys)
+        assert not out.exists()
+
+    def test_bad_sensors_block_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        # calibrate reads no sensor, but the config it writes must load in
+        # every command
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"sensors": {"position": {"bias": "ab"}}}))
+        out = tmp_path / "cal.json"
+        assert run_cli("calibrate", "--config", path, "--trials", 4, "--out", out) == 2
+        assert assert_one_line_error(capsys) == (
+            "error: sensors: bias must be a number, got 'ab'\n")
         assert not out.exists()
 
     def test_unreachable_target_warns_but_succeeds(self, small_config, tmp_path, capsys):
@@ -917,9 +937,11 @@ class TestExperiment:
              "tpr must be a number, got True"),
             ('{"position_cov": [["6.4e-5", 0.0], [0.0, 6.4e-5]], "tpr": 0.85, "fpr": 0.15}',
              "position_cov must be a number, got '6.4e-5'"),
+            ('{"position_cov": [[6.4e-5, 0.0], [0.0, 6.4e-5]], "tpr": 0.85, "fpr": 0.15, '
+             '"bogus": 3}', "learned: unknown key 'bogus'"),
         ],
         ids=["missing_key", "not_json", "bad_cov", "bad_rate", "not_object", "string_rate",
-             "false_rate", "true_rate", "string_cov"],
+             "false_rate", "true_rate", "string_cov", "unknown_key"],
     )
     def test_malformed_params_file_is_exit_2(
         self, small_config, tmp_path, capsys, content, problem

@@ -113,6 +113,22 @@ def test_only_runfiles_opens_reads_or_writes_a_file():
     assert len(SOURCES) > 1 and not found, sorted(found)
 
 
+def test_constructors_freeze_arrays_through_frozen_array():
+    # `beliefs.frozen_array` is the one rule for a checked array: shape,
+    # finite entries and a read-only copy; no constructor writes its own
+    found = [
+        f"{path.name}:{cls.name}"
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "__post_init__"
+        and any(isinstance(node, ast.Attribute) and node.attr == "setflags"
+                for node in ast.walk(method))
+    ]
+    assert len(SOURCES) > 1 and not found, found
+
+
 def test_every_private_function_and_class_has_a_caller_in_the_package():
     # an underscore name is the package's own: one that nothing in `src/`
     # references outside its definition is dead code, or a helper that only
