@@ -38,8 +38,12 @@ MAX_LENGTH = 1e100
 
 def frozen_array(value, shape: tuple, what: str) -> np.ndarray:
     """A new read-only float array of `value`, which must have `shape` and
-    finite entries: else "{what} must be a finite 2-vector" (or "2x2 matrix")."""
-    arr = np.array(value, dtype=float)
+    finite entries: else, or when numpy cannot convert it, "{what} must be a
+    finite 2-vector" (or "2x2 matrix")."""
+    try:
+        arr = np.array(value, dtype=float)
+    except (TypeError, ValueError):  # a string, a dict or a ragged nesting
+        arr = np.empty(0)  # of no shape that a caller asks for
     if arr.shape != shape or not np.isfinite(arr).all():
         kind = f"{shape[0]}-vector" if len(shape) == 1 else "x".join(map(str, shape)) + " matrix"
         raise InvalidInputError(f"{what} must be a finite {kind}")
@@ -148,9 +152,12 @@ class TypeBelief:
     probs: np.ndarray
 
     def __post_init__(self):
-        shape = np.shape(self.probs)
+        try:
+            shape = np.shape(self.probs)
+        except ValueError:  # a ragged nesting
+            shape = ()
         if len(shape) != 1 or shape[0] < 2:
-            raise InvalidInputError("type belief needs at least two classes")
+            raise InvalidInputError("type belief must be a vector of at least two classes")
         probs = frozen_array(self.probs, shape, "type belief")
         check_types(probs.tolist())
         object.__setattr__(self, "probs", probs)
@@ -288,7 +295,7 @@ class EnvConfig:
                 "workspace bounds must be 2-vectors with positive, finite extent and "
                 f"corners within {MAX_LENGTH:g} m of 0"
             )
-        # tuples keep the config hashable, which the rollout's caches need
+        # tuples, so that no caller can change a frozen config's bounds in place
         object.__setattr__(self, "workspace_min", tuple(lo.tolist()))
         object.__setattr__(self, "workspace_max", tuple(hi.tolist()))
 

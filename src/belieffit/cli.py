@@ -98,15 +98,7 @@ def cmd_calibrate(args) -> int:
             f"measured alpha is 0 over {result.trials} trials "
             f"at capture radius {result.capture_radius}; rerun with more --trials"
         )
-    print(f"target alpha      : {result.target}")
-    print(f"measured alpha    : {result.alpha_hat}")
-    print(f"capture radius [m]: {result.capture_radius}")
-    if not result.feasible:
-        print(
-            "warning: target exceeds the achievable success rate; "
-            "capture radius clamped to its feasibility bound",
-            file=sys.stderr,
-        )
+    # every file is written before the report, which a closed pipe can cut short
     if args.out:
         doc["env"]["capture_radius"] = result.capture_radius
         doc["env"]["alpha"] = result.alpha_hat
@@ -118,6 +110,16 @@ def cmd_calibrate(args) -> int:
             "seed": args.seed,
         }
         write_json(doc, args.out)
+    print(f"target alpha      : {result.target}")
+    print(f"measured alpha    : {result.alpha_hat}")
+    print(f"capture radius [m]: {result.capture_radius}")
+    if not result.feasible:
+        print(
+            "warning: target exceeds the achievable success rate; "
+            "capture radius clamped to its feasibility bound",
+            file=sys.stderr,
+        )
+    if args.out:
         print(f"wrote {args.out}")
     return 0
 
@@ -148,7 +150,8 @@ def cmd_train(args) -> int:
         alpha=env.alpha, history_out=history,
     )
     models = params.to_filter_models()
-    # written only once the fit has succeeded: a failed run leaves --out as it was
+    # written only once the fit has succeeded, so a failed run leaves --out
+    # as it was, and before the report, which a closed pipe can cut short
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.dataset:
@@ -157,6 +160,8 @@ def cmd_train(args) -> int:
         out_dir / "loss.csv", ("epoch", "mean_nll"),
         [(e + 1, history[e]) for e in range(len(history))],
     )
+    params_path = out_dir / "learned_params.json"
+    write_json(cfg.learned_to_doc(models), params_path)
 
     window = 50
     if len(history) >= 2 * window:
@@ -178,9 +183,6 @@ def cmd_train(args) -> int:
     print(f"cov rel. gap      : {rel}")
     print(f"learned (tpr,fpr) : ({params.tpr}, {params.fpr})")
     print(f"oracle  (tpr,fpr) : ({tpr_oracle}, {fpr_oracle})")
-
-    params_path = out_dir / "learned_params.json"
-    write_json(cfg.learned_to_doc(models), params_path)
     print(f"wrote {params_path}")
     return 0
 
@@ -266,11 +268,19 @@ def cmd_replay(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and each subcommand's, whose rejected flag raises, so that
+    `main` prints it as one line and returns 2."""
+
+    def error(self, message):
+        raise ConfigurationError(message)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built once per process: parsing leaves it as it was
     and returns a new namespace each time."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="belieffit",
         description="Belief-space object fitting: calibration, training, experiments.",
     )
@@ -286,9 +296,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit filter noise parameters on interaction data")
     p.add_argument("--config", default=None)
-    p.add_argument("--dataset", default=None, help="existing dataset CSV")
-    p.add_argument("--generate", type=int, default=3000,
-                   help="generate this many interactions when no dataset is given")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--dataset", default=None, help="existing dataset CSV")
+    source.add_argument("--generate", type=int, default=3000,
+                        help="generate this many interactions when no dataset is given")
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
@@ -318,8 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except OptimizationFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -158,33 +158,19 @@ def vision_detect(positions: np.ndarray, bound: float, uniforms: np.ndarray) -> 
     return positions + (-bound + (bound - -bound) * uniforms)
 
 
-def _spiral_offset(j, horizon: int, spiral: SpiralParams) -> np.ndarray:
-    """Open-loop spiral motion in xy at step j, or one row per step for an
-    array j."""
-    j = np.asarray(j, dtype=float)
-    radius = j * spiral.r_max / horizon
-    angle = 2.0 * math.pi * j * spiral.n_rot / horizon
-    return np.stack([radius * np.cos(angle), radius * np.sin(angle)], axis=-1)
-
-
 @functools.lru_cache(maxsize=32)
 def _drive_offsets(horizon: int, spiral: SpiralParams, sweep: bool) -> np.ndarray:
     """Every step's open-loop motion as rows x, y of a (2, horizon) array:
     the spiral sweep, or pressing in place.  Computed once per argument set."""
     if sweep:
-        offsets = _spiral_offset(np.arange(horizon), horizon, spiral).T.copy()
+        j = np.arange(horizon, dtype=float)
+        radius = j * spiral.r_max / horizon
+        angle = 2.0 * math.pi * j * spiral.n_rot / horizon
+        offsets = np.stack([radius * np.cos(angle), radius * np.sin(angle)])
     else:
         offsets = np.zeros((2, horizon))
     offsets.setflags(write=False)
     return offsets
-
-
-@functools.lru_cache(maxsize=32)
-def _column(values: tuple[float, ...]) -> np.ndarray:
-    """`values` as a read-only column, to broadcast along a row per step."""
-    column = np.array(values, dtype=float)[:, None]
-    column.setflags(write=False)
-    return column
 
 
 def block_size(horizon: int) -> int:
@@ -242,8 +228,8 @@ def rollout_block(starts: np.ndarray, holes: np.ndarray, normals_xy: np.ndarray,
     xy = np.multiply(normals_xy, spiral.sigma_wiggle, out=normals_xy if tips is None else tips)
     xy += _drive_offsets(horizon, spiral, sweep)
     xy += starts[:, :, None]
-    np.maximum(xy, _column(env.workspace_min), out=xy)
-    np.minimum(xy, _column(env.workspace_max), out=xy)
+    np.maximum(xy, np.array(env.workspace_min)[:, None], out=xy)
+    np.minimum(xy, np.array(env.workspace_max)[:, None], out=xy)
     delta = np.subtract(xy, holes[:, :, None], out=normals_xy)
     delta *= delta
     distance = np.add(delta[:, 0], delta[:, 1], out=delta[:, 0])
@@ -314,7 +300,6 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
     horizon = config.horizon_low
     radii = sized_empty(trials)
-    normals = np.empty(6 * horizon)
     for lo in range(0, trials, block_size(horizon)):
         n = min(block_size(horizon), trials - lo)
         # per trial, in stream order: the detector's two uniforms and the
@@ -323,7 +308,7 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
         normals_xy = np.empty((n, 2, horizon))
         for k in range(n):
             rng.random(out=uniforms[k])
-            normals_xy[k] = wiggle_rows(rng.standard_normal(out=normals), horizon)
+            normals_xy[k] = wiggle_rows(rng.standard_normal(6 * horizon), horizon)
         detections = vision_detect(center, config.detector_error_bound, uniforms[:, :2])
         aligned = uniforms[:, 2] < config.alignment_rate
         # unmatched, an attempt runs its whole horizon: its closest approach

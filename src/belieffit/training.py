@@ -109,11 +109,17 @@ class InteractionRecord:
                  o_match: bool, beta: bool):
         values = []
         for vector in (position, mu0, obs):
-            arr = np.asarray(vector, dtype=float)
+            try:
+                arr = np.asarray(vector, dtype=float)
+            except (TypeError, ValueError):  # not numbers: as a vector of another shape
+                arr = np.empty(0)
             # a vector of another shape fails `_check_values` as not finite
             values += arr.tolist() if arr.shape == (2,) else [math.nan, math.nan]
-        sigma0 = np.asarray(sigma0, dtype=float)
-        xi0 = np.asarray(xi0, dtype=float)
+        try:
+            sigma0 = np.asarray(sigma0, dtype=float)
+            xi0 = np.asarray(xi0, dtype=float)
+        except (TypeError, ValueError):
+            raise InvalidInputError("initial beliefs must be arrays of numbers") from None
         if sigma0.shape != (2, 2) or xi0.ndim != 1:
             raise InvalidInputError("bad initial belief shapes")
         (a, b), (c, d) = entries = sigma0.tolist()

@@ -236,8 +236,8 @@ _FROZEN = [
 def test_checked_arrays_are_frozen_through_frozen_array(make, what, kind, good, field):
     # a type belief's shape is its input's, so only its entries can be bad
     bads = [] if field == "probs" else [np.zeros(good.size + 1)]
-    for entry in (np.nan, np.inf, -np.inf):
-        bad = good.copy()
+    for entry in (np.nan, np.inf, -np.inf, "a"):
+        bad = good.astype(object)
         bad.flat[-1] = entry
         bads.append(bad)
     for bad in bads:
@@ -247,6 +247,15 @@ def test_checked_arrays_are_frozen_through_frozen_array(make, what, kind, good, 
         stored = getattr(make(good), field)
         with pytest.raises(ValueError):
             stored[(0,) * stored.ndim] = 1.0
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: TypeBelief([[0.5, 0.5], [1.0]]), "type belief must be a vector of at least two classes"),
+    (lambda: Innovation({"x": 1}), "innovation must be a finite 2-vector"),
+], ids=["ragged TypeBelief", "dict Innovation"])
+def test_values_numpy_cannot_convert_raise_the_constructors_error(make, message):
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        make()
 
 
 @pytest.mark.parametrize(

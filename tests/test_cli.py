@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -330,6 +331,66 @@ def test_bad_fit_settings_fail_before_the_dataset(small_config, tmp_path, capsys
     assert captured.out == "" and captured.err == f"error: {reason}\n"
     generate.assert_not_called()
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (("experiment", "assembly", "--trials", "abc"),
+         "argument --trials: invalid int value: 'abc'"),
+        (("experiment", "nokind"), "argument kind: invalid choice: 'nokind' (choose from "),
+        (("experiment", "assembly", "--bogus", 1), "unrecognized arguments: --bogus 1"),
+        (("replay", "--trial", 0), "the following arguments are required: --results"),
+        ((), "the following arguments are required: command"),
+        (("train", "--dataset", "d.csv", "--generate", 7, "--seed", 9),
+         "argument --generate: not allowed with argument --dataset"),
+    ],
+    ids=["non_integer_trials", "unknown_kind", "unknown_flag", "replay_without_results",
+         "no_command", "dataset_and_generate"],
+)
+def test_rejected_flag_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, error):
+    # argparse's usage block and SystemExit become one line and a return
+    monkeypatch.chdir(tmp_path)  # where a default --out would land
+    assert run_cli(*argv) == 2
+    assert assert_one_line_error(capsys).startswith(f"error: {error}")
+    assert os.listdir(tmp_path) == []
+
+
+class _ClosedAfterFirstLine(io.StringIO):
+    """A stdout whose reader has gone once it has read the first line, as
+    under `| head -1`."""
+
+    def write(self, text):
+        if "\n" in self.getvalue():
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return super().write(text)
+
+
+@pytest.mark.parametrize(
+    "argv, files",
+    [
+        (("train", "--generate", 40, "--epochs", 5, "--out", "{out}"),
+         ("dataset.csv", "loss.csv", "learned_params.json")),
+        (("calibrate", "--trials", 40, "--out", "{out}/cal.json"), ("cal.json",)),
+    ],
+    ids=["train", "calibrate"],
+)
+def test_closed_stdout_leaves_every_file(small_config, tmp_path, capsys, monkeypatch,
+                                         argv, files):
+    # every file is written before the report that a closed pipe cuts short
+    runs = {}
+    for name in ("whole", "cut"):
+        out = tmp_path / name
+        out.mkdir()
+        with monkeypatch.context() as m:
+            if name == "cut":
+                m.setattr(sys, "stdout", _ClosedAfterFirstLine())
+            code = run_cli(*(str(a).format(out=out) for a in argv), "--config", small_config)
+        runs[name] = code, capsys.readouterr().err
+        assert sorted(os.listdir(out)) == sorted(files)
+    assert runs["whole"][0] == 0 and runs["cut"] == (2, "error: Broken pipe\n")
+    for name in files:
+        assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
 
 
 class TestCalibrate:

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -20,9 +21,7 @@ from belieffit import (
 )
 from belieffit.seeding import derive_rng
 from belieffit.sim import (
-    _column,
     _drive_offsets,
-    _spiral_offset,
     capture_radius_bound,
     min_hole_separation,
     placement_box,
@@ -142,10 +141,18 @@ class TestVisionDetect:
         assert np.all(np.abs(errs.mean(axis=0)) <= bound)
 
 
+def _spiral_step(j: int, horizon: int, params: SpiralParams) -> np.ndarray:
+    """The spiral law, written out apart from the kernel's table: step j's
+    open-loop offset lies at radius j r_max / horizon and angle
+    2 pi j n_rot / horizon."""
+    radius = j * params.r_max / horizon
+    angle = 2.0 * math.pi * j * params.n_rot / horizon
+    return np.array([radius * math.cos(angle), radius * math.sin(angle)])
+
+
 class TestSpiralCommand:
     def test_start_of_spiral(self):
         params = SpiralParams(sigma_wiggle=0.0)
-        assert np.allclose(_spiral_offset(0, 100, params), [0.0, 0.0], atol=1e-15)
         # without wiggle the first command is the bare offset: the tip stays
         # at the estimate
         out = rollout_low_level(
@@ -155,8 +162,33 @@ class TestSpiralCommand:
         assert np.allclose(out.trace[0], [0.01, 0.02], atol=1e-15)
 
     def test_end_of_spiral_two_rotations(self):
+        # n_rot turns out to r_max over the horizon: an unmatched rollout's
+        # last tip lies one step short of (r_max, 0), ahead of the estimate
         params = SpiralParams(sigma_wiggle=0.0)
-        assert np.allclose(_spiral_offset(100, 100, params), [params.r_max, 0.0], atol=1e-12)
+        h = CFG.horizon_low
+        out = rollout_low_level(
+            (0.01, 0.02), PegType(1), HoleGroundTruth(2, (0.0, 0.0)), params, CFG,
+            derive_rng(0, 3),
+        )
+        angle = -2.0 * math.pi * params.n_rot / h
+        last = params.r_max * (h - 1) / h * np.array([math.cos(angle), math.sin(angle)])
+        assert len(out.trace) == h
+        assert np.allclose(out.trace[-1], np.add((0.01, 0.02), last), rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("horizon, r_max, n_rot", [
+        (1, 0.015, 1), (7, 0.015, 2), (100, 0.015, 2), (150, 0.004, 5), (64, 2.5, 64)])
+    def test_drive_table_is_the_law(self, horizon, r_max, n_rot):
+        params = SpiralParams(r_max=r_max, n_rot=n_rot)
+        table = _drive_offsets(horizon, params, True)
+        law = np.array([_spiral_step(j, horizon, params) for j in range(horizon)]).T
+        assert table.shape == (2, horizon)
+        # np.cos and math.cos may round apart by an ulp
+        assert np.allclose(table, law, rtol=0.0, atol=4 * np.finfo(float).eps * r_max)
+        pressing = _drive_offsets(horizon, params, False)
+        assert pressing.shape == (2, horizon) and not pressing.any()
+        for offsets in (table, pressing):
+            with pytest.raises(ValueError):
+                offsets[0, 0] = 1.0
 
 
 def _rollout(start, peg_type, hole, *, align=1.0, sigma=None, seed=0):
@@ -177,7 +209,7 @@ def _reference_rollout(start, hole, params, horizon, rng, *, spiral, cr, align, 
     ee = target.copy()
     path = []
     for j in range(horizon):
-        offset = _spiral_offset(j, horizon, params) if spiral else np.zeros(2)
+        offset = _spiral_step(j, horizon, params) if spiral else np.zeros(2)
         u = offset + params.sigma_wiggle * unit[j] + (target - ee)
         ee = np.clip(ee + u, *WORKSPACE)
         path.append(ee.copy())
@@ -336,8 +368,8 @@ def _separate_kernel_rollout(start_estimate, peg, hole, spiral, env, rng, sweep)
     xy = np.multiply(normals, spiral.sigma_wiggle, out=tips)
     xy += _drive_offsets(horizon, spiral, sweep)
     xy += start_estimate[:, None]
-    np.maximum(xy, _column(env.workspace_min), out=xy)
-    np.minimum(xy, _column(env.workspace_max), out=xy)
+    np.maximum(xy, np.array(env.workspace_min)[:, None], out=xy)
+    np.minimum(xy, np.array(env.workspace_max)[:, None], out=xy)
     delta = np.subtract(xy, hole.position[:, None])
     delta *= delta
     dx, dy = delta[0, :], delta[1, :]

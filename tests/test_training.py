@@ -843,8 +843,16 @@ class TestRecordValidation:
     @pytest.mark.parametrize("field", ["position", "mu0", "obs"])
     def test_vectors_must_be_2_vectors(self, field):
         record = make_record(derive_rng(9, 20))
-        with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
-            rebuilt(record, **{field: [0.0, 0.0, 0.0]})
+        for value in ([0.0, 0.0, 0.0], ("a", 0.0)):
+            with pytest.raises(InvalidInputError, match=f"{field} must be a finite 2-vector"):
+                rebuilt(record, **{field: value})
+
+    @pytest.mark.parametrize("prior", [{"sigma0": [["a", 0.0], [0.0, 1e-4]]},
+                                       {"xi0": [[0.5, 0.5], [1.0]]}])
+    def test_initial_beliefs_must_be_numbers(self, prior):
+        record = make_record(derive_rng(9, 20))
+        with pytest.raises(InvalidInputError, match="^initial beliefs must be arrays of numbers$"):
+            rebuilt(record, **prior)
 
     @pytest.mark.parametrize("types", [{"peg_type": 4}, {"peg_type": 0},
                                        {"hole_type": 4}, {"hole_type": 0}])
