@@ -206,11 +206,14 @@ class BeliefArrays:
     fitted: list[bool]
 
     def __post_init__(self):
-        self.means = list(map(tuple, np.asarray(self.means, dtype=float).tolist()))
-        self.covs = [(tuple(r0), tuple(r1))
-                     for r0, r1 in np.asarray(self.covs, dtype=float).tolist()]
-        self.xi = np.asarray(self.xi, dtype=float).tolist()
-        self.fitted = np.asarray(self.fitted, dtype=bool).tolist()
+        try:
+            self.means = list(map(tuple, np.asarray(self.means, dtype=float).tolist()))
+            self.covs = [(tuple(r0), tuple(r1))
+                         for r0, r1 in np.asarray(self.covs, dtype=float).tolist()]
+            self.xi = np.asarray(self.xi, dtype=float).tolist()
+            self.fitted = np.asarray(self.fitted, dtype=bool).tolist()
+        except (TypeError, ValueError):  # a string, a dict, a scalar or a ragged nesting
+            raise InvalidInputError("belief rows must be arrays of numbers") from None
 
     @classmethod
     def of(cls, beliefs: list[HoleBelief]) -> BeliefArrays:
@@ -286,8 +289,11 @@ class EnvConfig:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
         if not 0.0 < self.capture_radius <= MAX_LENGTH:
             raise ConfigurationError(f"capture radius must lie in (0, {MAX_LENGTH:g}] m")
-        lo = np.asarray(self.workspace_min, dtype=float)
-        hi = np.asarray(self.workspace_max, dtype=float)
+        try:
+            lo = np.asarray(self.workspace_min, dtype=float)
+            hi = np.asarray(self.workspace_max, dtype=float)
+        except (TypeError, ValueError):  # a string, a dict or a ragged nesting
+            lo = hi = np.empty(0)  # of no shape that the check below accepts
         if lo.shape != (2,) or hi.shape != (2,) or not all(
             -MAX_LENGTH <= l < h <= MAX_LENGTH for l, h in zip(lo.tolist(), hi.tolist())
         ):

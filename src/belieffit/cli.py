@@ -25,7 +25,7 @@ from .experiments import (
     run_experiment,
 )
 from .policy import PolicyVariant
-from .runfiles import read_table, require_out, write_csv, write_json
+from .runfiles import null_stdout, read_table, require_out, write_csv, write_json
 from .seeding import STREAM_CALIBRATE, STREAM_DATASET, derive_rng
 from .sim import tune_capture_radius
 from .training import (
@@ -125,6 +125,8 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.dataset and args.seed is not None:  # the seed seeds only generation
+        raise ConfigurationError("argument --seed: not allowed with argument --dataset")
     require_out(args.out, directory=True)
     check_fit_settings(args.lr, args.epochs)
     _, env, spiral, sensors = _config_blocks(args.config)
@@ -133,7 +135,7 @@ def cmd_train(args) -> int:
         records = load_dataset(args.dataset, env)
     else:
         records = generate_dataset(
-            env, sensors, args.generate, derive_rng(args.seed, STREAM_DATASET), spiral
+            env, sensors, args.generate, derive_rng(args.seed or 0, STREAM_DATASET), spiral
         )
     # the oracles reject a batch they cannot estimate from before the fit;
     # they read the dataset's columns
@@ -202,7 +204,6 @@ def cmd_experiment(args) -> int:
         seed=args.seed,
         variants=_parse_variants(args.variants),
         steps=args.steps,
-        step_cap=args.step_cap,
     )
     metric_rows, step_rows = run_experiment(spec)
 
@@ -222,8 +223,8 @@ def cmd_experiment(args) -> int:
             first, last = (value[name, "pos_error_mean", t] for t in (0, spec.steps))
             print(f"  {name}: mean error {first:.4f} m -> {last:.4f} m")
         elif args.kind == "matching_insertion":
-            final = value[name, "success_rate", env.horizon_high]
-            print(f"  {name}: success within {env.horizon_high} steps = {final:.3f}")
+            final = value[name, "success_rate", spec.steps]
+            print(f"  {name}: success within {spec.steps} steps = {final:.3f}")
         else:
             iv = value[name, "intervention_rate", 0]
             cm = value[name, "cum_attempts_mean", env.n_holes]
@@ -302,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate this many interactions when no dataset is given")
     p.add_argument("--lr", type=float, default=0.01)
     p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="seeds --generate (default: 0)")
     p.add_argument("--out", default="train_out")
     p.set_defaults(func=cmd_train)
 
@@ -314,10 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--variants", default=None,
                    help="comma-separated variant names (default: per-kind set)")
-    p.add_argument("--steps", type=int, default=ExperimentSpec.steps,
-                   help="interaction steps for position_estimation")
-    p.add_argument("--step-cap", type=int, default=ExperimentSpec.step_cap,
-                   help="per-peg attempt cap for assembly")
+    p.add_argument("--steps", type=int, default=None,
+                   help="attempts per peg (default: 5 for position_estimation, the config's "
+                        "horizon_high for matching_insertion, 30 for assembly)")
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_experiment)
 
@@ -331,7 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe fails here and not at exit
+        return code
     except OptimizationFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -342,6 +344,8 @@ def main(argv=None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:  # a path that cannot be read or written as asked
+        if isinstance(exc, BrokenPipeError):  # or stdout, whose reader has gone
+            null_stdout()
         where = "" if exc.filename is None else f"{exc.filename}: "
         print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2

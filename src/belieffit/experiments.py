@@ -72,6 +72,8 @@ DEFAULT_VARIANTS = {
 }
 
 DEFAULT_TRIALS = {KIND_POSITION: 100, KIND_MATCHING: 150, KIND_ASSEMBLY: 100}
+# each peg's attempt horizon; matching_insertion's is the config's horizon_high
+DEFAULT_STEPS = {KIND_POSITION: 5, KIND_ASSEMBLY: 30}
 
 ATTEMPT_HIST_BIN = 6
 
@@ -107,8 +109,7 @@ class ExperimentSpec:
     trials: int | None = None
     seed: int = 0
     variants: tuple[PolicyVariant, ...] = ()
-    steps: int = 5
-    step_cap: int = 30
+    steps: int | None = None
 
     def __post_init__(self):
         if self.kind not in KIND_IDS:
@@ -117,8 +118,10 @@ class ExperimentSpec:
             object.__setattr__(self, "trials", DEFAULT_TRIALS[self.kind])
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
-        if not (1 <= self.steps <= MAX_HORIZON and 1 <= self.step_cap <= MAX_HORIZON):
-            raise ConfigurationError(f"steps and step cap must lie in [1, {MAX_HORIZON}]")
+        if self.steps is None:
+            object.__setattr__(self, "steps", DEFAULT_STEPS.get(self.kind, self.env.horizon_high))
+        if not 1 <= self.steps <= MAX_HORIZON:
+            raise ConfigurationError(f"steps must lie in [1, {MAX_HORIZON}]")
         if not self.variants:
             object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
         for i, variant in enumerate(self.variants):  # a repeat would write every row twice
@@ -175,10 +178,10 @@ def _study(spec: ExperimentSpec, setup, task) -> tuple[list[list], list[tuple]]:
     return by_variant, step_rows
 
 
-def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
+def _single_hole_study(spec: ExperimentSpec, matched: bool):
     """`_study` on one-hole worlds: each trial's world, peg and detected
-    beliefs, and each variant's one episode on its own copy of the
-    beliefs."""
+    beliefs, and each variant's episode of up to `spec.steps` attempts on
+    its own copy of the beliefs."""
     kind_id = KIND_IDS[spec.kind]
     env1 = replace(spec.env, n_holes=1)
 
@@ -191,8 +194,8 @@ def _single_hole_study(spec: ExperimentSpec, matched: bool, horizon: int):
 
     def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
         world, peg, state = set_up
-        episode = yield from steps_task(state.copy(), world, peg, variant, spec.models, horizon,
-                                        rng)
+        episode = yield from steps_task(state.copy(), world, peg, variant, spec.models,
+                                        spec.steps, rng)
         return AssemblyResult([episode])
 
     return _study(spec, setup, task)
@@ -221,7 +224,7 @@ def run_position_estimation(spec: ExperimentSpec):
     sequence of estimate errors; only the position-update rule differs
     between variants.
     """
-    by_variant, step_rows = _single_hole_study(spec, matched=False, horizon=spec.steps)
+    by_variant, step_rows = _single_hole_study(spec, matched=False)
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
         errors = [[float(np.linalg.norm(state.means[0] - world.holes[0].position))]
@@ -234,15 +237,14 @@ def run_position_estimation(spec: ExperimentSpec):
 
 def run_matching_insertion(spec: ExperimentSpec):
     """Success-within-t curves on a task whose single hole matches the peg."""
-    horizon = spec.env.horizon_high
-    by_variant, step_rows = _single_hole_study(spec, matched=True, horizon=horizon)
+    by_variant, step_rows = _single_hole_study(spec, matched=True)
     metric_rows: list[ResultRow] = []
     for variant, trials in zip(spec.variants, by_variant):
         steps_to_success = [result.episodes[0].attempts for _, result in trials
                             if result.episodes[0].status is TerminalStatus.SUCCESS]
-        succeeded_by = np.cumsum(np.bincount(steps_to_success, minlength=horizon + 1)).tolist()
+        succeeded_by = np.cumsum(np.bincount(steps_to_success, minlength=spec.steps + 1)).tolist()
         metric_rows += [_row(spec, variant, t, "success_rate", succeeded_by[t] / spec.trials)
-                        for t in range(1, horizon + 1)]
+                        for t in range(1, spec.steps + 1)]
     return metric_rows, step_rows
 
 
@@ -258,7 +260,7 @@ def run_assembly(spec: ExperimentSpec):
         return world, [PegType(world.holes[i].hole_type) for i in order]
 
     def task(variant: PolicyVariant, set_up, rng: np.random.Generator):
-        return assembly_task(*set_up, variant, spec.models, rng, step_cap=spec.step_cap)
+        return assembly_task(*set_up, variant, spec.models, rng, step_cap=spec.steps)
 
     by_variant, step_rows = _study(spec, setup, task)
     metric_rows: list[ResultRow] = []
@@ -270,7 +272,7 @@ def run_assembly(spec: ExperimentSpec):
         metric_rows += _mean_std_rows(spec, variant, "cum_attempts", range(1, n_pegs + 1),
                                       cumulative)
         # bins [6k, 6k + 6) of total attempts, the top one closed at the cap
-        n_bins = -(-spec.step_cap * n_pegs // ATTEMPT_HIST_BIN)
+        n_bins = -(-spec.steps * n_pegs // ATTEMPT_HIST_BIN)
         counts = np.bincount(np.minimum(cumulative[:, -1] // ATTEMPT_HIST_BIN, n_bins - 1),
                              minlength=n_bins)
         metric_rows += [_row(spec, variant, b, "attempts_hist", float(count))

@@ -1,5 +1,6 @@
-"""A run's files: the CSV writer and reader, the JSON reader and writer and
-the `--out` check.  No other module opens, reads or writes a file."""
+"""A run's files: the CSV writer and reader, the JSON reader and writer,
+the `--out` check and the null device for a closed stdout.  No other module
+opens, reads or writes a file."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import csv
 import errno
 import json
 import os
+import sys
 from itertools import islice
 from pathlib import Path
 
@@ -156,3 +158,15 @@ def require_out(path, directory: bool) -> None:
     else:
         return
     raise OSError(code, os.strerror(code), path)
+
+
+def null_stdout() -> None:
+    """Point stdout's descriptor at the null device, so that what its buffer
+    still holds is flushed there at exit instead of failing once more."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):  # a stream without a descriptor buffers nothing for it
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, fd)
+    os.close(null)

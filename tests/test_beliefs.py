@@ -258,6 +258,26 @@ def test_values_numpy_cannot_convert_raise_the_constructors_error(make, message)
         make()
 
 
+# values that numpy cannot convert to a float array
+_UNCONVERTIBLE = {"string": ("a", 0.0), "ragged": ((0.0, 1.0), 0.0), "dict": {"x": 0.0, "y": 0.0}}
+
+
+@pytest.mark.parametrize("value", list(_UNCONVERTIBLE.values()), ids=list(_UNCONVERTIBLE))
+def test_unconvertible_workspace_corner_is_a_configuration_error(value):
+    for field in ("workspace_min", "workspace_max"):
+        with pytest.raises(ConfigurationError, match="^workspace bounds must be 2-vectors"):
+            EnvConfig(**{field: value})
+
+
+@pytest.mark.parametrize("value", list(_UNCONVERTIBLE.values()), ids=list(_UNCONVERTIBLE))
+def test_unconvertible_belief_row_is_invalid_input(value):
+    rows = {"means": [(0.0, 0.0)], "covs": [((1.0, 0.0), (0.0, 1.0))], "xi": [[0.5, 0.5]],
+            "fitted": [False]}
+    for field, bad in (("means", [value]), ("covs", [(value, (0.0, 1.0))]), ("xi", [value])):
+        with pytest.raises(InvalidInputError, match="^belief rows must be arrays of numbers$"):
+            BeliefArrays(**{**rows, field: bad})
+
+
 @pytest.mark.parametrize(
     "make, what",
     [(PositionNoiseModel, "noise covariance"), (lambda v: PositionSensorSpec(cov=v),

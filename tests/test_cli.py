@@ -344,9 +344,14 @@ def test_bad_fit_settings_fail_before_the_dataset(small_config, tmp_path, capsys
         ((), "the following arguments are required: command"),
         (("train", "--dataset", "d.csv", "--generate", 7, "--seed", 9),
          "argument --generate: not allowed with argument --dataset"),
+        # the seed seeds only --generate
+        (("train", "--dataset", "d.csv", "--seed", 9),
+         "argument --seed: not allowed with argument --dataset"),
+        # --steps is every kind's horizon
+        (("experiment", "assembly", "--step-cap", 4), "unrecognized arguments: --step-cap 4"),
     ],
     ids=["non_integer_trials", "unknown_kind", "unknown_flag", "replay_without_results",
-         "no_command", "dataset_and_generate"],
+         "no_command", "dataset_and_generate", "dataset_and_seed", "step_cap"],
 )
 def test_rejected_flag_is_exit_2_with_one_line(tmp_path, capsys, monkeypatch, argv, error):
     # argparse's usage block and SystemExit become one line and a return
@@ -391,6 +396,28 @@ def test_closed_stdout_leaves_every_file(small_config, tmp_path, capsys, monkeyp
     assert runs["whole"][0] == 0 and runs["cut"] == (2, "error: Broken pipe\n")
     for name in files:
         assert (tmp_path / "cut" / name).read_bytes() == (tmp_path / "whole" / name).read_bytes()
+
+
+def test_closed_stdout_pipe_is_exit_2_with_one_line(small_config, tmp_path):
+    """A report to a pipe whose reader has gone, in a child process whose
+    stdout is block-buffered as it is without PYTHONUNBUFFERED, so that the
+    report fails only when stdout is flushed: exit 2, one `error:` line and
+    every file written."""
+    read, write = os.pipe()
+    os.close(read)  # the reader is gone before the child starts
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    argv = ["train", "--generate", "40", "--epochs", "5", "--config", str(small_config),
+            "--out", "g"]
+    script = f"import sys\nfrom belieffit.cli import main\nsys.exit(main({argv!r}))\n"
+    try:
+        child = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                               stdout=write, stderr=subprocess.PIPE, text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (child.returncode, child.stderr) == (2, "error: Broken pipe\n")
+    assert sorted(os.listdir(tmp_path / "g")) == ["dataset.csv", "learned_params.json",
+                                                  "loss.csv"]
 
 
 class TestCalibrate:
@@ -656,9 +683,9 @@ def test_generated_dataset_out_of_memory_is_exit_2(tmp_path):
 _FUZZ_TEMPLATES = [
     (("calibrate",), {"--trials": 8}),
     (("train", "--epochs", 2), {"--generate": 4}),
-    (("experiment", "assembly"), {"--trials": 1, "--step-cap": 30}),
+    (("experiment", "assembly"), {"--trials": 1, "--steps": 30}),
     (("experiment", "position_estimation"), {"--trials": 1, "--steps": 5}),
-    (("experiment", "matching_insertion"), {"--trials": 1}),
+    (("experiment", "matching_insertion"), {"--trials": 1, "--steps": 10}),
 ]
 _INT_KEYS = [(block, key) for block in ("env", "spiral")
              for key, value in default_config()[block].items() if type(value) is int]
@@ -687,7 +714,7 @@ def _fuzz_cases(draw):
 @example(case=(("calibrate",), {"--trials": 8}, {"env": {"horizon_low": 100_000}}))
 def test_fuzzed_counts_run_or_exit_2_with_one_line(tmp_path_factory, case):
     """Integers up to 10**12 on every integer config key and on `--trials`,
-    `--generate`, `--steps` and `--step-cap`, each case in a child process
+    `--generate` and `--steps`, each case in a child process
     under 2 GiB: it exits 0 with nothing on stderr, or 2 with one `error:`
     line, and prints no warning.
 
@@ -762,7 +789,7 @@ class TestTrain:
     ):
         # two generated records are too few for the covariance oracle, and
         # a dataset of matched records has no fpr to count
-        flags = ("--generate", 2)
+        flags = ("--generate", 2, "--seed", 3)
         if source == "dataset":
             flags = ("--dataset", tmp_path / "matched.csv")
             write_csv(flags[1], DATASET_COLUMNS, [
@@ -772,8 +799,7 @@ class TestTrain:
                 (2, 2, 0.0, 0.05, 0.001, 0.049, -0.002, 0.052, 0, 0),
             ])
         out = tmp_path / "out"
-        code = run_cli("train", "--config", small_config, *flags, "--epochs", 2,
-                       "--seed", 3, "--out", out)
+        code = run_cli("train", "--config", small_config, *flags, "--epochs", 2, "--out", out)
         assert code == 2
         assert oracle in assert_one_line_error(capsys)
         assert not out.exists()
@@ -1018,7 +1044,7 @@ class TestExperiment:
         assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize(
-        "kind, flag", [("position_estimation", "--steps"), ("assembly", "--step-cap")]
+        "kind, flag", [("position_estimation", "--steps"), ("assembly", "--steps")]
     )
     @pytest.mark.parametrize("value", [0, 10**10])
     def test_out_of_range_horizon_flag_is_exit_2(
@@ -1027,8 +1053,29 @@ class TestExperiment:
         code = run_cli("experiment", kind, "--config", small_config, "--trials", 1,
                        flag, value, "--out", tmp_path / "r")
         assert code == 2
-        assert "steps and step cap must lie in [1, 100000]" in assert_one_line_error(capsys)
+        assert "steps must lie in [1, 100000]" in assert_one_line_error(capsys)
         assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("kind", sorted(DEFAULT_TRIALS))
+    def test_steps_flag_is_every_kinds_horizon(self, small_config, tmp_path, kind):
+        """`--steps 2` changes each kind's run: every episode ends within 2
+        attempts, before the second only by a fit."""
+        runs = {}
+        for name, flags in (("default", ()), ("two", ("--steps", 2))):
+            out = tmp_path / name
+            assert run_cli("experiment", kind, "--config", small_config, "--trials", 3,
+                           *flags, "--out", out) == 0
+            runs[name] = (out / "steps.csv").read_bytes()
+        assert runs["two"] != runs["default"]
+        with open(tmp_path / "two" / "steps.csv", newline="") as fh:
+            episodes: dict = {}
+            for row in csv.DictReader(fh):
+                key = row["variant"], row["trial"], row["peg_index"]
+                episodes.setdefault(key, []).append(row)
+        for rows in episodes.values():
+            assert [int(row["step"]) for row in rows] == list(range(1, len(rows) + 1))
+            assert len(rows) == 2 or rows[-1]["status"] == "success"
+            assert len(rows) <= 2
 
     def test_unknown_variant_is_exit_2(self, small_config, tmp_path):
         code = run_cli(
@@ -1059,15 +1106,15 @@ class TestExperiment:
         monkeypatch.setattr(cli, "run_experiment", stop)
         assert build_parser() is build_parser()
         assert run_cli("experiment", "assembly", "--config", small_config, "--trials", 2,
-                       "--seed", 5, "--variants", "full_approach", "--step-cap", 7) == 2
+                       "--seed", 5, "--variants", "full_approach", "--steps", 7) == 2
         assert run_cli("replay", "--results", tmp_path, "--trial", 3) == 2
         assert run_cli("experiment", "assembly") == 2
         capsys.readouterr()
         flagged, default = specs
-        assert (flagged.trials, flagged.seed, flagged.step_cap) == (2, 5, 7)
+        assert (flagged.trials, flagged.seed, flagged.steps) == (2, 5, 7)
         assert flagged.variants == (PolicyVariant.FULL_APPROACH,)
-        assert (default.trials, default.seed, default.steps, default.step_cap) == (
-            DEFAULT_TRIALS["assembly"], 0, 5, 30)
+        assert (default.trials, default.seed, default.steps) == (
+            DEFAULT_TRIALS["assembly"], 0, 30)
         assert default.variants == DEFAULT_VARIANTS["assembly"]
 
     @pytest.mark.parametrize("kind", sorted(DEFAULT_TRIALS))
@@ -1095,7 +1142,7 @@ class TestReplay:
         out = tmp_path / "res"
         run_cli(
             "experiment", "assembly", "--config", small_config,
-            "--trials", 2, "--seed", 11, "--step-cap", 8, "--out", out,
+            "--trials", 2, "--seed", 11, "--steps", 8, "--out", out,
         )
         capsys.readouterr()
         code = run_cli("replay", "--results", out, "--trial", 1)
@@ -1185,7 +1232,7 @@ class TestReplay:
         out = tmp_path / "res"
         run_cli(
             "experiment", "assembly", "--config", small_config,
-            "--trials", 3, "--seed", 11, "--step-cap", 8, "--out", out,
+            "--trials", 3, "--seed", 11, "--steps", 8, "--out", out,
         )
         with open(out / "steps.csv", newline="") as fh:
             rows = [row for row in csv.DictReader(fh) if row["trial"] == "1"]
@@ -1210,7 +1257,7 @@ class TestReplay:
         out = tmp_path / "res"
         run_cli(
             "experiment", "assembly", "--config", small_config,
-            "--trials", 3, "--seed", 13, "--step-cap", 10, "--out", out,
+            "--trials", 3, "--seed", 13, "--steps", 10, "--out", out,
         )
         with open(out / "steps.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))

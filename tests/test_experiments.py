@@ -23,7 +23,7 @@ from belieffit import (
     vision_detect,
 )
 from belieffit import experiments, policy
-from belieffit.beliefs import BeliefArrays
+from belieffit.beliefs import MAX_HORIZON, BeliefArrays
 from belieffit.errors import ConfigurationError, InvalidInputError
 from belieffit.experiments import (
     DEFAULT_VARIANTS,
@@ -110,7 +110,7 @@ class TestPositionEstimation:
             sensors=sensors, learned=sensors.filter_models(), trials=3000, seed=5,
             variants=(PolicyVariant.FULL_APPROACH,), steps=5,
         )
-        (trials,), _ = _single_hole_study(spec, matched=False, horizon=spec.steps)
+        (trials,), _ = _single_hole_study(spec, matched=False)
         holes, means, covs = [], [], []
         for (world, _, _), result in trials:
             records = result.episodes[0].records
@@ -193,9 +193,9 @@ class TestAssembly:
         # a step cap times 5 pegs that is a multiple of the bin width puts a
         # trial whose every peg hit the cap on the top bin's closed edge: the
         # CLI's defaults (cap 30) at seed 1, and cap 6, each have one
-        for spec in (make_spec("assembly", trials=3, step_cap=8),
+        for spec in (make_spec("assembly", trials=3, steps=8),
                      dataclasses.replace(make_spec("assembly", trials=5), seed=1),
-                     make_spec("assembly", trials=5, step_cap=6)):
+                     make_spec("assembly", trials=5, steps=6)):
             metric_rows, step_rows = run_experiment(spec)
             for variant in DEFAULT_VARIANTS["assembly"]:
                 rows = [r for r in metric_rows if r.variant == variant.value]
@@ -205,7 +205,7 @@ class TestAssembly:
                 assert [r.step for r in cums] == [1, 2, 3, 4, 5]
                 assert all(b.value >= a.value for a, b in zip(cums, cums[1:]))
                 hist = [r for r in rows if r.metric == "attempts_hist"]
-                assert [r.step for r in hist] == list(range(-(-spec.step_cap * 5 // 6)))
+                assert [r.step for r in hist] == list(range(-(-spec.steps * 5 // 6)))
                 assert sum(r.value for r in hist) == spec.trials
             assert step_rows  # replay data present
 
@@ -216,10 +216,7 @@ class TestAssembly:
 ])
 def test_step_rows_account_for_each_episode(kind, cap_ending):
     # caps small enough that episodes end at the cap as well as by a fit
-    spec = make_spec(kind, trials=4, steps=3, step_cap=3)
-    spec = dataclasses.replace(spec, env=dataclasses.replace(spec.env, horizon_high=2))
-    cap = {"position_estimation": spec.steps, "matching_insertion": spec.env.horizon_high,
-           "assembly": spec.step_cap}[kind]
+    spec = make_spec(kind, trials=4, steps=3)
     col = {name: STEP_COLUMNS.index(name) for name in STEP_COLUMNS}
     episodes = {}
     for row in run_experiment(spec)[1]:
@@ -235,7 +232,7 @@ def test_step_rows_account_for_each_episode(kind, cap_ending):
         assert not any(betas[:-1])
         assert (status == "success") == (betas[-1] == 1)
         if status != "success":
-            assert (status, len(rows)) == (cap_ending, cap)
+            assert (status, len(rows)) == (cap_ending, spec.steps)
         endings.add(status)
     # a mismatched peg never fits
     assert endings == ({"step_cap"} if kind == "position_estimation" else {"success", cap_ending})
@@ -254,8 +251,8 @@ class TestDeterminism:
         # same step rows in a run of k trials as in a longer run
         k, n = 2, 5
         for kind in ("position_estimation", "matching_insertion", "assembly"):
-            short = run_experiment(make_spec(kind, trials=k, step_cap=8))[1]
-            long = run_experiment(make_spec(kind, trials=n, step_cap=8))[1]
+            short = run_experiment(make_spec(kind, trials=k, steps=8))[1]
+            long = run_experiment(make_spec(kind, trials=n, steps=8))[1]
             assert short
             assert short == [row for row in long if row[STEP_COLUMNS.index("trial")] < k]
 
@@ -273,6 +270,18 @@ class TestValidation:
     def test_zero_trials(self):
         with pytest.raises(ConfigurationError):
             make_spec("assembly", trials=0)
+
+    def test_steps_default_per_kind_and_lie_in_range(self):
+        # matching_insertion's default is the config's horizon_high
+        env = EnvConfig(horizon_high=7)
+        defaults = {kind: dataclasses.replace(make_spec(kind), env=env, steps=None).steps
+                    for kind in (KIND_POSITION, KIND_MATCHING, KIND_ASSEMBLY)}
+        assert defaults == {KIND_POSITION: 5, KIND_MATCHING: 7, KIND_ASSEMBLY: 30}
+        for kind in defaults:
+            assert make_spec(kind, steps=MAX_HORIZON).steps == MAX_HORIZON
+            for steps in (0, MAX_HORIZON + 1):
+                with pytest.raises(ConfigurationError, match=r"steps must lie in \[1, 100000\]"):
+                    make_spec(kind, steps=steps)
 
     def test_negative_seed(self):
         spec = dataclasses.replace(make_spec("position_estimation"), seed=-1)

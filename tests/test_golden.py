@@ -47,7 +47,7 @@ CASES = {
     ),
     # the cases below end their (variant, trial) tasks at different steps
     "assembly_interventions": (
-        ["experiment", "assembly", "--trials", "12", "--step-cap", "4", "--seed", "5"],
+        ["experiment", "assembly", "--trials", "12", "--steps", "4", "--seed", "5"],
         {
             "metrics.csv": "eadd5511b8aa9f0ca796782ded3b8256d5ccdff55f8a50b89abbce73ee531beb",
             "steps.csv": "a72dc246c6fe24b320f443fec17283351af70e52bb4c84e82a0194bd93fad4a4",

@@ -82,18 +82,18 @@ def alone(spec):
 @st.composite
 def specs(draw):
     """A study with the edge cases among its draws: every variant, short
-    rollouts, a workspace so tight that clipping acts, step caps that force
+    rollouts, a workspace so tight that clipping acts, horizons that force
     interventions, and certain or rare alignment."""
     kind = draw(st.sampled_from(sorted(KIND_IDS)))
     bound = draw(st.sampled_from([0.0, 0.004]))
     # a single hole fits a 4 mm placement box; two holes need room for
-    # their separation
-    room = 0.03 if kind == KIND_ASSEMBLY else 0.002
+    # their separation of up to 50 mm: from a first hole anywhere in an
+    # 80 mm box, some spot lies 50 mm away
+    room = 0.04 if kind == KIND_ASSEMBLY else 0.002
     half = draw(st.sampled_from([0.25, bound + R_MAX + room]))
     env = EnvConfig(
         n_holes=draw(st.integers(2, 3)) if half == 0.25 else 2,
         n_types=draw(st.integers(2, 4)),
-        horizon_high=draw(st.integers(1, 8)),
         horizon_low=draw(st.integers(1, 30)),
         detector_error_bound=bound,
         workspace_min=(-half, -half),
@@ -113,8 +113,7 @@ def specs(draw):
         trials=draw(st.integers(1, 6)),
         seed=draw(st.integers(0, 2**32 - 1)),
         variants=tuple(variants),
-        steps=draw(st.integers(1, 6)),
-        step_cap=draw(st.integers(1, 6)),
+        steps=draw(st.integers(1, 8)),
     )
 
 
@@ -137,7 +136,7 @@ def test_rounds_span_several_blocks_at_default_size():
     spec = ExperimentSpec(
         kind=KIND_ASSEMBLY, env=EnvConfig(horizon_low=20_000, n_holes=2), spiral=SpiralParams(),
         sensors=SensorModel(), learned=SensorModel().filter_models(), trials=4, seed=3,
-        variants=(PolicyVariant.FULL_APPROACH, PolicyVariant.SAMPLED_INITIAL), step_cap=3,
+        variants=(PolicyVariant.FULL_APPROACH, PolicyVariant.SAMPLED_INITIAL), steps=3,
     )
     assert sim.block_size(spec.env.horizon_low) == 3
     (metrics, steps), states = lockstep(spec)
