@@ -104,6 +104,16 @@ def check_type_tag(tag, message: str, n_types: float = math.inf,
     return int(tag)
 
 
+def check_integer(value, key: str, error: type = InvalidInputError) -> int:
+    """`value` as an int, if it is an integer: an int, a numpy integer or a
+    whole float, not a bool.  Else `error` with "{key} must be an integer,
+    got {value!r}"."""
+    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise error(f"{key} must be an integer, got {value!r}")
+
+
 def ordered_sum(values: list[float]) -> float:
     """Sum of floats in the order numpy sums a 1-D float array: left to right
     below 8 terms, numpy's own pairwise sum from 8 on."""
@@ -194,10 +204,11 @@ class BeliefArrays:
     distribution a list of C floats and each fitted flag a bool.
 
     The constructor takes arrays or nested sequences of shapes (H, 2),
-    (H, 2, 2), (H, C) and (H,) and stores new rows of Python floats and
-    bools, so no numpy scalar reaches a step.  The policy's step scores the
-    holes with `fit_probability` and replaces the chosen hole's rows after
-    checking the posterior.
+    (H, 2, 2), (H, C) and (H,) for H >= 1 holes and C >= 2 types, the last
+    of bools, else raises InvalidInputError, and stores new rows of Python
+    floats and bools, so no numpy scalar reaches a step.  The policy's step
+    scores the holes with `fit_probability` and replaces the chosen hole's
+    rows after checking the posterior, whose values are its to check.
     """
 
     means: list[tuple[float, float]]
@@ -207,21 +218,23 @@ class BeliefArrays:
 
     def __post_init__(self):
         try:
-            self.means = list(map(tuple, np.asarray(self.means, dtype=float).tolist()))
-            self.covs = [(tuple(r0), tuple(r1))
-                         for r0, r1 in np.asarray(self.covs, dtype=float).tolist()]
-            self.xi = np.asarray(self.xi, dtype=float).tolist()
-            self.fitted = np.asarray(self.fitted, dtype=bool).tolist()
-        except (TypeError, ValueError):  # a string, a dict, a scalar or a ragged nesting
+            means, covs, xi = (np.asarray(v, dtype=float) for v in (self.means, self.covs, self.xi))
+            fitted = np.asarray(self.fitted)
+        except (TypeError, ValueError):  # a string, a dict or a ragged nesting
             raise InvalidInputError("belief rows must be arrays of numbers") from None
+        h, c = xi.shape if xi.ndim == 2 else (0, 0)
+        if not (h >= 1 and c >= 2 and means.shape == (h, 2) and covs.shape == (h, 2, 2)
+                and fitted.shape == (h,) and fitted.dtype == bool):
+            raise InvalidInputError("belief rows must have shapes (H, 2), (H, 2, 2), (H, C) "
+                                    "and (H,) for H >= 1 and C >= 2, the last of bools")
+        self.means = list(map(tuple, means.tolist()))
+        self.covs = [(tuple(r0), tuple(r1)) for r0, r1 in covs.tolist()]
+        self.xi = xi.tolist()
+        self.fitted = fitted.tolist()
 
     @classmethod
     def of(cls, beliefs: list[HoleBelief]) -> BeliefArrays:
-        """The rows of belief objects (their constructors checked them)."""
-        if not beliefs:
-            raise InvalidInputError("need at least one hole belief")
-        if len({b.type_belief.n_types for b in beliefs}) != 1:
-            raise InvalidInputError("every hole belief needs the same number of types")
+        """The rows of belief objects, gathered for the constructor to check."""
         return cls(
             means=[b.position.mean for b in beliefs],
             covs=[b.position.cov for b in beliefs],
@@ -272,6 +285,9 @@ class EnvConfig:
     alignment_rate: float = 0.36
 
     def __post_init__(self):
+        for key in ("n_holes", "n_types", "horizon_high", "horizon_low"):  # before any range
+            value = check_integer(getattr(self, key), key, ConfigurationError)
+            object.__setattr__(self, key, value)
         if not 1 <= self.n_holes <= MAX_PLACEMENT_ATTEMPTS:
             raise ConfigurationError(f"n_holes must lie in [1, {MAX_PLACEMENT_ATTEMPTS}]")
         if not 2 <= self.n_types <= MAX_TYPES:

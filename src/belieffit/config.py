@@ -7,7 +7,7 @@ trained filter parameters.
 same classes; files only need the keys they want to override, and a key the
 defaults lack is an error.  A float value, and each leaf of a tuple or array
 value, is a JSON int or float, not a bool or a string; a tuple value is a
-JSON list.  The filters' trained
+JSON list; an integer value is checked by its class.  The filters' trained
 parameters are not part of the config: `train` writes them to a params file,
 which `load_params` reads.  The files themselves are read and written by
 `runfiles`.
@@ -109,14 +109,6 @@ def _reading(where: str):
         raise ConfigurationError(f"{where}: {exc}") from None
 
 
-def _int(block: dict, key: str) -> int:
-    """An integer key's value; a whole float counts, a fraction is not rounded."""
-    value = block[key]
-    if type(value) is int or type(value) is float and value.is_integer():
-        return int(value)
-    raise TypeError(f"{key} must be an integer, got {value!r}")
-
-
 def _number(key: str, value) -> float:
     """A float key's value, or a leaf of a tuple or array key's: a JSON int
     or float, not a bool or a string."""
@@ -146,8 +138,8 @@ def _from_block(cls, block: dict):
             values[f.name] = tuple(_number(f.name, x) for x in block[f.name])
         elif isinstance(default, np.ndarray):
             values[f.name] = np.array(_numbers(f.name, block[f.name]), dtype=float)
-        elif isinstance(default, int):
-            values[f.name] = _int(block, f.name)
+        elif isinstance(default, int):  # the class checks its integers
+            values[f.name] = block[f.name]
         else:
             values[f.name] = _number(f.name, block[f.name])
     return cls(**values)

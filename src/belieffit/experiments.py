@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType
+from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType, check_integer
 from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
@@ -116,10 +116,12 @@ class ExperimentSpec:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
         if self.trials is None:
             object.__setattr__(self, "trials", DEFAULT_TRIALS[self.kind])
+        object.__setattr__(self, "trials", check_integer(self.trials, "trials", ConfigurationError))
         if self.trials < 1:
             raise ConfigurationError("need at least one trial")
         if self.steps is None:
             object.__setattr__(self, "steps", DEFAULT_STEPS.get(self.kind, self.env.horizon_high))
+        object.__setattr__(self, "steps", check_integer(self.steps, "steps", ConfigurationError))
         if not 1 <= self.steps <= MAX_HORIZON:
             raise ConfigurationError(f"steps must lie in [1, {MAX_HORIZON}]")
         if not self.variants:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .beliefs import check_integer
 from .errors import InvalidInputError
 
 # Fixed stream tags; keeping them in one place avoids accidental collisions.
@@ -22,7 +23,9 @@ STREAM_PEGS = 5
 
 
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by `key` under `master_seed`."""
+    """Generator for the stream identified by `key` under `master_seed`, a
+    non-negative integer by `check_integer`'s rule."""
+    master_seed = check_integer(master_seed, "seed")
     if master_seed < 0:
         raise InvalidInputError(f"seed must be non-negative, got {master_seed}")
     ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))

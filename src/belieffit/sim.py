@@ -40,6 +40,7 @@ from .beliefs import (
     EnvConfig,
     HoleGroundTruth,
     PegType,
+    check_integer,
     frozen_array,
 )
 from .errors import ConfigurationError, InvalidInputError
@@ -57,6 +58,7 @@ class SpiralParams:
     sigma_wiggle: float = 0.00125
 
     def __post_init__(self):
+        object.__setattr__(self, "n_rot", check_integer(self.n_rot, "n_rot", ConfigurationError))
         # written so that NaN fails each range check
         if not 0.0 < self.r_max <= MAX_LENGTH:
             raise ConfigurationError(f"r_max must lie in (0, {MAX_LENGTH:g}] m")

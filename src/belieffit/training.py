@@ -41,7 +41,7 @@ import functools
 import math
 import operator
 import warnings
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -187,32 +187,48 @@ def _record(row: np.ndarray) -> InteractionRecord:
 
 class Dataset(Sequence):
     """Records on one packed block: a read-only sequence whose record i is
-    the `InteractionRecord` on row i of `rows` (n, 14 + C), laid out as
+    the `InteractionRecord` on row i of the block (n, 14 + C), laid out as
     `_Row`, made only when it is indexed or iterated.  A slice is the
-    dataset on those rows.  `generate_dataset` and `load_dataset` make it
-    from rows that passed the record checks; the fit and `save_dataset`
-    read the block, and each field name is also the column of that field
-    over the records, as `position` (n, 2) or `peg_type` (n,)."""
+    dataset on those rows.  `Dataset(records)` is the one way records
+    become a block: a `Dataset` is returned as it is, `InteractionRecord`s
+    of one type count are gathered into a new block, and anything else
+    raises InvalidInputError.  The fit and `save_dataset` read only that block.
+    Each field name is also the column of that field over the records, as
+    `position` (n, 2) or `peg_type` (n,)."""
 
     __slots__ = ("_rows",)
 
-    def __init__(self, rows: np.ndarray):
-        rows.setflags(write=False)
-        self._rows = rows
+    def __new__(cls, records):
+        if isinstance(records, Dataset):  # read-only, so shared as it is
+            return records
+        records = list(records) if isinstance(records, Iterable) else [None]  # None: no record
+        # counts, not sets: a list's count compares by identity first, and is faster
+        if list(map(type, records)).count(InteractionRecord) != len(records):
+            raise InvalidInputError("a dataset holds InteractionRecords only")
+        views = [r._row for r in records]
+        width = len(views[0]) if views else _Row.xi0.start
+        if list(map(len, views)).count(width) != len(views):
+            raise InvalidInputError("records must share the same number of types")
+        # a row's bytes are its float64 values; a join holds a buffer per row
+        # until it returns, so it takes a few hundred rows at a time
+        rows = np.empty((len(views), width))
+        for lo in range(0, len(views), 256):
+            rows[lo:lo + 256] = np.frombuffer(b"".join(views[lo:lo + 256])).reshape(-1, width)
+        return _dataset(rows)
 
     def __len__(self):
         return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return Dataset(self._rows[i])
+            return _dataset(self._rows[i])
         return _record(self._rows[operator.index(i)])
 
     def __iter__(self):
         return map(_record, self._rows)
 
     def __reduce__(self):  # pickle and copy: the dataset on its block again
-        return Dataset, (self._rows,)
+        return _dataset, (self._rows,)
 
     position = property(lambda self: self._rows[:, _Row.p])
     mu0 = property(lambda self: self._rows[:, _Row.mu0])
@@ -223,6 +239,14 @@ class Dataset(Sequence):
     hole_type = property(lambda self: self._rows[:, _Row.hole].astype(int))
     o_match = property(lambda self: self._rows[:, _Row.o_match] == 1.0)
     beta = property(lambda self: self._rows[:, _Row.beta] == 1.0)
+
+
+def _dataset(rows: np.ndarray) -> Dataset:
+    """The dataset on a block of checked packed rows, made read-only."""
+    rows.setflags(write=False)
+    dataset = object.__new__(Dataset)
+    dataset._rows = rows
+    return dataset
 
 
 def _sigmoid(x):
@@ -373,17 +397,13 @@ def generate_dataset(
         block[:, _Row.o_match] = sense_match(matched, sensor_model, np.array(verdicts))
         block[:, _Row.xi0] = normalized_rows(uniforms[:, 4:4 + n_types])
     rows[:, _Row.sigma0] = (config.sigma_init, 0.0, 0.0, config.sigma_init)
-    return Dataset(rows)
+    return _dataset(rows)
 
 
 def save_dataset(records, path) -> None:
-    """Write a `Dataset` or a list of records as CSV, one line per record in
-    `DATASET_COLUMNS`; a dataset's columns are read from its block."""
-    # each row up to its type prior, which may differ in length; p, mu0 and obs lead
-    if isinstance(records, Dataset):
-        head = records._rows[:, :_Row.xi0.start]
-    else:
-        head = np.array([r._row[:_Row.xi0.start] for r in records]).reshape(-1, _Row.xi0.start)
+    """Write `Dataset(records)` as CSV, one line per record in
+    `DATASET_COLUMNS`, its columns read from the block."""
+    head = Dataset(records)._rows[:, :_Row.xi0.start]  # p, mu0 and obs lead
     ints = [_Row.peg, _Row.hole, _Row.o_match, _Row.beta]
     peg, hole, match, beta = head[:, ints].astype(int).T.tolist()
     write_csv(path, DATASET_COLUMNS, zip(peg, hole, *head[:, :6].T.tolist(), match, beta))
@@ -406,7 +426,7 @@ def load_dataset(path, config: EnvConfig) -> Dataset:
     (a, b), (c, d) = entries
     rows[:, _Row.sigma0] = (a, b, c, d)
     rows[:, _Row.xi0] = probs
-    return Dataset(rows)
+    return _dataset(rows)
 
 
 def _dataset_rows(lines: list, size: int) -> np.ndarray:
@@ -484,28 +504,12 @@ def _runs(keys: np.ndarray) -> tuple:
     return order, ks, [0, *(np.flatnonzero(changed) + 1).tolist(), n]
 
 
-def _gathered_rows(records: list) -> np.ndarray:
-    """The packed rows of a list of records gathered into one block."""
-    views = [r._row for r in records]
-    if len(set(map(len, views))) > 1:
-        raise InvalidInputError("records must share the same number of types")
-    n = len(views)
-    # every row is a contiguous float64 array, so its bytes are its values;
-    # a join holds a buffer per row until it returns, so it takes a few
-    # hundred rows at a time
-    rows = np.empty((n, len(views[0])))
-    for lo in range(0, n, 256):
-        rows[lo:lo + 256] = np.frombuffer(b"".join(views[lo:lo + 256])).reshape(-1, rows.shape[1])
-    return rows
-
-
 def _precompute(records, alpha: float) -> _Precomputed:
-    """The batch's theta-free terms, read from the block of a `Dataset` or
-    from the rows of a list of records gathered into one."""
-    if not records:
-        raise InvalidInputError("batch must be non-empty")
-    rows = records._rows if isinstance(records, Dataset) else _gathered_rows(records)
+    """The batch's theta-free terms, read from `Dataset(records)`'s block."""
+    rows = Dataset(records)._rows  # no dataset outlives this line: `del rows` frees a new block
     n = len(rows)
+    if not n:
+        raise InvalidInputError("batch must be non-empty")
 
     # position: group the records by S0; m[i][j] holds the entries of a
     # group's sum of x_i x_j^T, x = (e, f, h)
@@ -701,8 +705,7 @@ def _mean_loss_and_grad(theta: list, pre: _Precomputed) -> tuple[float, list]:
 
 
 def batch_nll(params: LearnedParams, records, alpha: float) -> float:
-    """Mean one-step filtering NLL of the records, a `Dataset` or a list,
-    under `params`."""
+    """Mean one-step filtering NLL of `Dataset(records)` under `params`."""
     return _mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[0]
 
 
@@ -728,7 +731,7 @@ def fit_parameters(
     history_out: list | None = None,
 ) -> LearnedParams:
     """Full-batch Adam with cosine-annealed step size on the mean NLL of
-    `records`, a `Dataset` or a list of records.
+    `Dataset(records)`.
 
     Annealing matters here: Adam normalizes per-coordinate step sizes, and
     the Cholesky off-diagonal lives on a much smaller natural scale than the

@@ -278,6 +278,39 @@ def test_unconvertible_belief_row_is_invalid_input(value):
             BeliefArrays(**{**rows, field: bad})
 
 
+_ONE_HOLE = {"means": [(0.0, 0.0)], "covs": [((1.0, 0.0), (0.0, 1.0))], "xi": [[0.5, 0.5]],
+             "fitted": [False]}
+# rows that numpy converts but whose shapes are not (H, 2), (H, 2, 2), (H, C)
+# with C >= 2 and bool (H,) for one H >= 1
+_MISSHAPEN = {
+    "dict_flags": {"fitted": {"a": 1}},
+    "string_flags": {"fitted": ["a"]},
+    "int_flags": {"fitted": [1]},
+    "scalar_flag": {"fitted": False},
+    "two_flags": {"fitted": [False, False]},
+    "three_entry_mean": {"means": [(0.0, 0.0, 0.0)]},
+    "flat_means": {"means": (0.0, 0.0)},
+    "flat_cov": {"covs": [(1.0, 0.0, 0.0, 1.0)]},
+    "one_class": {"xi": [[1.0]]},
+    "flat_xi": {"xi": [0.5, 0.5]},
+    "empty": {"means": [], "covs": [], "xi": [], "fitted": []},
+    "empty_arrays": {"means": np.empty((0, 2)), "covs": np.empty((0, 2, 2)),
+                     "xi": np.empty((0, 3)), "fitted": np.empty(0, bool)},
+}
+
+
+@pytest.mark.parametrize("change", list(_MISSHAPEN.values()), ids=list(_MISSHAPEN))
+def test_misshapen_belief_rows_are_invalid_input(change):
+    BeliefArrays(**_ONE_HOLE)
+    with pytest.raises(InvalidInputError, match=r"^belief rows must have shapes \(H, 2\)"):
+        BeliefArrays(**{**_ONE_HOLE, **change})
+
+
+def test_belief_rows_of_no_hole_are_invalid_input_through_of():
+    with pytest.raises(InvalidInputError, match=r"^belief rows must have shapes \(H, 2\)"):
+        BeliefArrays.of([])
+
+
 @pytest.mark.parametrize(
     "make, what",
     [(PositionNoiseModel, "noise covariance"), (lambda v: PositionSensorSpec(cov=v),

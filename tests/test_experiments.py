@@ -283,6 +283,35 @@ class TestValidation:
                 with pytest.raises(ConfigurationError, match=r"steps must lie in \[1, 100000\]"):
                     make_spec(kind, steps=steps)
 
+    # each integer field and the class that checks it, made with value v
+    INTEGER_FIELDS = {
+        "EnvConfig.n_holes": lambda v: EnvConfig(n_holes=v),
+        "EnvConfig.n_types": lambda v: EnvConfig(n_types=v),
+        "EnvConfig.horizon_high": lambda v: EnvConfig(horizon_high=v),
+        "EnvConfig.horizon_low": lambda v: EnvConfig(horizon_low=v),
+        "SpiralParams.n_rot": lambda v: SpiralParams(n_rot=v),
+        "ExperimentSpec.trials": lambda v: make_spec(KIND_ASSEMBLY, trials=v),
+        "ExperimentSpec.steps": lambda v: make_spec(KIND_ASSEMBLY, steps=v),
+        "derive_rng.seed": derive_rng,
+    }
+
+    @pytest.mark.parametrize("field", list(INTEGER_FIELDS))
+    def test_integer_fields_are_checked_by_their_class(self, field):
+        # an int or a whole float, taken as an int; a bool, a string or a
+        # fraction is rejected before any range check, by the class itself
+        make, key = self.INTEGER_FIELDS[field], field.rpartition(".")[2]
+        error = InvalidInputError if key == "seed" else ConfigurationError
+        for whole in (3, 3.0, np.int64(3), np.float64(3.0)):
+            made = make(whole)
+            if key == "seed":
+                assert made.random() == derive_rng(3).random()
+            else:
+                assert type(getattr(made, key)) is int and getattr(made, key) == 3
+        for bad in (2.5, True, False, "3", float("nan"), float("inf"), -0.5):
+            with pytest.raises(error) as raised:
+                make(bad)
+            assert str(raised.value) == f"{key} must be an integer, got {bad!r}"
+
     def test_negative_seed(self):
         spec = dataclasses.replace(make_spec("position_estimation"), seed=-1)
         with pytest.raises(InvalidInputError, match="seed must be non-negative"):

@@ -113,6 +113,19 @@ def test_only_runfiles_opens_reads_or_writes_a_file():
     assert len(SOURCES) > 1 and not found, sorted(found)
 
 
+def test_only_training_reads_a_records_row_or_a_datasets_block():
+    # records become a block only through `Dataset(records)`, which checks
+    # them; a module that read `._row` or `._rows` itself would open a
+    # second, unchecked door
+    found = [
+        f"{path.name}:{node.lineno} .{node.attr}"
+        for path in SOURCES if path.name != "training.py"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr in ("_row", "_rows")
+    ]
+    assert len(SOURCES) > 1 and not found, found
+
+
 def test_constructors_freeze_arrays_through_frozen_array():
     # `beliefs.frozen_array` is the one rule for a checked array: shape,
     # finite entries and a read-only copy; no constructor writes its own

@@ -1087,14 +1087,20 @@ class TestDataset:
         save_dataset(generated, tmp_path / "generated.csv")
         loaded = load_dataset(tmp_path / "generated.csv", self.CFG)
         rng = np.random.default_rng(12)
-        mixed = [make_record(rng, n_types=c, matched=bool(c % 2), beta=c == 4)
-                 for c in (2, 5, 3, 8, 4)] + [*generated[:3], *loaded[-3:]]
+        made = [make_record(rng, n_types=3, matched=bool(c % 2), beta=c == 4)
+                for c in (2, 5, 3, 8, 4)] + [*generated[:3], *loaded[-3:]]
         for name, records in (("generated", generated), ("loaded", loaded),
-                              ("mixed", mixed), ("empty", [])):
+                              ("made", made), ("empty", [])):
             save_dataset(records, tmp_path / f"{name}.csv")
             self.save_row_by_row(records, tmp_path / f"{name}_ref.csv")
             assert ((tmp_path / f"{name}.csv").read_bytes()
                     == (tmp_path / f"{name}_ref.csv").read_bytes()), name
+        # records of different type counts make no one block: the fit has
+        # always refused them, and so does the writer
+        mixed = [make_record(rng, n_types=c) for c in (2, 5, 3, 8, 4)]
+        with pytest.raises(InvalidInputError, match="^records must share the same number"):
+            save_dataset(mixed, tmp_path / "mixed.csv")
+        assert not (tmp_path / "mixed.csv").exists()
 
     @pytest.fixture(scope="class")
     def datasets(self, tmp_path_factory):
@@ -1122,6 +1128,53 @@ class TestDataset:
                                    history_out=history).theta
             fits.append((theta.tobytes(), history))
         assert fits[0] == fits[1]
+
+    # each function that takes a batch, as the bytes it makes of `records`
+    BATCH_FUNCTIONS = {
+        "fit_parameters": lambda records, path: fit_parameters(
+            records, LearnedParams.from_values(4e-4 * np.eye(2), tpr=0.6, fpr=0.4), lr=0.05,
+            epochs=20, alpha=ALPHA).theta.tobytes(),
+        "batch_nll": lambda records, path: batch_nll(
+            LearnedParams(np.array([-4.0, 1e-3, -4.5, 1.0, -1.0])), records, ALPHA).hex(),
+        "grad_nll": lambda records, path: grad_nll(
+            LearnedParams(np.array([-4.0, 1e-3, -4.5, 1.0, -1.0])), records, ALPHA).tobytes(),
+        "save_dataset": lambda records, path: (save_dataset(records, path), path.read_bytes()),
+    }
+
+    @pytest.mark.parametrize("function", list(BATCH_FUNCTIONS))
+    def test_batch_functions_read_records_through_dataset(self, datasets, function, tmp_path):
+        # `Dataset(records)` is each function's one door: a dataset, its list
+        # of records and the dataset of that list give the same bits, and
+        # what the door refuses, each function refuses with its error
+        call = self.BATCH_FUNCTIONS[function]
+        dataset = datasets["loaded"]
+        made = [call(batch, tmp_path / f"{i}.csv")
+                for i, batch in enumerate((dataset, list(dataset), Dataset(list(dataset))))]
+        assert made[0] == made[1] == made[2]
+        rng = np.random.default_rng(36)
+        zero_hole = dataset._rows[:4].copy()
+        zero_hole[:, _Row.hole] = 0  # index -1 would read the last class
+        for bad, message in (
+                (np.zeros((3, _Row.xi0.start + 3)), "a dataset holds InteractionRecords only"),
+                (zero_hole, "a dataset holds InteractionRecords only"),
+                ([*dataset[:2], 1], "a dataset holds InteractionRecords only"),
+                ([1, 2], "a dataset holds InteractionRecords only"),
+                (7, "a dataset holds InteractionRecords only"),
+                ([make_record(rng, n_types=2), make_record(rng, n_types=3)],
+                 "records must share the same number of types")):
+            for make in (Dataset, lambda records: call(records, tmp_path / "bad.csv")):
+                with pytest.raises(InvalidInputError) as raised:
+                    make(bad)
+                assert str(raised.value) == message
+        assert not (tmp_path / "bad.csv").exists()
+
+    def test_dataset_of_a_dataset_is_that_dataset(self, datasets):
+        dataset = datasets["generated"]
+        assert Dataset(dataset) is dataset
+        gathered = Dataset(iter(dataset))
+        assert type(gathered) is Dataset and not gathered._rows.flags.writeable
+        assert gathered._rows.tobytes() == dataset._rows.tobytes()
+        assert Dataset([])._rows.shape == (0, _Row.xi0.start)
 
     @pytest.mark.parametrize("source", ["generated", "loaded"])
     def test_dataset_saves_as_its_list_of_records(self, datasets, source, tmp_path):
