@@ -1,13 +1,15 @@
 """Command-line harness: calibrate, train, experiment, replay.
 
-All commands are deterministic given (config, seed); metric and step CSVs are
-written sorted and re-validated before exit.
+All commands are deterministic given (config, seed).  `experiment` checks its
+metric and step rows by the rules of `validate_metrics_csv` and
+`validate_steps_csv` before either file is written, and never reads them back.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import math
 import operator
 import sys
 from pathlib import Path
@@ -46,22 +48,45 @@ def _require_increasing(keys: list, path: Path) -> None:
         raise ConfigurationError(f"rows out of order or repeated in {path}")
 
 
+def _metric_key(row) -> tuple:
+    """A metrics row's (experiment, variant, trial, step, metric); its value
+    must be finite."""
+    if not math.isfinite(float(row[5])):
+        raise ValueError("non-finite metric value")
+    return (row[0], row[1], int(row[2]), int(row[3]), row[4])
+
+
+def _step_key(row) -> tuple:
+    """A steps row's (experiment, variant, trial, peg_index, step)."""
+    return (row[0], row[1], int(row[2]), int(row[3]), int(row[5]))
+
+
 def validate_metrics_csv(path: Path) -> None:
-    """Schema gate run before exit: header, strictly increasing keys, finite
-    values."""
-
-    def key(row):
-        if not np.isfinite(float(row[5])):
-            raise ValueError("non-finite metric value")
-        return (row[0], row[1], int(row[2]), int(row[3]), row[4])
-
+    """The metrics file's rule on a written file: its header, each row's
+    cell count and key, finite values and strictly increasing keys."""
     _require_increasing(read_table(
-        path, METRIC_COLUMNS, "metrics", lambda rows: list(map(key, rows))), path)
+        path, METRIC_COLUMNS, "metrics", lambda rows: list(map(_metric_key, rows))), path)
 
 
 def validate_steps_csv(path: Path) -> None:
-    _require_increasing(read_table(path, STEP_COLUMNS, "steps", lambda rows: [
-        (r[0], r[1], int(r[2]), int(r[3]), int(r[5])) for r in rows]), path)
+    """The steps file's rule on a written file: its header, each row's cell
+    count and key, and strictly increasing keys."""
+    _require_increasing(read_table(
+        path, STEP_COLUMNS, "steps", lambda rows: list(map(_step_key, rows))), path)
+
+
+def _check_rows(path: Path, columns: tuple, key, rows: list) -> None:
+    """The rule of `path`'s validator, on the rows about to be written there:
+    `write_csv` writes the header and each cell's text, which `read_table`
+    reads back, so rows pass here exactly when their file would pass it."""
+    try:
+        widths = set(map(len, rows)) - {len(columns)}
+        if widths:
+            raise ValueError(f"expected {len(columns)} cells, got {min(widths)}")
+        keys = list(map(key, rows))
+    except (TypeError, ValueError) as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
+    _require_increasing(keys, path)
 
 
 def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
@@ -207,14 +232,15 @@ def cmd_experiment(args) -> int:
     )
     metric_rows, step_rows = run_experiment(spec)
 
+    # both files' rows are checked before --out is touched, so a failed check
+    # leaves it as it was
     out_dir = Path(args.out)
+    metrics_path, steps_path = out_dir / "metrics.csv", out_dir / "steps.csv"
+    _check_rows(metrics_path, METRIC_COLUMNS, _metric_key, metric_rows)
+    _check_rows(steps_path, STEP_COLUMNS, _step_key, step_rows)
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_path = out_dir / "metrics.csv"
     write_csv(metrics_path, METRIC_COLUMNS, metric_rows)
-    steps_path = out_dir / "steps.csv"
     write_csv(steps_path, STEP_COLUMNS, step_rows)
-    validate_metrics_csv(metrics_path)
-    validate_steps_csv(steps_path)
 
     value = {(r.variant, r.metric, r.step): r.value for r in metric_rows}
     print(f"experiment        : {args.kind} ({spec.trials} trials, seed {args.seed})")

@@ -46,6 +46,7 @@ from .seeding import (
     STREAM_PEGS,
     STREAM_WORLD,
     derive_rng,
+    non_negative_integer,
 )
 from .sensors import SensorModel
 from .sim import SpiralParams, World, spawn_world
@@ -114,6 +115,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.kind not in KIND_IDS:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
+        object.__setattr__(self, "seed", non_negative_integer(self.seed, "seed"))
         if self.trials is None:
             object.__setattr__(self, "trials", DEFAULT_TRIALS[self.kind])
         object.__setattr__(self, "trials", check_integer(self.trials, "trials", ConfigurationError))

@@ -22,11 +22,18 @@ STREAM_CALIBRATE = 4
 STREAM_PEGS = 5
 
 
+def non_negative_integer(value, key: str) -> int:
+    """`value` as an int, if it is an integer by `check_integer`'s rule and
+    not negative; else InvalidInputError naming `key`."""
+    value = check_integer(value, key)
+    if value < 0:
+        raise InvalidInputError(f"{key} must be non-negative, got {value}")
+    return value
+
+
 def derive_rng(master_seed: int, *key: int) -> np.random.Generator:
-    """Generator for the stream identified by `key` under `master_seed`, a
-    non-negative integer by `check_integer`'s rule."""
-    master_seed = check_integer(master_seed, "seed")
-    if master_seed < 0:
-        raise InvalidInputError(f"seed must be non-negative, got {master_seed}")
-    ss = np.random.SeedSequence(master_seed, spawn_key=tuple(int(k) for k in key))
+    """Generator for the stream identified by `key` under `master_seed`; the
+    seed and each key entry must be non-negative integers."""
+    ss = np.random.SeedSequence(non_negative_integer(master_seed, "seed"), spawn_key=tuple(
+        non_negative_integer(k, "stream key") for k in key))
     return np.random.default_rng(ss)

@@ -3,8 +3,10 @@
 `diff_runs(a, b)` compares what `experiment` and `train` write into their
 `--out` directories and returns one report line per difference found; no
 line means that the runs agree.  Every CSV is read through `read_table` and
-`learned_params.json` through `config.load_params`, so a file that the CLI
-would reject is rejected here too.
+`learned_params.json` through `config.load_params`, and each side's
+`steps.csv` and `metrics.csv` must first pass the CLI's validators
+(`validate_steps_csv`, `validate_metrics_csv`): rows are matched by key, and
+a repeated or out-of-order row that keying would hide fails the diff instead.
 
 - `steps.csv`: rows are matched by (experiment, variant, trial, peg_index,
   step).  The report names rows found on one side only, counts the rows
@@ -25,7 +27,7 @@ Run as a script on a parent's and a change's outputs:
 
 It prints the report, or "no difference", and exits with 1 when the runs
 differ, 2 when neither directory holds a run's files or a file is
-malformed.
+malformed, its rows repeated or out of order.
 """
 
 import math
@@ -34,6 +36,7 @@ from collections import Counter
 from pathlib import Path
 
 from belieffit import config as cfg
+from belieffit.cli import validate_metrics_csv, validate_steps_csv
 from belieffit.errors import BeliefFitError
 from belieffit.experiments import METRIC_COLUMNS, STEP_COLUMNS
 from belieffit.runfiles import read_table
@@ -175,6 +178,11 @@ def diff_runs(a, b) -> list[str]:
         raise FileNotFoundError(f"no run files ({', '.join(RUN_FILES)}) in {a} or {b}")
     lines = [f"{name}: only in {'a' if x else 'b'}" for name, (x, y) in present.items() if x != y]
     both = {name for name, (x, y) in present.items() if x and y}
+    for name, validate in (("steps.csv", validate_steps_csv),
+                           ("metrics.csv", validate_metrics_csv)):
+        for run, found in zip((a, b), present[name]):
+            if found:
+                validate(run / name)
     trials = Counter()
     if "steps.csv" in both:
         sa = _step_rows(a / "steps.csv")

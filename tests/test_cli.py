@@ -18,7 +18,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from belieffit import cli
 from belieffit.cli import build_parser, main, validate_metrics_csv, validate_steps_csv
-from belieffit.experiments import DEFAULT_TRIALS, DEFAULT_VARIANTS, ExperimentSpec
+from belieffit.experiments import (DEFAULT_TRIALS, DEFAULT_VARIANTS, STEP_COLUMNS,
+                                   ExperimentSpec)
 from belieffit.policy import PolicyVariant
 from belieffit.runfiles import CSV_BLOCK_ROWS, read_table, write_csv, write_json
 from belieffit.training import DATASET_COLUMNS
@@ -947,6 +948,49 @@ class TestExperiment:
             path.write_text("\n".join([header, *rows[:2], repeated, *rows[2:]]) + "\n")
             with pytest.raises(ConfigurationError, match="out of order or repeated"):
                 validate(path)
+
+    @pytest.mark.parametrize("edit, name, problem", [
+        (lambda m, s: (m, [*s, s[-1]]), "steps.csv", "rows out of order or repeated in "),
+        (lambda m, s: ([m[0]._replace(value=math.nan), *m[1:]], s), "metrics.csv",
+         ": non-finite metric value"),
+        (lambda m, s: (m, [*s[:3], s[3][:-1], *s[4:]]), "steps.csv",
+         f": expected {len(STEP_COLUMNS)} cells, got {len(STEP_COLUMNS) - 1}"),
+    ], ids=["repeated_step_key", "nan_metric", "short_step_row"])
+    def test_rejected_rows_leave_out_as_it_was(self, small_config, tmp_path, capsys,
+                                               monkeypatch, edit, name, problem):
+        """Rows that break a file's rule are exit 2 with one line naming the
+        file, before --out is created or any file in it is written."""
+        rows = cli.run_experiment(ExperimentSpec(
+            kind="assembly", env=EnvConfig(), spiral=SpiralParams(), sensors=SensorModel(),
+            learned=SensorModel().filter_models(), trials=2, seed=3))
+        monkeypatch.setattr(cli, "run_experiment", lambda spec: edit(*rows))
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "notes.txt").write_bytes(b"an earlier file\n")
+        for out in (kept, tmp_path / "new"):
+            code = run_cli("experiment", "assembly", "--config", small_config, "--trials", 2,
+                           "--seed", 3, "--out", out)
+            assert code == 2
+            err = assert_one_line_error(capsys)
+            assert str(out / name) in err and problem in err
+        assert [p.name for p in kept.iterdir()] == ["notes.txt"]
+        assert (kept / "notes.txt").read_bytes() == b"an earlier file\n"
+        assert not (tmp_path / "new").exists()
+
+    def test_outputs_are_not_read_back(self, small_config, tmp_path, monkeypatch):
+        """The rows are checked before they are written, so the run never
+        reads its own files, and writes the bytes it writes when it could."""
+        argv = ("experiment", "assembly", "--config", small_config, "--trials", 3, "--seed", 6)
+        assert run_cli(*argv, "--out", tmp_path / "read") == 0
+
+        def no_read(*args):
+            raise AssertionError("read_table called")
+
+        monkeypatch.setattr(cli, "read_table", no_read)
+        assert run_cli(*argv, "--out", tmp_path / "unread") == 0
+        for name in ("metrics.csv", "steps.csv"):
+            assert (tmp_path / "unread" / name).read_bytes() == (
+                tmp_path / "read" / name).read_bytes()
 
     def test_byte_identical_reruns(self, small_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

@@ -313,9 +313,39 @@ class TestValidation:
             assert str(raised.value) == f"{key} must be an integer, got {bad!r}"
 
     def test_negative_seed(self):
-        spec = dataclasses.replace(make_spec("position_estimation"), seed=-1)
         with pytest.raises(InvalidInputError, match="seed must be non-negative"):
+            spec = dataclasses.replace(make_spec("position_estimation"), seed=-1)
             run_experiment(spec)
+
+    def test_spec_checks_its_seed_as_derive_rng_does(self):
+        # the spec applies the rule of every stream it will derive, so a bad
+        # seed fails at construction and never reaches the study
+        spec = make_spec(KIND_ASSEMBLY)
+        made = dataclasses.replace(spec, seed=np.float64(3.0))
+        assert type(made.seed) is int and made.seed == 3
+        for bad in (2.5, True, "3", float("nan")):
+            with pytest.raises(InvalidInputError) as raised:
+                dataclasses.replace(spec, seed=bad)
+            assert str(raised.value) == f"seed must be an integer, got {bad!r}"
+        for bad in (-1, np.int64(-1), -1.0):
+            with pytest.raises(InvalidInputError) as raised:
+                dataclasses.replace(spec, seed=bad)
+            assert str(raised.value) == "seed must be non-negative, got -1"
+            with pytest.raises(InvalidInputError) as from_rng:
+                derive_rng(bad)
+            assert str(from_rng.value) == str(raised.value)
+
+    def test_stream_key_entries_are_non_negative_integers(self):
+        # a fraction, a bool or a string is not taken as the key of another
+        # stream, and a negative entry raises the package's error
+        assert derive_rng(0, np.int64(2)).random() == derive_rng(0, 2).random()
+        for bad in (1.5, True, "2"):
+            with pytest.raises(InvalidInputError) as raised:
+                derive_rng(0, 3, bad)
+            assert str(raised.value) == f"stream key must be an integer, got {bad!r}"
+        with pytest.raises(InvalidInputError) as raised:
+            derive_rng(0, 3, -1)
+        assert str(raised.value) == "stream key must be non-negative, got -1"
 
     def test_result_row_finite(self):
         # `_row` makes every metric row, so it is where a value is checked

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from belieffit.cli import main
+from belieffit.errors import ConfigurationError
 from belieffit.experiments import METRIC_COLUMNS, STEP_COLUMNS
 from belieffit.runfiles import read_table, write_csv
 from rundiff import diff_runs, main as rundiff_main, relative_deviation
@@ -92,3 +93,19 @@ def test_two_seeds_report_their_flipped_outcomes(runs):
             for side, keys in (("a", a.keys() - b.keys()), ("b", b.keys() - a.keys())) if keys]
     assert [x for x in lines if " rows only in " in x and x.startswith("steps")] == only
     assert any("standard errors" in x for x in lines)
+
+
+@pytest.mark.parametrize("file", ["steps.csv", "metrics.csv"])
+def test_a_repeated_row_is_rejected_not_collapsed(runs, tmp_path, capsys, file):
+    """Rows are matched by key, so a row written twice would diff as no
+    difference; the CLI's validator rejects it first, on either side."""
+    run = runs[0]
+    copy = shutil.copytree(run, tmp_path / "copy")
+    lines = (copy / file).read_bytes().splitlines(keepends=True)
+    (copy / file).write_bytes(b"".join([*lines, lines[-1]]))
+    for pair in ((run, copy), (copy, run)):
+        with pytest.raises(ConfigurationError, match="out of order or repeated"):
+            diff_runs(*pair)
+        assert rundiff_main([str(p) for p in pair]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: rows out of order or repeated in ") and str(copy) in err
