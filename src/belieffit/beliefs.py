@@ -104,14 +104,22 @@ def check_type_tag(tag, message: str, n_types: float = math.inf,
     return int(tag)
 
 
-def check_integer(value, key: str, error: type = InvalidInputError) -> int:
-    """`value` as an int, if it is an integer: an int, a numpy integer or a
-    whole float, not a bool.  Else `error` with "{key} must be an integer,
-    got {value!r}"."""
-    if (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+def check_count(value, key: str, low: int, high: float = math.inf,
+                error: type = InvalidInputError) -> int:
+    """`value` as an int, if it is an integer (an int, a numpy integer or a
+    whole float, not a bool) in [`low`, `high`].  Else `error` with "{key}
+    must be an integer, got {value!r}", or, out of range, "{key} must lie in
+    [low, high]", "must be non-negative, got {value}" or "must be at least
+    {low}, got {value}"."""
+    if not (isinstance(value, (int, np.integer)) and not isinstance(value, bool)
             or isinstance(value, float) and value.is_integer()):
-        return int(value)
-    raise error(f"{key} must be an integer, got {value!r}")
+        raise error(f"{key} must be an integer, got {value!r}")
+    value = int(value)
+    if not low <= value <= high:
+        raise error(f"{key} must lie in [{low}, {high}]" if high < math.inf
+                    else f"{key} must be non-negative, got {value}" if low == 0
+                    else f"{key} must be at least {low}, got {value}")
+    return value
 
 
 def ordered_sum(values: list[float]) -> float:
@@ -285,13 +293,10 @@ class EnvConfig:
     alignment_rate: float = 0.36
 
     def __post_init__(self):
-        for key in ("n_holes", "n_types", "horizon_high", "horizon_low"):  # before any range
-            value = check_integer(getattr(self, key), key, ConfigurationError)
+        for key, low, high in (("n_holes", 1, MAX_PLACEMENT_ATTEMPTS), ("n_types", 2, MAX_TYPES),
+                               ("horizon_high", 1, MAX_HORIZON), ("horizon_low", 1, MAX_HORIZON)):
+            value = check_count(getattr(self, key), key, low, high, ConfigurationError)
             object.__setattr__(self, key, value)
-        if not 1 <= self.n_holes <= MAX_PLACEMENT_ATTEMPTS:
-            raise ConfigurationError(f"n_holes must lie in [1, {MAX_PLACEMENT_ATTEMPTS}]")
-        if not 2 <= self.n_types <= MAX_TYPES:
-            raise ConfigurationError(f"n_types must lie in [2, {MAX_TYPES}]")
         if not 0.0 < self.alpha <= 1.0:
             raise ConfigurationError("alpha must lie in (0, 1]")
         # every range check is written so that NaN fails it
@@ -299,8 +304,6 @@ class EnvConfig:
             raise ConfigurationError(f"detector error bound must lie in [0, {MAX_LENGTH:g}] m")
         if not 0.0 < self.sigma_init < np.inf:
             raise ConfigurationError("sigma_init must be finite and positive")
-        if not (1 <= self.horizon_high <= MAX_HORIZON and 1 <= self.horizon_low <= MAX_HORIZON):
-            raise ConfigurationError(f"horizons must lie in [1, {MAX_HORIZON}]")
         if not 0.0 < self.alignment_rate <= 1.0:
             raise ConfigurationError("alignment rate must lie in (0, 1]")
         if not 0.0 < self.capture_radius <= MAX_LENGTH:

@@ -20,13 +20,15 @@ from . import config as cfg
 from .errors import (BeliefFitError, ConfigurationError, InvalidInputError,
                      OptimizationFailureError)
 from .experiments import (
+    DEFAULT_STEPS,
+    KIND_ASSEMBLY,
     KIND_IDS,
+    KIND_POSITION,
     METRIC_COLUMNS,
     STEP_COLUMNS,
     ExperimentSpec,
     run_experiment,
 )
-from .policy import PolicyVariant
 from .runfiles import null_stdout, read_table, require_out, write_csv, write_json
 from .seeding import STREAM_CALIBRATE, STREAM_DATASET, derive_rng
 from .sim import tune_capture_radius
@@ -89,20 +91,10 @@ def _check_rows(path: Path, columns: tuple, key, rows: list) -> None:
     _require_increasing(keys, path)
 
 
-def _parse_variants(raw: str | None) -> tuple[PolicyVariant, ...]:
-    """The variants a `--variants` flag names; none leaves the spec's default."""
-    if not raw:
-        return ()
-    by_value = {v.value: v for v in PolicyVariant}
-    out = []
-    for name in raw.split(","):
-        name = name.strip()
-        if name not in by_value:
-            raise ConfigurationError(
-                f"unknown variant {name!r}; choose from {sorted(by_value)}"
-            )
-        out.append(by_value[name])
-    return tuple(out)
+def _parse_variants(raw: str | None) -> tuple[str, ...]:
+    """The variant names a `--variants` flag lists; none leaves the spec's
+    default, and the spec reads each name."""
+    return tuple(name.strip() for name in raw.split(",")) if raw else ()
 
 
 def _config_blocks(path):
@@ -342,8 +334,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default=None,
                    help="comma-separated variant names (default: per-kind set)")
     p.add_argument("--steps", type=int, default=None,
-                   help="attempts per peg (default: 5 for position_estimation, the config's "
-                        "horizon_high for matching_insertion, 30 for assembly)")
+                   help=f"attempts per peg (default: {DEFAULT_STEPS[KIND_POSITION]} for "
+                        "position_estimation, the config's horizon_high for matching_insertion, "
+                        f"{DEFAULT_STEPS[KIND_ASSEMBLY]} for assembly)")
     p.add_argument("--out", default="results")
     p.set_defaults(func=cmd_experiment)
 

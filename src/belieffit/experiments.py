@@ -16,6 +16,10 @@ each task draws only from its own stream, its rows equal those of the task
 run alone.  Step rows are tuples in `STEP_COLUMNS` order and metric rows
 `ResultRow`s; the CLI writes both as they are.  Each study's runner makes
 its metric rows with `_row`.
+
+`ExperimentSpec` checks its counts (`seed`, `trials`, `steps`) by
+`beliefs.check_count` and reads each entry of `variants`, a `PolicyVariant`
+or its name, once, so a study meets only checked ints and members.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType, check_integer
+from .beliefs import MAX_HORIZON, BeliefArrays, EnvConfig, PegType, check_count
 from .errors import ConfigurationError, InvalidInputError
 from .filters import FilterModels
 from .policy import (
@@ -46,7 +50,6 @@ from .seeding import (
     STREAM_PEGS,
     STREAM_WORLD,
     derive_rng,
-    non_negative_integer,
 )
 from .sensors import SensorModel
 from .sim import SpiralParams, World, spawn_world
@@ -109,28 +112,32 @@ class ExperimentSpec:
     learned: FilterModels
     trials: int | None = None
     seed: int = 0
-    variants: tuple[PolicyVariant, ...] = ()
+    variants: tuple[PolicyVariant | str, ...] = ()  # stored as members
     steps: int | None = None
 
     def __post_init__(self):
         if self.kind not in KIND_IDS:
             raise ConfigurationError(f"unknown experiment kind: {self.kind}")
-        object.__setattr__(self, "seed", non_negative_integer(self.seed, "seed"))
+        object.__setattr__(self, "seed", check_count(self.seed, "seed", 0))
         if self.trials is None:
             object.__setattr__(self, "trials", DEFAULT_TRIALS[self.kind])
-        object.__setattr__(self, "trials", check_integer(self.trials, "trials", ConfigurationError))
-        if self.trials < 1:
-            raise ConfigurationError("need at least one trial")
+        object.__setattr__(self, "trials", check_count(self.trials, "trials", 1,
+                                                       error=ConfigurationError))
         if self.steps is None:
             object.__setattr__(self, "steps", DEFAULT_STEPS.get(self.kind, self.env.horizon_high))
-        object.__setattr__(self, "steps", check_integer(self.steps, "steps", ConfigurationError))
-        if not 1 <= self.steps <= MAX_HORIZON:
-            raise ConfigurationError(f"steps must lie in [1, {MAX_HORIZON}]")
-        if not self.variants:
-            object.__setattr__(self, "variants", DEFAULT_VARIANTS[self.kind])
-        for i, variant in enumerate(self.variants):  # a repeat would write every row twice
-            if variant in self.variants[:i]:
+        object.__setattr__(self, "steps", check_count(self.steps, "steps", 1, MAX_HORIZON,
+                                                      ConfigurationError))
+        variants = []
+        for entry in self.variants or DEFAULT_VARIANTS[self.kind]:  # a member or its name
+            try:
+                variant = PolicyVariant(entry)
+            except ValueError:
+                raise ConfigurationError(f"unknown variant {entry!r}; choose from "
+                                         f"{sorted(v.value for v in PolicyVariant)}") from None
+            if variant in variants:  # a repeat would write every row twice
                 raise ConfigurationError(f"variant {variant.value!r} named twice")
+            variants.append(variant)
+        object.__setattr__(self, "variants", tuple(variants))
 
     @property
     def models(self) -> PolicyModels:

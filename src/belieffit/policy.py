@@ -61,6 +61,7 @@ from .beliefs import (
     HoleGroundTruth,
     PegType,
     TypeBelief,
+    check_count,
     check_position,
     check_types,
     fit_probability,
@@ -425,8 +426,7 @@ def steps_task(
 ) -> Task:
     """Steps `state` in place for one peg until a fit or the horizon, as a
     task for `run_tasks` that returns the peg's `EpisodeLog`."""
-    if horizon < 1:
-        raise InvalidInputError("episode horizon must be >= 1")
+    horizon = check_count(horizon, "horizon", 1)
     records: list[StepRecord] = []
     for t in range(1, horizon + 1):
         record = yield from _step(state, t, peg, world, variant, models, rng)

@@ -40,7 +40,7 @@ from .beliefs import (
     EnvConfig,
     HoleGroundTruth,
     PegType,
-    check_integer,
+    check_count,
     frozen_array,
 )
 from .errors import ConfigurationError, InvalidInputError
@@ -58,13 +58,12 @@ class SpiralParams:
     sigma_wiggle: float = 0.00125
 
     def __post_init__(self):
-        object.__setattr__(self, "n_rot", check_integer(self.n_rot, "n_rot", ConfigurationError))
+        # a spiral of more turns than steps only aliases
+        n_rot = check_count(self.n_rot, "n_rot", 1, MAX_HORIZON, ConfigurationError)
+        object.__setattr__(self, "n_rot", n_rot)
         # written so that NaN fails each range check
         if not 0.0 < self.r_max <= MAX_LENGTH:
             raise ConfigurationError(f"r_max must lie in (0, {MAX_LENGTH:g}] m")
-        # a spiral of more turns than steps only aliases
-        if not 1 <= self.n_rot <= MAX_HORIZON:
-            raise ConfigurationError(f"n_rot must lie in [1, {MAX_HORIZON}]")
         if not 0.0 <= self.sigma_wiggle <= MAX_LENGTH:
             raise ConfigurationError(f"wiggle scale must lie in [0, {MAX_LENGTH:g}] m")
 
@@ -296,8 +295,6 @@ def _critical_radii(config: EnvConfig, spiral: SpiralParams, trials: int,
     tip distance, or inf when its alignment draw fails.  Each attempt starts
     from a detector sample around a hole at the workspace center, where the
     placement margin keeps clipping from skewing the estimate."""
-    if trials < 1:
-        raise InvalidInputError("need at least one trial")
     placement_box(config, spiral)
     center = 0.5 * (np.asarray(config.workspace_min) + np.asarray(config.workspace_max))
     horizon = config.horizon_low
@@ -328,6 +325,7 @@ def _rate(radii: np.ndarray, radius: float) -> float:
 def calibrate_alpha(config: EnvConfig, spiral: SpiralParams, trials: int,
                     rng: np.random.Generator) -> float:
     """Empirical matched-pair success rate under detector-noise starts."""
+    trials = check_count(trials, "trials", 1)
     return _rate(_critical_radii(config, spiral, trials, rng), config.capture_radius)
 
 
@@ -358,6 +356,7 @@ def tune_capture_radius(
     """
     if not 0.0 < target_alpha <= 1.0:
         raise InvalidInputError("target alpha must lie in (0, 1]")
+    trials = check_count(trials, "trials", 1)
     bound = capture_radius_bound(config, spiral)
     radii = _critical_radii(config, spiral, trials, rng)
     ceiling = _rate(radii, bound)

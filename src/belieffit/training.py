@@ -47,8 +47,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .beliefs import (SUM_TOL, SYMMETRY_TOL, EnvConfig, check_type_tag, frozen_array,
-                      frozen_cov, normalized_rows)
+from .beliefs import (SUM_TOL, SYMMETRY_TOL, EnvConfig, check_count, check_type_tag,
+                      frozen_array, frozen_cov, normalized_rows)
 from .errors import (
     DegenerateEvidenceError,
     DegenerateOracleError,
@@ -346,8 +346,8 @@ def generate_dataset(
     construction; only the readings are checked, since a sensor can
     overflow.
     """
-    if n_interactions < 2:
-        raise InvalidInputError("need at least two interactions for class balance")
+    # at least one matched and one mismatched record, for class balance
+    n_interactions = check_count(n_interactions, "n_interactions", 2)
     n_matched = (n_interactions + 1) // 2
     lo, hi = placement_box(config, spiral)
     n_types = config.n_types
@@ -714,12 +714,13 @@ def grad_nll(params: LearnedParams, records, alpha: float) -> np.ndarray:
     return np.array(_mean_loss_and_grad(params.theta.tolist(), _precompute(records, alpha))[1])
 
 
-def check_fit_settings(lr: float, epochs: int) -> None:
-    """`fit_parameters`' rule on its step size and epoch count."""
-    if epochs < 1:
-        raise InvalidInputError("need at least one epoch")
+def check_fit_settings(lr: float, epochs: int) -> int:
+    """`fit_parameters`' rule on its step size and epoch count; returns the
+    count as an int."""
+    epochs = check_count(epochs, "epochs", 1)
     if not 0.0 < lr < math.inf:
         raise InvalidInputError(f"learning rate must be positive and finite, got {lr}")
+    return epochs
 
 
 def fit_parameters(
@@ -745,7 +746,7 @@ def fit_parameters(
     floats in place, in the order of operations of Adam on numpy 5-vectors,
     so every bit is theirs; `init.theta` is copied, not updated.
     """
-    check_fit_settings(lr, epochs)
+    epochs = check_fit_settings(lr, epochs)
     pre = _precompute(records, alpha)
     if init is None:
         init = LearnedParams.from_values(1e-4 * np.eye(2), tpr=0.75, fpr=0.25)

@@ -184,7 +184,7 @@ class TestConfig:
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"env": {key: value}}))
         assert run_cli("calibrate", "--config", path, "--trials", 2) == 2
-        assert "horizons must lie in" in assert_one_line_error(capsys)
+        assert f"env: {key} must lie in [1, 100000]" in assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("key", ["n_types", "n_holes"])
     @pytest.mark.parametrize(
@@ -318,7 +318,7 @@ def test_wrong_kind_of_out_fails_before_any_work(small_config, tmp_path, capsys,
 
 @pytest.mark.parametrize(
     "flags, reason",
-    [(("--epochs", 0), "need at least one epoch"),
+    [(("--epochs", 0), "epochs must be at least 1, got 0"),
      (("--lr", -1), "learning rate must be positive and finite, got -1.0")],
     ids=["epochs", "lr"],
 )

@@ -267,6 +267,21 @@ class TestValidation:
             make_spec("assembly", variants=(
                 PolicyVariant.FAILURE_ONLY, PolicyVariant.FULL_APPROACH, PolicyVariant.FAILURE_ONLY))
 
+    def test_variants_are_read_once_by_the_spec(self):
+        # a name is read as its member, so the study never meets a string
+        spec = make_spec("assembly", trials=1,
+                         variants=["failure_only", PolicyVariant.FULL_APPROACH])
+        assert spec.variants == (PolicyVariant.FAILURE_ONLY, PolicyVariant.FULL_APPROACH)
+        assert run_experiment(spec) == run_experiment(
+            make_spec("assembly", trials=1, variants=spec.variants))
+        with pytest.raises(ConfigurationError, match="'full_approach' named twice"):
+            make_spec("assembly", variants=("full_approach", PolicyVariant.FULL_APPROACH))
+        names = sorted(v.value for v in PolicyVariant)
+        for bad in ("x", "Full_Approach", 3):
+            with pytest.raises(ConfigurationError) as raised:
+                make_spec("assembly", variants=("full_approach", bad))
+            assert str(raised.value) == f"unknown variant {bad!r}; choose from {names}"
+
     def test_zero_trials(self):
         with pytest.raises(ConfigurationError):
             make_spec("assembly", trials=0)

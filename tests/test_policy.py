@@ -319,6 +319,18 @@ class TestRunEpisode:
         assert log.status is TerminalStatus.STEP_CAP
         assert log.attempts == 7
 
+    def test_horizon_follows_the_integer_rule(self):
+        # a bool is not a horizon of one step
+        world = single_hole_world(hole_type=2)
+        for bad in (True, 2.5):
+            with pytest.raises(InvalidInputError) as raised:
+                run_episode(world, PegType(1), PolicyVariant.FULL_APPROACH, default_models(),
+                            bad, derive_rng(7, 3), beliefs=[belief_with_masses([1, 1, 1])])
+            assert str(raised.value) == f"horizon must be an integer, got {bad!r}"
+        with pytest.raises(InvalidInputError, match="horizon must be at least 1, got 0"):
+            run_episode(world, PegType(1), PolicyVariant.FULL_APPROACH, default_models(),
+                        0, derive_rng(7, 3), beliefs=[belief_with_masses([1, 1, 1])])
+
     def test_determinism(self):
         world = single_hole_world(hole_type=1)
         logs = []
@@ -378,6 +390,15 @@ class TestAssembly:
                 world, [PegType(1)] * 5, PolicyVariant.FULL_APPROACH, models,
                 derive_rng(0, 3),
             )
+
+    def test_step_cap_follows_the_integer_rule(self):
+        # the cap is each peg's horizon, checked by the episode it bounds
+        world, models = self._world_and_models()
+        pegs = [PegType(h.hole_type) for h in world.holes]
+        with pytest.raises(InvalidInputError) as raised:
+            run_assembly_task(world, pegs, PolicyVariant.FULL_APPROACH, models,
+                              derive_rng(0, 3), step_cap=2.5)
+        assert str(raised.value) == "horizon must be an integer, got 2.5"
 
     def test_accounting_invariants(self):
         world, models = self._world_and_models(seed=3)

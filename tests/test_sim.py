@@ -445,6 +445,21 @@ class TestCalibration:
         with pytest.raises(InvalidInputError):
             tune_capture_radius(CFG, SPIRAL, 0.0, 10, derive_rng(0, 5))
 
+    def test_trial_count_follows_the_integer_rule(self):
+        # checked where each entry point takes it, before any draw
+        for bad in (True, 10.5):
+            with pytest.raises(InvalidInputError) as raised:
+                calibrate_alpha(CFG, SPIRAL, bad, derive_rng(0, 5))
+            assert str(raised.value) == f"trials must be an integer, got {bad!r}"
+            with pytest.raises(InvalidInputError) as raised:
+                tune_capture_radius(CFG, SPIRAL, 0.3, bad, derive_rng(0, 5))
+            assert str(raised.value) == f"trials must be an integer, got {bad!r}"
+        with pytest.raises(InvalidInputError, match="trials must be at least 1, got 0"):
+            tune_capture_radius(CFG, SPIRAL, 0.3, 0, derive_rng(0, 5))
+        result = tune_capture_radius(CFG, SPIRAL, 0.3, np.int64(40), derive_rng(0, 5))
+        assert type(result.trials) is int and result.trials == 40
+        assert result == tune_capture_radius(CFG, SPIRAL, 0.3, 40.0, derive_rng(0, 5))
+
     def test_detections_must_fit_the_workspace(self):
         # a detector error bound wider than the workspace leaves no center
         # whose detections and spirals stay unclipped

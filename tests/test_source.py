@@ -142,6 +142,30 @@ def test_constructors_freeze_arrays_through_frozen_array():
     assert len(SOURCES) > 1 and not found, found
 
 
+INTEGER_RULES = ("check_count", "check_type_tag")
+
+
+def test_the_integer_rule_is_written_once():
+    # `beliefs.check_count` is the one rule for a count and `check_type_tag`
+    # the one for a type tag; an `.is_integer()` call or an `isinstance`
+    # test against bool anywhere else is a second, hand-written copy
+    inside, outside = [], []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = {id(node) for f in ast.walk(tree)
+                   if path.name == "beliefs.py" and isinstance(f, ast.FunctionDef)
+                   and f.name in INTEGER_RULES for node in ast.walk(f)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    isinstance(node.func, ast.Attribute) and node.func.attr == "is_integer"
+                    or isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and any(isinstance(n, ast.Name) and n.id == "bool"
+                            for arg in node.args[1:] for n in ast.walk(arg))):
+                (inside if id(node) in allowed else outside).append(f"{path.name}:{node.lineno}")
+    # the three it allows are found, so the rule sees the form it forbids
+    assert len(inside) == 3 and not outside, (inside, outside)
+
+
 def test_every_private_function_and_class_has_a_caller_in_the_package():
     # an underscore name is the package's own: one that nothing in `src/`
     # references outside its definition is dead code, or a helper that only

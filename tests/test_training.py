@@ -377,6 +377,17 @@ class TestFitParameters:
         with pytest.raises(InvalidInputError, match="learning rate"):
             fit_parameters(records, init=None, lr=lr, epochs=2, alpha=ALPHA)
 
+    def test_epoch_count_follows_the_integer_rule(self):
+        # a whole float fits as many epochs as its integer; a bool is not one
+        records = [make_record(derive_rng(7, 20), matched=bool(i % 2)) for i in range(4)]
+        three = fit_parameters(records, init=None, lr=0.05, epochs=3, alpha=ALPHA)
+        whole = fit_parameters(records, init=None, lr=0.05, epochs=3.0, alpha=ALPHA)
+        assert whole.theta.tobytes() == three.theta.tobytes()
+        for bad in (True, 2.5):
+            with pytest.raises(InvalidInputError) as raised:
+                fit_parameters(records, init=None, lr=0.05, epochs=bad, alpha=ALPHA)
+            assert str(raised.value) == f"epochs must be an integer, got {bad!r}"
+
     def test_impossible_outcome_is_degenerate_evidence(self):
         # a success on a peg whose type has no prior mass annihilates the
         # type belief, as in histogram_update
@@ -980,6 +991,19 @@ class TestDataset:
             matched = sum(1 for r in records if r.peg_type == r.hole_type)
             assert matched == expected
             assert len(records) == n
+
+    def test_count_follows_the_integer_rule(self):
+        # a whole float is its integer; a fraction or a bool names the count
+        four = generate_dataset(self.CFG, SensorModel(), 4, derive_rng(12, 20), SPIRAL)
+        whole = generate_dataset(self.CFG, SensorModel(), 4.0, derive_rng(12, 20), SPIRAL)
+        assert whole._rows.tobytes() == four._rows.tobytes()
+        for bad in (2.5, True):
+            with pytest.raises(InvalidInputError) as raised:
+                generate_dataset(self.CFG, SensorModel(), bad, derive_rng(12, 20), SPIRAL)
+            assert str(raised.value) == f"n_interactions must be an integer, got {bad!r}"
+        with pytest.raises(InvalidInputError) as raised:
+            generate_dataset(self.CFG, SensorModel(), 1, derive_rng(12, 20), SPIRAL)
+        assert str(raised.value) == "n_interactions must be at least 2, got 1"
 
     def test_determinism(self):
         a = generate_dataset(self.CFG, SensorModel(), 10, derive_rng(10, 20), SPIRAL)
